@@ -2,9 +2,10 @@
 //! the compression-ratio vs quality trade-offs with Pareto fronts (e–h),
 //! then benchmarks the Bit-Flip kernel itself.
 
+use bitwave::context::ExperimentContext;
 use bitwave::experiments::bitflip::{fig06_layer_sensitivity, fig06_pareto, fig06_tradeoff};
 use bitwave_bench::{bench_context, print_header};
-use bitwave_core::bitflip::flip_slice;
+use bitwave_core::bitflip::{flip_slice, flip_tensor};
 use bitwave_core::group::GroupSize;
 use bitwave_dnn::models::all_networks;
 use bitwave_dnn::weights::generate_layer_sample;
@@ -68,6 +69,37 @@ fn bench(c: &mut Criterion) {
                 5,
                 Encoding::SignMagnitude,
             ))
+        })
+    });
+
+    // The Bit-Flip work of one cold `/v1/evaluate {"bitflip":true}` at
+    // sample cap 15 000: every layer the default strategy flips, with its
+    // (group size, zero columns) setting.
+    let ctx = ExperimentContext::default().with_sample_cap(15_000);
+    let weights = ctx.weights(&net);
+    let strategy = ctx.default_bitflip_strategy(&net);
+    let flipped_layers: Vec<_> = weights
+        .iter()
+        .filter_map(|(name, tensor)| {
+            let (group_size, zero_columns) = strategy.best_for_layer(name)?;
+            (zero_columns > 0).then_some((tensor, group_size, zero_columns))
+        })
+        .collect();
+    assert!(
+        !flipped_layers.is_empty(),
+        "the default strategy flips layers"
+    );
+    c.bench_function("kernel/bitflip_resnet18_default_strategy", |b| {
+        b.iter(|| {
+            for &(tensor, group_size, zero_columns) in &flipped_layers {
+                black_box(flip_tensor(
+                    black_box(tensor),
+                    group_size,
+                    zero_columns,
+                    Encoding::SignMagnitude,
+                ))
+                .expect("flip succeeds");
+            }
         })
     });
 }

@@ -12,11 +12,11 @@
 
 use crate::error::CoreError;
 use crate::group::{extract_groups, reassemble_tensor, GroupSize};
-use bitwave_tensor::bitplane::GroupPlanes;
-use bitwave_tensor::bits::{zero_column_count, Encoding, WORD_BITS};
+use bitwave_tensor::bits::{Encoding, WORD_BITS};
 use bitwave_tensor::metrics::euclidean_distance_i8;
 use bitwave_tensor::QuantTensor;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Result of flipping one weight group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,17 +50,16 @@ pub struct FlipStats {
 /// `target_zero_columns` is clamped to `0..=8`.  A target of 8 forces the
 /// whole group to zero.
 ///
-/// The search runs on the group's packed bitplanes: for each candidate
-/// column mask, the OR of the *disallowed* planes flags exactly the
-/// elements a projection must modify (every flagged element moves by at
-/// least 1, every clean element projects to itself).  That word gives a
-/// free lower bound — `popcount(dirty)` — used to skip dominated masks
-/// without building their projections, and restricts the per-element work
-/// of surviving masks to the flagged elements.  The selected mask, the
-/// flipped group and the distance are identical to the exhaustive scalar
-/// search ([`flip_group_scalar`]): masks are enumerated in the same order,
-/// a candidate replaces the incumbent only on strictly smaller cost, and
-/// costs are exact integers.
+/// Only column masks with exactly `8 - target` allowed columns are
+/// searched (larger allowed sets dominate smaller ones).  Projecting onto a
+/// mask moves every weight independently to its nearest representable
+/// value, so a mask's squared distance is a sum of per-value costs: one
+/// pass over the group adds up, from the [`FlipTable`], the totals of all
+/// candidate masks at once.  The winner is the first mask in ascending
+/// order with the minimal total — the mask an exhaustive per-mask
+/// projection search keeps when it replaces its incumbent only on strictly
+/// smaller cost, since the costs are exact integers.  Only the winning
+/// mask's projection is materialised.
 ///
 /// # Errors
 ///
@@ -75,8 +74,7 @@ pub fn flip_group(
         return Err(CoreError::InvalidGroupLength(group.len()));
     }
     let target = target_zero_columns.min(WORD_BITS as u32);
-    let planes = GroupPlanes::pack(group, encoding);
-    let current = (!planes.nonzero_column_mask()).count_ones();
+    let current = (!used_columns(group, encoding)).count_ones();
     if current >= target {
         return Ok(FlipOutcome {
             flipped: group.to_vec(),
@@ -85,107 +83,140 @@ pub fn flip_group(
         });
     }
 
-    let allowed_nonzero = WORD_BITS as u32 - target;
-    let mut best: Option<(Vec<i8>, u64)> = None;
-    // Enumerate all 8-bit masks with exactly `allowed_nonzero` allowed
-    // columns.  Larger allowed sets dominate smaller ones, so only the
-    // maximal popcount needs to be searched.
-    for mask in 0u16..=0xFF {
-        let mask = mask as u8;
-        if mask.count_ones() != allowed_nonzero {
-            continue;
-        }
-        let budget = best.as_ref().map_or(u64::MAX, |&(_, cost)| cost);
-        let dirty = planes.outside_mask(mask);
-        if u64::from(dirty.count_ones()) >= budget {
-            continue;
-        }
-        let projection = ColumnProjection::new(mask, encoding);
-        let mut candidate = group.to_vec();
-        let mut cost = 0u64;
-        let mut remaining = dirty;
-        while remaining != 0 {
-            let i = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let replacement = projection.nearest(candidate[i]);
-            let d = i64::from(candidate[i]) - i64::from(replacement);
-            cost += (d * d) as u64;
-            if cost >= budget {
-                break;
+    let table = FlipTable::get(encoding);
+    let (mask, cost) = table.best_mask(group, WORD_BITS - target as usize);
+    let nearest = &table.nearest[usize::from(mask)];
+    let flipped: Vec<i8> = group
+        .iter()
+        .map(|&w| nearest[usize::from(w as u8)])
+        .collect();
+    let achieved = (!used_columns(&flipped, encoding)).count_ones();
+    debug_assert!(achieved >= target);
+    Ok(FlipOutcome {
+        distance: f64::from(cost).sqrt(),
+        achieved_zero_columns: achieved,
+        flipped,
+    })
+}
+
+/// The columns any element of `group` uses under `encoding` (the OR of the
+/// encoded bytes).
+fn used_columns(group: &[i8], encoding: Encoding) -> u8 {
+    group.iter().fold(0, |used, &w| used | encoding.encode(w))
+}
+
+/// Number of 8-bit masks of the most common popcount, C(8, 4).
+const MAX_MASKS_PER_POPCOUNT: usize = 70;
+
+/// The separable Bit-Flip cost table of one encoding: for every column mask
+/// and every value, the nearest value whose encoding uses only the mask's
+/// columns, and the squared distance to it.
+///
+/// Ties break as the per-mask projection always has: the lower candidate
+/// wins (the lower value in two's complement, the lower magnitude in
+/// sign-magnitude), and a negative value under a mask without the sign
+/// column projects to the smallest representable magnitude, 0.  Every value
+/// differs from its projection by at most 128 (0 is always representable),
+/// so a cost fits in a `u16` and a 64-element group total in a `u32`.
+pub struct FlipTable {
+    /// `nearest[mask][value as u8]`.
+    nearest: Box<[[i8; 256]; 256]>,
+    /// `masks_by_popcount[k]`: the masks with popcount `k`, ascending.
+    masks_by_popcount: [Vec<u8>; WORD_BITS + 1],
+    /// `costs_by_popcount[k][value as u8 * n + j]`: the cost of projecting
+    /// `value` onto `masks_by_popcount[k][j]`, where `n` is the number of
+    /// masks of popcount `k` — one value's costs for all those masks are
+    /// contiguous.
+    costs_by_popcount: [Vec<u16>; WORD_BITS + 1],
+}
+
+impl FlipTable {
+    /// The table of `encoding`, built on first use and shared afterwards.
+    pub fn get(encoding: Encoding) -> &'static FlipTable {
+        static TWOS_COMPLEMENT: OnceLock<FlipTable> = OnceLock::new();
+        static SIGN_MAGNITUDE: OnceLock<FlipTable> = OnceLock::new();
+        let cell = match encoding {
+            Encoding::TwosComplement => &TWOS_COMPLEMENT,
+            Encoding::SignMagnitude => &SIGN_MAGNITUDE,
+        };
+        cell.get_or_init(|| FlipTable::build(encoding))
+    }
+
+    fn build(encoding: Encoding) -> Self {
+        let mut nearest = Box::new([[0i8; 256]; 256]);
+        for (mask, row) in (0..=u8::MAX).zip(nearest.iter_mut()) {
+            let projection = ColumnProjection::new(mask, encoding);
+            for (byte, slot) in (0..=u8::MAX).zip(row.iter_mut()) {
+                *slot = projection.nearest(byte as i8);
             }
-            candidate[i] = replacement;
         }
-        if cost < budget {
-            best = Some((candidate, cost));
-        }
-    }
-    let (flipped, cost) =
-        best.expect("at least one mask with the requested popcount always exists");
-    let achieved = (!GroupPlanes::pack(&flipped, encoding).nonzero_column_mask()).count_ones();
-    debug_assert!(achieved >= target);
-    Ok(FlipOutcome {
-        // Squared distances are sums of at most 64 squares of |d| <= 254,
-        // far below 2^53: the u64 cost converts to f64 exactly.
-        distance: (cost as f64).sqrt(),
-        achieved_zero_columns: achieved,
-        flipped,
-    })
-}
-
-/// The pre-bitplane exhaustive search, kept as the reference implementation
-/// for the scalar≡bitplane equivalence tests and the `bench_bitflip`
-/// comparison; behaviourally identical to [`flip_group`].
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidGroupLength`] if `group` is empty or longer
-/// than 64 elements.
-pub fn flip_group_scalar(
-    group: &[i8],
-    target_zero_columns: u32,
-    encoding: Encoding,
-) -> Result<FlipOutcome, CoreError> {
-    if group.is_empty() || group.len() > 64 {
-        return Err(CoreError::InvalidGroupLength(group.len()));
-    }
-    let target = target_zero_columns.min(WORD_BITS as u32);
-    let current = zero_column_count(group, encoding);
-    if current >= target {
-        return Ok(FlipOutcome {
-            flipped: group.to_vec(),
-            distance: 0.0,
-            achieved_zero_columns: current,
+        let masks_by_popcount: [Vec<u8>; WORD_BITS + 1] = std::array::from_fn(|k| {
+            (0..=u8::MAX)
+                .filter(|m| m.count_ones() as usize == k)
+                .collect()
         });
+        let costs_by_popcount = std::array::from_fn(|k| {
+            let masks = &masks_by_popcount[k];
+            let mut costs = Vec::with_capacity(256 * masks.len());
+            for byte in 0..=u8::MAX {
+                for &mask in masks {
+                    let d = i32::from(byte as i8)
+                        - i32::from(nearest[usize::from(mask)][usize::from(byte)]);
+                    costs.push(d.unsigned_abs().pow(2) as u16);
+                }
+            }
+            costs
+        });
+        Self {
+            nearest,
+            masks_by_popcount,
+            costs_by_popcount,
+        }
     }
 
-    let allowed_nonzero = WORD_BITS as u32 - target;
-    let mut best: Option<(Vec<i8>, f64)> = None;
-    for mask in 0u16..=0xFF {
-        let mask = mask as u8;
-        if mask.count_ones() != allowed_nonzero {
-            continue;
+    /// The first mask, in ascending order, of minimal total cost over
+    /// `group` among the masks with `popcount` allowed columns, and that
+    /// total.
+    fn best_mask(&self, group: &[i8], popcount: usize) -> (u8, u32) {
+        let masks = &self.masks_by_popcount[popcount];
+        let costs = &self.costs_by_popcount[popcount];
+        let n = masks.len();
+        let mut totals = [0u32; MAX_MASKS_PER_POPCOUNT];
+        let totals = &mut totals[..n];
+        for &w in group {
+            let row = &costs[usize::from(w as u8) * n..][..n];
+            for (total, &c) in totals.iter_mut().zip(row) {
+                *total += u32::from(c);
+            }
         }
-        let candidate = project_group(group, mask, encoding);
-        let cost = squared_distance(group, &candidate);
-        match &best {
-            Some((_, best_cost)) if *best_cost <= cost => {}
-            _ => best = Some((candidate, cost)),
+        let mut best = 0;
+        for (j, &total) in totals.iter().enumerate() {
+            if total < totals[best] {
+                best = j;
+            }
         }
+        (masks[best], totals[best])
     }
-    let (flipped, cost) =
-        best.expect("at least one mask with the requested popcount always exists");
-    let achieved = zero_column_count(&flipped, encoding);
-    debug_assert!(achieved >= target);
-    Ok(FlipOutcome {
-        distance: cost.sqrt(),
-        achieved_zero_columns: achieved,
-        flipped,
-    })
+
+    /// The nearest value to `value` that uses only the columns in `mask`.
+    pub fn nearest(&self, mask: u8, value: i8) -> i8 {
+        self.nearest[usize::from(mask)][usize::from(value as u8)]
+    }
+
+    /// The squared distance from `value` to [`FlipTable::nearest`], as the
+    /// search reads it.
+    pub fn cost(&self, mask: u8, value: i8) -> u16 {
+        let k = mask.count_ones() as usize;
+        let masks = &self.masks_by_popcount[k];
+        let j = masks
+            .binary_search(&mask)
+            .expect("every mask sits in its popcount bucket");
+        self.costs_by_popcount[k][usize::from(value as u8) * masks.len() + j]
+    }
 }
 
-/// Per-mask projection tables: the values reachable using only the allowed
-/// columns, pre-computed once per candidate mask instead of once per
-/// element.
+/// Per-mask projection: the values reachable using only the allowed
+/// columns.  Builds the [`FlipTable`] rows.
 enum ColumnProjection {
     /// Sign-magnitude: sorted representable magnitudes plus whether the sign
     /// column is allowed.
@@ -210,9 +241,8 @@ impl ColumnProjection {
         }
     }
 
-    /// Nearest representable value — the same selection (including
-    /// tie-breaking) as [`project_group`] applies per element.
-    #[inline]
+    /// Nearest representable value; ties go to the first (lowest) entry of
+    /// the sorted candidate list.
     fn nearest(&self, value: i8) -> i8 {
         match self {
             ColumnProjection::SignMagnitude {
@@ -220,25 +250,6 @@ impl ColumnProjection {
                 sign_allowed,
             } => nearest_sign_magnitude(value, magnitudes, *sign_allowed),
             ColumnProjection::TwosComplement { values } => nearest_value(value, values),
-        }
-    }
-}
-
-/// Projects every weight of `group` onto the nearest value whose encoding
-/// uses only the columns allowed by `mask`.
-fn project_group(group: &[i8], mask: u8, encoding: Encoding) -> Vec<i8> {
-    match encoding {
-        Encoding::SignMagnitude => {
-            let magnitudes = representable_magnitudes(mask & 0x7F);
-            let sign_allowed = mask & 0x80 != 0;
-            group
-                .iter()
-                .map(|&w| nearest_sign_magnitude(w, &magnitudes, sign_allowed))
-                .collect()
-        }
-        Encoding::TwosComplement => {
-            let values = representable_twos_complement(mask);
-            group.iter().map(|&w| nearest_value(w, &values)).collect()
         }
     }
 }
@@ -318,16 +329,6 @@ fn nearest_value(value: i8, sorted: &[i8]) -> i8 {
     best
 }
 
-fn squared_distance(a: &[i8], b: &[i8]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = f64::from(x) - f64::from(y);
-            d * d
-        })
-        .sum()
-}
-
 /// Flips every group of a flat weight slice.  Returns the flipped weights and
 /// aggregate statistics.
 ///
@@ -405,6 +406,7 @@ pub fn flip_tensor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitwave_tensor::bits::zero_column_count;
     use bitwave_tensor::prelude::*;
     use bitwave_tensor::quant::QuantParams;
     use proptest::prelude::*;
@@ -544,22 +546,6 @@ mod tests {
             let out = flip_group(&group, target, Encoding::SignMagnitude).unwrap();
             let norm = group.iter().map(|&v| f64::from(v) * f64::from(v)).sum::<f64>().sqrt();
             prop_assert!(out.distance <= norm + 1e-9);
-        }
-
-        #[test]
-        fn bitplane_flip_equals_scalar(
-            group in proptest::collection::vec(-127i8..=127, 1..=32),
-            target in 0u32..=8,
-        ) {
-            // The word-parallel search must reproduce the exhaustive scalar
-            // search bit for bit: same flipped values, same (exact) distance.
-            for encoding in [Encoding::TwosComplement, Encoding::SignMagnitude] {
-                let fast = flip_group(&group, target, encoding).unwrap();
-                let scalar = flip_group_scalar(&group, target, encoding).unwrap();
-                prop_assert_eq!(&fast.flipped, &scalar.flipped);
-                prop_assert_eq!(fast.distance, scalar.distance);
-                prop_assert_eq!(fast.achieved_zero_columns, scalar.achieved_zero_columns);
-            }
         }
     }
 }

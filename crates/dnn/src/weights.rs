@@ -18,6 +18,7 @@ use bitwave_core::stats::LayerSparsityStats;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::prelude::*;
 use bitwave_tensor::quant::QuantParams;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Generates the Int8 weight tensor of one layer.
@@ -114,10 +115,13 @@ impl NetworkWeights {
         Self::generate_with(spec, seed, max_elements_per_layer)
     }
 
+    /// Layers generate in parallel: each draws from its own seed stream
+    /// (the `fnv1a(layer.name)` salt), so the result is bit-identical to a
+    /// sequential run.
     fn generate_with(spec: &NetworkSpec, seed: u64, cap: usize) -> Self {
         let layers = spec
             .layers
-            .iter()
+            .par_iter()
             .map(|l| {
                 (
                     l.name.clone(),

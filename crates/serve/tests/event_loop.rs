@@ -367,7 +367,17 @@ fn same_weight_set_requests_gather_into_one_follow_up_job() {
             )
             .unwrap()
     });
-    std::thread::sleep(Duration::from_millis(60));
+    // Send the followers as soon as the first job is dispatched: from then
+    // until it completes, its weight set counts as executing and same-set
+    // requests gather behind it.
+    let waited = Instant::now();
+    while state.metrics.batch_dispatches.load(Ordering::Relaxed) == 0 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the first request was never dispatched"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let followers: Vec<_> = ["stripes", "bitlet"]
         .into_iter()
         .map(|accelerator| {

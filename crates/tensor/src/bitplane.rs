@@ -44,9 +44,9 @@
 //!
 //! In the pipeline, packing happens **once per layer** inside the compress
 //! stage ([`Groups`]`::to_bitplanes` in `bitwave-core`); the resulting
-//! [`BitplaneTensor`] is then shared by statistics, BCS size accounting, the
-//! accelerator sparsity profile and the Bit-Flip search, exactly as the
-//! extracted groups are shared today.
+//! [`BitplaneTensor`] is then shared by statistics, BCS size accounting and
+//! the accelerator sparsity profile, exactly as the extracted groups are
+//! shared today.
 //!
 //! [`Groups`]: ../../bitwave_core/group/struct.Groups.html
 
@@ -172,8 +172,8 @@ fn nonzero_segments(word: u64, segment: usize) -> u64 {
 }
 
 /// Bitplanes of a single weight group (≤ 64 elements): one `u64` per bit
-/// column, both a standalone fast kernel (Bit-Flip candidate screening) and
-/// the unit [`BitplaneTensor`] windows decompose into.
+/// column, both a standalone fast kernel (per-group column masks) and the
+/// unit [`BitplaneTensor`] windows decompose into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupPlanes {
     planes: [u64; WORD_BITS],
