@@ -483,28 +483,72 @@ pub fn evaluate_layer_with_mapping(
     }
 }
 
+/// Why a whole-network evaluation failed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum NetworkError {
+    /// A layer's SU selection failed (empty SU set, degenerate layer).
+    Mapping(
+        /// The propagated mapping error.
+        MappingError,
+    ),
+    /// `profiles` was not aligned with the network's layers.
+    MisalignedProfiles {
+        /// Number of layers.
+        layers: usize,
+        /// Number of profiles.
+        profiles: usize,
+    },
+}
+
+impl std::fmt::Display for NetworkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NetworkError::Mapping(e) => write!(f, "mapping error: {e}"),
+            NetworkError::MisalignedProfiles { layers, profiles } => write!(
+                f,
+                "network evaluation needs one profile per layer ({layers} layers, {profiles} profiles)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for NetworkError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            NetworkError::Mapping(e) => Some(e),
+            NetworkError::MisalignedProfiles { .. } => None,
+        }
+    }
+}
+
+impl From<MappingError> for NetworkError {
+    fn from(e: MappingError) -> Self {
+        NetworkError::Mapping(e)
+    }
+}
+
 /// Evaluates a whole network on one accelerator.  `profiles` must be aligned
 /// with `network.layers` (one sparsity profile per layer, in order).
 ///
 /// # Errors
 ///
-/// Propagates [`MappingError`] from the per-layer SU selection.
-///
-/// # Panics
-///
-/// Panics if `profiles.len() != network.layers.len()`.
+/// Returns [`NetworkError::MisalignedProfiles`] unless `profiles` has one
+/// entry per layer, and propagates [`MappingError`] from the per-layer SU
+/// selection as [`NetworkError::Mapping`].
 pub fn evaluate_network(
     spec: &AcceleratorSpec,
     network: &NetworkSpec,
     profiles: &[LayerSparsityProfile],
     memory: &MemoryHierarchy,
     energy_model: &EnergyModel,
-) -> Result<NetworkResult, MappingError> {
-    assert_eq!(
-        profiles.len(),
-        network.layers.len(),
-        "one sparsity profile per layer is required"
-    );
+) -> Result<NetworkResult, NetworkError> {
+    if profiles.len() != network.layers.len() {
+        return Err(NetworkError::MisalignedProfiles {
+            layers: network.layers.len(),
+            profiles: profiles.len(),
+        });
+    }
     let mut layers = Vec::with_capacity(network.layers.len());
     let mut total_cycles = 0.0f64;
     let mut energy = EnergyBreakdown::default();
@@ -834,15 +878,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one sparsity profile per layer")]
-    fn mismatched_profile_count_panics() {
+    fn mismatched_profile_count_is_a_typed_error() {
+        use std::error::Error;
         let net = resnet18();
-        let _ = evaluate_network(
+        let err = evaluate_network(
             &AcceleratorSpec::dense(),
             &net,
             &[],
             &MemoryHierarchy::bitwave_default(),
             &EnergyModel::finfet_16nm(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::MisalignedProfiles {
+                layers: net.layers.len(),
+                profiles: 0,
+            }
         );
+        assert!(err.to_string().contains("0 profiles"));
+        assert!(err.source().is_none());
+        let mapping: NetworkError = MappingError::EmptySuSet {
+            set: "X".to_string(),
+        }
+        .into();
+        assert!(mapping.to_string().contains("mapping error"));
+        assert!(mapping.source().is_some());
     }
 }

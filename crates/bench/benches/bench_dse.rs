@@ -10,6 +10,10 @@
 //! 2. a memoized re-search of an already-seen network is ≥ 10× faster than
 //!    the cold search that populated the cache, and returns exactly the
 //!    same result.
+//!
+//! The criterion loops also time the per-layer Pareto selection on its own
+//! (`dse/pareto_front_indices_1000x4`), so a regression of that kernel shows
+//! up here before it shows up end to end.
 
 use bitwave::context::ExperimentContext;
 use bitwave::dataflow::mapping::MappingPolicy;
@@ -18,6 +22,7 @@ use bitwave::pipeline::{ModelReport, Pipeline};
 use bitwave_accel::spec::{AcceleratorSpec, BitwaveOptimizations};
 use bitwave_accel::LayerSparsityProfile;
 use bitwave_bench::{print_header, write_bench_json};
+use bitwave_core::pareto::{pareto_front_indices, Direction};
 use bitwave_dnn::models::resnet18;
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
@@ -41,6 +46,37 @@ struct DseBenchReport {
     /// Process-wide mapping-space enumerations answered by the shared
     /// space cache during this harness run.
     space_reuse_total: u64,
+}
+
+/// The DSE's pruning objectives: `[cycles, energy, edp, utilisation]`.
+const OBJECTIVES: [Direction; 4] = [
+    Direction::Minimize,
+    Direction::Minimize,
+    Direction::Minimize,
+    Direction::Maximize,
+];
+
+/// A fixed-seed, DSE-shaped selection input: `rows` candidates with cycles
+/// and energy on a coarse grid (ties and duplicates are common, the front
+/// stays small), EDP their product, and utilisation falling with cycles.
+fn dse_objective_rows(rows: usize) -> Vec<[f64; 4]> {
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    (0..rows)
+        .map(|_| {
+            let cycles = 1.0e5 * (1.0 + (next() % 64) as f64);
+            let energy = 2.0e3 * (1.0 + (next() % 64) as f64);
+            let utilisation = (1.0e5 / cycles * 16.0).round() / 16.0;
+            [cycles, energy, cycles * energy, utilisation]
+        })
+        .collect()
 }
 
 fn ctx() -> ExperimentContext {
@@ -190,6 +226,11 @@ fn bench(c: &mut Criterion) {
                     .expect("search"),
             )
         })
+    });
+
+    let objectives = dse_objective_rows(1_000);
+    c.bench_function("dse/pareto_front_indices_1000x4", |b| {
+        b.iter(|| black_box(pareto_front_indices(black_box(&objectives), &OBJECTIVES)))
     });
 
     let warm_engine = DseEngine::new(context.memory, context.energy);

@@ -74,13 +74,16 @@ fn bench(c: &mut Criterion) {
     let spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
     c.bench_function("kernel/evaluate_resnet18_on_bitwave_model", |b| {
         b.iter(|| {
-            black_box(evaluate_network(
-                black_box(&spec),
-                black_box(&net),
-                black_box(&profiles),
-                &ctx.memory,
-                &ctx.energy,
-            ))
+            black_box(
+                evaluate_network(
+                    black_box(&spec),
+                    black_box(&net),
+                    black_box(&profiles),
+                    &ctx.memory,
+                    &ctx.energy,
+                )
+                .expect("evaluation"),
+            )
         })
     });
 }

@@ -67,33 +67,36 @@ impl<const N: usize> ParetoPointN<N> {
     }
 }
 
-/// Raw dominance check over two metric vectors.
+/// Raw dominance check over two metric vectors: at least as good on every
+/// axis and strictly better on at least one.  Any NaN fails both
+/// comparisons, so a NaN row neither dominates nor is dominated.
 fn dominates<const N: usize>(a: &[f64; N], b: &[f64; N], directions: &[Direction; N]) -> bool {
-    let ge = directions
-        .iter()
-        .zip(a.iter().zip(b))
-        .all(|(d, (x, y))| d.at_least(*x, *y));
-    let gt = directions
-        .iter()
-        .zip(a.iter().zip(b))
-        .any(|(d, (x, y))| d.better(*x, *y));
-    ge && gt
+    let mut strictly = false;
+    for (d, (x, y)) in directions.iter().zip(a.iter().zip(b)) {
+        if !d.at_least(*x, *y) {
+            return false;
+        }
+        strictly |= d.better(*x, *y);
+    }
+    strictly
 }
 
-/// Indices (in input order) of the metric vectors not dominated by any other
+/// Indices (ascending) of the metric vectors not dominated by any other
 /// vector.  Exact duplicates all survive — callers that need deduplication
 /// do it on the materialised points, where the policy is visible.
+///
+/// One pass of [`FrontAccumulator`]: each row is checked against the
+/// current front only, so the cost is O(rows × front) rather than
+/// all-pairs.
 pub fn pareto_front_indices<const N: usize>(
     metrics: &[[f64; N]],
     directions: &[Direction; N],
 ) -> Vec<usize> {
-    (0..metrics.len())
-        .filter(|&i| {
-            !metrics
-                .iter()
-                .any(|other| dominates(other, &metrics[i], directions))
-        })
-        .collect()
+    let mut acc = FrontAccumulator::new(*directions);
+    for (i, row) in metrics.iter().enumerate() {
+        acc.insert(*row, i);
+    }
+    acc.indices()
 }
 
 /// Extracts the Pareto-optimal subset of `points` under `directions`, sorted
@@ -119,17 +122,17 @@ pub fn pareto_front_n<const N: usize>(
 
 /// An incrementally maintained non-dominated set over `N` objectives.
 ///
-/// The sharded hardware sweep streams partial Pareto fronts as worker
-/// results land, so it cannot afford to re-run [`pareto_front_indices`]
-/// over the full result set on every arrival.  The accumulator keeps only
-/// the currently non-dominated points: an [`insert`](Self::insert) either
+/// The crate's one dominance filter: [`pareto_front_indices`] is a single
+/// pass over it, and the sharded hardware sweep feeds it worker results as
+/// they land to stream partial fronts.  The accumulator keeps only the
+/// currently non-dominated points: an [`insert`](Self::insert) either
 /// rejects a dominated newcomer or admits it and evicts everything it
 /// dominates.
 ///
-/// Dominance is order-independent, so after inserting every point of a set
-/// (in **any** order, each tagged with its identifying index) the surviving
-/// index set equals `pareto_front_indices` over the whole set — exact
-/// metric duplicates all survive, matching the batch function.
+/// Dominance is a strict partial order, so after inserting every point of a
+/// set (in **any** order, each tagged with its identifying index) the
+/// surviving index set is exactly the points no other point dominates —
+/// exact metric duplicates all survive.
 #[derive(Debug, Clone)]
 pub struct FrontAccumulator<const N: usize> {
     directions: [Direction; N],
@@ -259,6 +262,10 @@ pub fn best_under_accuracy_floor(points: &[ParetoPoint], min_accuracy: f64) -> O
         })
         .cloned()
 }
+
+#[cfg(test)]
+#[path = "../tests/oracle/pareto.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -423,9 +430,9 @@ mod tests {
             prop_assert_eq!(front(&points), front(&rotated));
         }
 
-        /// The accumulator reproduces the batch front regardless of the
-        /// order points arrive in — the invariant the sharded sweep's
-        /// streamed partial fronts rely on.
+        /// The accumulator reproduces the naive all-pairs front regardless
+        /// of the order points arrive in — the invariant the sharded
+        /// sweep's streamed partial fronts rely on.
         #[test]
         fn accumulator_matches_batch_front_under_any_arrival_order(
             raw in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..60),
@@ -445,7 +452,10 @@ mod tests {
             for &i in &order {
                 acc.insert(metrics[i], i);
             }
-            prop_assert_eq!(acc.indices(), pareto_front_indices(&metrics, &dirs));
+            prop_assert_eq!(
+                acc.indices(),
+                oracle::front_indices(&metrics, &dirs.map(|d| d == Direction::Maximize))
+            );
         }
 
         /// The classic two-metric wrapper agrees with the generalised front.

@@ -266,21 +266,6 @@ impl GroupPlanes {
     pub fn population(&self, bit: usize) -> u32 {
         self.planes[bit].count_ones()
     }
-
-    /// OR of the planes **outside** `allowed`: bit `i` of the result is set
-    /// iff element `i` has at least one bit in a column the mask disallows.
-    /// These are exactly the elements a Bit-Flip projection onto `allowed`
-    /// must modify; all other elements project to themselves.
-    #[inline]
-    pub fn outside_mask(&self, allowed: u8) -> u64 {
-        let mut dirty = 0u64;
-        for (b, &plane) in self.planes.iter().enumerate() {
-            if (allowed >> b) & 1 == 0 {
-                dirty |= plane;
-            }
-        }
-        dirty
-    }
 }
 
 /// A whole tensor's worth of bitplanes under **both** encodings, packed once
@@ -589,19 +574,6 @@ mod tests {
                 );
             }
             assert_eq!(packed.nonzero_column_mask(), naive_mask(&group, enc));
-        }
-    }
-
-    #[test]
-    fn outside_mask_flags_exactly_the_disallowed_elements() {
-        let group = [3i8, 0, -4, 8, 0, 1];
-        let packed = GroupPlanes::pack(&group, Encoding::SignMagnitude);
-        // Allow only columns 0 and 1: elements with any bit >= 2 are dirty.
-        let dirty = packed.outside_mask(0b0000_0011);
-        for (i, &v) in group.iter().enumerate() {
-            let enc = Encoding::SignMagnitude.encode(v);
-            let expect = enc & !0b0000_0011 != 0;
-            assert_eq!((dirty >> i) & 1 == 1, expect, "element {i} ({v})");
         }
     }
 
