@@ -1,9 +1,11 @@
 //! Property: the amortized factored evaluation path is **semantically
 //! invisible** — for arbitrary synthetic candidate points, spanning both
 //! SRAM-fit regimes (workloads that fit on-chip and workloads forced
-//! through the DRAM roofline), `evaluate_point_factored` reproduces
+//! through the DRAM roofline), arbitrary mapping spaces, a depthwise
+//! portfolio and infeasible points, `evaluate_point_factored` reproduces
 //! `evaluate_point` byte for byte.
 
+use bitwave_dse::SearchSpace;
 use bitwave_sweep::{
     build_portfolio, enumerate, evaluate_point, evaluate_point_factored, MenuKind, SweepConfig,
 };
@@ -33,6 +35,22 @@ fn single_point_config(
     config
 }
 
+/// Asserts that the factored path reproduces the full path's serialized
+/// `PointResult` for the configuration's single point, and returns it.
+fn assert_factored_matches_full(config: &SweepConfig) -> bitwave_sweep::PointResult {
+    assert_eq!(config.total_points(), 1);
+    let portfolio = build_portfolio(config).expect("portfolio builds");
+    let point = enumerate(config)[0];
+    let full = evaluate_point(&point, config, &portfolio);
+    let factored = evaluate_point_factored(&point, config, &portfolio);
+    assert_eq!(
+        serde_json::to_string(&factored).unwrap(),
+        serde_json::to_string(&full).unwrap(),
+        "factored evaluation must reproduce the full path byte for byte"
+    );
+    full
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -59,16 +77,67 @@ proptest! {
         let config = single_point_config(
             1usize << lanes_pow, sync, sram_kb, dram_bits, sram_bits, menu, seed,
         );
-        prop_assert_eq!(config.total_points(), 1);
-        let portfolio = build_portfolio(&config).expect("portfolio builds");
-        let point = enumerate(&config)[0];
-
-        let full = evaluate_point(&point, &config, &portfolio);
-        let factored = evaluate_point_factored(&point, &config, &portfolio);
-        prop_assert_eq!(
-            serde_json::to_string(&factored).unwrap(),
-            serde_json::to_string(&full).unwrap(),
-            "factored evaluation must reproduce the full path byte for byte"
-        );
+        assert_factored_matches_full(&config);
     }
+
+    /// Factored ≡ full under arbitrary mapping spaces: every non-empty
+    /// subset of the tile factors {1, 2, 4}, three fill floors and three
+    /// front caps, in both SRAM-fit regimes.
+    #[test]
+    fn factored_evaluation_equals_full_evaluation_across_spaces(
+        tile_mask in 1u8..8,       // non-empty subset of {1, 2, 4}
+        fill_pick in 0u8..3,
+        front_pick in 0u8..3,
+        sram_pick in 0u8..2,
+        lanes_pow in 11u32..=13,
+        seed in 1u64..500,
+    ) {
+        let sram_kb = [16usize, 1024][sram_pick as usize];
+        let mut config = single_point_config(
+            1usize << lanes_pow, 8, sram_kb, 64, 1024, MenuKind::TableI, seed,
+        );
+        config.space = SearchSpace {
+            min_fill: [0.125, 0.25, 0.5][fill_pick as usize],
+            tile_factors: [1usize, 2, 4]
+                .into_iter()
+                .enumerate()
+                .filter(|(bit, _)| tile_mask & (1 << bit) != 0)
+                .map(|(_, factor)| factor)
+                .collect(),
+            include_su_set: true,
+            max_front: [1usize, 4, 16][front_pick as usize],
+            max_parallelism: None,
+        };
+        assert_factored_matches_full(&config);
+    }
+}
+
+/// A depthwise portfolio exercises the `G×OX` candidates the plain
+/// convolutional models never enumerate, in both SRAM-fit regimes.
+#[test]
+fn depthwise_portfolio_factored_equals_full() {
+    for sram_kb in [16, 1024] {
+        let mut config =
+            single_point_config(4096, 8, sram_kb, 64, 1024, MenuKind::TableI, 7);
+        config.portfolio = vec!["mobilenet-v2".to_string(), "cnn-lstm".to_string()];
+        let result = assert_factored_matches_full(&config);
+        assert!(result.feasible, "{:?}", result.error);
+        assert_eq!(result.models.len(), 2);
+    }
+}
+
+/// An empty mapping space makes the point infeasible; the factored path
+/// must report the same first error as the full path, byte for byte.
+#[test]
+fn infeasible_point_reports_the_full_path_error() {
+    let mut config = single_point_config(4096, 8, 256, 64, 1024, MenuKind::TableI, 3);
+    config.space = SearchSpace {
+        include_su_set: false,
+        max_parallelism: Some(0),
+        ..config.space.clone()
+    };
+    let result = assert_factored_matches_full(&config);
+    assert!(!result.feasible);
+    let error = result.error.expect("infeasible points record their error");
+    assert!(error.contains("has no candidates"), "{error}");
 }
