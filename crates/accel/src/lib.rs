@@ -33,9 +33,8 @@ pub mod spec;
 
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use model::{
-    bits_per_mac_class, evaluate_layer, evaluate_layer_with_mapping, evaluate_network,
-    factor_layer_with_mapping, FactoredLayerCost, LayerResult, NetworkError, NetworkResult,
-    RepricedLayerCost,
+    bits_per_mac_class, evaluate_layer, evaluate_layer_with_mapping, evaluate_network, LayerResult,
+    LayerTraffic, NetworkError, NetworkResult, PricedTraffic, RepricedLayerCost, SuCost,
 };
 pub use sparsity::{LayerAnalysis, LayerSparsityProfile};
 pub use spec::{AcceleratorKind, AcceleratorSpec, BitwaveOptimizations};

@@ -22,7 +22,7 @@ use crate::spec::{AcceleratorSpec, PeStyle, WeightCompression};
 use bitwave_dataflow::mapping::{select_spatial_unrolling, MappingError};
 use bitwave_dataflow::{
     dram_reads, dram_reads_auto, ActivityCounts, MemoryBoundedness, MemoryHierarchy,
-    TemporalMapping,
+    SpatialUnrolling, TemporalMapping,
 };
 use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::NetworkSpec;
@@ -153,20 +153,15 @@ pub fn evaluate_layer(
 /// intersection speedup).  Energy still benefits from every skipped MAC.
 const VALUE_SKIP_REALISATION: f64 = 0.5;
 
-/// The memory-hierarchy-**invariant** half of one layer's Eq. 1–5
-/// evaluation: everything that depends only on the layer, the mapping
-/// decision, the sparsity profile and the accelerator's compute-side
-/// parameters (PE style, sync granularity, SU menu, SRAM port widths).
-/// Candidates that differ only along the SRAM-capacity / DRAM-bandwidth
-/// axes share one `FactoredLayerCost` and re-price it per point with
-/// [`FactoredLayerCost::reprice`] — the factored sweep's amortization unit.
+/// The **SU part** of one layer's Eq. 1–5 evaluation: everything that
+/// depends only on the layer, the spatial unrolling, the sparsity profile
+/// and the accelerator's compute-side parameters (PE style, sync
+/// granularity, SRAM port widths) — Eqs. 1, 2, the memory-invariant Eq. 4
+/// terms and the compute side of Eq. 5.  Neither the temporal mapping nor
+/// the memory hierarchy nor the DRAM axes enter, so every tiling of one SU
+/// and every memory/DRAM point share one `SuCost`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FactoredLayerCost {
-    temporal: Option<TemporalMapping>,
-    weight_count: u64,
-    input_count: u64,
-    output_count: u64,
-    weight_cr: f64,
+pub struct SuCost {
     effective_macs: f64,
     compute_cycles: f64,
     compute_side_cycles: f64,
@@ -175,10 +170,35 @@ pub struct FactoredLayerCost {
     sram_read_pj: f64,
 }
 
-/// One layer's Eq. 1–5 outcome after re-pricing a [`FactoredLayerCost`]
-/// against a concrete memory hierarchy and DRAM tier — exactly the fields
-/// of [`LayerResult`] that the memory axes can change, plus the invariant
-/// ones needed to assemble a full result.
+/// The **traffic part** of one layer's evaluation, before pricing: the
+/// operand footprints and the weight compression ratio (Eq. 3).  Independent
+/// of the spatial unrolling; [`LayerTraffic::price`] turns it into DRAM
+/// traffic under one temporal mapping, memory hierarchy and DRAM tier.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerTraffic {
+    weight_count: u64,
+    input_count: u64,
+    output_count: u64,
+    weight_cr: f64,
+}
+
+/// One layer's DRAM traffic priced under one temporal mapping, memory
+/// hierarchy and DRAM tier: the DRAM side of Eq. 5 and the
+/// traffic-dependent Eq. 4 terms.  Composed with an [`SuCost`] by
+/// [`SuCost::reprice`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PricedTraffic {
+    dram_bytes: f64,
+    dram_cycles: f64,
+    /// `(weight, activation)` DRAM fetch multipliers under a constrained
+    /// tier (the roofline verdict needs them); `None` when unconstrained.
+    fetches: Option<(u64, u64)>,
+    sram_fill_pj: f64,
+    dram_pj: f64,
+}
+
+/// One layer's Eq. 1–5 outcome: an [`SuCost`] composed with its
+/// [`PricedTraffic`] — the fields of [`LayerResult`] the model computes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepricedLayerCost {
     /// Effective MAC operations after value-sparsity skipping (Eq. 1).
@@ -195,153 +215,212 @@ pub struct RepricedLayerCost {
     pub boundedness: Option<MemoryBoundedness>,
 }
 
-/// Computes the memory-invariant part of one layer's evaluation (Eqs. 1, 2,
-/// 4-compute and the compute side of Eq. 5).  Only `spec`'s compute-side
-/// fields are read — the SRAM capacities of the memory hierarchy and the
-/// DRAM axes (`spec.dram`, `spec.dram_bandwidth_bits`) enter later, in
-/// [`FactoredLayerCost::reprice`].
-pub fn factor_layer_with_mapping(
-    spec: &AcceleratorSpec,
-    layer: &LayerSpec,
-    decision: &bitwave_dataflow::MappingDecision,
-    profile: &LayerSparsityProfile,
-    energy_model: &EnergyModel,
-) -> FactoredLayerCost {
-    let activity = ActivityCounts::analyze_spatial(layer, &decision.su);
-
-    // Eq. 1: value-sparsity skipping (only machines that support it).
-    let keep_w = if spec.sparsity.weight_value {
-        1.0 - profile.weight_value_sparsity
-    } else {
-        1.0
-    };
-    let keep_a = if spec.sparsity.activation_value {
-        1.0 - profile.activation_value_sparsity
-    } else {
-        1.0
-    };
-    let effective_macs = activity.macs as f64 * keep_w * keep_a;
-
-    let keep_w_cycles = if spec.sparsity.weight_value {
-        1.0 - VALUE_SKIP_REALISATION * profile.weight_value_sparsity
-    } else {
-        1.0
-    };
-    let keep_a_cycles = if spec.sparsity.activation_value {
-        1.0 - VALUE_SKIP_REALISATION * profile.activation_value_sparsity
-    } else {
-        1.0
-    };
-    let cycle_macs = activity.macs as f64 * keep_w_cycles * keep_a_cycles;
-
-    // Eq. 2: compute cycles.  Bit-serial datapaths expand each MAC into the
-    // (possibly skipped, imbalance-adjusted) number of weight-bit cycles.
-    let lanes = decision.effective_macs_per_cycle.max(1.0);
-    let bits_per_mac = match spec.pe_style {
-        PeStyle::BitParallel => 1.0,
-        PeStyle::BitSerial => {
-            if spec.sparsity.weight_bit {
-                match spec.sync_lanes {
-                    n if n >= 64 => profile.max_nonzero_bits_sync64,
-                    n if n > 1 => profile.max_nonzero_bits_sync16,
-                    _ => profile.mean_nonzero_bits_tc,
-                }
-            } else {
-                8.0
-            }
-        }
-        PeStyle::BitColumnSerial => {
-            if spec.sparsity.weight_bit_column {
-                if spec.sync_lanes > 1 {
-                    profile.max_nonzero_columns_synced
-                } else {
-                    profile.mean_nonzero_columns
-                }
-            } else {
-                8.0
-            }
-        }
-    };
-    let compute_cycles = cycle_macs * bits_per_mac / lanes;
-
-    // Eq. 3: compression-adjusted memory traffic (weights only; activations
-    // stay uncompressed in all modelled machines).
-    let weight_cr = match spec.compression {
+/// Eq. 3: the weight compression ratio of memory traffic (weights only;
+/// activations stay uncompressed in all modelled machines).
+fn weight_compression_ratio(spec: &AcceleratorSpec, profile: &LayerSparsityProfile) -> f64 {
+    match spec.compression {
         WeightCompression::None => 1.0,
         WeightCompression::Zre => profile.zre_compression_ratio.max(f64::MIN_POSITIVE),
         // BitWave decides per layer whether to store BCS-compressed or dense
         // weights (the ZCIP has a dense mode exactly for this), so a layer
         // whose index overhead exceeds its savings falls back to CR = 1.
         WeightCompression::Bcs => profile.bcs_compression_ratio.max(1.0),
-    };
-    // Compressed weights are also held compressed on chip: BitWave streams
-    // BCS columns straight into the PE array, SCNN stores ZRE symbols whose
-    // index overhead *increases* on-chip traffic when value sparsity is low
-    // (CR < 1), which is the paper's explanation of SCNN's energy loss.
-    let sram_read_weight_e = if spec.compression == WeightCompression::None {
-        activity.sram_read_weight as f64
-    } else {
-        activity.sram_read_weight as f64 / weight_cr
-    };
-    // Value-sparsity machines also skip the corresponding operand fetches.
-    let sram_read_input_e = activity.sram_read_input as f64 * keep_a;
-    let reg_read_e = activity.reg_read as f64 * keep_w * keep_a;
-    let reg_write_e = activity.reg_write as f64 * keep_w * keep_a;
-
-    // The compute side of Eq. 5: on-chip reads and register traffic overlap
-    // with compute; the output write-back does not.
-    let sram_read_input_cycles = sram_read_input_e * 8.0 / spec.act_sram_bandwidth_bits as f64;
-    let sram_read_weight_cycles = sram_read_weight_e * 8.0 / spec.weight_sram_bandwidth_bits as f64;
-    let sram_write_output_cycles =
-        activity.sram_write_output as f64 * 8.0 / spec.act_sram_bandwidth_bits as f64;
-    let reg_cycles = reg_read_e / decision.su.parallelism().max(1) as f64;
-    let compute_side_cycles = sram_write_output_cycles
-        + compute_cycles
-            .max(sram_read_input_cycles)
-            .max(sram_read_weight_cycles)
-            .max(reg_cycles);
-
-    // The memory-invariant Eq. 4 terms.
-    let compute_pj = match spec.pe_style {
-        PeStyle::BitParallel => effective_macs * energy_model.mac_8x8_pj,
-        PeStyle::BitSerial => effective_macs * bits_per_mac * energy_model.mac_bit_serial_pj,
-        PeStyle::BitColumnSerial => effective_macs * bits_per_mac * energy_model.mac_bit_column_pj,
-    };
-    let register_pj = (reg_read_e + reg_write_e) * energy_model.reg_access_pj;
-    let sram_read_pj =
-        (sram_read_input_e + sram_read_weight_e) * energy_model.sram_read_pj_per_byte;
-
-    let dims = &layer.dims;
-    FactoredLayerCost {
-        temporal: decision.temporal,
-        weight_count: dims.weight_count(),
-        input_count: dims.input_count(),
-        output_count: dims.output_count(),
-        weight_cr,
-        effective_macs,
-        compute_cycles,
-        compute_side_cycles,
-        compute_pj,
-        register_pj,
-        sram_read_pj,
     }
 }
 
-impl FactoredLayerCost {
-    /// Re-prices the factored layer against a concrete memory hierarchy and
-    /// the DRAM axes of `spec` (`spec.dram`, `spec.dram_bandwidth_bits`) —
-    /// the cheap per-point half of Eq. 5 + Eq. 4: the SRAM fit check /
-    /// DRAM traffic, the roofline `max`, and the traffic-dependent energy
-    /// terms.  Bit-for-bit, [`evaluate_layer_with_mapping`] ≡
-    /// `factor_layer_with_mapping(...).reprice(...)`; the full evaluator is
-    /// itself implemented this way.
-    pub fn reprice(
+impl SuCost {
+    /// Computes the SU part of `layer` under spatial unrolling `su` with
+    /// `effective_macs_per_cycle` lanes (a mapping decision's utilisation
+    /// times the SU's parallelism).  Only `spec`'s compute-side fields are
+    /// read.
+    pub fn of(
+        spec: &AcceleratorSpec,
+        layer: &LayerSpec,
+        su: &SpatialUnrolling,
+        effective_macs_per_cycle: f64,
+        profile: &LayerSparsityProfile,
+        energy_model: &EnergyModel,
+    ) -> Self {
+        let activity = ActivityCounts::analyze_spatial(layer, su);
+
+        // Eq. 1: value-sparsity skipping (only machines that support it).
+        let keep_w = if spec.sparsity.weight_value {
+            1.0 - profile.weight_value_sparsity
+        } else {
+            1.0
+        };
+        let keep_a = if spec.sparsity.activation_value {
+            1.0 - profile.activation_value_sparsity
+        } else {
+            1.0
+        };
+        let effective_macs = activity.macs as f64 * keep_w * keep_a;
+
+        let keep_w_cycles = if spec.sparsity.weight_value {
+            1.0 - VALUE_SKIP_REALISATION * profile.weight_value_sparsity
+        } else {
+            1.0
+        };
+        let keep_a_cycles = if spec.sparsity.activation_value {
+            1.0 - VALUE_SKIP_REALISATION * profile.activation_value_sparsity
+        } else {
+            1.0
+        };
+        let cycle_macs = activity.macs as f64 * keep_w_cycles * keep_a_cycles;
+
+        // Eq. 2: compute cycles.  Bit-serial datapaths expand each MAC into
+        // the (possibly skipped, imbalance-adjusted) number of weight-bit
+        // cycles.
+        let lanes = effective_macs_per_cycle.max(1.0);
+        let bits_per_mac = match spec.pe_style {
+            PeStyle::BitParallel => 1.0,
+            PeStyle::BitSerial => {
+                if spec.sparsity.weight_bit {
+                    match spec.sync_lanes {
+                        n if n >= 64 => profile.max_nonzero_bits_sync64,
+                        n if n > 1 => profile.max_nonzero_bits_sync16,
+                        _ => profile.mean_nonzero_bits_tc,
+                    }
+                } else {
+                    8.0
+                }
+            }
+            PeStyle::BitColumnSerial => {
+                if spec.sparsity.weight_bit_column {
+                    if spec.sync_lanes > 1 {
+                        profile.max_nonzero_columns_synced
+                    } else {
+                        profile.mean_nonzero_columns
+                    }
+                } else {
+                    8.0
+                }
+            }
+        };
+        let compute_cycles = cycle_macs * bits_per_mac / lanes;
+
+        // Compressed weights are also held compressed on chip: BitWave
+        // streams BCS columns straight into the PE array, SCNN stores ZRE
+        // symbols whose index overhead *increases* on-chip traffic when
+        // value sparsity is low (CR < 1), which is the paper's explanation
+        // of SCNN's energy loss.
+        let sram_read_weight_e = if spec.compression == WeightCompression::None {
+            activity.sram_read_weight as f64
+        } else {
+            activity.sram_read_weight as f64 / weight_compression_ratio(spec, profile)
+        };
+        // Value-sparsity machines also skip the corresponding operand
+        // fetches.
+        let sram_read_input_e = activity.sram_read_input as f64 * keep_a;
+        let reg_read_e = activity.reg_read as f64 * keep_w * keep_a;
+        let reg_write_e = activity.reg_write as f64 * keep_w * keep_a;
+
+        // The compute side of Eq. 5: on-chip reads and register traffic
+        // overlap with compute; the output write-back does not.
+        let sram_read_input_cycles = sram_read_input_e * 8.0 / spec.act_sram_bandwidth_bits as f64;
+        let sram_read_weight_cycles =
+            sram_read_weight_e * 8.0 / spec.weight_sram_bandwidth_bits as f64;
+        let sram_write_output_cycles =
+            activity.sram_write_output as f64 * 8.0 / spec.act_sram_bandwidth_bits as f64;
+        let reg_cycles = reg_read_e / su.parallelism().max(1) as f64;
+        let compute_side_cycles = sram_write_output_cycles
+            + compute_cycles
+                .max(sram_read_input_cycles)
+                .max(sram_read_weight_cycles)
+                .max(reg_cycles);
+
+        // The memory-invariant Eq. 4 terms.
+        let compute_pj = match spec.pe_style {
+            PeStyle::BitParallel => effective_macs * energy_model.mac_8x8_pj,
+            PeStyle::BitSerial => effective_macs * bits_per_mac * energy_model.mac_bit_serial_pj,
+            PeStyle::BitColumnSerial => {
+                effective_macs * bits_per_mac * energy_model.mac_bit_column_pj
+            }
+        };
+        let register_pj = (reg_read_e + reg_write_e) * energy_model.reg_access_pj;
+        let sram_read_pj =
+            (sram_read_input_e + sram_read_weight_e) * energy_model.sram_read_pj_per_byte;
+
+        Self {
+            effective_macs,
+            compute_cycles,
+            compute_side_cycles,
+            compute_pj,
+            register_pj,
+            sram_read_pj,
+        }
+    }
+
+    /// Eq. 5: the layer latency — additive at the unconstrained default
+    /// (the legacy behaviour), the per-layer roofline
+    /// `max(cycle_compute, cycle_dram)` under a constrained tier, where DRAM
+    /// transfers overlap with compute through double buffering.
+    pub fn total_cycles(&self, traffic: &PricedTraffic) -> f64 {
+        match traffic.fetches {
+            Some(_) => self.compute_side_cycles.max(traffic.dram_cycles),
+            None => traffic.dram_cycles + self.compute_side_cycles,
+        }
+    }
+
+    /// Eq. 4: the layer's energy breakdown.
+    pub fn energy(&self, traffic: &PricedTraffic) -> EnergyBreakdown {
+        EnergyBreakdown {
+            compute_pj: self.compute_pj,
+            sram_pj: self.sram_read_pj + traffic.sram_fill_pj,
+            register_pj: self.register_pj,
+            dram_pj: traffic.dram_pj,
+        }
+    }
+
+    /// Composes the SU part with one priced traffic part into the layer's
+    /// full Eq. 1–5 outcome (including the roofline verdict under a
+    /// constrained DRAM tier).
+    pub fn reprice(&self, traffic: &PricedTraffic) -> RepricedLayerCost {
+        RepricedLayerCost {
+            effective_macs: self.effective_macs,
+            compute_cycles: self.compute_cycles,
+            dram_cycles: traffic.dram_cycles,
+            total_cycles: self.total_cycles(traffic),
+            energy: self.energy(traffic),
+            boundedness: traffic.fetches.map(|(weight_fetches, act_fetches)| {
+                MemoryBoundedness::from_roofline(
+                    self.compute_side_cycles,
+                    traffic.dram_cycles,
+                    traffic.dram_bytes,
+                    weight_fetches,
+                    act_fetches,
+                )
+            }),
+        }
+    }
+}
+
+impl LayerTraffic {
+    /// The traffic inputs of `layer` on `spec` (its compression scheme
+    /// applied to `profile`).
+    pub fn of(spec: &AcceleratorSpec, layer: &LayerSpec, profile: &LayerSparsityProfile) -> Self {
+        let dims = &layer.dims;
+        Self {
+            weight_count: dims.weight_count(),
+            input_count: dims.input_count(),
+            output_count: dims.output_count(),
+            weight_cr: weight_compression_ratio(spec, profile),
+        }
+    }
+
+    /// Prices the layer's traffic under `temporal` (`None`: the activity
+    /// model's automatic cheapest order), a concrete memory hierarchy and
+    /// the DRAM axes of `spec` (`spec.dram`, `spec.dram_bandwidth_bits`):
+    /// the SRAM fit check / DRAM reads, the DRAM cycles and the
+    /// traffic-dependent energy terms.
+    pub fn price(
         &self,
         spec: &AcceleratorSpec,
+        temporal: Option<TemporalMapping>,
         memory: &MemoryHierarchy,
         energy_model: &EnergyModel,
-    ) -> RepricedLayerCost {
-        let (dram_read_weight, dram_read_act) = match self.temporal {
+    ) -> PricedTraffic {
+        let (dram_read_weight, dram_read_act) = match temporal {
             Some(temporal) => dram_reads(
                 self.weight_count,
                 self.input_count,
@@ -360,14 +439,8 @@ impl FactoredLayerCost {
         // The weight SRAM is filled once per DRAM read, compressed.
         let sram_write_weight_e = dram_read_weight as f64 / self.weight_cr;
 
-        // The DRAM side of Eq. 5: additive at the unconstrained default (the
-        // legacy behaviour), the second side of the per-layer roofline
-        // `max(cycle_compute, cycle_dram)` under a constrained tier — DRAM
-        // transfers overlap with compute through double buffering, so the
-        // slower side sets the layer latency.
         let dram_bytes = dram_read_act as f64 + dram_read_weight_e + self.output_count as f64;
-        let (dram_cycles, total_cycles, boundedness) = if spec.dram.is_constrained() {
-            let dram_cycles = spec.dram.cycles_for_bytes(dram_bytes);
+        let (dram_cycles, fetches) = if spec.dram.is_constrained() {
             // The DRAM reads scale with the refetch multipliers, so dividing
             // by the per-operand footprint recovers them exactly.
             let weight_fetches = match self.weight_count {
@@ -378,48 +451,29 @@ impl FactoredLayerCost {
                 0 => 0,
                 count => dram_read_act / count,
             };
-            let boundedness = MemoryBoundedness::from_roofline(
-                self.compute_side_cycles,
-                dram_cycles,
-                dram_bytes,
-                weight_fetches,
-                act_fetches,
-            );
             (
-                dram_cycles,
-                self.compute_side_cycles.max(dram_cycles),
-                Some(boundedness),
+                spec.dram.cycles_for_bytes(dram_bytes),
+                Some((weight_fetches, act_fetches)),
             )
         } else {
-            let dram_cycles = dram_bytes * 8.0 / spec.dram_bandwidth_bits as f64;
-            (dram_cycles, dram_cycles + self.compute_side_cycles, None)
+            (dram_bytes * 8.0 / spec.dram_bandwidth_bits as f64, None)
         };
 
-        // The traffic-dependent Eq. 4 terms (the input-SRAM fill mirrors the
-        // activation DRAM reads, the weight-SRAM fill the compressed weight
-        // reads, and the output write-back is invariant).
-        let sram_pj = self.sram_read_pj
-            + (dram_read_act as f64 + sram_write_weight_e + self.output_count as f64)
-                * energy_model.sram_write_pj_per_byte;
-        let dram_pj = dram_bytes * energy_model.dram_pj_per_byte;
-
-        RepricedLayerCost {
-            effective_macs: self.effective_macs,
-            compute_cycles: self.compute_cycles,
+        // The input-SRAM fill mirrors the activation DRAM reads, the
+        // weight-SRAM fill the compressed weight reads, and the output
+        // write-back is invariant.
+        PricedTraffic {
+            dram_bytes,
             dram_cycles,
-            total_cycles,
-            energy: EnergyBreakdown {
-                compute_pj: self.compute_pj,
-                sram_pj,
-                register_pj: self.register_pj,
-                dram_pj,
-            },
-            boundedness,
+            fetches,
+            sram_fill_pj: (dram_read_act as f64 + sram_write_weight_e + self.output_count as f64)
+                * energy_model.sram_write_pj_per_byte,
+            dram_pj: dram_bytes * energy_model.dram_pj_per_byte,
         }
     }
 }
 
-/// The equivalence class of [`factor_layer_with_mapping`]'s `bits_per_mac`
+/// The equivalence class of [`SuCost::of`]'s `bits_per_mac`
 /// branch: two accelerator specs in the same class read the same sparsity
 /// statistic, so (with equal lanes, menu and SRAM port widths) they share
 /// factored compute parts.  The sweep's group cache keys on this.
@@ -455,11 +509,13 @@ pub fn bits_per_mac_class(spec: &AcceleratorSpec) -> &'static str {
 /// mapping decision — the entry point of the pipeline's simulate stage and
 /// the DSE cost model, which receive the decision instead of re-deriving it.
 /// When the decision carries an explicit [`bitwave_dataflow::TemporalMapping`]
-/// (a searched loop order + tiling), the activity counts honour it; otherwise
+/// (a searched loop order + tiling), the DRAM traffic honours it; otherwise
 /// the model's automatic cheapest-order choice applies.
 ///
-/// Implemented as [`factor_layer_with_mapping`] + [`FactoredLayerCost::reprice`],
-/// so the factored path used by the sweep is byte-identical by construction.
+/// Implemented as the composition [`SuCost::reprice`] of the SU part and the
+/// priced traffic part, so the factored sweep path, which shares one
+/// [`SuCost`] across tilings and memory points, is byte-identical by
+/// construction.
 pub fn evaluate_layer_with_mapping(
     spec: &AcceleratorSpec,
     layer: &LayerSpec,
@@ -468,8 +524,17 @@ pub fn evaluate_layer_with_mapping(
     memory: &MemoryHierarchy,
     energy_model: &EnergyModel,
 ) -> LayerResult {
-    let factored = factor_layer_with_mapping(spec, layer, decision, profile, energy_model);
-    let repriced = factored.reprice(spec, memory, energy_model);
+    let su = SuCost::of(
+        spec,
+        layer,
+        &decision.su,
+        decision.effective_macs_per_cycle,
+        profile,
+        energy_model,
+    );
+    let traffic =
+        LayerTraffic::of(spec, layer, profile).price(spec, decision.temporal, memory, energy_model);
+    let repriced = su.reprice(&traffic);
     LayerResult {
         layer: layer.name.clone(),
         su: decision.label.clone(),
@@ -813,6 +878,7 @@ mod tests {
 
     #[test]
     fn factored_reprice_reproduces_the_full_evaluation_bitwise() {
+        use bitwave_dataflow::TilingOrder;
         let net = resnet18();
         let energy = EnergyModel::finfet_16nm();
         // Both SRAM-fit regimes (a roomy hierarchy and a starved one that
@@ -830,28 +896,54 @@ mod tests {
             AcceleratorSpec::scnn(),
             throttled,
         ];
+        let tilings = [
+            None,
+            Some(TemporalMapping::natural(TilingOrder::WeightOuter)),
+            Some(TemporalMapping {
+                order: TilingOrder::ActivationOuter,
+                tile_factor: 4,
+            }),
+        ];
         for spec in &specs {
             for layer in net.layers.iter().take(6) {
                 let profile = layer_profile(layer);
-                let decision = select_spatial_unrolling(layer, &spec.su_set).unwrap();
-                let factored = factor_layer_with_mapping(spec, layer, &decision, &profile, &energy);
-                for mem in [&roomy, &starved] {
-                    let full =
-                        evaluate_layer_with_mapping(spec, layer, &decision, &profile, mem, &energy);
-                    let repriced = factored.reprice(spec, mem, &energy);
-                    assert_eq!(
-                        full.total_cycles.to_bits(),
-                        repriced.total_cycles.to_bits(),
-                        "{} / {}",
-                        spec.label,
-                        layer.name
-                    );
-                    assert_eq!(full.dram_cycles.to_bits(), repriced.dram_cycles.to_bits());
-                    assert_eq!(
-                        full.energy.total_pj().to_bits(),
-                        repriced.energy.total_pj().to_bits()
-                    );
-                    assert_eq!(full.boundedness, repriced.boundedness);
+                let heuristic = select_spatial_unrolling(layer, &spec.su_set).unwrap();
+                // One SU part and one traffic part serve every tiling and
+                // memory point.
+                let su = SuCost::of(
+                    spec,
+                    layer,
+                    &heuristic.su,
+                    heuristic.effective_macs_per_cycle,
+                    &profile,
+                    &energy,
+                );
+                let traffic = LayerTraffic::of(spec, layer, &profile);
+                for temporal in tilings {
+                    let decision = bitwave_dataflow::MappingDecision {
+                        temporal,
+                        ..heuristic.clone()
+                    };
+                    for mem in [&roomy, &starved] {
+                        let full = evaluate_layer_with_mapping(
+                            spec, layer, &decision, &profile, mem, &energy,
+                        );
+                        let priced = traffic.price(spec, temporal, mem, &energy);
+                        let repriced = su.reprice(&priced);
+                        assert_eq!(
+                            full.total_cycles.to_bits(),
+                            su.total_cycles(&priced).to_bits(),
+                            "{} / {}",
+                            spec.label,
+                            layer.name
+                        );
+                        assert_eq!(full.dram_cycles.to_bits(), repriced.dram_cycles.to_bits());
+                        assert_eq!(
+                            full.energy.total_pj().to_bits(),
+                            su.energy(&priced).total_pj().to_bits()
+                        );
+                        assert_eq!(full.boundedness, repriced.boundedness);
+                    }
                 }
             }
         }

@@ -23,7 +23,10 @@
 //! 5. multi-process sharding: same ≥ 2.5× gate for a 4-worker sharded
 //!    sweep, same core-count guard, same byte-identity fallback.
 
+use bitwave_accel::EnergyModel;
 use bitwave_bench::{print_header, write_bench_json};
+use bitwave_dataflow::MemoryHierarchy;
+use bitwave_dse::{factor_network, FactoredNetworkSearch};
 use bitwave_sweep::{
     build_portfolio, evaluate_point, evaluate_point_factored, global_eval_engine, run_sharded,
     run_with_progress_opts, run_worker, EvalMode, EvalOptions, SweepConfig, SweepLedger,
@@ -156,6 +159,40 @@ fn bench(c: &mut Criterion) {
             run_with_progress_opts(&config, None, opts(1, EvalMode::Full), |_| {}).expect("sweep");
         report
     };
+
+    // Below the `PointResult` assembly: factoring one compute group of the
+    // portfolio (what a group-cache miss pays) and pricing one point
+    // against an already factored group (what every other point pays).
+    // Neither touches the compute-group cache, so the gates below still
+    // see the cache states they set up themselves.
+    let point = &bitwave_sweep::enumerate(&config)[0];
+    let spec = point.spec();
+    let energy = EnergyModel::finfet_16nm();
+    let memory = MemoryHierarchy {
+        weight_sram_bytes: point.weight_sram_kb * 1024,
+        activation_sram_bytes: point.activation_sram_kb * 1024,
+        ..MemoryHierarchy::bitwave_default()
+    };
+    let factor_group = || -> Vec<FactoredNetworkSearch> {
+        portfolio
+            .iter()
+            .map(|m| {
+                factor_network(&spec, &m.network, &m.profiles, &energy, &config.space)
+                    .expect("the small portfolio factors")
+            })
+            .collect()
+    };
+    c.bench_function("sweep/factor_group_cold_small", |b| {
+        b.iter(|| black_box(factor_group()))
+    });
+    let group = factor_group();
+    c.bench_function("sweep/price_point_warm_small", |b| {
+        b.iter(|| {
+            for factored in &group {
+                black_box(factored.price(black_box(&spec), black_box(&memory), &energy));
+            }
+        })
+    });
 
     // Gate 1: some front member strictly dominates the paper's Table I
     // BitWave configuration on portfolio EDP.  That configuration is a

@@ -1,318 +1,137 @@
-//! Factored layer search: the hardware-invariant compute part of every
-//! candidate evaluated **once**, then cheaply re-priced per memory/DRAM
-//! configuration.
+//! Factored network search for the hardware sweep: each sweep point gets
+//! only the searched winner totals it keeps, from compute parts factored
+//! once per compute group.
 //!
-//! Sweep candidates that differ only along the SRAM-size / DRAM-bandwidth
-//! axes share identical compute-side cycles and compute energy
-//! ([`bitwave_accel::FactoredLayerCost`]).  This module lifts that split to
-//! the network-search level: [`factor_network`] walks a network once per
-//! `(lanes, SU menu, bandwidth, bit-class)` group — enumerating candidates
-//! via the shared space cache and factoring each one — and the returned
-//! [`FactoredNetworkSearch`] re-prices the whole portfolio entry against
-//! each concrete `(SRAM sizes, DRAM axes)` point in a fraction of the full
-//! evaluation time.  Winner and front selection run through the exact same
-//! [`crate::search`] code path, so a re-priced
-//! [`NetworkSearch`] is **bit-identical** (and byte-identical once
-//! serialized) to `DseEngine::search_network_sequential` over the same
-//! inputs.
+//! A candidate's cost splits into an SU part ([`SuCost`]: Eqs. 1, 2, the
+//! compute side of Eq. 5 and the memory-invariant Eq. 4 terms), which
+//! depends only on the layer and the spatial unrolling, and a traffic part
+//! ([`LayerTraffic`]), which depends only on the layer, its tiling and the
+//! memory/DRAM point.  [`factor_network`] walks a network once per
+//! `(lanes, SU menu, bandwidth, bit-class)` group: per layer, it factors
+//! one [`SuCost`] per spatial unrolling of the layer's mapping space (every
+//! SU repeats for each of the space's [tilings](SearchSpace::tilings)).
+//! [`FactoredNetworkSearch::price`] then prices one `(SRAM sizes, DRAM
+//! axes)` point: the traffic once per (layer, tiling), every candidate as
+//! the composition [`SuCost::total_cycles`] / [`SuCost::energy`] of the
+//! two, in enumeration order, with the engine's min-EDP winner scan.  The
+//! winners are summed in layer order, as [`crate::NetworkSearch`]
+//! aggregates them, so the totals are **bit-identical** to the `searched_*`
+//! totals of [`crate::DseEngine::search_network_sequential`] over the same
+//! inputs.  Nothing else of a search (heuristic baseline, Pareto front,
+//! labels, memo keys) is built.
 
-use crate::cost::{EvaluatedMapping, MappingCost};
 use crate::error::{DseError, Result};
-use crate::search::{
-    layer_search_key, select_from_objectives, LayerSearchResult, NetworkSearch, SearchedLayer,
-};
-use crate::space::SearchSpace;
+use crate::search::improves_on;
+use crate::space::{Candidate, SearchSpace};
 use bitwave_accel::spec::AcceleratorSpec;
-use bitwave_accel::{
-    factor_layer_with_mapping, EnergyModel, FactoredLayerCost, LayerSparsityProfile,
-};
-use bitwave_core::digest::Digest;
+use bitwave_accel::{EnergyModel, LayerSparsityProfile, LayerTraffic, PricedTraffic, SuCost};
 use bitwave_dataflow::activity::TemporalMapping;
-use bitwave_dataflow::dram::DramSpec;
-use bitwave_dataflow::mapping::{select_spatial_unrolling, MappingDecision};
-use bitwave_dataflow::su::SpatialUnrolling;
+use bitwave_dataflow::mapping::select_spatial_unrolling;
 use bitwave_dataflow::MemoryHierarchy;
-use bitwave_dnn::layer::{LayerKind, LayerSpec, LoopDims};
 use bitwave_dnn::models::NetworkSpec;
-use serde::Serialize;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 static REPRICED: AtomicU64 = AtomicU64::new(0);
 
-/// Cap on per-shape priced-cost memo entries (distinct memory/DRAM
-/// configurations seen by one factored shape); far above any real sweep's
-/// memory sub-grid, it only bounds adversarial churn.
-const PRICED_CACHE_CAP: usize = 128;
-
-/// Number of layer searches answered by re-pricing an already-factored
-/// compute part instead of a full per-candidate evaluation (the
+/// Number of layer searches answered by pricing an already-factored layer
+/// instead of a full per-candidate evaluation (the
 /// `bitwave_sweep_factored_repriced_total` metric).
 pub fn factored_repriced_total() -> u64 {
     REPRICED.load(Ordering::Relaxed)
 }
 
-/// One mapping (a candidate or the heuristic baseline) with its
-/// memory-invariant compute part already evaluated.
-#[derive(Debug, Clone)]
-pub struct FactoredMapping {
-    label: String,
-    su: SpatialUnrolling,
-    temporal: Option<TemporalMapping>,
-    utilization: f64,
-    effective_macs_per_cycle: f64,
-    factored: FactoredLayerCost,
+/// The searched totals of one network at one sweep point: what
+/// [`crate::NetworkSearch`] reports as `searched_total_cycles`,
+/// `searched_energy_pj` and `searched_edp`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SearchedTotals {
+    /// Σ total cycles under the searched winners.
+    pub cycles: f64,
+    /// Σ energy (pJ) under the searched winners.
+    pub energy_pj: f64,
+    /// Network EDP under the searched winners (`cycles × energy_pj`).
+    pub edp: f64,
 }
 
-impl FactoredMapping {
-    /// Factors `decision` for `layer`: everything independent of the memory
-    /// hierarchy and the DRAM axes is computed here, once.
-    pub fn of_decision(
-        spec: &AcceleratorSpec,
-        layer: &LayerSpec,
-        profile: &LayerSparsityProfile,
-        energy: &EnergyModel,
-        decision: &MappingDecision,
-    ) -> Self {
-        Self {
-            label: decision.label.clone(),
-            su: decision.su,
-            temporal: decision.temporal,
-            utilization: decision.utilization,
-            effective_macs_per_cycle: decision.effective_macs_per_cycle,
-            factored: factor_layer_with_mapping(spec, layer, decision, profile, energy),
-        }
-    }
-
-    /// The cheap per-point half: prices the mapping against a concrete
-    /// memory hierarchy and the DRAM axes of `spec`.  Bit-for-bit equal to
-    /// [`crate::cost::evaluate_decision`]'s cost over the same inputs.
-    pub fn reprice(
-        &self,
-        spec: &AcceleratorSpec,
-        memory: &MemoryHierarchy,
-        energy: &EnergyModel,
-    ) -> MappingCost {
-        let repriced = self.factored.reprice(spec, memory, energy);
-        let energy_pj = repriced.energy.total_pj();
-        MappingCost {
-            compute_cycles: repriced.compute_cycles,
-            dram_cycles: repriced.dram_cycles,
-            total_cycles: repriced.total_cycles,
-            energy_pj,
-            edp: repriced.total_cycles * energy_pj,
-        }
-    }
-
-    fn evaluated(&self, cost: MappingCost) -> EvaluatedMapping {
-        EvaluatedMapping {
-            label: self.label.clone(),
-            su: self.su,
-            temporal: self.temporal,
-            utilization: self.utilization,
-            effective_macs_per_cycle: self.effective_macs_per_cycle,
-            cost,
-        }
-    }
-}
-
-/// The exact inputs the priced selection reads beyond the factored compute
-/// part: re-pricing ignores every other accelerator field (sync
-/// granularity, menus, sparsity flags live in the compute part), so points
-/// that differ only in those share one priced selection.
-#[derive(Serialize)]
-struct PriceKey {
-    memory: MemoryHierarchy,
-    energy: EnergyModel,
-    dram: DramSpec,
-    dram_bandwidth_bits: usize,
-    space: SearchSpace,
-}
-
-/// One memory configuration's fully priced selection for a whole shape:
-/// every candidate repriced, the winner/front Pareto selection run, and
-/// the survivors materialised.  Everything here is invariant across sweep
-/// points sharing the [`PriceKey`], so the per-point residual is just the
-/// memo-key digest and a few clones.
+/// One layer: its traffic part and one SU part (with that SU's
+/// utilisation) per spatial unrolling of its mapping space, in enumeration
+/// order.
 #[derive(Debug)]
-struct PricedCosts {
-    heuristic: EvaluatedMapping,
-    winner: EvaluatedMapping,
-    front: Vec<EvaluatedMapping>,
-    front_total: usize,
+struct FactoredLayer {
+    traffic: LayerTraffic,
+    sus: Vec<(SuCost, f64)>,
 }
 
-/// One distinct layer shape with its heuristic baseline and every
-/// enumerated candidate factored.
-#[derive(Debug)]
-pub struct FactoredLayerSearch {
-    dims: LoopDims,
-    kind: LayerKind,
-    profile_hex: String,
-    heuristic: FactoredMapping,
-    candidates: Vec<FactoredMapping>,
-    /// Priced-cost memo keyed by the [`PriceKey`] digest: sweep points that
-    /// differ only in re-pricing-invariant axes (e.g. sync granularity)
-    /// share one repriced vector per memory configuration.
-    priced: Mutex<HashMap<String, Arc<PricedCosts>>>,
-}
-
-impl FactoredLayerSearch {
-    /// Prices every mapping of this shape against one memory/DRAM
-    /// configuration and runs the winner/front Pareto selection, memoized
-    /// per [`PriceKey`].  Falls back to an uncached computation if the key
-    /// fails to digest (practically unreachable).
-    fn priced(
+impl FactoredLayer {
+    /// The min-EDP winner's `(total cycles, energy)` at one memory/DRAM
+    /// point: the traffic is priced once per tiling, and the candidates are
+    /// scanned in enumeration order (each SU crossed with every tiling).
+    fn winner(
         &self,
         accel: &AcceleratorSpec,
+        tilings: &[TemporalMapping],
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
-        space: &SearchSpace,
-    ) -> Arc<PricedCosts> {
-        let compute = || {
-            let costs: Vec<MappingCost> = self
-                .candidates
-                .iter()
-                .map(|m| m.reprice(accel, memory, energy))
-                .collect();
-            let objectives: Vec<[f64; 4]> = costs
-                .iter()
-                .zip(&self.candidates)
-                .map(|(c, m)| [c.total_cycles, c.energy_pj, c.edp, m.utilization])
-                .collect();
-            let (winner, front_idx, front_total) =
-                select_from_objectives(&objectives, space.max_front);
-            // Only the winner and the capped front are materialised into
-            // full `EvaluatedMapping`s — the bulk never clone.
-            Arc::new(PricedCosts {
-                heuristic: self
-                    .heuristic
-                    .evaluated(self.heuristic.reprice(accel, memory, energy)),
-                winner: self.candidates[winner].evaluated(costs[winner]),
-                front: front_idx
-                    .into_iter()
-                    .map(|i| self.candidates[i].evaluated(costs[i]))
-                    .collect(),
-                front_total,
+    ) -> (f64, f64) {
+        let priced: Vec<PricedTraffic> = tilings
+            .iter()
+            .map(|&temporal| self.traffic.price(accel, Some(temporal), memory, energy))
+            .collect();
+        let best = self
+            .sus
+            .iter()
+            .flat_map(|(su, utilization)| {
+                priced.iter().map(move |traffic| {
+                    let cycles = su.total_cycles(traffic);
+                    let energy_pj = su.energy(traffic).total_pj();
+                    [cycles, energy_pj, cycles * energy_pj, *utilization]
+                })
             })
-        };
-        let Ok(key) = Digest::of_value(&PriceKey {
-            memory: *memory,
-            energy: *energy,
-            dram: accel.dram,
-            dram_bandwidth_bits: accel.dram_bandwidth_bits,
-            space: space.clone(),
-        }) else {
-            return compute();
-        };
-        let hex = key.to_hex();
-        if let Some(hit) = self.priced.lock().ok().and_then(|g| g.get(&hex).cloned()) {
-            return hit;
-        }
-        let computed = compute();
-        match self.priced.lock() {
-            Ok(mut guard) if guard.len() < PRICED_CACHE_CAP || guard.contains_key(&hex) => {
-                Arc::clone(guard.entry(hex).or_insert_with(|| Arc::clone(&computed)))
-            }
-            _ => computed,
-        }
-    }
-
-    /// Re-prices every candidate and re-runs the winner/front selection —
-    /// through the same code path as the memoized engine, so the outcome
-    /// (including the memoization key recorded in the result) is
-    /// bit-identical to a full [`crate::DseEngine::search_layer`].
-    ///
-    /// # Errors
-    ///
-    /// [`DseError::Core`] when the memo key fails to digest.
-    pub fn reprice(
-        &self,
-        accel: &AcceleratorSpec,
-        memory: &MemoryHierarchy,
-        energy: &EnergyModel,
-        space: &SearchSpace,
-    ) -> Result<(EvaluatedMapping, LayerSearchResult)> {
-        let key = layer_search_key(
-            accel,
-            self.dims,
-            self.kind,
-            self.profile_hex.clone(),
-            memory,
-            energy,
-            space,
-        )?;
-        let priced = self.priced(accel, memory, energy, space);
-        REPRICED.fetch_add(1, Ordering::Relaxed);
-        Ok((
-            priced.heuristic.clone(),
-            LayerSearchResult {
-                key: key.to_hex(),
-                candidates: self.candidates.len(),
-                winner: priced.winner.clone(),
-                front: priced.front.clone(),
-                front_total: priced.front_total,
-            },
-        ))
+            .reduce(|best, row| if improves_on(&row, &best) { row } else { best })
+            .expect("factored layers hold at least one candidate");
+        (best[0], best[1])
     }
 }
 
-/// A whole network's search space, factored: each distinct
-/// `(dims, kind, profile)` shape holds its factored candidates once and
-/// every layer of that shape shares them.
+/// A whole network's search space, factored layer by layer.
 #[derive(Debug)]
 pub struct FactoredNetworkSearch {
-    /// `(layer name, index into distinct)` in execution order.
-    layers: Vec<(String, usize)>,
-    distinct: Vec<FactoredLayerSearch>,
+    /// The layers in execution order.
+    layers: Vec<FactoredLayer>,
+    tilings: Vec<TemporalMapping>,
 }
 
 impl FactoredNetworkSearch {
-    /// Number of distinct layer shapes held (the factoring workload).
-    pub fn distinct_shapes(&self) -> usize {
-        self.distinct.len()
-    }
-
-    /// Re-prices every distinct shape once against `(memory, DRAM axes)`
-    /// and assembles the aggregated [`NetworkSearch`] — bit-identical to
-    /// [`crate::DseEngine::search_network_sequential`] over the same
-    /// accelerator, space, memory and energy tables.
-    ///
-    /// # Errors
-    ///
-    /// [`DseError::Core`] when a memo key fails to digest.
-    pub fn reprice(
+    /// Prices every layer against `(memory, DRAM axes of accel)` and sums
+    /// the winners in layer order — bit-identical to the `searched_*`
+    /// totals of [`crate::DseEngine::search_network_sequential`] over the
+    /// same accelerator, space, memory and energy tables.
+    pub fn price(
         &self,
         accel: &AcceleratorSpec,
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
-        space: &SearchSpace,
-    ) -> Result<NetworkSearch> {
-        let priced: Vec<(EvaluatedMapping, LayerSearchResult)> = self
-            .distinct
-            .iter()
-            .map(|d| d.reprice(accel, memory, energy, space))
-            .collect::<Result<_>>()?;
-        let layers: Vec<SearchedLayer> = self
-            .layers
-            .iter()
-            .map(|(name, i)| {
-                let (heuristic, search) = &priced[*i];
-                SearchedLayer {
-                    layer: name.clone(),
-                    heuristic: heuristic.clone(),
-                    search: search.clone(),
-                }
-            })
-            .collect();
-        Ok(NetworkSearch::aggregate(accel.label.clone(), layers))
+    ) -> SearchedTotals {
+        REPRICED.fetch_add(self.layers.len() as u64, Ordering::Relaxed);
+        let mut cycles = 0.0;
+        let mut energy_pj = 0.0;
+        for layer in &self.layers {
+            let (layer_cycles, layer_energy_pj) =
+                layer.winner(accel, &self.tilings, memory, energy);
+            cycles += layer_cycles;
+            energy_pj += layer_energy_pj;
+        }
+        SearchedTotals {
+            cycles,
+            energy_pj,
+            edp: cycles * energy_pj,
+        }
     }
 }
 
-/// Factors a whole network for `accel`: per distinct layer shape, the
-/// heuristic baseline and every candidate from the shared space cache get
-/// their compute parts evaluated once.  The expensive half of a sweep
+/// Factors a whole network for `accel`: per layer, one [`SuCost`] per
+/// spatial unrolling of the mapping space.  The expensive half of a sweep
 /// point's evaluation — reusable across every point that shares this
 /// accelerator's compute-side configuration.
 ///
@@ -321,8 +140,7 @@ impl FactoredNetworkSearch {
 /// [`DseError::MisalignedProfiles`] unless `profiles` aligns with
 /// `network.layers`; otherwise the first per-layer error, in the same order
 /// the memoized engine reports them ([`DseError::Mapping`] from the
-/// heuristic pick, [`DseError::Core`] from the profile digest,
-/// [`DseError::EmptySpace`] from an empty enumeration).
+/// heuristic pick, [`DseError::EmptySpace`] from an empty enumeration).
 pub fn factor_network(
     accel: &AcceleratorSpec,
     network: &NetworkSpec,
@@ -336,60 +154,38 @@ pub fn factor_network(
             profiles: profiles.len(),
         });
     }
+    let tilings = space.tilings();
+    // The mapping space depends on the layer only through its
+    // depthwise-ness: one lookup each for plain and depthwise layers.
+    let mut spaces: [Option<Arc<Vec<Candidate>>>; 2] = [None, None];
     let mut layers = Vec::with_capacity(network.layers.len());
-    let mut distinct: Vec<FactoredLayerSearch> = Vec::new();
-    let mut index_of: HashMap<String, usize> = HashMap::new();
     for (layer, profile) in network.layers.iter().zip(profiles) {
-        // Same error order as the memoized engine's `search_one`: the
-        // heuristic SU pick (which validates the layer dims) comes first.
-        let decision = select_spatial_unrolling(layer, &accel.su_set)?;
-        let profile_hex = Digest::of_value(profile)?.to_hex();
-        let dedup = format!("{:?}|{:?}|{profile_hex}", layer.dims, layer.kind);
-        let slot = match index_of.get(&dedup) {
-            Some(&i) => i,
-            None => {
-                let candidates = space.enumerate_shared(accel, layer);
-                if candidates.is_empty() {
-                    return Err(DseError::EmptySpace {
-                        layer: layer.name.clone(),
-                    });
-                }
-                let heuristic =
-                    FactoredMapping::of_decision(accel, layer, profile, energy, &decision);
-                let factored: Vec<FactoredMapping> = candidates
-                    .iter()
-                    .map(|c| {
-                        // Mirrors `evaluate_candidate`: the layer name stays
-                        // empty so identically shaped layers share the slot.
-                        let utilization = c.su.utilization_for(layer);
-                        let effective = c.su.parallelism() as f64 * utilization;
-                        let d = MappingDecision {
-                            layer: String::new(),
-                            su: c.su,
-                            label: c.label.clone(),
-                            temporal: Some(c.temporal),
-                            utilization,
-                            effective_macs_per_cycle: effective,
-                        };
-                        FactoredMapping::of_decision(accel, layer, profile, energy, &d)
-                    })
-                    .collect();
-                let i = distinct.len();
-                distinct.push(FactoredLayerSearch {
-                    dims: layer.dims,
-                    kind: layer.kind,
-                    profile_hex,
-                    heuristic,
-                    candidates: factored,
-                    priced: Mutex::new(HashMap::new()),
-                });
-                index_of.insert(dedup, i);
-                i
-            }
-        };
-        layers.push((layer.name.clone(), slot));
+        // Same error order as the memoized engine: the heuristic SU pick
+        // (which validates the layer dims) comes first.
+        select_spatial_unrolling(layer, &accel.su_set)?;
+        let candidates = spaces[usize::from(layer.kind.is_depthwise())]
+            .get_or_insert_with(|| space.enumerate_shared(accel, layer));
+        if candidates.is_empty() {
+            return Err(DseError::EmptySpace {
+                layer: layer.name.clone(),
+            });
+        }
+        let sus = candidates
+            .chunks(tilings.len())
+            .map(|block| {
+                let su = &block[0].su;
+                let utilization = su.utilization_for(layer);
+                let lanes = su.parallelism() as f64 * utilization;
+                let cost = SuCost::of(accel, layer, su, lanes, profile, energy);
+                (cost, utilization)
+            })
+            .collect();
+        layers.push(FactoredLayer {
+            traffic: LayerTraffic::of(accel, layer, profile),
+            sus,
+        });
     }
-    Ok(FactoredNetworkSearch { layers, distinct })
+    Ok(FactoredNetworkSearch { layers, tilings })
 }
 
 #[cfg(test)]
@@ -398,7 +194,7 @@ mod tests {
     use crate::DseEngine;
     use bitwave_accel::spec::BitwaveOptimizations;
     use bitwave_core::group::GroupSize;
-    use bitwave_dnn::models::resnet18;
+    use bitwave_dnn::models::{mobilenet_v2, resnet18};
     use bitwave_dnn::weights::generate_layer_sample;
 
     fn profiles_for(net: &NetworkSpec) -> Vec<LayerSparsityProfile> {
@@ -417,36 +213,52 @@ mod tests {
     }
 
     #[test]
-    fn reprice_reproduces_the_full_search_byte_for_byte() {
-        let mut net = resnet18();
-        net.layers.truncate(6);
-        let profiles = profiles_for(&net);
-        let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+    fn priced_totals_equal_the_searched_totals_bit_for_bit() {
+        let mut resnet = resnet18();
+        resnet.layers.truncate(6);
+        let mut mobilenet = mobilenet_v2();
+        mobilenet.layers.truncate(6);
         let energy = EnergyModel::finfet_16nm();
-        let space = SearchSpace::default();
-        let factored = factor_network(&accel, &net, &profiles, &energy, &space).unwrap();
-        assert!(factored.distinct_shapes() <= net.layers.len());
-        // Two memory configurations spanning the fits/does-not-fit regimes
-        // share one factoring.
-        for memory in [
-            MemoryHierarchy::bitwave_default(),
-            MemoryHierarchy {
-                weight_sram_bytes: 16 * 1024,
-                activation_sram_bytes: 16 * 1024,
-                ..MemoryHierarchy::bitwave_default()
-            },
+        let mut throttled = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        throttled.dram = bitwave_dataflow::DramSpec::constrained(32);
+        let space = SearchSpace {
+            tile_factors: vec![1, 4],
+            ..SearchSpace::default()
+        };
+        for accel in [
+            AcceleratorSpec::bitwave(BitwaveOptimizations::all()),
+            throttled,
         ] {
-            let engine = DseEngine::new(memory, energy).with_space(space.clone());
-            let full = engine
-                .search_network_sequential(&accel, &net, &profiles)
-                .unwrap();
-            let repriced = factored.reprice(&accel, &memory, &energy, &space).unwrap();
-            assert_eq!(repriced, full);
-            assert_eq!(
-                serde_json::to_string(&repriced).unwrap(),
-                serde_json::to_string(&full).unwrap(),
-                "factored reprice must serialize byte-identically"
-            );
+            for net in [&resnet, &mobilenet] {
+                let profiles = profiles_for(net);
+                let factored = factor_network(&accel, net, &profiles, &energy, &space).unwrap();
+                // Both SRAM-fit regimes share one factoring.
+                for memory in [
+                    MemoryHierarchy::bitwave_default(),
+                    MemoryHierarchy {
+                        weight_sram_bytes: 16 * 1024,
+                        activation_sram_bytes: 16 * 1024,
+                        ..MemoryHierarchy::bitwave_default()
+                    },
+                ] {
+                    let engine = DseEngine::new(memory, energy).with_space(space.clone());
+                    let full = engine
+                        .search_network_sequential(&accel, net, &profiles)
+                        .unwrap();
+                    let priced = factored.price(&accel, &memory, &energy);
+                    assert_eq!(
+                        priced.cycles.to_bits(),
+                        full.searched_total_cycles.to_bits(),
+                        "{}",
+                        net.name
+                    );
+                    assert_eq!(
+                        priced.energy_pj.to_bits(),
+                        full.searched_energy_pj.to_bits()
+                    );
+                    assert_eq!(priced.edp.to_bits(), full.searched_edp.to_bits());
+                }
+            }
         }
         assert!(factored_repriced_total() >= 2);
     }

@@ -19,10 +19,11 @@
 //!   `bitwave-accel` Eq. 1–5 performance/energy model driven by the layer's
 //!   sparsity profile.  Searched winners therefore predict exactly what a
 //!   `MappingPolicy::Searched` pipeline run reports.
-//! * [`factored`] — the amortized sweep path: each candidate's
-//!   memory-invariant compute part is evaluated once per accelerator
-//!   compute configuration ([`factor_network`]) and cheaply re-priced per
-//!   `(SRAM sizes, DRAM axes)` point, bit-identical to the full search.
+//! * [`factored`] — the amortized sweep path: each layer shape's SU parts
+//!   are factored once per accelerator compute configuration
+//!   ([`factor_network`]) and priced per `(SRAM sizes, DRAM axes)` point
+//!   into the searched winner totals only, bit-identical to the full
+//!   search's totals.
 //! * [`search`] — the engine: minimum-EDP winner selection, a generalised
 //!   cycles/energy/EDP/utilisation Pareto front (`bitwave_core::pareto`),
 //!   and deterministic rayon fan-out (parallel ≡ sequential, bit-identical).
@@ -80,8 +81,7 @@ pub mod space;
 pub use cost::{EvaluatedMapping, MappingCost};
 pub use error::{DseError, Result};
 pub use factored::{
-    factor_network, factored_repriced_total, FactoredLayerSearch, FactoredMapping,
-    FactoredNetworkSearch,
+    factor_network, factored_repriced_total, FactoredNetworkSearch, SearchedTotals,
 };
 pub use memo::{global_cache, persist_global_cache, SearchCache, DEFAULT_MEMO_ENTRIES};
 pub use refine::{engine_config_for, validate_mapping};

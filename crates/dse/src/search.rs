@@ -23,44 +23,20 @@ pub const DSE_SCHEMA_VERSION: u32 = 1;
 
 /// The four pruning objectives: minimise cycles, energy and EDP, maximise
 /// utilisation.
-pub(crate) const OBJECTIVES: [Direction; 4] = [
+const OBJECTIVES: [Direction; 4] = [
     Direction::Minimize,
     Direction::Minimize,
     Direction::Minimize,
     Direction::Maximize,
 ];
 
-/// Winner + front selection over the `[cycles, energy, edp, utilization]`
-/// objective rows — the single implementation both the full per-candidate
-/// path and the factored re-pricing path run, so they agree bit-for-bit.
-/// Returns `(winner index, capped front indices, full front size)`.
-pub(crate) fn select_from_objectives(
-    objectives: &[[f64; 4]],
-    max_front: usize,
-) -> (usize, Vec<usize>, usize) {
-    // Winner: minimum EDP, ties towards higher utilisation, then the
-    // earlier candidate (SU-set seeds precede generated shapes).
-    let mut winner = 0usize;
-    for (i, row) in objectives.iter().enumerate().skip(1) {
-        let best = &objectives[winner];
-        let better = row[2] < best[2] || (row[2] == best[2] && row[3] > best[3]);
-        if better {
-            winner = i;
-        }
-    }
-
-    // Multi-objective Pareto front, EDP-sorted, deduplicated, capped.
-    let mut front_idx = pareto_front_indices(objectives, &OBJECTIVES);
-    let front_total = front_idx.len();
-    front_idx.sort_by(|&a, &b| {
-        objectives[a][2]
-            .partial_cmp(&objectives[b][2])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    front_idx.dedup_by_key(|i| objectives[*i]);
-    front_idx.truncate(max_front.max(1));
-    (winner, front_idx, front_total)
+/// The min-EDP winner order over `[cycles, energy, edp, utilization]` rows:
+/// `row` replaces the current `best` on strictly lower EDP, or on equal EDP
+/// at higher utilisation, so a full tie keeps the earlier candidate (SU-set
+/// seeds precede generated shapes).  Shared by the engine's search and the
+/// factored sweep's scan, so both pick the same winner.
+pub(crate) fn improves_on(row: &[f64; 4], best: &[f64; 4]) -> bool {
+    row[2] < best[2] || (row[2] == best[2] && row[3] > best[3])
 }
 
 /// Everything a layer's search outcome depends on — and nothing it does not
@@ -80,10 +56,8 @@ struct SearchKey {
     space: SearchSpace,
 }
 
-/// Builds the memoization digest for one layer's search — shared by
-/// [`DseEngine::search_layer`] and the factored sweep path, so both address
-/// (and can replay) the exact same store entries.
-pub(crate) fn layer_search_key(
+/// Builds the memoization digest for one layer's search.
+fn layer_search_key(
     accel: &AcceleratorSpec,
     dims: LoopDims,
     kind: LayerKind,
@@ -380,8 +354,24 @@ impl DseEngine {
 
         let objectives: Vec<[f64; 4]> =
             evaluated.iter().map(EvaluatedMapping::objectives).collect();
-        let (winner, front_idx, front_total) =
-            select_from_objectives(&objectives, self.space.max_front);
+        let mut winner = 0usize;
+        for (i, row) in objectives.iter().enumerate().skip(1) {
+            if improves_on(row, &objectives[winner]) {
+                winner = i;
+            }
+        }
+
+        // Multi-objective Pareto front, EDP-sorted, deduplicated, capped.
+        let mut front_idx = pareto_front_indices(&objectives, &OBJECTIVES);
+        let front_total = front_idx.len();
+        front_idx.sort_by(|&a, &b| {
+            objectives[a][2]
+                .partial_cmp(&objectives[b][2])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        front_idx.dedup_by_key(|i| objectives[*i]);
+        front_idx.truncate(self.space.max_front.max(1));
         let front: Vec<EvaluatedMapping> = front_idx
             .into_iter()
             .map(|i| evaluated[i].clone())

@@ -200,27 +200,40 @@ impl SearchSpace {
             }
         }
 
-        let factors: Vec<usize> = if self.tile_factors.is_empty() {
-            vec![1]
-        } else {
-            self.tile_factors.clone()
-        };
-        let mut out = Vec::with_capacity(spatial.len() * 2 * factors.len());
+        let tilings = self.tilings();
+        let mut out = Vec::with_capacity(spatial.len() * tilings.len());
         for (su, label) in spatial {
-            for order in [TilingOrder::WeightOuter, TilingOrder::ActivationOuter] {
-                for &tile_factor in &factors {
-                    out.push(Candidate {
-                        su,
-                        label: label.clone(),
-                        temporal: TemporalMapping {
-                            order,
-                            tile_factor: tile_factor.max(1),
-                        },
-                    });
-                }
+            for &temporal in &tilings {
+                out.push(Candidate {
+                    su,
+                    label: label.clone(),
+                    temporal,
+                });
             }
         }
         out
+    }
+
+    /// The temporal mappings every spatial shape is crossed with, in
+    /// enumeration order: both tiling orders, each with every tile factor
+    /// (the natural tiling alone when no factor is configured).  The
+    /// enumeration is therefore a sequence of blocks of `tilings().len()`
+    /// candidates sharing one spatial unrolling.
+    pub fn tilings(&self) -> Vec<TemporalMapping> {
+        let factors: &[usize] = if self.tile_factors.is_empty() {
+            &[1]
+        } else {
+            &self.tile_factors
+        };
+        [TilingOrder::WeightOuter, TilingOrder::ActivationOuter]
+            .into_iter()
+            .flat_map(|order| {
+                factors.iter().map(move |&factor| TemporalMapping {
+                    order,
+                    tile_factor: factor.max(1),
+                })
+            })
+            .collect()
     }
 
     /// [`SearchSpace::enumerate`] behind the process-wide space cache: the
@@ -339,6 +352,30 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         assert!(space_reuse_total() >= before + 2);
         assert_eq!(*a, space.enumerate(&accel, &net.layers[0]));
+    }
+
+    #[test]
+    fn enumeration_is_spatial_shapes_crossed_with_the_tilings() {
+        let net = mobilenet_v2();
+        let accel = bitwave();
+        for tile_factors in [vec![], vec![1], vec![4, 1, 2]] {
+            let space = SearchSpace {
+                tile_factors,
+                ..SearchSpace::default()
+            };
+            let tilings = space.tilings();
+            for layer in &net.layers {
+                let candidates = space.enumerate(&accel, layer);
+                assert_eq!(candidates.len() % tilings.len(), 0);
+                for block in candidates.chunks(tilings.len()) {
+                    assert!(block.iter().all(|c| c.su == block[0].su));
+                    assert!(block.iter().all(|c| c.label == block[0].label));
+                    let temporals: Vec<TemporalMapping> =
+                        block.iter().map(|c| c.temporal).collect();
+                    assert_eq!(temporals, tilings);
+                }
+            }
+        }
     }
 
     #[test]

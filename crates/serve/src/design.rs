@@ -16,6 +16,7 @@
 //! using the ordinary connection write machinery (write deadlines and the
 //! stalled-writer counter apply to slow stream readers unchanged).
 
+use crate::api::MAX_SAMPLE_CAP;
 use crate::error::ServeError;
 use crate::server::ServiceState;
 use bitwave::digest::Digest;
@@ -52,8 +53,10 @@ struct DesignRequest {
 ///
 /// # Errors
 ///
-/// [`ServeError::BadRequest`] for malformed JSON, an unknown preset, or an
-/// unknown portfolio model name.
+/// [`ServeError::BadRequest`] for malformed JSON, an unknown preset, a
+/// `sample_cap` (from the request or its `config`) outside
+/// `1..=`[`MAX_SAMPLE_CAP`], an empty space, or an unknown portfolio model
+/// name.
 pub fn parse_design(body: &[u8]) -> Result<SweepConfig, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("request body is not UTF-8".to_string()))?;
@@ -88,6 +91,12 @@ pub fn parse_design(body: &[u8]) -> Result<SweepConfig, ServeError> {
     }
     if let Some(ttl) = request.claim_ttl_ms {
         config.claim_ttl_ms = ttl.max(1);
+    }
+    if config.sample_cap == 0 || config.sample_cap > MAX_SAMPLE_CAP {
+        return Err(ServeError::BadRequest(format!(
+            "sample_cap must be in 1..={MAX_SAMPLE_CAP}, got {}",
+            config.sample_cap
+        )));
     }
     if config.total_points() == 0 {
         return Err(ServeError::BadRequest(

@@ -189,6 +189,29 @@ fn design_rejects_bad_bodies_and_methods() {
         bad.lines
     );
 
+    // The sampling cap is bounded like `/v1/evaluate`'s, whether it comes
+    // as an override or inside a full `config`.
+    let zero = post_design(addr, r#"{"space":"tiny","sample_cap":0}"#);
+    assert_eq!(zero.status, 400);
+    assert!(
+        zero.lines[0].contains("sample_cap must be in 1..=1000000, got 0"),
+        "{:?}",
+        zero.lines
+    );
+    let mut config = bitwave_sweep::SweepConfig::tiny();
+    config.sample_cap = 1_000_001;
+    let body = format!(
+        r#"{{"config":{}}}"#,
+        serde_json::to_string(&config).expect("config serializes")
+    );
+    let huge = post_design(addr, &body);
+    assert_eq!(huge.status, 400);
+    assert!(
+        huge.lines[0].contains("sample_cap must be in 1..=1000000, got 1000001"),
+        "{:?}",
+        huge.lines
+    );
+
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;

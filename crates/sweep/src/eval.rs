@@ -13,8 +13,11 @@
 //!   SRAM-size / DRAM-bandwidth axes share identical compute-side costs,
 //!   so [`evaluate_point_factored`] factors each portfolio model once per
 //!   `(lanes, menu, bandwidth, bit-class)` group
-//!   ([`bitwave_dse::factor_network`]) and re-prices the factored searches
-//!   per point — bit-identical to [`evaluate_point`], which remains the
+//!   ([`bitwave_dse::factor_network`]: one SU part per spatial unrolling
+//!   of each layer shape) and per point prices only what a
+//!   [`PointResult`] keeps — each model's searched cycles, energy and EDP
+//!   ([`bitwave_dse::FactoredNetworkSearch::price`]).  Bit-identical to
+//!   [`evaluate_point`], the full per-candidate search that remains the
 //!   reference path.
 
 use crate::config::SweepConfig;
@@ -338,7 +341,8 @@ fn group_key(
 
 /// Evaluates one candidate through the amortized factored path: the
 /// portfolio's compute parts are factored once per compute group (shared
-/// process-wide) and only the cheap memory re-pricing runs per point.
+/// process-wide) and only the cheap pricing of the searched totals runs
+/// per point.
 /// Bit-identical to [`evaluate_point`] — `bench_sweep`, the sweep property
 /// tests and CI all assert the byte equality.
 pub fn evaluate_point_factored(
@@ -359,17 +363,16 @@ pub fn evaluate_point_factored(
     let mut models = Vec::with_capacity(portfolio.len());
     let mut error = None;
     for (model, factored) in portfolio.iter().zip(&entry.models) {
-        let outcome = factored
-            .as_ref()
-            .map_err(DseError::clone)
-            .and_then(|f| f.reprice(&spec, &memory, &energy, &config.space));
-        match outcome {
-            Ok(search) => models.push(ModelOutcome {
-                model: model.network.name.clone(),
-                cycles: search.searched_total_cycles,
-                energy_pj: search.searched_energy_pj,
-                edp: search.searched_edp,
-            }),
+        match factored {
+            Ok(factored) => {
+                let totals = factored.price(&spec, &memory, &energy);
+                models.push(ModelOutcome {
+                    model: model.network.name.clone(),
+                    cycles: totals.cycles,
+                    energy_pj: totals.energy_pj,
+                    edp: totals.edp,
+                });
+            }
             Err(e) => {
                 error = Some(format!("{}: {e}", model.network.name));
                 break;

@@ -117,8 +117,7 @@ proptest! {
 #[test]
 fn depthwise_portfolio_factored_equals_full() {
     for sram_kb in [16, 1024] {
-        let mut config =
-            single_point_config(4096, 8, sram_kb, 64, 1024, MenuKind::TableI, 7);
+        let mut config = single_point_config(4096, 8, sram_kb, 64, 1024, MenuKind::TableI, 7);
         config.portfolio = vec!["mobilenet-v2".to_string(), "cnn-lstm".to_string()];
         let result = assert_factored_matches_full(&config);
         assert!(result.feasible, "{:?}", result.error);
