@@ -135,12 +135,18 @@ fn golden_path(slug: &str) -> PathBuf {
 /// Byte-compares `report` against `tests/golden/{slug}.json`, or rewrites
 /// the snapshot when `UPDATE_GOLDEN` is set.
 fn assert_matches_golden(slug: &str, report: &ModelReport) {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let json = serde_json::to_string_pretty(report).expect("report serializes") + "\n";
+    assert_json_matches_golden(slug, &json);
+}
+
+/// Byte-compares pretty `json` against `tests/golden/{slug}.json`, or
+/// rewrites the snapshot when `UPDATE_GOLDEN` is set.
+fn assert_json_matches_golden(slug: &str, json: &str) {
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
     let path = golden_path(slug);
     if update {
         fs::create_dir_all(path.parent().expect("golden dir")).expect("mkdir golden");
-        fs::write(&path, &json).expect("write golden snapshot");
+        fs::write(&path, json).expect("write golden snapshot");
         return;
     }
     let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -152,7 +158,7 @@ fn assert_matches_golden(slug: &str, report: &ModelReport) {
     });
     assert_eq!(
         json, golden,
-        "ModelReport for `{slug}` diverged from its golden snapshot; if the change is \
+        "`{slug}` diverged from its golden snapshot; if the change is \
          intentional, regenerate with `UPDATE_GOLDEN=1 cargo test -q --test golden_reports`"
     );
 }
@@ -186,6 +192,43 @@ fn bert_style_model_report_matches_golden_snapshot() {
         "the default strategy must flip some weight-heavy layer"
     );
     assert_matches_golden("bert_style", &report);
+}
+
+/// `golden_network` with a depthwise layer spliced in, so the search
+/// snapshot also pins the `G×OX` candidates only depthwise layers enumerate.
+fn golden_search_network() -> NetworkSpec {
+    let mut net = golden_network();
+    net.name = "GoldenSearchNet".to_string();
+    net.layers
+        .insert(2, LayerSpec::depthwise("dw", 32, 3, 1, 1, 8, 0.3));
+    net
+}
+
+/// The `POST /v1/search` payload (per-layer heuristic vs searched winner,
+/// Pareto fronts and network totals) of one small network, pinned byte for
+/// byte at the unconstrained DRAM default and under a throttled DRAM tier
+/// (which adds the roofline's `memory_bound_layers`).
+#[test]
+fn search_results_match_golden_snapshots() {
+    use bitwave::dataflow::DramSpec;
+    let net = golden_search_network();
+    let weights = golden_context().weights(&net);
+    let mut throttled = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+    throttled.dram = DramSpec::constrained(64);
+    for (slug, accelerator) in [
+        (
+            "search_goldennet",
+            AcceleratorSpec::bitwave(BitwaveOptimizations::all()),
+        ),
+        ("search_goldennet_throttled", throttled),
+    ] {
+        let search = Pipeline::new(golden_context())
+            .with_accelerator(accelerator)
+            .search_model_weights(&net, &weights)
+            .expect("golden search succeeds");
+        let json = serde_json::to_string_pretty(&search).expect("search serializes") + "\n";
+        assert_json_matches_golden(slug, &json);
+    }
 }
 
 #[test]
