@@ -161,7 +161,7 @@ pub struct AcceleratorSpec {
 
 /// Hand-written so the `dram` field is **omitted** from the canonical JSON
 /// while the tier is unconstrained: every digest that embeds a spec — DSE
-/// memo keys, sweep identities, report content digests — stays byte-stable
+/// search keys, sweep identities, report content digests — stays byte-stable
 /// for existing configurations, and only genuinely throttled specs address
 /// new cache entries.
 impl Serialize for AcceleratorSpec {

@@ -1,19 +1,17 @@
 //! Harness for the `bitwave-dse` dataflow design-space exploration engine.
 //!
-//! Two invariants are **asserted** (not just timed) before the criterion
-//! loops, so `cargo bench --bench bench_dse` doubles as the CI gate:
+//! One invariant is **asserted** (not just timed) before the criterion
+//! loops, so `cargo bench --bench bench_dse` doubles as the CI gate: the
+//! searched mapping policy beats (or at worst ties) the Fig. 9 heuristic on
+//! end-to-end EDP for the ResNet-style model on the BitWave accelerator —
+//! measured on full pipeline reports, not the search's own cost estimates.
 //!
-//! 1. the searched mapping policy beats (or at worst ties) the Fig. 9
-//!    heuristic on end-to-end EDP for the ResNet-style model on the BitWave
-//!    accelerator — measured on full pipeline reports, not the search's own
-//!    cost estimates;
-//! 2. a memoized re-search of an already-seen network is ≥ 10× faster than
-//!    the cold search that populated the cache, and returns exactly the
-//!    same result.
-//!
-//! The criterion loops also time the per-layer Pareto selection on its own
-//! (`dse/pareto_front_indices_1000x4`), so a regression of that kernel shows
-//! up here before it shows up end to end.
+//! It also records the cold ResNet18 network search (median of
+//! [`COLD_SEARCH_REPS`] runs) in `BENCH_dse.json`, next to the same
+//! measurement before the layer-search memo was removed.  The criterion
+//! loops time one layer's search, the whole network's, and the per-layer
+//! Pareto selection on its own (`dse/pareto_front_indices_1000x4`), so a
+//! regression of that kernel shows up here before it shows up end to end.
 
 use bitwave::context::ExperimentContext;
 use bitwave::dataflow::mapping::MappingPolicy;
@@ -30,6 +28,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const SAMPLE_CAP: usize = 4_000;
+/// Timed repetitions of the cold network search (after one warm-up).
+const COLD_SEARCH_REPS: usize = 15;
+/// Cold ResNet18 network search at the last commit with the layer-search
+/// memo: median of 15, 2-vCPU host.
+const MEMO_ERA_COLD_SEARCH_MS: f64 = 7.87;
+/// A memo hit of the same search at that commit, same host (median of 15).
+const MEMO_ERA_HIT_MS: f64 = 0.53;
 
 /// The `BENCH_dse.json` trajectory record, matching the
 /// `BENCH_serve.json`/`BENCH_sparsity.json` convention.
@@ -39,10 +44,14 @@ struct DseBenchReport {
     heuristic_edp: f64,
     searched_edp: f64,
     searched_over_heuristic_gain: f64,
-    memo_cold_ms: f64,
-    memo_warm_ms: f64,
-    memo_speedup: f64,
-    memo_speedup_gate: f64,
+    /// Cold ResNet18 network search, median of `cold_search_reps`.
+    cold_search_ms: f64,
+    cold_search_reps: usize,
+    /// The same search with the layer-search memo (see
+    /// `MEMO_ERA_COLD_SEARCH_MS`), cold and as a memo hit.
+    memo_era_cold_search_ms: f64,
+    memo_era_hit_ms: f64,
+    available_cores: usize,
     /// Process-wide mapping-space enumerations answered by the shared
     /// space cache during this harness run.
     space_reuse_total: u64,
@@ -117,71 +126,58 @@ fn assert_searched_beats_heuristic_edp() -> (f64, f64) {
     (h, s)
 }
 
-/// Gate 2: re-searching an already-seen network must be ≥ 10× faster than
-/// the cold search, with bit-identical results.  Returns
-/// `(cold_ms, warm_ms, target)` for the trajectory record.
-fn assert_memoized_research_speedup() -> (f64, f64, f64) {
-    const TARGET: f64 = 10.0;
-    print_header(
-        "dse_memo",
-        "cold vs memoized network search (gate: warm >= 10x faster, identical results)",
-    );
+/// The per-layer sparsity profiles of ResNet18 on `accel`.
+fn resnet18_profiles(accel: &AcceleratorSpec) -> Vec<LayerSparsityProfile> {
     let context = ctx();
     let net = resnet18();
     let weights = context.weights(&net);
-    let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
-    let pipeline = Pipeline::new(context.clone());
-    let prepared = pipeline
+    Pipeline::new(context)
         .prepare_with_weights(&net, &weights)
-        .expect("prepared layers");
-    let profiles: Vec<LayerSparsityProfile> = prepared
+        .expect("prepared layers")
         .iter()
-        .map(|layer| *layer.analysis.profile_for(&accel))
+        .map(|layer| *layer.analysis.profile_for(accel))
+        .collect()
+}
+
+/// The cold ResNet18 network search: median milliseconds over
+/// [`COLD_SEARCH_REPS`] runs, each on a fresh engine, after one warm-up.
+/// Every run must return the same result.
+fn measure_cold_network_search() -> f64 {
+    print_header(
+        "dse_cold_search",
+        "cold ResNet18 network search on BitWave (recorded, not gated)",
+    );
+    let context = ctx();
+    let net = resnet18();
+    let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+    let profiles = resnet18_profiles(&accel);
+    let search = || {
+        DseEngine::new(context.memory, context.energy)
+            .search_network(&accel, &net, &profiles)
+            .expect("cold search")
+    };
+    let reference = search();
+    let mut samples: Vec<f64> = (0..COLD_SEARCH_REPS)
+        .map(|_| {
+            let t = Instant::now();
+            let result = search();
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(result, reference, "cold searches must agree");
+            ms
+        })
         .collect();
-
-    // A private cache so the cold path is genuinely cold.
-    let engine = DseEngine::new(context.memory, context.energy);
-    let t0 = Instant::now();
-    let cold = engine
-        .search_network(&accel, &net, &profiles)
-        .expect("cold search");
-    let cold_time = t0.elapsed();
-    let t1 = Instant::now();
-    let warm = engine
-        .search_network(&accel, &net, &profiles)
-        .expect("warm search");
-    let warm_time = t1.elapsed();
-    assert_eq!(cold, warm, "memoized results must equal cold results");
-
-    let ratio = cold_time.as_secs_f64() / warm_time.as_secs_f64().max(f64::MIN_POSITIVE);
-    let stats = engine.cache().stats();
+    samples.sort_by(f64::total_cmp);
+    let median = samples[samples.len() / 2];
     println!(
-        "cold: {:.1} ms   warm: {:.3} ms   speedup: {ratio:.1}x   \
-         (target: >={TARGET}x; memo hits {} misses {})",
-        cold_time.as_secs_f64() * 1e3,
-        warm_time.as_secs_f64() * 1e3,
-        stats.hits(),
-        stats.misses(),
+        "cold: {median:.2} ms (median of {COLD_SEARCH_REPS})   with the memo: cold \
+         {MEMO_ERA_COLD_SEARCH_MS} ms, hit {MEMO_ERA_HIT_MS} ms"
     );
-    assert!(
-        stats.hits() >= net.layers.len() as u64,
-        "the warm sweep must hit the memo for every layer (hits: {})",
-        stats.hits()
-    );
-    assert!(
-        ratio >= TARGET,
-        "memoized re-search speedup {ratio:.1}x is below the {TARGET}x gate"
-    );
-    (
-        cold_time.as_secs_f64() * 1e3,
-        warm_time.as_secs_f64() * 1e3,
-        TARGET,
-    )
+    median
 }
 
 fn bench(c: &mut Criterion) {
     let (heuristic_edp, searched_edp) = assert_searched_beats_heuristic_edp();
-    let (memo_cold_ms, memo_warm_ms, memo_speedup_gate) = assert_memoized_research_speedup();
+    let cold_search_ms = measure_cold_network_search();
     write_bench_json(
         "BENCH_dse.json",
         &DseBenchReport {
@@ -189,10 +185,11 @@ fn bench(c: &mut Criterion) {
             heuristic_edp,
             searched_edp,
             searched_over_heuristic_gain: heuristic_edp / searched_edp.max(f64::MIN_POSITIVE),
-            memo_cold_ms,
-            memo_warm_ms,
-            memo_speedup: memo_cold_ms / memo_warm_ms.max(f64::MIN_POSITIVE),
-            memo_speedup_gate,
+            cold_search_ms,
+            cold_search_reps: COLD_SEARCH_REPS,
+            memo_era_cold_search_ms: MEMO_ERA_COLD_SEARCH_MS,
+            memo_era_hit_ms: MEMO_ERA_HIT_MS,
+            available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
             space_reuse_total: bitwave::dse::space_reuse_total(),
         },
     );
@@ -201,21 +198,12 @@ fn bench(c: &mut Criterion) {
     let context = ctx();
     let net = resnet18();
     let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
-    let weights = context.weights(&net);
-    let pipeline = Pipeline::new(context.clone());
-    let prepared = pipeline
-        .prepare_with_weights(&net, &weights)
-        .expect("prepare");
-    let profiles: Vec<LayerSparsityProfile> = prepared
-        .iter()
-        .map(|layer| *layer.analysis.profile_for(&accel))
-        .collect();
+    let profiles = resnet18_profiles(&accel);
+    let engine = DseEngine::new(context.memory, context.energy);
 
     let cold_engine_layer = net.layers[10].clone();
     c.bench_function("dse/search_one_layer_cold", |b| {
         b.iter(|| {
-            // A fresh private cache per iteration keeps this the cold path.
-            let engine = DseEngine::new(context.memory, context.energy);
             black_box(
                 engine
                     .search_layer(
@@ -233,16 +221,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(pareto_front_indices(black_box(&objectives), &OBJECTIVES)))
     });
 
-    let warm_engine = DseEngine::new(context.memory, context.energy);
-    warm_engine
-        .search_network(&accel, &net, &profiles)
-        .expect("warm-up");
-    c.bench_function("dse/search_resnet18_memoized", |b| {
+    c.bench_function("dse/search_resnet18_cold", |b| {
         b.iter(|| {
             black_box(
-                warm_engine
+                engine
                     .search_network(black_box(&accel), black_box(&net), black_box(&profiles))
-                    .expect("memoized search"),
+                    .expect("cold search"),
             )
         })
     });

@@ -8,14 +8,16 @@
 //!    2×256 KiB SRAM, Table-I menu) on portfolio EDP;
 //! 2. a warm re-sweep over a populated store root re-evaluates **0**
 //!    points (everything replays from the content-addressed result set);
-//! 3. amortization: the factored evaluation path (compute groups factored
-//!    once, memory re-priced per point) beats the full per-candidate path
-//!    by ≥ 1.5× sequentially on **any** machine — the win is algorithmic,
-//!    not parallel — and reproduces its report byte for byte;
+//! 3. amortization: the sweep's factored evaluation (compute groups
+//!    factored once, memory re-priced per point) beats the full
+//!    per-candidate path of the naive oracle sweep
+//!    ([`bitwave_bench::oracle`]) by ≥ 1.5× sequentially on **any**
+//!    machine — the win is algorithmic, not parallel — and reproduces its
+//!    report byte for byte;
 //! 4. in-process parallelism: with ≥ 4 cores, a 4-thread fan-out of the
-//!    full path is ≥ 2.5× faster than its sequential run, and the combined
-//!    throughput configuration (factored + 4 threads) is ≥ 5× faster than
-//!    the sequential full path.  Both byte-identical.  On smaller machines
+//!    oracle sweep is ≥ 2.5× faster than its sequential run, and the
+//!    combined throughput configuration (factored + 4 threads) is ≥ 5×
+//!    faster than the sequential oracle sweep.  Both byte-identical.  On smaller machines
 //!    the timing halves are vacuous (there is no parallelism to win), so
 //!    they degrade to the byte-identity half and print a skip notice —
 //!    `scaling_gate_enforced`/`throughput_gate_enforced` record which
@@ -24,12 +26,12 @@
 //!    sweep, same core-count guard, same byte-identity fallback.
 
 use bitwave_accel::EnergyModel;
-use bitwave_bench::{print_header, write_bench_json};
+use bitwave_bench::{oracle, print_header, write_bench_json};
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dse::{factor_network, FactoredNetworkSearch};
 use bitwave_sweep::{
-    build_portfolio, evaluate_point, evaluate_point_factored, global_eval_engine, run_sharded,
-    run_with_progress_opts, run_worker, EvalMode, EvalOptions, SweepConfig, SweepLedger,
+    build_portfolio, evaluate_point_factored, global_eval_engine, run_sharded,
+    run_with_progress_opts, run_worker, EvalOptions, FrontReport, SweepConfig, SweepLedger,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
@@ -59,20 +61,22 @@ const OVERHEAD_CEILING: f64 = 2.0;
 struct SweepBenchReport {
     space: &'static str,
     total_points: usize,
-    /// Sequential full per-candidate evaluation — the pre-amortization
-    /// reference cost (also recorded as `sequential_secs` historically).
+    /// Sequential oracle sweep (full per-candidate evaluation) — the
+    /// pre-amortization reference cost (also recorded as `sequential_secs`
+    /// historically).
     full_eval_secs: f64,
     sequential_secs: f64,
     /// Sequential factored evaluation, cold compute-group cache.
     amortized_secs: f64,
     amortized_speedup: f64,
     amortized_floor: f64,
-    /// Full path fanned out across `in_process_threads` scoped threads.
+    /// Oracle sweep fanned out across `in_process_threads` scoped threads.
     parallel_secs: f64,
     in_process_threads: usize,
     in_process_scaling: f64,
     in_process_scaling_target: f64,
-    /// Factored + threads vs sequential full — the shipped configuration.
+    /// Factored + threads vs the sequential oracle — the shipped
+    /// configuration.
     throughput_secs: f64,
     throughput_speedup: f64,
     throughput_target: f64,
@@ -101,29 +105,27 @@ fn temp_root(tag: &str) -> PathBuf {
     root
 }
 
-fn opts(threads: usize, mode: EvalMode) -> EvalOptions {
-    EvalOptions { threads, mode }
+/// The shipped in-memory sweep with `threads` evaluation threads.
+fn sweep(config: &SweepConfig, threads: usize) -> FrontReport {
+    let (report, _) =
+        run_with_progress_opts(config, None, EvalOptions { threads }, |_| {}).expect("sweep runs");
+    report
 }
 
-/// One timed in-memory run of the sweep under `opts`; returns the elapsed
-/// seconds and the report JSON.
-fn timed_run(config: &SweepConfig, o: EvalOptions) -> (f64, String) {
-    let t = Instant::now();
-    let (report, _) = run_with_progress_opts(config, None, o, |_| {}).expect("sweep runs");
-    let secs = t.elapsed().as_secs_f64();
-    (secs, serde_json::to_string(&report).expect("report"))
-}
-
-/// Best-of-[`TIMING_REPS`] timing: `prep` re-establishes the measured
-/// state before every repetition (e.g. clears the compute-group cache so a
-/// "cold" run stays cold), and the minimum elapsed time is kept — the
-/// least noise-inflated estimate of the true cost on a shared runner.
-/// Every repetition must produce the same bytes.
-fn timed_best(config: &SweepConfig, o: EvalOptions, prep: impl Fn()) -> (f64, String) {
+/// Best-of-[`TIMING_REPS`] timing of `run`: `prep` re-establishes the
+/// measured state before every repetition (e.g. clears the compute-group
+/// cache so a "cold" run stays cold), and the minimum elapsed time is kept
+/// — the least noise-inflated estimate of the true cost on a shared runner.
+/// Every repetition must produce the same bytes; returns the seconds and
+/// the report JSON.
+fn timed_best(prep: impl Fn(), run: impl Fn() -> FrontReport) -> (f64, String) {
     let mut best: Option<(f64, String)> = None;
     for _ in 0..TIMING_REPS {
         prep();
-        let (secs, json) = timed_run(config, o);
+        let t = Instant::now();
+        let report = run();
+        let secs = t.elapsed().as_secs_f64();
+        let json = serde_json::to_string(&report).expect("report");
         if let Some((best_secs, best_json)) = &best {
             assert_eq!(
                 &json, best_json,
@@ -151,14 +153,8 @@ fn bench(c: &mut Criterion) {
     // warm the process-wide enumeration-space cache, so the timed runs
     // compare evaluation strategies rather than one-time setup.
     let portfolio = build_portfolio(&config).expect("portfolio");
-    let (_, reference) = timed_run(&config, opts(1, EvalMode::Full));
-    let sequential_report: bitwave_sweep::FrontReport = {
-        // Re-run to keep a structured copy for the dominance gate (cheap:
-        // everything relevant is warm).
-        let (report, _) =
-            run_with_progress_opts(&config, None, opts(1, EvalMode::Full), |_| {}).expect("sweep");
-        report
-    };
+    let sequential_report = oracle::sweep(&config, 1);
+    let reference = serde_json::to_string(&sequential_report).expect("report");
 
     // Below the `PointResult` assembly: factoring one compute group of the
     // portfolio (what a group-cache miss pays) and pricing one point
@@ -217,7 +213,7 @@ fn bench(c: &mut Criterion) {
             .into_iter()
             .find(is_table1)
             .expect("Table I point is inside the small space");
-        let result = evaluate_point(&point, &config, &portfolio);
+        let result = evaluate_point_factored(&point, &config, &portfolio);
         (result.label, result.edp)
     });
     let best = sequential_report
@@ -237,23 +233,25 @@ fn bench(c: &mut Criterion) {
         "no searched spec dominates Table I on EDP ({best_edp:.4e} vs {baseline_edp:.4e})"
     );
 
-    // Timed sequential full path — the pre-amortization reference.
-    let (full_eval_secs, full_json) = timed_best(&config, opts(1, EvalMode::Full), || {});
-    assert_eq!(full_json, reference, "full path must be deterministic");
+    // Timed sequential oracle sweep — the pre-amortization reference.
+    let (full_eval_secs, full_json) = timed_best(|| {}, || oracle::sweep(&config, 1));
+    assert_eq!(
+        full_json, reference,
+        "the oracle sweep must be deterministic"
+    );
 
     // Gate 3: sequential factored path, cold compute-group cache (cleared
     // before every repetition).  The floor is unconditional — the
     // amortization is algorithmic, not a parallelism artifact.
-    let (amortized_secs, amortized_json) = timed_best(&config, opts(1, EvalMode::Factored), || {
-        global_eval_engine().clear();
-    });
+    let (amortized_secs, amortized_json) =
+        timed_best(|| global_eval_engine().clear(), || sweep(&config, 1));
     assert_eq!(
         amortized_json, reference,
         "factored evaluation must reproduce the full report byte for byte"
     );
     let amortized_speedup = full_eval_secs / amortized_secs.max(f64::MIN_POSITIVE);
     println!(
-        "sequential full: {full_eval_secs:.3}s   sequential factored (cold): \
+        "sequential oracle: {full_eval_secs:.3}s   sequential factored (cold): \
          {amortized_secs:.3}s   amortized speedup: {amortized_speedup:.2}x   \
          (floor: >={AMORTIZED_FLOOR}x, unconditional)"
     );
@@ -263,9 +261,9 @@ fn bench(c: &mut Criterion) {
          unconditional {AMORTIZED_FLOOR}x floor"
     );
 
-    // Gate 4a: in-process fan-out of the full path.
+    // Gate 4a: in-process fan-out of the oracle sweep.
     let (parallel_secs, parallel_json) =
-        timed_best(&config, opts(IN_PROCESS_THREADS, EvalMode::Full), || {});
+        timed_best(|| {}, || oracle::sweep(&config, IN_PROCESS_THREADS));
     assert_eq!(
         parallel_json, reference,
         "in-process parallel fan-out must reproduce the report byte for byte"
@@ -274,14 +272,11 @@ fn bench(c: &mut Criterion) {
     let scaling_gate_enforced = cores >= IN_PROCESS_THREADS;
 
     // Gate 4b: the shipped throughput configuration — factored + threads —
-    // against the sequential full path, compute-group cache cold again
+    // against the sequential oracle sweep, compute-group cache cold again
     // before every repetition.
     let (throughput_secs, throughput_json) = timed_best(
-        &config,
-        opts(IN_PROCESS_THREADS, EvalMode::Factored),
-        || {
-            global_eval_engine().clear();
-        },
+        || global_eval_engine().clear(),
+        || sweep(&config, IN_PROCESS_THREADS),
     );
     assert_eq!(
         throughput_json, reference,
@@ -290,9 +285,9 @@ fn bench(c: &mut Criterion) {
     let throughput_speedup = full_eval_secs / throughput_secs.max(f64::MIN_POSITIVE);
     let throughput_gate_enforced = cores >= IN_PROCESS_THREADS;
     println!(
-        "{IN_PROCESS_THREADS}-thread full: {parallel_secs:.3}s ({in_process_scaling:.2}x)   \
+        "{IN_PROCESS_THREADS}-thread oracle: {parallel_secs:.3}s ({in_process_scaling:.2}x)   \
          {IN_PROCESS_THREADS}-thread factored: {throughput_secs:.3}s \
-         ({throughput_speedup:.2}x vs sequential full)   (cores: {cores})"
+         ({throughput_speedup:.2}x vs sequential oracle)   (cores: {cores})"
     );
     if scaling_gate_enforced {
         assert!(
@@ -408,7 +403,7 @@ fn bench(c: &mut Criterion) {
     let points = bitwave_sweep::enumerate(&config);
     c.bench_function("sweep/evaluate_one_point_full", |b| {
         b.iter(|| {
-            black_box(evaluate_point(
+            black_box(oracle::evaluate_point(
                 black_box(&points[0]),
                 black_box(&config),
                 black_box(&portfolio),

@@ -18,8 +18,15 @@
 //!
 //! `bench_kernels` reads the committed `BENCH_sparsity.json` back and fails
 //! if the re-measured kernel ratios regressed by more than 10 %.
+//!
+//! [`oracle`] is the naive reference sweep the sweep's tests check against
+//! (its source lives with those tests); `bench_sweep` times the optimised
+//! sweep against it.
 
 #![forbid(unsafe_code)]
+
+#[path = "../../sweep/tests/oracle/mod.rs"]
+pub mod oracle;
 
 use bitwave::context::ExperimentContext;
 use bitwave_core::compress::BcsCodec;

@@ -67,7 +67,7 @@ impl ExperimentContext {
     }
 
     /// Overrides the mapping policy (builder style).  `Searched` routes the
-    /// map stage through the memoized `bitwave-dse` design-space search.
+    /// map stage through the `bitwave-dse` design-space search.
     pub fn with_mapping_policy(mut self, policy: MappingPolicy) -> Self {
         self.mapping_policy = policy;
         self

@@ -2,7 +2,7 @@
 //!
 //! The digest primitives — [`Digest`], [`fnv1a128`] — live in
 //! [`bitwave_core::digest`] so that substrate crates (notably the
-//! `bitwave-dse` memoization cache) can address content without depending on
+//! `bitwave-dse` search keys) can address content without depending on
 //! this facade; they are re-exported here unchanged.  The evaluation service
 //! (`bitwave-serve`) addresses cached [`crate::pipeline::ModelReport`]s by a
 //! digest of the request that produced them: the model id, the accelerator

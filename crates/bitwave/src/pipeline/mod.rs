@@ -18,7 +18,7 @@
 //! The map stage honours the context's
 //! [`bitwave_dataflow::mapping::MappingPolicy`]: `Heuristic` (default)
 //! reproduces the paper's one-shot Fig. 9 selection over the accelerator's
-//! SU set, `Searched` routes every layer through the memoized `bitwave-dse`
+//! SU set, `Searched` routes every layer through the `bitwave-dse`
 //! design-space exploration ([`Pipeline::search_model_weights`] exposes the
 //! full per-layer comparison).  All goldens are pinned to the default
 //! policy.
@@ -158,7 +158,7 @@ impl Pipeline {
     }
 
     /// The map stage configured from this pipeline's context: the heuristic
-    /// by default, the memoized DSE search under
+    /// by default, the DSE search under
     /// [`bitwave_dataflow::mapping::MappingPolicy::Searched`].
     fn map_stage(&self) -> MapStage {
         MapStage::new(self.accelerator.clone())
@@ -304,7 +304,7 @@ impl Pipeline {
     }
 
     /// Runs the compress + bit-flip prefix over `spec` and then the full
-    /// memoized design-space exploration per layer, returning the per-layer
+    /// design-space exploration per layer, returning the per-layer
     /// heuristic-vs-searched comparison with Pareto fronts — the payload of
     /// `bitwave-serve`'s `POST /v1/search`.  Independent of the pipeline's
     /// own [`bitwave_dataflow::mapping::MappingPolicy`]: the comparison
@@ -323,7 +323,7 @@ impl Pipeline {
             .iter()
             .map(|layer| *layer.analysis.profile_for(&self.accelerator))
             .collect();
-        let engine = bitwave_dse::DseEngine::shared(self.ctx.memory, self.ctx.energy);
+        let engine = bitwave_dse::DseEngine::new(self.ctx.memory, self.ctx.energy);
         Ok(engine.search_network(&self.accelerator, spec, &profiles)?)
     }
 

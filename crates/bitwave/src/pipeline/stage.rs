@@ -294,7 +294,7 @@ impl PipelineStage for BitFlipStage {
 
 /// Selects the spatial unrolling for the layer: the Fig. 9 heuristic over
 /// the accelerator's SU set ([`MappingPolicy::Heuristic`], the default) or
-/// the memoized `bitwave-dse` design-space search
+/// the `bitwave-dse` design-space search
 /// ([`MappingPolicy::Searched`]), which enumerates SU factorizations, loop
 /// orders and tile sizes and picks the minimum-EDP mapping for the layer's
 /// sparsity profile.
@@ -336,13 +336,6 @@ impl MapStage {
         self
     }
 
-    /// The DSE engine backing [`MappingPolicy::Searched`] decisions: shares
-    /// the process-wide memo cache, so identical layers are searched once
-    /// across models, runs and served requests.
-    fn dse_engine(&self) -> DseEngine {
-        DseEngine::shared(self.memory, self.energy)
-    }
-
     /// The mapping decision for one layer given its sparsity profile — the
     /// searched policy is sparsity-adaptive, so the profile steers the
     /// winner.
@@ -361,9 +354,11 @@ impl MapStage {
                 Ok(select_spatial_unrolling(layer, &self.accelerator.su_set)?)
             }
             MappingPolicy::Searched => {
-                let result = self
-                    .dse_engine()
-                    .search_layer(&self.accelerator, layer, profile)?;
+                let result = DseEngine::new(self.memory, self.energy).search_layer(
+                    &self.accelerator,
+                    layer,
+                    profile,
+                )?;
                 Ok(result.winner.to_decision(&layer.name))
             }
         }

@@ -3,8 +3,8 @@
 //! Several subsystems address computed artefacts by a digest of the inputs
 //! that produced them: the evaluation service (`bitwave-serve`) caches
 //! serialized `ModelReport`s under a digest of the normalised request, and
-//! the dataflow design-space explorer (`bitwave-dse`) memoizes per-layer
-//! search results under a digest of (layer shape, sparsity profile,
+//! the dataflow design-space explorer (`bitwave-dse`) keys per-layer
+//! search results with a digest of (layer shape, sparsity profile,
 //! accelerator spec, search space).  The digest must be **stable** — the
 //! same logical value always hashes to the same digest, across processes and
 //! runs — so it cannot use [`std::hash::Hash`] (whose hasher is randomised

@@ -19,7 +19,7 @@
 //!   accuracy front of Fig. 6 plus the N-objective generalisation the
 //!   dataflow design-space explorer prunes with.
 //! * [`digest`] — stable FNV-1a/128 content digests over canonical JSON
-//!   (cache/memo addressing for `bitwave-serve` and `bitwave-dse`).
+//!   (cache and search-key addressing for `bitwave-serve` and `bitwave-dse`).
 //!
 //! The crate deliberately knows nothing about networks, dataflows or
 //! hardware; those live in `bitwave-dnn`, `bitwave-dataflow`,

@@ -122,9 +122,8 @@ impl SpatialUnrolling {
 }
 
 /// `SpatialUnrolling::name` is a `&'static str` (the named configurations
-/// are compile-time constants), so deserialization — needed when persisted
-/// DSE search results are read back from a `bitwave-store` disk tier —
-/// resolves names through a small process-wide intern pool.  Each distinct
+/// are compile-time constants), so deserialization resolves names through a
+/// small process-wide intern pool.  Each distinct
 /// name is leaked once; the pool is capped as a guard against pathological
 /// inputs, beyond which unknown names collapse to the generated-candidate
 /// placeholder `"DSE"` (named SUs are a fixed, tiny vocabulary in practice).

@@ -1,25 +1,25 @@
-//! Candidate evaluation on the existing analytical cost stack.
+//! Mapping costs on the existing analytical cost stack.
 //!
-//! Each candidate is costed end to end with the same models the pipeline's
-//! simulate stage uses: `bitwave-dataflow` utilisation and activity counts
-//! (honouring the candidate's explicit temporal mapping), and the
-//! `bitwave-accel` Eq. 1–5 performance/energy model with the layer's
-//! sparsity profile.  Because the search and the pipeline share one cost
-//! function, a searched winner's predicted cost is exactly what a
-//! `MappingPolicy::Searched` pipeline run will report.
+//! Every mapping is costed with the same models the pipeline's simulate
+//! stage uses: `bitwave-dataflow` utilisation and activity counts
+//! (honouring an explicit temporal mapping), and the `bitwave-accel`
+//! Eq. 1–5 performance/energy model with the layer's sparsity profile,
+//! composed from its SU part and its priced traffic part
+//! ([`bitwave_accel::SuCost::reprice`]).  Because the search and the
+//! pipeline share one cost function, a searched winner's predicted cost is
+//! exactly what a `MappingPolicy::Searched` pipeline run will report.
 
-use crate::space::Candidate;
-use bitwave_accel::model::evaluate_layer_with_mapping;
+use bitwave_accel::model::{evaluate_layer_with_mapping, RepricedLayerCost};
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_accel::{EnergyModel, LayerSparsityProfile};
 use bitwave_dataflow::activity::TemporalMapping;
 use bitwave_dataflow::mapping::MappingDecision;
 use bitwave_dataflow::su::SpatialUnrolling;
 use bitwave_dataflow::MemoryHierarchy;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The multi-objective cost of one candidate mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MappingCost {
     /// Compute cycles (Eq. 2).
     pub compute_cycles: f64,
@@ -34,9 +34,8 @@ pub struct MappingCost {
     pub edp: f64,
 }
 
-/// A candidate mapping together with its evaluated cost.  `Deserialize`
-/// lets memoized results replay from a `bitwave-store` disk tier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A candidate mapping together with its evaluated cost.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EvaluatedMapping {
     /// Human-readable shape descriptor.
     pub label: String,
@@ -51,6 +50,20 @@ pub struct EvaluatedMapping {
     pub effective_macs_per_cycle: f64,
     /// The evaluated cost.
     pub cost: MappingCost,
+}
+
+impl MappingCost {
+    /// The cost of one composed Eq. 1–5 outcome.
+    pub(crate) fn of(cost: &RepricedLayerCost) -> Self {
+        let energy_pj = cost.energy.total_pj();
+        Self {
+            compute_cycles: cost.compute_cycles,
+            dram_cycles: cost.dram_cycles,
+            total_cycles: cost.total_cycles,
+            energy_pj,
+            edp: cost.total_cycles * energy_pj,
+        }
+    }
 }
 
 impl EvaluatedMapping {
@@ -79,7 +92,7 @@ impl EvaluatedMapping {
 }
 
 /// Evaluates one mapping decision for `layer` on `accel` and wraps the
-/// result.  Shared by the candidate loop and the heuristic baseline.
+/// result — the heuristic baseline's cost.
 pub fn evaluate_decision(
     accel: &AcceleratorSpec,
     layer: &bitwave_dnn::layer::LayerSpec,
@@ -106,30 +119,6 @@ pub fn evaluate_decision(
     }
 }
 
-/// Evaluates one enumerated candidate.
-pub fn evaluate_candidate(
-    accel: &AcceleratorSpec,
-    layer: &bitwave_dnn::layer::LayerSpec,
-    profile: &LayerSparsityProfile,
-    memory: &MemoryHierarchy,
-    energy: &EnergyModel,
-    candidate: &Candidate,
-) -> EvaluatedMapping {
-    let utilization = candidate.su.utilization_for(layer);
-    let effective = candidate.su.parallelism() as f64 * utilization;
-    let decision = MappingDecision {
-        // The memoized result is shared across identically shaped layers of
-        // different names; the caller fills the name in via `to_decision`.
-        layer: String::new(),
-        su: candidate.su,
-        label: candidate.label.clone(),
-        temporal: Some(candidate.temporal),
-        utilization,
-        effective_macs_per_cycle: effective,
-    };
-    evaluate_decision(accel, layer, profile, memory, energy, &decision)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +128,25 @@ mod tests {
     use bitwave_dataflow::mapping::select_spatial_unrolling;
     use bitwave_dnn::models::resnet18;
     use bitwave_dnn::weights::generate_layer_sample;
+
+    /// The decision of `su` under an explicit `temporal` mapping, with the
+    /// utilisation and lanes an enumerated candidate gets.
+    fn explicit_decision(
+        layer: &bitwave_dnn::layer::LayerSpec,
+        su: SpatialUnrolling,
+        label: &str,
+        temporal: TemporalMapping,
+    ) -> MappingDecision {
+        let utilization = su.utilization_for(layer);
+        MappingDecision {
+            layer: String::new(),
+            su,
+            label: label.to_string(),
+            temporal: Some(temporal),
+            utilization,
+            effective_macs_per_cycle: su.parallelism() as f64 * utilization,
+        }
+    }
 
     fn profile_for(layer: &bitwave_dnn::layer::LayerSpec) -> LayerSparsityProfile {
         let w = generate_layer_sample(layer, 7, 8_000);
@@ -165,15 +173,12 @@ mod tests {
                 [TilingOrder::WeightOuter, TilingOrder::ActivationOuter]
                     .into_iter()
                     .map(|order| {
-                        let candidate = Candidate {
-                            su: auto.su,
-                            label: auto.label.clone(),
-                            temporal: TemporalMapping {
-                                order,
-                                tile_factor: 1,
-                            },
+                        let temporal = TemporalMapping {
+                            order,
+                            tile_factor: 1,
                         };
-                        evaluate_candidate(&accel, layer, &profile, &memory, &energy, &candidate)
+                        let decision = explicit_decision(layer, auto.su, &auto.label, temporal);
+                        evaluate_decision(&accel, layer, &profile, &memory, &energy, &decision)
                     })
                     .collect();
             let best = explicit
@@ -195,21 +200,18 @@ mod tests {
         let layer = &net.layers[0];
         let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
         let profile = profile_for(layer);
-        let candidate = Candidate {
-            su: bitwave_dataflow::su::bitwave_su::SU2,
-            label: "SU2".to_string(),
-            temporal: TemporalMapping {
-                order: TilingOrder::ActivationOuter,
-                tile_factor: 2,
-            },
+        let temporal = TemporalMapping {
+            order: TilingOrder::ActivationOuter,
+            tile_factor: 2,
         };
-        let evaluated = evaluate_candidate(
+        let su = bitwave_dataflow::su::bitwave_su::SU2;
+        let evaluated = evaluate_decision(
             &accel,
             layer,
             &profile,
             &MemoryHierarchy::bitwave_default(),
             &EnergyModel::finfet_16nm(),
-            &candidate,
+            &explicit_decision(layer, su, "SU2", temporal),
         );
         assert!(evaluated.cost.edp > 0.0);
         assert_eq!(
@@ -218,8 +220,8 @@ mod tests {
         );
         let decision = evaluated.to_decision("layer0");
         assert_eq!(decision.layer, "layer0");
-        assert_eq!(decision.su, candidate.su);
-        assert_eq!(decision.temporal, Some(candidate.temporal));
+        assert_eq!(decision.su, su);
+        assert_eq!(decision.temporal, Some(temporal));
         assert_eq!(decision.label, "SU2");
         assert_eq!(evaluated.objectives()[2], evaluated.cost.edp);
     }

@@ -19,7 +19,7 @@ pub enum DseError {
         /// The propagated mapping error.
         MappingError,
     ),
-    /// A memoization key failed to digest (serialization failure).
+    /// A search key failed to digest (serialization failure).
     Core(
         /// The propagated core error.
         CoreError,
@@ -47,13 +47,6 @@ pub enum DseError {
         /// Label of the offending mapping.
         label: String,
     },
-    /// A memoized search this call coalesced onto failed in its computing
-    /// caller (that caller received the original typed error; waiters get
-    /// its message).
-    Memo {
-        /// The computing caller's error message.
-        message: String,
-    },
 }
 
 impl fmt::Display for DseError {
@@ -76,9 +69,6 @@ impl fmt::Display for DseError {
                     f,
                     "mapping `{label}` cannot be lowered onto the cycle-level BCE engine"
                 )
-            }
-            DseError::Memo { message } => {
-                write!(f, "coalesced layer search failed: {message}")
             }
         }
     }

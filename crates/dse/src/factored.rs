@@ -1,42 +1,45 @@
-//! Factored network search for the hardware sweep: each sweep point gets
-//! only the searched winner totals it keeps, from compute parts factored
-//! once per compute group.
+//! The factored per-layer search unit, shared by the engine and the sweep.
 //!
 //! A candidate's cost splits into an SU part ([`SuCost`]: Eqs. 1, 2, the
 //! compute side of Eq. 5 and the memory-invariant Eq. 4 terms), which
 //! depends only on the layer and the spatial unrolling, and a traffic part
 //! ([`LayerTraffic`]), which depends only on the layer, its tiling and the
-//! memory/DRAM point.  [`factor_network`] walks a network once per
-//! `(lanes, SU menu, bandwidth, bit-class)` group: per layer, it factors
-//! one [`SuCost`] per spatial unrolling of the layer's mapping space (every
-//! SU repeats for each of the space's [tilings](SearchSpace::tilings)).
-//! [`FactoredNetworkSearch::price`] then prices one `(SRAM sizes, DRAM
-//! axes)` point: the traffic once per (layer, tiling), every candidate as
-//! the composition [`SuCost::total_cycles`] / [`SuCost::energy`] of the
-//! two, in enumeration order, with the engine's min-EDP winner scan.  The
-//! winners are summed in layer order, as [`crate::NetworkSearch`]
-//! aggregates them, so the totals are **bit-identical** to the `searched_*`
-//! totals of [`crate::DseEngine::search_network_sequential`] over the same
-//! inputs.  Nothing else of a search (heuristic baseline, Pareto front,
-//! labels, memo keys) is built.
+//! memory/DRAM point.  A [`FactoredLayer`] holds one layer's traffic part
+//! and one [`SuCost`] per spatial unrolling of its mapping space (every SU
+//! repeats for each of the space's [tilings](SearchSpace::tilings)).
+//! Pricing it at one memory/DRAM point prices the traffic once per tiling
+//! and composes every candidate from the two parts, in enumeration order.
+//!
+//! Two callers share it:
+//!
+//! * [`crate::DseEngine::search_layer`] prices one layer, picks the min-EDP
+//!   winner and the Pareto front, and materialises only those mappings;
+//! * [`factor_network`] factors a whole network once per `(lanes, SU menu,
+//!   bandwidth, bit-class)` sweep group, and [`FactoredNetworkSearch::price`]
+//!   prices it per `(SRAM sizes, DRAM axes)` point into the searched winner
+//!   totals only.  The winners are summed in layer order, as
+//!   [`crate::NetworkSearch`] aggregates them, so the totals are
+//!   **bit-identical** to the `searched_*` totals of
+//!   [`crate::DseEngine::search_network_sequential`] over the same inputs.
 
+use crate::cost::{EvaluatedMapping, MappingCost};
 use crate::error::{DseError, Result};
-use crate::search::improves_on;
+use crate::search::min_edp;
 use crate::space::{Candidate, SearchSpace};
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_accel::{EnergyModel, LayerSparsityProfile, LayerTraffic, PricedTraffic, SuCost};
 use bitwave_dataflow::activity::TemporalMapping;
 use bitwave_dataflow::mapping::select_spatial_unrolling;
 use bitwave_dataflow::MemoryHierarchy;
+use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::NetworkSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 static REPRICED: AtomicU64 = AtomicU64::new(0);
 
-/// Number of layer searches answered by pricing an already-factored layer
-/// instead of a full per-candidate evaluation (the
-/// `bitwave_sweep_factored_repriced_total` metric).
+/// Number of layers the sweep priced from an already factored network
+/// (the `bitwave_sweep_factored_repriced_total` metric).
 pub fn factored_repriced_total() -> u64 {
     REPRICED.load(Ordering::Relaxed)
 }
@@ -58,39 +61,85 @@ pub struct SearchedTotals {
 /// utilisation) per spatial unrolling of its mapping space, in enumeration
 /// order.
 #[derive(Debug)]
-struct FactoredLayer {
+pub(crate) struct FactoredLayer {
     traffic: LayerTraffic,
     sus: Vec<(SuCost, f64)>,
 }
 
 impl FactoredLayer {
-    /// The min-EDP winner's `(total cycles, energy)` at one memory/DRAM
-    /// point: the traffic is priced once per tiling, and the candidates are
-    /// scanned in enumeration order (each SU crossed with every tiling).
-    fn winner(
+    /// Factors `layer` over its non-empty mapping space `candidates`, a
+    /// sequence of blocks of `tilings` candidates sharing one spatial
+    /// unrolling.
+    pub(crate) fn of(
+        accel: &AcceleratorSpec,
+        layer: &LayerSpec,
+        profile: &LayerSparsityProfile,
+        energy: &EnergyModel,
+        candidates: &[Candidate],
+        tilings: usize,
+    ) -> Self {
+        let sus = candidates
+            .chunks(tilings)
+            .map(|block| {
+                let su = &block[0].su;
+                let utilization = su.utilization_for(layer);
+                let lanes = su.parallelism() as f64 * utilization;
+                let cost = SuCost::of(accel, layer, su, lanes, profile, energy);
+                (cost, utilization)
+            })
+            .collect();
+        Self {
+            traffic: LayerTraffic::of(accel, layer, profile),
+            sus,
+        }
+    }
+
+    /// Prices the traffic part once per tiling at one memory/DRAM point.
+    pub(crate) fn price(
         &self,
         accel: &AcceleratorSpec,
         tilings: &[TemporalMapping],
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
-    ) -> (f64, f64) {
-        let priced: Vec<PricedTraffic> = tilings
+    ) -> Vec<PricedTraffic> {
+        tilings
             .iter()
             .map(|&temporal| self.traffic.price(accel, Some(temporal), memory, energy))
-            .collect();
-        let best = self
-            .sus
-            .iter()
-            .flat_map(|(su, utilization)| {
-                priced.iter().map(move |traffic| {
-                    let cycles = su.total_cycles(traffic);
-                    let energy_pj = su.energy(traffic).total_pj();
-                    [cycles, energy_pj, cycles * energy_pj, *utilization]
-                })
+            .collect()
+    }
+
+    /// Every candidate's `[total cycles, energy, EDP, utilisation]` row in
+    /// enumeration order (each SU crossed with every priced tiling).
+    pub(crate) fn objectives<'a>(
+        &'a self,
+        priced: &'a [PricedTraffic],
+    ) -> impl Iterator<Item = [f64; 4]> + 'a {
+        self.sus.iter().flat_map(move |(su, utilization)| {
+            priced.iter().map(move |traffic| {
+                let cycles = su.total_cycles(traffic);
+                let energy_pj = su.energy(traffic).total_pj();
+                [cycles, energy_pj, cycles * energy_pj, *utilization]
             })
-            .reduce(|best, row| if improves_on(&row, &best) { row } else { best })
-            .expect("factored layers hold at least one candidate");
-        (best[0], best[1])
+        })
+    }
+
+    /// Materialises enumerated candidate `index`, composing its cost with
+    /// [`SuCost::reprice`].
+    pub(crate) fn mapping(
+        &self,
+        index: usize,
+        candidate: &Candidate,
+        priced: &[PricedTraffic],
+    ) -> EvaluatedMapping {
+        let (su, utilization) = &self.sus[index / priced.len()];
+        EvaluatedMapping {
+            label: candidate.label.clone(),
+            su: candidate.su,
+            temporal: Some(candidate.temporal),
+            utilization: *utilization,
+            effective_macs_per_cycle: candidate.su.parallelism() as f64 * utilization,
+            cost: MappingCost::of(&su.reprice(&priced[index % priced.len()])),
+        }
     }
 }
 
@@ -117,10 +166,11 @@ impl FactoredNetworkSearch {
         let mut cycles = 0.0;
         let mut energy_pj = 0.0;
         for layer in &self.layers {
-            let (layer_cycles, layer_energy_pj) =
-                layer.winner(accel, &self.tilings, memory, energy);
-            cycles += layer_cycles;
-            energy_pj += layer_energy_pj;
+            let priced = layer.price(accel, &self.tilings, memory, energy);
+            let (_, best) = min_edp(layer.objectives(&priced))
+                .expect("factored layers hold at least one candidate");
+            cycles += best[0];
+            energy_pj += best[1];
         }
         SearchedTotals {
             cycles,
@@ -139,7 +189,7 @@ impl FactoredNetworkSearch {
 ///
 /// [`DseError::MisalignedProfiles`] unless `profiles` aligns with
 /// `network.layers`; otherwise the first per-layer error, in the same order
-/// the memoized engine reports them ([`DseError::Mapping`] from the
+/// the engine reports them ([`DseError::Mapping`] from the
 /// heuristic pick, [`DseError::EmptySpace`] from an empty enumeration).
 pub fn factor_network(
     accel: &AcceleratorSpec,
@@ -160,7 +210,7 @@ pub fn factor_network(
     let mut spaces: [Option<Arc<Vec<Candidate>>>; 2] = [None, None];
     let mut layers = Vec::with_capacity(network.layers.len());
     for (layer, profile) in network.layers.iter().zip(profiles) {
-        // Same error order as the memoized engine: the heuristic SU pick
+        // Same error order as the engine: the heuristic SU pick
         // (which validates the layer dims) comes first.
         select_spatial_unrolling(layer, &accel.su_set)?;
         let candidates = spaces[usize::from(layer.kind.is_depthwise())]
@@ -170,20 +220,14 @@ pub fn factor_network(
                 layer: layer.name.clone(),
             });
         }
-        let sus = candidates
-            .chunks(tilings.len())
-            .map(|block| {
-                let su = &block[0].su;
-                let utilization = su.utilization_for(layer);
-                let lanes = su.parallelism() as f64 * utilization;
-                let cost = SuCost::of(accel, layer, su, lanes, profile, energy);
-                (cost, utilization)
-            })
-            .collect();
-        layers.push(FactoredLayer {
-            traffic: LayerTraffic::of(accel, layer, profile),
-            sus,
-        });
+        layers.push(FactoredLayer::of(
+            accel,
+            layer,
+            profile,
+            energy,
+            candidates,
+            tilings.len(),
+        ));
     }
     Ok(FactoredNetworkSearch { layers, tilings })
 }

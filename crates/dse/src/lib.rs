@@ -14,28 +14,21 @@
 //!   (plus `Gu × OXu` shapes for depthwise layers), crossed with tiling loop
 //!   orders and tile-size factors, seeded with the accelerator's own SU set
 //!   so the search can never lose to the heuristic.
-//! * [`cost`] — candidate evaluation on the **existing** cost stack:
+//! * [`cost`] — mapping costs on the **existing** cost stack:
 //!   `bitwave-dataflow` utilisation + activity counts and the
 //!   `bitwave-accel` Eq. 1–5 performance/energy model driven by the layer's
 //!   sparsity profile.  Searched winners therefore predict exactly what a
 //!   `MappingPolicy::Searched` pipeline run reports.
-//! * [`factored`] — the amortized sweep path: each layer shape's SU parts
-//!   are factored once per accelerator compute configuration
-//!   ([`factor_network`]) and priced per `(SRAM sizes, DRAM axes)` point
-//!   into the searched winner totals only, bit-identical to the full
-//!   search's totals.
+//! * [`factored`] — the one per-layer search unit: a layer's traffic part
+//!   and one SU part per spatial unrolling, priced once per tiling and
+//!   composed per candidate.  The engine prices one layer at a time; the
+//!   hardware sweep factors whole networks once per accelerator compute
+//!   configuration ([`factor_network`]) and prices them per `(SRAM sizes,
+//!   DRAM axes)` point into the searched winner totals only.
 //! * [`search`] — the engine: minimum-EDP winner selection, a generalised
 //!   cycles/energy/EDP/utilisation Pareto front (`bitwave_core::pareto`),
 //!   and deterministic rayon fan-out (parallel ≡ sequential, bit-identical).
-//! * [`memo`] — content-addressed memoization keyed by a
-//!   `bitwave_core::digest::Digest` over (accelerator spec, layer shape,
-//!   sparsity-profile digest, cost tables, search space), shared process-
-//!   wide so identical layers across models and sweeps are searched once.
-//!   Backed by the tiered `bitwave-store` substrate: bounded (sharded LRU
-//!   with byte accounting, single-flight) and optionally **persistent** —
-//!   [`memo::persist_global_cache`] attaches a disk tier so searched
-//!   mappings survive restarts and are shared with the serve tier's store
-//!   root.
+//!   Each result carries a content digest of its search inputs.
 //! * [`refine`] — cycle-level cross-validation of searched mappings on the
 //!   `bitwave-sim` BCE array.
 //!
@@ -73,7 +66,6 @@
 pub mod cost;
 pub mod error;
 pub mod factored;
-pub mod memo;
 pub mod refine;
 pub mod search;
 pub mod space;
@@ -83,7 +75,6 @@ pub use error::{DseError, Result};
 pub use factored::{
     factor_network, factored_repriced_total, FactoredNetworkSearch, SearchedTotals,
 };
-pub use memo::{global_cache, persist_global_cache, SearchCache, DEFAULT_MEMO_ENTRIES};
 pub use refine::{engine_config_for, validate_mapping};
 pub use search::{DseEngine, LayerSearchResult, NetworkSearch, SearchedLayer, DSE_SCHEMA_VERSION};
 pub use space::{space_reuse_total, Candidate, SearchSpace};
@@ -92,7 +83,6 @@ pub use space::{space_reuse_total, Candidate, SearchSpace};
 pub mod prelude {
     pub use crate::cost::{EvaluatedMapping, MappingCost};
     pub use crate::error::DseError;
-    pub use crate::memo::{global_cache, SearchCache};
     pub use crate::search::{DseEngine, LayerSearchResult, NetworkSearch, SearchedLayer};
     pub use crate::space::SearchSpace;
 }

@@ -1,8 +1,8 @@
-//! The per-layer search: enumerate → evaluate → Pareto-prune → memoize.
+//! The per-layer search: enumerate → factor → price → Pareto-prune.
 
-use crate::cost::{evaluate_candidate, evaluate_decision, EvaluatedMapping};
+use crate::cost::{evaluate_decision, EvaluatedMapping};
 use crate::error::{DseError, Result};
-use crate::memo::{global_cache, SearchCache};
+use crate::factored::FactoredLayer;
 use crate::space::SearchSpace;
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_accel::{EnergyModel, LayerSparsityProfile};
@@ -13,12 +13,11 @@ use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::layer::{LayerKind, LayerSpec, LoopDims};
 use bitwave_dnn::models::NetworkSpec;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use serde::Serialize;
 
-/// Version stamp mixed into every memoization key.  Bump when the meaning of
-/// a key field or the search semantics change, so stale memo entries can
-/// never alias new searches.
+/// Version stamp mixed into every search key.  Bump when the meaning of a
+/// key field or the search semantics change, so results of different
+/// searches never share a key.
 pub const DSE_SCHEMA_VERSION: u32 = 1;
 
 /// The four pruning objectives: minimise cycles, energy and EDP, maximise
@@ -33,16 +32,28 @@ const OBJECTIVES: [Direction; 4] = [
 /// The min-EDP winner order over `[cycles, energy, edp, utilization]` rows:
 /// `row` replaces the current `best` on strictly lower EDP, or on equal EDP
 /// at higher utilisation, so a full tie keeps the earlier candidate (SU-set
-/// seeds precede generated shapes).  Shared by the engine's search and the
-/// factored sweep's scan, so both pick the same winner.
-pub(crate) fn improves_on(row: &[f64; 4], best: &[f64; 4]) -> bool {
+/// seeds precede generated shapes).
+fn improves_on(row: &[f64; 4], best: &[f64; 4]) -> bool {
     row[2] < best[2] || (row[2] == best[2] && row[3] > best[3])
 }
 
+/// The min-EDP winner of `rows` under [`improves_on`], with its index;
+/// `None` when there are no rows.  Shared by the engine's search and the
+/// factored sweep's scan, so both pick the same winner.
+pub(crate) fn min_edp(rows: impl Iterator<Item = [f64; 4]>) -> Option<(usize, [f64; 4])> {
+    rows.enumerate().reduce(|best, candidate| {
+        if improves_on(&candidate.1, &best.1) {
+            candidate
+        } else {
+            best
+        }
+    })
+}
+
 /// Everything a layer's search outcome depends on — and nothing it does not
-/// (notably not the layer's *name*, so identically shaped layers share one
-/// memo entry across models).  Owned fields because the vendored serde
-/// derive does not handle lifetime-generic types.
+/// (notably not the layer's *name*, so identically shaped layers of any
+/// model get one key).  Owned fields because the vendored serde derive does
+/// not handle lifetime-generic types.
 #[derive(Serialize)]
 struct SearchKey {
     schema: u32,
@@ -56,7 +67,7 @@ struct SearchKey {
     space: SearchSpace,
 }
 
-/// Builds the memoization digest for one layer's search.
+/// Builds the content digest of one layer's search inputs.
 fn layer_search_key(
     accel: &AcceleratorSpec,
     dims: LoopDims,
@@ -78,12 +89,13 @@ fn layer_search_key(
     })?)
 }
 
-/// Outcome of one layer's design-space search.  `Deserialize` lets results
-/// persist in (and replay byte-identically from) a `bitwave-store` disk
-/// tier across process restarts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Outcome of one layer's design-space search.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayerSearchResult {
-    /// Hex digest of the memoization key that addresses this result.
+    /// Hex content digest of the search inputs (accelerator, layer shape,
+    /// sparsity-profile digest, cost tables and search space).  Equal inputs
+    /// give equal keys across layer names and models; the key addresses no
+    /// cache.
     pub key: String,
     /// Number of candidate mappings evaluated.
     pub candidates: usize,
@@ -226,33 +238,23 @@ impl NetworkSearch {
     }
 }
 
-/// The design-space exploration engine: a search space, the cost tables,
-/// and a memoization cache.
+/// The design-space exploration engine: a search space and the cost
+/// tables.
 #[derive(Debug, Clone)]
 pub struct DseEngine {
     space: SearchSpace,
     memory: MemoryHierarchy,
     energy: EnergyModel,
-    cache: Arc<SearchCache>,
 }
 
 impl DseEngine {
-    /// Creates an engine with the default search space and a **private**
-    /// cache (tests and benches that must observe cold searches).
+    /// Creates an engine with the default search space.
     pub fn new(memory: MemoryHierarchy, energy: EnergyModel) -> Self {
         Self {
             space: SearchSpace::default(),
             memory,
             energy,
-            cache: Arc::new(SearchCache::new()),
         }
-    }
-
-    /// Creates an engine sharing the process-wide [`global_cache`] — the
-    /// configuration `MappingPolicy::Searched` pipelines use, so identical
-    /// layers are searched once across models and requests.
-    pub fn shared(memory: MemoryHierarchy, energy: EnergyModel) -> Self {
-        Self::new(memory, energy).with_cache(Arc::clone(global_cache()))
     }
 
     /// Overrides the search space (builder style).
@@ -261,20 +263,9 @@ impl DseEngine {
         self
     }
 
-    /// Shares an explicit cache (builder style).
-    pub fn with_cache(mut self, cache: Arc<SearchCache>) -> Self {
-        self.cache = cache;
-        self
-    }
-
     /// The engine's search space.
     pub fn space(&self) -> &SearchSpace {
         &self.space
-    }
-
-    /// The engine's memoization cache.
-    pub fn cache(&self) -> &SearchCache {
-        &self.cache
     }
 
     /// Evaluates the Fig. 9 heuristic choice for `layer` on the same cost
@@ -302,19 +293,26 @@ impl DseEngine {
         ))
     }
 
-    /// Searches one layer's mapping space, memoized.
+    /// Searches one layer's mapping space: factors the layer (one traffic
+    /// part, one SU part per spatial unrolling), prices the traffic once
+    /// per tiling, composes every candidate, picks the minimum-EDP winner
+    /// and extracts the Pareto front.  Only the winner and the front are
+    /// materialised as [`EvaluatedMapping`]s.  Candidates are priced
+    /// sequentially — layer-level parallelism comes from
+    /// [`DseEngine::search_network`] (and the pipeline's per-layer rayon
+    /// fan-out), which keeps the two levels from oversubscribing.
     ///
     /// # Errors
     ///
     /// [`DseError::Mapping`] for degenerate layers, [`DseError::Core`] when
-    /// the memo key fails to digest, [`DseError::EmptySpace`] when nothing
+    /// the search key fails to digest, [`DseError::EmptySpace`] when nothing
     /// can be enumerated.
     pub fn search_layer(
         &self,
         accel: &AcceleratorSpec,
         layer: &LayerSpec,
         profile: &LayerSparsityProfile,
-    ) -> Result<Arc<LayerSearchResult>> {
+    ) -> Result<LayerSearchResult> {
         validate_layer_dims(layer)?;
         let key = layer_search_key(
             accel,
@@ -325,41 +323,25 @@ impl DseEngine {
             &self.energy,
             &self.space,
         )?;
-        self.cache
-            .get_or_compute(key, || self.search_uncached(accel, layer, profile, key))
-    }
-
-    /// The cold path: enumerate every candidate, evaluate each on the cost
-    /// stack, pick the minimum-EDP winner and extract the Pareto front.
-    /// Candidates are evaluated sequentially — layer-level parallelism comes
-    /// from [`DseEngine::search_network`] (and the pipeline's per-layer
-    /// rayon fan-out), which keeps the two levels from oversubscribing.
-    fn search_uncached(
-        &self,
-        accel: &AcceleratorSpec,
-        layer: &LayerSpec,
-        profile: &LayerSparsityProfile,
-        key: Digest,
-    ) -> Result<LayerSearchResult> {
         let candidates = self.space.enumerate_shared(accel, layer);
         if candidates.is_empty() {
             return Err(DseError::EmptySpace {
                 layer: layer.name.clone(),
             });
         }
-        let evaluated: Vec<EvaluatedMapping> = candidates
-            .iter()
-            .map(|c| evaluate_candidate(accel, layer, profile, &self.memory, &self.energy, c))
-            .collect();
-
-        let objectives: Vec<[f64; 4]> =
-            evaluated.iter().map(EvaluatedMapping::objectives).collect();
-        let mut winner = 0usize;
-        for (i, row) in objectives.iter().enumerate().skip(1) {
-            if improves_on(row, &objectives[winner]) {
-                winner = i;
-            }
-        }
+        let tilings = self.space.tilings();
+        let factored = FactoredLayer::of(
+            accel,
+            layer,
+            profile,
+            &self.energy,
+            &candidates,
+            tilings.len(),
+        );
+        let priced = factored.price(accel, &tilings, &self.memory, &self.energy);
+        let objectives: Vec<[f64; 4]> = factored.objectives(&priced).collect();
+        let (winner, _) =
+            min_edp(objectives.iter().copied()).expect("the mapping space is non-empty");
 
         // Multi-objective Pareto front, EDP-sorted, deduplicated, capped.
         let mut front_idx = pareto_front_indices(&objectives, &OBJECTIVES);
@@ -372,16 +354,13 @@ impl DseEngine {
         });
         front_idx.dedup_by_key(|i| objectives[*i]);
         front_idx.truncate(self.space.max_front.max(1));
-        let front: Vec<EvaluatedMapping> = front_idx
-            .into_iter()
-            .map(|i| evaluated[i].clone())
-            .collect();
+        let mapping = |i: usize| factored.mapping(i, &candidates[i], &priced);
 
         Ok(LayerSearchResult {
             key: key.to_hex(),
-            candidates: evaluated.len(),
-            winner: evaluated[winner].clone(),
-            front,
+            candidates: candidates.len(),
+            winner: mapping(winner),
+            front: front_idx.into_iter().map(mapping).collect(),
             front_total,
         })
     }
@@ -444,7 +423,7 @@ impl DseEngine {
         Ok(SearchedLayer {
             layer: layer.name.clone(),
             heuristic,
-            search: (*search).clone(),
+            search,
         })
     }
 
@@ -547,48 +526,6 @@ mod tests {
             .front
             .windows(2)
             .all(|w| w[0].cost.edp <= w[1].cost.edp));
-    }
-
-    #[test]
-    fn identical_layers_share_one_memo_entry_across_names_and_models() {
-        // The memo key covers the layer *shape* and profile, not the name or
-        // the owning model: a renamed but otherwise identical layer must hit.
-        let net = resnet18();
-        let profiles = profiles_for(&net);
-        let engine = engine();
-        let accel = bitwave();
-        let original = engine
-            .search_layer(&accel, &net.layers[5], &profiles[5])
-            .unwrap();
-        let mut renamed = net.layers[5].clone();
-        renamed.name = "other_model.some_layer".to_string();
-        let aliased = engine.search_layer(&accel, &renamed, &profiles[5]).unwrap();
-        assert!(Arc::ptr_eq(&original, &aliased));
-        assert_eq!(engine.cache().len(), 1);
-        assert_eq!(engine.cache().stats().hits(), 1);
-        assert_eq!(engine.cache().stats().misses(), 1);
-    }
-
-    #[test]
-    fn re_searching_a_network_is_fully_memoized() {
-        let net = resnet18();
-        let profiles = profiles_for(&net);
-        let engine = engine();
-        let accel = bitwave();
-        let cold = engine
-            .search_network_sequential(&accel, &net, &profiles)
-            .unwrap();
-        let misses_after_cold = engine.cache().stats().misses();
-        let warm = engine
-            .search_network_sequential(&accel, &net, &profiles)
-            .unwrap();
-        assert_eq!(cold, warm, "memoized results must equal cold results");
-        assert_eq!(
-            engine.cache().stats().misses(),
-            misses_after_cold,
-            "the warm sweep must not run a single cold search"
-        );
-        assert!(engine.cache().stats().hits() >= net.layers.len() as u64);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// human-readable shape lives in [`Candidate::label`].
 pub const GENERATED_SU_NAME: &str = "DSE";
 
-/// Configuration of the enumerated space.  Part of the memoization key: two
+/// Configuration of the enumerated space.  Part of the search key: two
 /// searches agree only if they explored the same space.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SearchSpace {

@@ -57,7 +57,7 @@ pub struct EvaluateRequest {
     /// BCS group size in weights (default 16, max [`MAX_GROUP_SIZE`]).
     pub group_size: Option<usize>,
     /// Mapping policy: `"heuristic"` (default) or `"searched"` (per-layer
-    /// DSE; winners come from the memoized search).
+    /// DSE; winners come from the design-space search).
     pub mapping: Option<String>,
     /// DRAM bandwidth throttle in bits per cycle.  Omitted (the default)
     /// means the unconstrained legacy DRAM model; set, it switches every
@@ -331,10 +331,7 @@ pub struct NormalizedSearch {
 }
 
 impl NormalizedSearch {
-    /// Runs the per-layer design-space search on shared `weights`.  Layer
-    /// searches land in the process-wide `bitwave-dse` memo cache, so
-    /// repeated searches of identical layers — across requests and models —
-    /// are hash-map walks even when the response cache missed.
+    /// Runs the per-layer design-space search on shared `weights`.
     ///
     /// # Errors
     ///

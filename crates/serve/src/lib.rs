@@ -61,9 +61,7 @@
 //! of the same request performs one evaluation and zero extra tensor
 //! copies.  The `X-Bitwave-Cache` response header reports `hit` (memory),
 //! `disk` (replayed from the disk tier, e.g. after a restart), `miss` or
-//! `coalesced`.  With a store root configured the process-wide DSE memo
-//! cache persists under the same root, so `POST /v1/search` warm-starts
-//! across restarts even on a response-cache miss.
+//! `coalesced`.
 //!
 //! ## Quickstart
 //!

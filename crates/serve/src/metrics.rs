@@ -6,16 +6,13 @@
 //! [`bitwave_tensor::copy_metrics`] — the observable half of the zero-copy
 //! invariant `bench_serve` gates on.
 //!
-//! Store metrics come in two granularities: the original aggregate
-//! `bitwave_serve_cache_*` counter families (summed across the evaluate and
-//! search ops, for dashboard continuity) and labelled per-op families from
-//! the `bitwave-store` substrate — `bitwave_store_{hits,disk_hits,misses,
-//! coalesced,evictions,quarantined}_total{op="…"}` counters plus
+//! Store metrics are labelled per-op families from the `bitwave-store`
+//! substrate — `bitwave_store_{hits,disk_hits,misses,coalesced,evictions,
+//! quarantined}_total{op="…"}` counters plus
 //! `bitwave_store_{mem,disk}_{entries,bytes}{op="…"}` gauges for the
-//! `evaluate`, `search`, `weights` and (process-wide) `dse` ops.
+//! `evaluate`, `search` and `weights` ops.
 //!
-//! Amortized-evaluation counters expose the sweep/DSE reuse machinery:
-//! `bitwave_dse_memo_{hits,misses}_total`,
+//! Amortized-evaluation counters expose the sweep's reuse machinery:
 //! `bitwave_sweep_{profile_reuse,space_reuse,factored_repriced}_total`.
 
 use crate::cache::{CacheOp, ReportCache};
@@ -170,32 +167,6 @@ impl ServiceMetrics {
             self.stalled_writer_dropped.load(Ordering::Relaxed),
         );
 
-        // Aggregate cache families (evaluate + search), for continuity with
-        // pre-store dashboards.  A memory hit and a disk hit both replayed
-        // stored bytes, so both count as "hits" here; the per-op families
-        // below split them.
-        let evaluate = cache.stats(CacheOp::Evaluate);
-        let search = cache.stats(CacheOp::Search);
-        counter(
-            "bitwave_serve_cache_hits_total",
-            "Report-cache hits (memory or disk).",
-            evaluate.hits() + evaluate.disk_hits() + search.hits() + search.disk_hits(),
-        );
-        counter(
-            "bitwave_serve_cache_misses_total",
-            "Report-cache misses (computations).",
-            evaluate.misses() + search.misses(),
-        );
-        counter(
-            "bitwave_serve_cache_coalesced_total",
-            "Requests coalesced onto an in-flight identical computation.",
-            evaluate.coalesced() + search.coalesced(),
-        );
-        counter(
-            "bitwave_serve_cache_evictions_total",
-            "Report-cache LRU evictions.",
-            evaluate.evictions() + search.evictions(),
-        );
         counter(
             "bitwave_serve_weight_generations_total",
             "Synthetic weight-set generations (model-store misses).",
@@ -207,20 +178,9 @@ impl ServiceMetrics {
             bitwave_tensor::copy_metrics::deep_copies(),
         );
 
-        // Amortized-evaluation counters: how much work the DSE memo, the
-        // sweep's shared workload analyses, the enumeration-space cache and
-        // the factored re-pricing path are saving process-wide.
-        let dse_stats = bitwave::dse::memo::global_cache().stats();
-        counter(
-            "bitwave_dse_memo_hits_total",
-            "DSE layer-search memo hits (memory or disk), process-wide.",
-            dse_stats.hits() + dse_stats.disk_hits(),
-        );
-        counter(
-            "bitwave_dse_memo_misses_total",
-            "DSE layer-search memo misses (full searches), process-wide.",
-            dse_stats.misses(),
-        );
+        // Amortized-evaluation counters: how much work the sweep's shared
+        // workload analyses, the enumeration-space cache and the factored
+        // re-pricing path are saving process-wide.
         counter(
             "bitwave_sweep_profile_reuse_total",
             "Sweep portfolio models served from the shared profile cache.",
@@ -237,12 +197,6 @@ impl ServiceMetrics {
             bitwave::dse::factored_repriced_total(),
         );
         out.push_str(&format!(
-            "# HELP bitwave_serve_cache_entries Ready entries in the report cache.\n\
-             # TYPE bitwave_serve_cache_entries gauge\n\
-             bitwave_serve_cache_entries {}\n",
-            cache.len()
-        ));
-        out.push_str(&format!(
             "# HELP bitwave_serve_connections_open Currently open client connections.\n\
              # TYPE bitwave_serve_connections_open gauge\n\
              bitwave_serve_connections_open {}\n",
@@ -256,8 +210,6 @@ impl ServiceMetrics {
         ));
 
         // Per-op, per-tier store families.
-        let dse = bitwave::dse::memo::global_cache();
-        let dse_store = dse.store();
         let evaluate_store = cache.store(CacheOp::Evaluate);
         let search_store = cache.store(CacheOp::Search);
         let samples = [
@@ -284,14 +236,6 @@ impl ServiceMetrics {
                 mem_bytes: store.bytes(),
                 disk_entries: 0,
                 disk_bytes: 0,
-            },
-            OpSample {
-                op: "dse",
-                stats: dse.stats(),
-                mem_entries: dse.len() as u64,
-                mem_bytes: dse.mem_bytes(),
-                disk_entries: dse_store.disk_entries(),
-                disk_bytes: dse_store.disk_bytes(),
             },
         ];
         let mut family = |name: &str, help: &str, kind: &str, values: &dyn Fn(&OpSample) -> u64| {
@@ -411,15 +355,8 @@ mod tests {
             "bitwave_serve_stalled_writer_dropped_total 0",
             "bitwave_serve_connections_open 0",
             "bitwave_serve_inflight_depth 0",
-            "bitwave_serve_cache_hits_total 0",
-            "bitwave_serve_cache_misses_total 1",
-            "bitwave_serve_cache_coalesced_total 0",
-            "bitwave_serve_cache_evictions_total 0",
             "bitwave_serve_weight_generations_total 0",
-            "bitwave_serve_cache_entries 1",
             "bitwave_tensor_deep_copies_total",
-            "bitwave_dse_memo_hits_total",
-            "bitwave_dse_memo_misses_total",
             "bitwave_sweep_profile_reuse_total",
             "bitwave_sweep_space_reuse_total",
             "bitwave_sweep_factored_repriced_total",
@@ -427,7 +364,7 @@ mod tests {
             "bitwave_store_disk_hits_total{op=\"search\"} 0",
             "bitwave_store_misses_total{op=\"evaluate\"} 1",
             "bitwave_store_coalesced_total{op=\"weights\"} 0",
-            "bitwave_store_quarantined_total{op=\"dse\"}",
+            "bitwave_store_quarantined_total{op=\"search\"} 0",
             "bitwave_store_disk_write_errors_total{op=\"evaluate\"} 0",
             "bitwave_store_mem_entries{op=\"evaluate\"} 1",
             "bitwave_store_mem_bytes{op=\"evaluate\"} 2",
@@ -437,7 +374,9 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");
         }
-        assert!(text.contains("# TYPE bitwave_serve_cache_entries gauge"));
+        assert!(!text.contains("bitwave_serve_cache_"));
+        assert!(!text.contains("bitwave_dse_memo_"));
+        assert!(!text.contains("op=\"dse\""));
         assert!(text.contains("# TYPE bitwave_serve_connections_open gauge"));
         assert!(text.contains("# TYPE bitwave_serve_inflight_depth gauge"));
         assert!(text.contains("# TYPE bitwave_store_mem_bytes gauge"));

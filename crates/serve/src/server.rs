@@ -20,8 +20,8 @@
 //! `X-Bitwave-Batch` response header carries each dispatch's fan-out size.
 //! Results land in the single-flight [`ReportCache`] keyed by request
 //! digest — a tiered `bitwave-store`, so configuring
-//! [`ServeConfig::store_root`] makes cached responses (and the DSE memo
-//! cache) survive restarts and replay byte-identically from disk.
+//! [`ServeConfig::store_root`] makes cached responses survive restarts and
+//! replay byte-identically from disk.
 
 use crate::api::{
     list_accelerators, list_models, EvaluateRequest, NormalizedRequest, NormalizedSearch,
@@ -57,16 +57,8 @@ pub struct ServeConfig {
     pub store_capacity: usize,
     /// Root directory of the persistent store; `None` (default) keeps this
     /// service's report cache memory-only.  With a root, evaluate/search
-    /// responses and DSE layer searches persist under
-    /// `<root>/{evaluate,search,dse}/<digest>` and replay byte-identically
-    /// across restarts.
-    ///
-    /// Note: the DSE memo cache is process-wide, and attaching it to a root
-    /// lasts for the process lifetime (a later memory-only `start()` in the
-    /// same process does not detach it).  That is safe — memo entries are
-    /// content-addressed by the full search inputs, so any replay is correct
-    /// — but processes that juggle several roots share one `dse/` tier, the
-    /// most recently attached.
+    /// responses persist under `<root>/{evaluate,search}/<digest>` and
+    /// replay byte-identically across restarts.
     pub store_root: Option<String>,
     /// Maximum distinct cache-missing computations dispatched or gathering
     /// at once; further compute requests shed with `503` + `Retry-After`.
@@ -185,10 +177,6 @@ pub fn start(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     let mut store_config = StoreConfig::default().with_mem_entries(config.cache_capacity);
     if let Some(root) = &config.store_root {
         store_config = store_config.with_root(root);
-        // The process-wide DSE memo cache joins the same root, so searched
-        // mappings warm-start across restarts alongside the response cache.
-        bitwave::dse::memo::persist_global_cache(std::path::Path::new(root))
-            .map_err(|e| ServeError::Internal(format!("store root {root}: {e}")))?;
     }
     let cache = ReportCache::with_config(&store_config).map_err(|e| {
         ServeError::Internal(format!(
@@ -382,8 +370,7 @@ fn evaluate(request: &Request, state: &ServiceState) -> Response {
 /// dataflow design-space exploration.  Responses live in the same
 /// content-addressed cache as evaluations (the key's `op` discriminator keeps
 /// the namespaces apart), so a repeated search replays byte-identical JSON
-/// with `X-Bitwave-Cache: hit`; even on a response-cache miss, the
-/// `bitwave-dse` memo cache makes already-seen layers cheap.
+/// with `X-Bitwave-Cache: hit`.
 fn search(request: &Request, state: &ServiceState) -> Response {
     let normalized =
         match EvaluateRequest::from_json(&request.body).and_then(|r| r.normalize_search()) {

@@ -257,11 +257,11 @@ fn metrics_track_cache_and_evaluation_counters() {
         "exactly one cold evaluation:\n{text}"
     );
     assert!(
-        text.contains("bitwave_serve_cache_hits_total 1"),
+        text.contains("bitwave_store_hits_total{op=\"evaluate\"} 1"),
         "one hit:\n{text}"
     );
     assert!(
-        text.contains("bitwave_serve_cache_misses_total 1"),
+        text.contains("bitwave_store_misses_total{op=\"evaluate\"} 1"),
         "one miss:\n{text}"
     );
     assert!(

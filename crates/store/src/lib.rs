@@ -1,9 +1,8 @@
 //! # bitwave-store
 //!
 //! A **tiered, persistent, content-addressed store** — the one caching
-//! substrate behind the repository's three formerly independent caches:
-//! the serve tier's report cache, its shared weight store, and the DSE
-//! memo cache.
+//! substrate behind the serve tier's report cache, its shared weight store
+//! and the sweep's result ledger.
 //!
 //! * [`memory::MemoryTier`] — a sharded LRU of `Arc`-shared values with
 //!   byte-size accounting and **single-flight** computation coalescing

@@ -88,8 +88,7 @@ impl<C: StoreCodec> TieredStore<C> {
         }
     }
 
-    /// Attaches (or re-roots) a disk tier after construction — how the
-    /// process-wide DSE memo cache joins the serve tier's store root.
+    /// Attaches (or re-roots) a disk tier after construction.
     ///
     /// # Errors
     ///

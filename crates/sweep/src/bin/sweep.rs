@@ -17,9 +17,7 @@
 //! stdout (or `--out FILE`), and `--menus FILE` exports the
 //! instruction-memory menu of every front member.
 
-use bitwave_sweep::run::{
-    run_with_progress_opts, run_worker_with, EvalMode, EvalOptions, FrontReport,
-};
+use bitwave_sweep::run::{run_with_progress_opts, run_worker_with, EvalOptions, FrontReport};
 use bitwave_sweep::{MenuRow, SweepConfig};
 use serde::Serialize;
 use std::io::Write;
@@ -29,7 +27,7 @@ use std::process::ExitCode;
 const USAGE: &str = "usage: bitwave-sweep --store-root DIR [--space tiny|small|full] \
                      [--config FILE] [--portfolio a,b,...] [--seed N] [--sample-cap N] \
                      [--ttl-ms N] [--worker] [--workers N] [--threads N] \
-                     [--eval full|factored] [--watch] [--out FILE] [--menus FILE]\n\
+                     [--watch] [--out FILE] [--menus FILE]\n\
                      \n\
                      Whole-accelerator hardware design-space sweep, sharded across \
                      any number of worker processes coordinating through one shared \
@@ -41,10 +39,9 @@ const USAGE: &str = "usage: bitwave-sweep --store-root DIR [--space tiny|small|f
                      --ttl-ms and are re-stolen).  --config FILE loads a full \
                      SweepConfig JSON instead of a preset; --portfolio/--seed/\
                      --sample-cap/--ttl-ms override either.  --threads N fans \
-                     candidate evaluations across N scoped threads per worker and \
-                     --eval pins the evaluation path (both byte-neutral: any \
-                     combination reproduces the sequential full-path report \
-                     exactly).  --watch streams one partial-front JSON line to \
+                     candidate evaluations across N scoped threads per worker \
+                     (byte-neutral: any thread count reproduces the sequential \
+                     report exactly).  --watch streams one partial-front JSON line to \
                      stderr per landed result.";
 
 /// One front member's instruction-memory menu (`--menus` export row).
@@ -122,10 +119,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--ttl-ms" => cli.config.claim_ttl_ms = parse_u64()?.max(1),
             "--workers" => cli.workers = (parse_u64()? as usize).max(1),
             "--threads" => cli.eval.threads = (parse_u64()? as usize).max(1),
-            "--eval" => {
-                cli.eval.mode = EvalMode::parse(value)
-                    .ok_or_else(|| format!("unknown --eval `{value}` (full|factored)"))?;
-            }
             "--out" => cli.out = Some(PathBuf::from(value)),
             "--menus" => cli.menus = Some(PathBuf::from(value)),
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),

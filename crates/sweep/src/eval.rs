@@ -1,9 +1,8 @@
 //! Candidate evaluation: one hardware point against the whole workload
-//! portfolio, through the existing per-layer design-space search and the
-//! Eq. 1–5 cost stack.
+//! portfolio, through the per-layer design-space search's factored unit
+//! and the Eq. 1–5 cost stack.
 //!
-//! Two amortization layers make the sweep cheap without changing a single
-//! output byte:
+//! Two amortization layers make the sweep cheap:
 //!
 //! * **Portfolio sharing** — sparsity profiles and synthetic weights depend
 //!   only on `(model, seed, sample_cap)`, so [`build_portfolio`] serves
@@ -16,9 +15,9 @@
 //!   ([`bitwave_dse::factor_network`]: one SU part per spatial unrolling
 //!   of each layer shape) and per point prices only what a
 //!   [`PointResult`] keeps — each model's searched cycles, energy and EDP
-//!   ([`bitwave_dse::FactoredNetworkSearch::price`]).  Bit-identical to
-//!   [`evaluate_point`], the full per-candidate search that remains the
-//!   reference path.
+//!   ([`bitwave_dse::FactoredNetworkSearch::price`]), bit-identical to the
+//!   searched totals of a [`bitwave_dse::DseEngine`] network search at the
+//!   point.
 
 use crate::config::SweepConfig;
 use crate::menu::{menu_rows, MenuRow};
@@ -29,7 +28,7 @@ use bitwave_accel::{bits_per_mac_class, EnergyModel};
 use bitwave_core::digest::Digest;
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::models::{by_name, NetworkSpec};
-use bitwave_dse::{factor_network, DseEngine, DseError, FactoredNetworkSearch};
+use bitwave_dse::{factor_network, DseError, FactoredNetworkSearch};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,7 +252,7 @@ fn point_memory(point: &CandidatePoint) -> MemoryHierarchy {
     }
 }
 
-/// Assembles the shared tail of both evaluation paths.
+/// Assembles a point's result from its per-model outcomes.
 fn assemble_result(
     point: &CandidatePoint,
     spec: &bitwave_accel::AcceleratorSpec,
@@ -282,38 +281,6 @@ fn assemble_result(
     }
 }
 
-/// Evaluates one candidate against the portfolio — the full per-candidate
-/// reference path.  Deterministic: same point + same config ⇒ identical
-/// result, on any worker.
-pub fn evaluate_point(
-    point: &CandidatePoint,
-    config: &SweepConfig,
-    portfolio: &[Arc<PortfolioModel>],
-) -> PointResult {
-    let spec = point.spec();
-    let memory = point_memory(point);
-    let engine =
-        DseEngine::new(memory, EnergyModel::finfet_16nm()).with_space(config.space.clone());
-
-    let mut models = Vec::with_capacity(portfolio.len());
-    let mut error = None;
-    for model in portfolio {
-        match engine.search_network_sequential(&spec, &model.network, &model.profiles) {
-            Ok(search) => models.push(ModelOutcome {
-                model: model.network.name.clone(),
-                cycles: search.searched_total_cycles,
-                energy_pj: search.searched_energy_pj,
-                edp: search.searched_edp,
-            }),
-            Err(e) => {
-                error = Some(format!("{}: {e}", model.network.name));
-                break;
-            }
-        }
-    }
-    assemble_result(point, &spec, models, error)
-}
-
 /// The compute-group key: everything the factoring depends on, nothing the
 /// per-point re-pricing covers (SRAM sizes, DRAM axes).  `bits_per_mac_class`
 /// folds sync granularities that share one bits-per-MAC statistic, so e.g.
@@ -339,12 +306,10 @@ fn group_key(
         + &config.portfolio.join(",")
 }
 
-/// Evaluates one candidate through the amortized factored path: the
-/// portfolio's compute parts are factored once per compute group (shared
-/// process-wide) and only the cheap pricing of the searched totals runs
-/// per point.
-/// Bit-identical to [`evaluate_point`] — `bench_sweep`, the sweep property
-/// tests and CI all assert the byte equality.
+/// Evaluates one candidate against the portfolio: the portfolio's compute
+/// parts are factored once per compute group (shared process-wide) and only
+/// the cheap pricing of the searched totals runs per point.  Deterministic:
+/// same point + same config ⇒ identical result, on any worker.
 pub fn evaluate_point_factored(
     point: &CandidatePoint,
     config: &SweepConfig,
@@ -415,8 +380,8 @@ mod tests {
         let config = SweepConfig::tiny();
         let portfolio = build_portfolio(&config).unwrap();
         let point = enumerate(&config)[0];
-        let a = evaluate_point(&point, &config, &portfolio);
-        let b = evaluate_point(&point, &config, &portfolio);
+        let a = evaluate_point_factored(&point, &config, &portfolio);
+        let b = evaluate_point_factored(&point, &config, &portfolio);
         assert_eq!(a, b);
         assert!(a.feasible, "paper-scale point must map: {:?}", a.error);
         assert_eq!(a.models.len(), config.portfolio.len());
@@ -430,18 +395,30 @@ mod tests {
 
     #[test]
     fn factored_evaluation_reproduces_the_full_path_byte_for_byte() {
+        // The full path: one engine network search per portfolio model.
         let config = SweepConfig::tiny();
         let portfolio = build_portfolio(&config).unwrap();
         for point in enumerate(&config) {
-            let full = evaluate_point(&point, &config, &portfolio);
+            let engine =
+                bitwave_dse::DseEngine::new(point_memory(&point), EnergyModel::finfet_16nm())
+                    .with_space(config.space.clone());
             let factored = evaluate_point_factored(&point, &config, &portfolio);
-            assert_eq!(factored, full, "{}", point.label());
-            assert_eq!(
-                serde_json::to_string(&factored).unwrap(),
-                serde_json::to_string(&full).unwrap(),
-                "{}: factored result must serialize byte-identically",
-                point.label()
-            );
+            assert!(factored.feasible, "{:?}", factored.error);
+            for (model, outcome) in portfolio.iter().zip(&factored.models) {
+                let full = engine
+                    .search_network_sequential(&point.spec(), &model.network, &model.profiles)
+                    .unwrap();
+                assert_eq!(outcome.model, model.network.name);
+                assert_eq!(
+                    outcome.cycles.to_bits(),
+                    full.searched_total_cycles.to_bits()
+                );
+                assert_eq!(
+                    outcome.energy_pj.to_bits(),
+                    full.searched_energy_pj.to_bits()
+                );
+                assert_eq!(outcome.edp.to_bits(), full.searched_edp.to_bits());
+            }
         }
         // The tiny preset's 8 points share (lanes × menu) compute groups.
         assert!(global_eval_engine().groups_held() >= 1);

@@ -26,8 +26,8 @@
 //! entry and shared as `Arc`s, per-candidate network searches are factored
 //! into compute groups re-priced per memory point
 //! ([`bitwave_dse::factor_network`]), and claimed points fan out across
-//! scoped threads ([`run::EvalOptions`]) — all byte-identical to the
-//! historical sequential full-evaluation loop.
+//! scoped threads ([`run::EvalOptions`]) — byte-identical for any thread
+//! count.
 //!
 //! Surfaces: the `bitwave-sweep` CLI (coordinator and `--worker` modes),
 //! `POST /v1/design` on `bitwave-serve` (streams partial fronts), and a
@@ -45,14 +45,14 @@ pub mod space;
 
 pub use config::{MenuKind, SweepConfig, SWEEP_SCHEMA_VERSION};
 pub use eval::{
-    build_portfolio, evaluate_point, evaluate_point_factored, global_eval_engine,
-    profile_reuse_total, EvalEngine, ModelOutcome, PointResult,
+    build_portfolio, evaluate_point_factored, global_eval_engine, profile_reuse_total, EvalEngine,
+    ModelOutcome, PointResult,
 };
 pub use ledger::SweepLedger;
 pub use menu::{menu_rows, MenuRow};
 pub use run::{
     assemble_report, run_sharded, run_sharded_with, run_with_progress, run_with_progress_opts,
-    run_worker, run_worker_with, EvalMode, EvalOptions, FrontPoint, FrontReport, PartialFront,
-    WorkerStats, OBJECTIVES,
+    run_worker, run_worker_with, EvalOptions, FrontPoint, FrontReport, PartialFront, WorkerStats,
+    OBJECTIVES,
 };
 pub use space::{enumerate, CandidatePoint};

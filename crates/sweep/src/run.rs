@@ -13,9 +13,7 @@
 //! was split.
 
 use crate::config::{SweepConfig, SWEEP_SCHEMA_VERSION};
-use crate::eval::{
-    build_portfolio, evaluate_point, evaluate_point_factored, PointResult, PortfolioModel,
-};
+use crate::eval::{build_portfolio, evaluate_point_factored, PointResult, PortfolioModel};
 use crate::ledger::SweepLedger;
 use crate::space::{enumerate, CandidatePoint};
 use bitwave_core::pareto::{Direction, FrontAccumulator};
@@ -29,35 +27,16 @@ use std::time::Duration;
 /// minimised.
 pub const OBJECTIVES: [Direction; 4] = [Direction::Minimize; 4];
 
-/// Delay between polling passes while waiting on points other workers hold.
-const PASS_DELAY: Duration = Duration::from_millis(20);
-
-/// Which evaluation path a worker runs per candidate.  Both produce
-/// byte-identical [`PointResult`]s; the option exists so benches, CI and
-/// debugging can pin the reference path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EvalMode {
-    /// Full per-candidate evaluation through the memoizing engine.
-    Full,
-    /// Amortized path: factored compute groups + per-point re-pricing.
-    #[default]
-    Factored,
-}
-
-impl EvalMode {
-    /// Parses a CLI name (`full` / `factored`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "full" => Some(EvalMode::Full),
-            "factored" => Some(EvalMode::Factored),
-            _ => None,
-        }
-    }
-}
+/// First delay between polling passes while waiting on points other
+/// workers hold: about the cost of pricing one point, so a peer's result is
+/// picked up soon after it lands.
+const FIRST_PASS_DELAY: Duration = Duration::from_micros(250);
+/// Cap of the doubling poll backoff.
+const MAX_PASS_DELAY: Duration = Duration::from_millis(20);
 
 /// In-process evaluation options.  Deliberately **not** part of
-/// [`SweepConfig`] (and therefore never part of the sweep digest): neither
-/// knob can change a single result byte, only how fast results land.
+/// [`SweepConfig`] (and therefore never part of the sweep digest): the knob
+/// cannot change a single result byte, only how fast results land.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Candidate evaluations run concurrently inside this process.  Claimed
@@ -66,16 +45,11 @@ pub struct EvalOptions {
     /// sequential loop.  Composes with multi-process sharding — claims are
     /// still taken per point through the shared [`SweepLedger`].
     pub threads: usize,
-    /// The evaluation path.
-    pub mode: EvalMode,
 }
 
 impl Default for EvalOptions {
     fn default() -> Self {
-        Self {
-            threads: 1,
-            mode: EvalMode::Factored,
-        }
+        Self { threads: 1 }
     }
 }
 
@@ -184,10 +158,7 @@ fn evaluate_batch(
     portfolio: &[Arc<PortfolioModel>],
     opts: EvalOptions,
 ) -> io::Result<Vec<PointResult>> {
-    let eval = |point: &CandidatePoint| match opts.mode {
-        EvalMode::Full => evaluate_point(point, config, portfolio),
-        EvalMode::Factored => evaluate_point_factored(point, config, portfolio),
-    };
+    let eval = |point: &CandidatePoint| evaluate_point_factored(point, config, portfolio);
     if opts.threads <= 1 || points.len() <= 1 {
         return Ok(points.iter().map(|p| eval(p)).collect());
     }
@@ -210,7 +181,10 @@ fn evaluate_batch(
 /// completion against `ledger`, invoking `on_result` exactly once per
 /// point (in arrival order) with each landed result.  Claimed points are
 /// batched up to `opts.threads` and evaluated by [`evaluate_batch`];
-/// results publish and stream in batch (= enumeration) order.
+/// results publish and stream in batch (= enumeration) order.  Between
+/// passes over points held by peers the worker waits, doubling the wait
+/// from [`FIRST_PASS_DELAY`] up to [`MAX_PASS_DELAY`]; a pass that lands
+/// any result resets it.
 fn run_loop(
     config: &SweepConfig,
     ledger: &SweepLedger,
@@ -225,7 +199,9 @@ fn run_loop(
     let mut stats = WorkerStats::default();
     let batch_cap = opts.threads.max(1);
     let mut pending: Vec<&CandidatePoint> = points.iter().collect();
+    let mut delay = FIRST_PASS_DELAY;
     while !pending.is_empty() {
+        let before = pending.len();
         let mut next = Vec::with_capacity(pending.len());
         let mut owned: Vec<&CandidatePoint> = Vec::with_capacity(batch_cap);
         for point in pending {
@@ -267,9 +243,13 @@ fn run_loop(
                 &mut on_result,
             )?;
         }
+        if next.len() < before {
+            delay = FIRST_PASS_DELAY;
+        }
         pending = next;
         if !pending.is_empty() {
-            std::thread::sleep(PASS_DELAY);
+            std::thread::sleep(delay);
+            delay = (delay * 2).min(MAX_PASS_DELAY);
         }
     }
     Ok(stats)
@@ -483,31 +463,14 @@ mod tests {
     #[test]
     fn parallel_and_factored_runs_reproduce_the_sequential_report_byte_for_byte() {
         let config = fast_tiny();
-        let full_seq = EvalOptions {
-            threads: 1,
-            mode: EvalMode::Full,
-        };
-        let full_par = EvalOptions {
-            threads: 4,
-            mode: EvalMode::Full,
-        };
-        let factored_par = EvalOptions {
-            threads: 4,
-            mode: EvalMode::Factored,
-        };
-        let (sequential, _) = run_with_progress_opts(&config, None, full_seq, |_| {}).unwrap();
-        let (parallel, _) = run_with_progress_opts(&config, None, full_par, |_| {}).unwrap();
-        let (factored, _) = run_with_progress_opts(&config, None, factored_par, |_| {}).unwrap();
-        let expect = serde_json::to_string(&sequential).unwrap();
+        let (sequential, _) =
+            run_with_progress_opts(&config, None, EvalOptions { threads: 1 }, |_| {}).unwrap();
+        let (parallel, _) =
+            run_with_progress_opts(&config, None, EvalOptions { threads: 4 }, |_| {}).unwrap();
         assert_eq!(
             serde_json::to_string(&parallel).unwrap(),
-            expect,
+            serde_json::to_string(&sequential).unwrap(),
             "in-process parallel fan-out must not change a byte"
-        );
-        assert_eq!(
-            serde_json::to_string(&factored).unwrap(),
-            expect,
-            "amortized factored evaluation must not change a byte"
         );
     }
 

@@ -3,11 +3,13 @@
 //! SRAM-fit regimes (workloads that fit on-chip and workloads forced
 //! through the DRAM roofline), arbitrary mapping spaces, a depthwise
 //! portfolio and infeasible points, `evaluate_point_factored` reproduces
-//! `evaluate_point` byte for byte.
+//! the naive oracle's full per-candidate evaluation byte for byte.
+
+mod oracle;
 
 use bitwave_dse::SearchSpace;
 use bitwave_sweep::{
-    build_portfolio, enumerate, evaluate_point, evaluate_point_factored, MenuKind, SweepConfig,
+    build_portfolio, enumerate, evaluate_point_factored, run_with_progress, MenuKind, SweepConfig,
 };
 use proptest::prelude::*;
 
@@ -41,7 +43,7 @@ fn assert_factored_matches_full(config: &SweepConfig) -> bitwave_sweep::PointRes
     assert_eq!(config.total_points(), 1);
     let portfolio = build_portfolio(config).expect("portfolio builds");
     let point = enumerate(config)[0];
-    let full = evaluate_point(&point, config, &portfolio);
+    let full = oracle::evaluate_point(&point, config, &portfolio);
     let factored = evaluate_point_factored(&point, config, &portfolio);
     assert_eq!(
         serde_json::to_string(&factored).unwrap(),
@@ -139,4 +141,23 @@ fn infeasible_point_reports_the_full_path_error() {
     assert!(!result.feasible);
     let error = result.error.expect("infeasible points record their error");
     assert!(error.contains("has no candidates"), "{error}");
+}
+
+/// The `tiny` sweep over a depthwise portfolio, end to end: the default
+/// sweep's front report equals the oracle sweep's, byte for byte, both
+/// sequentially and with the oracle's points fanned out across threads.
+#[test]
+fn depthwise_tiny_sweep_report_equals_the_oracle() {
+    let mut config = SweepConfig::tiny();
+    config.portfolio = vec!["mobilenet-v2".to_string(), "cnn-lstm".to_string()];
+    let (report, _) = run_with_progress(&config, None, |_| {}).expect("sweep runs");
+    let json = serde_json::to_string_pretty(&report).unwrap();
+    for threads in [1, 4] {
+        let expected = oracle::sweep(&config, threads);
+        assert_eq!(
+            json,
+            serde_json::to_string_pretty(&expected).unwrap(),
+            "{threads} oracle threads"
+        );
+    }
 }

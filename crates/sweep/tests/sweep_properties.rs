@@ -3,6 +3,8 @@
 //! order), and crashed workers' claims are re-stolen without corrupting
 //! the result set.
 
+mod oracle;
+
 use bitwave_sweep::ledger::SweepLedger;
 use bitwave_sweep::run::{assemble_report, run_sharded, run_with_progress};
 use bitwave_sweep::SweepConfig;
@@ -37,7 +39,7 @@ fn report_json(config: &SweepConfig, root: Option<&PathBuf>) -> String {
 #[test]
 fn crashed_worker_claims_are_stolen_and_the_front_is_unchanged() {
     let mut config = fast_tiny(42);
-    config.claim_ttl_ms = 120; // steal quickly; evaluation passes poll at 20ms
+    config.claim_ttl_ms = 120; // steal quickly; waiting passes poll at most every 20ms
     let root = temp_root("crash");
 
     // Simulate the crash: a doomed worker wins claims on two points and
@@ -84,7 +86,7 @@ fn interrupted_sweep_restarts_warm_and_completes_identically() {
         let points = bitwave_sweep::enumerate(&config);
         for point in &points[0..3] {
             assert!(ledger.claim(point.index).unwrap().owned());
-            let result = bitwave_sweep::evaluate_point(point, &config, &portfolio);
+            let result = oracle::evaluate_point(point, &config, &portfolio);
             ledger.publish(point.index, result);
         }
         assert!(ledger.abandon_claim_for_test(3).unwrap().owned());

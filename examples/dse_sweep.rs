@@ -68,7 +68,7 @@ fn main() -> Result<(), BitwaveError> {
         }
         println!(
             "{:<34} {:>14} {:>12.4e} {:>14} {:>12.4e} {:>6.2}x   \
-             ({} candidate evaluations, {} memoized layer searches, \
+             ({} candidate evaluations, {} layer searches, \
              {} memory-bound winners)\n",
             "TOTAL (network)",
             "",
