@@ -10,10 +10,10 @@
 //! of assuming a distribution.
 
 use crate::spec::AcceleratorSpec;
-use bitwave_core::compress::{BcsCodec, CsrCodec, WeightCodec, ZreCodec};
+use bitwave_core::compress::{CsrCodec, WeightCodec, ZreCodec};
 use bitwave_core::error::CoreError;
-use bitwave_core::group::{extract_groups, GroupSize};
-use bitwave_core::stats::LayerSparsityStats;
+use bitwave_core::group::GroupSize;
+use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
 use bitwave_tensor::bitplane::BitplaneTensor;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::handle::WeightHandle;
@@ -78,20 +78,16 @@ impl LayerSparsityProfile {
         activation_value_sparsity: f64,
         group_size: GroupSize,
     ) -> Result<Self, CoreError> {
-        let groups = extract_groups(weights, group_size)?;
-        let planes = groups.to_bitplanes();
-        let stats = LayerSparsityStats::from_tensor_and_planes(weights, &planes);
         // CR is measured against the real (unpadded) weight storage, matching
         // the pipeline's CompressionSummary and the ZRE/CSR accounting; the
         // measured payload/index still reflect the padded tail groups.
-        let bcs = BcsCodec::new(group_size, Encoding::SignMagnitude)
-            .measure_packed(&planes, weights.data().len());
+        let packed = PackedAnalysis::of(weights, group_size, Encoding::SignMagnitude)?;
         Ok(Self::from_shared_parts(
             weights,
             activation_value_sparsity,
-            &stats,
-            &planes,
-            bcs.compression_ratio_with_index(),
+            &packed.stats,
+            &packed.planes,
+            packed.bcs.compression_ratio_with_index(),
         )
         .with_value_codecs(weights))
     }
@@ -120,15 +116,7 @@ impl LayerSparsityProfile {
         let mean_nonzero_columns = mean_u32(&column_counts);
         let max_nonzero_columns_synced = mean_of_chunk_max(&column_counts, BITWAVE_SYNC_GROUPS);
 
-        // Non-zero bits per weight (two's complement) and their synced maxima.
-        let bit_counts: Vec<u32> = weights
-            .data()
-            .iter()
-            .map(|&w| (w as u8).count_ones())
-            .collect();
-        let mean_nonzero_bits_tc = mean_u32(&bit_counts);
-        let max_nonzero_bits_sync16 = mean_of_chunk_max(&bit_counts, PRAGMATIC_SYNC_LANES);
-        let max_nonzero_bits_sync64 = mean_of_chunk_max(&bit_counts, BITLET_SYNC_LANES);
+        let bits = TcBitCounts::of(weights.data());
 
         Self {
             weight_value_sparsity: stats.value_sparsity,
@@ -138,9 +126,9 @@ impl LayerSparsityProfile {
             group_size: planes.group_size(),
             mean_nonzero_columns,
             max_nonzero_columns_synced,
-            mean_nonzero_bits_tc,
-            max_nonzero_bits_sync16,
-            max_nonzero_bits_sync64,
+            mean_nonzero_bits_tc: bits.mean,
+            max_nonzero_bits_sync16: bits.max_sync16,
+            max_nonzero_bits_sync64: bits.max_sync64,
             bcs_compression_ratio,
             zre_compression_ratio: 1.0,
             csr_compression_ratio: 1.0,
@@ -240,17 +228,13 @@ impl LayerAnalysis {
         activation_value_sparsity: f64,
         group_size: GroupSize,
     ) -> Result<Self, CoreError> {
-        let groups = extract_groups(&weights, group_size)?;
-        let planes = groups.to_bitplanes();
-        let stats = LayerSparsityStats::from_tensor_and_planes(&weights, &planes);
-        let bcs = BcsCodec::new(group_size, Encoding::SignMagnitude)
-            .measure_packed(&planes, weights.data().len());
+        let packed = PackedAnalysis::of(&weights, group_size, Encoding::SignMagnitude)?;
         Ok(Self::from_shared_parts(
             weights,
             activation_value_sparsity,
-            &stats,
-            &planes,
-            bcs.compression_ratio_with_index(),
+            &packed.stats,
+            &packed.planes,
+            packed.bcs.compression_ratio_with_index(),
         ))
     }
 
@@ -311,6 +295,52 @@ impl PartialEq for LayerAnalysis {
     }
 }
 
+/// Non-zero bits per weight (two's complement) reduced in one pass over the
+/// weights: their mean, and the means of the per-chunk maxima over the
+/// [`PRAGMATIC_SYNC_LANES`] and [`BITLET_SYNC_LANES`] lanes that run in
+/// lockstep.  Every sum is an exact integer, so each ratio is bit-identical
+/// to summing the per-weight counts as `f64`s.
+struct TcBitCounts {
+    mean: f64,
+    max_sync16: f64,
+    max_sync64: f64,
+}
+
+// The 16-lane chunks must tile each 64-lane chunk exactly.
+const _: () = assert!(BITLET_SYNC_LANES % PRAGMATIC_SYNC_LANES == 0);
+
+impl TcBitCounts {
+    fn of(data: &[i8]) -> Self {
+        let (mut total, mut sum_max16, mut sum_max64) = (0u64, 0u64, 0u64);
+        for lanes64 in data.chunks(BITLET_SYNC_LANES) {
+            let mut max64 = 0u32;
+            for lanes16 in lanes64.chunks(PRAGMATIC_SYNC_LANES) {
+                let mut max16 = 0u32;
+                for &w in lanes16 {
+                    let bits = (w as u8).count_ones();
+                    total += u64::from(bits);
+                    max16 = max16.max(bits);
+                }
+                sum_max16 += u64::from(max16);
+                max64 = max64.max(max16);
+            }
+            sum_max64 += u64::from(max64);
+        }
+        let mean = |sum: u64, lanes: usize| {
+            if data.is_empty() {
+                0.0
+            } else {
+                sum as f64 / data.len().div_ceil(lanes) as f64
+            }
+        };
+        Self {
+            mean: mean(total, 1),
+            max_sync16: mean(sum_max16, PRAGMATIC_SYNC_LANES),
+            max_sync64: mean(sum_max64, BITLET_SYNC_LANES),
+        }
+    }
+}
+
 fn mean_u32(values: &[u32]) -> f64 {
     if values.is_empty() {
         return 0.0;
@@ -337,6 +367,7 @@ fn mean_of_chunk_max(values: &[u32], chunk: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bitwave_core::compress::BcsCodec;
     use bitwave_dnn::models::{bert_base, resnet18};
     use bitwave_dnn::weights::generate_layer_sample;
 
@@ -405,6 +436,61 @@ mod tests {
         assert_eq!(mean_of_chunk_max(&[1, 5, 2, 2], 2), 3.5);
         // Chunk of 1 degenerates to the mean.
         assert_eq!(mean_of_chunk_max(&[1, 5, 2, 2], 1), 2.5);
+    }
+
+    /// The pre-streaming formula: a per-weight `Vec<u32>` of popcounts, its
+    /// mean and the means of its 16- and 64-lane chunk maxima.
+    fn bit_count_oracle(data: &[i8]) -> [f64; 3] {
+        let counts: Vec<u32> = data.iter().map(|&w| (w as u8).count_ones()).collect();
+        [
+            mean_u32(&counts),
+            mean_of_chunk_max(&counts, PRAGMATIC_SYNC_LANES),
+            mean_of_chunk_max(&counts, BITLET_SYNC_LANES),
+        ]
+    }
+
+    fn assert_bit_counts_match_oracle(data: &[i8]) {
+        let streamed = TcBitCounts::of(data);
+        let got = [streamed.mean, streamed.max_sync16, streamed.max_sync64];
+        let want = bit_count_oracle(data);
+        for (name, (g, w)) in ["mean", "sync16", "sync64"]
+            .iter()
+            .zip(got.iter().zip(want))
+        {
+            assert_eq!(g.to_bits(), w.to_bits(), "{name} at length {}", data.len());
+        }
+    }
+
+    #[test]
+    fn streamed_bit_counts_are_bit_identical_to_the_vec_formula() {
+        // Deterministic xorshift weights.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as i8
+        };
+        for len in [0usize, 1, 15, 16, 17, 63, 64, 65] {
+            let data: Vec<i8> = (0..len).map(|_| next()).collect();
+            assert_bit_counts_match_oracle(&data);
+        }
+        for round in 0..64 {
+            let len = 1 + (next() as u8 as usize) * 37 + round;
+            let data: Vec<i8> = (0..len).map(|_| next()).collect();
+            assert_bit_counts_match_oracle(&data);
+        }
+        // Real layer tensors, read through the profile.
+        let net = resnet18();
+        for name in ["conv1", "layer3.0.conv1", "fc"] {
+            let w = generate_layer_sample(net.layer(name).unwrap(), 5, 20_000);
+            assert_bit_counts_match_oracle(w.data());
+            let p = LayerSparsityProfile::from_weights(&w, 0.5, GroupSize::G16).unwrap();
+            let want = bit_count_oracle(w.data());
+            assert_eq!(p.mean_nonzero_bits_tc.to_bits(), want[0].to_bits());
+            assert_eq!(p.max_nonzero_bits_sync16.to_bits(), want[1].to_bits());
+            assert_eq!(p.max_nonzero_bits_sync64.to_bits(), want[2].to_bits());
+        }
     }
 
     #[test]

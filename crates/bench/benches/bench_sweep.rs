@@ -149,6 +149,21 @@ fn bench(c: &mut Criterion) {
          evaluation, in-process parallel fan-out, sharded scaling",
     );
 
+    // A cold portfolio build (weight generation and core profiling of every
+    // model) — what a `design` request with a new seed pays.  Each iteration
+    // uses a seed no earlier build used, so the portfolio store misses.
+    let cold_seed = std::cell::Cell::new(config.seed);
+    c.bench_function("sweep/portfolio_cold_small", |b| {
+        b.iter(|| {
+            cold_seed.set(cold_seed.get() + 1);
+            let cold = SweepConfig {
+                seed: cold_seed.get(),
+                ..config.clone()
+            };
+            black_box(build_portfolio(&cold).expect("portfolio"))
+        })
+    });
+
     // Untimed warm-up: build the portfolio (shared by every run below) and
     // warm the process-wide enumeration-space cache, so the timed runs
     // compare evaluation strategies rather than one-time setup.

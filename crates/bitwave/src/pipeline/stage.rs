@@ -25,8 +25,8 @@ use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::{AcceleratorSpec, EnergyModel, LayerAnalysis};
 use bitwave_core::bitflip::flip_tensor;
 use bitwave_core::compress::BcsCodec;
-use bitwave_core::group::{extract_groups, GroupSize};
-use bitwave_core::stats::LayerSparsityStats;
+use bitwave_core::group::GroupSize;
+use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
 use bitwave_dataflow::mapping::{select_spatial_unrolling, MappingDecision, MappingPolicy};
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dse::DseEngine;
@@ -60,24 +60,6 @@ pub struct CompressStage {
     pub encoding: Encoding,
 }
 
-/// BCS size accounting of **already-packed** bitplanes under `encoding` —
-/// the single compressor both the compress and bit-flip stages use.  The
-/// payload never materialises: [`BcsCodec::measure_packed`] counts stored
-/// columns straight off the planes.  `original_len` is the *unpadded*
-/// element count: compression ratios are measured against the real weight
-/// storage, while the stored payload/index bits still account for the
-/// hardware's zero-padded tail groups (the planes are packed from the
-/// padded group data).
-fn bcs_summary(
-    encoding: Encoding,
-    planes: &BitplaneTensor,
-    original_len: usize,
-    group_size: GroupSize,
-) -> CompressionSummary {
-    let sizes = BcsCodec::new(group_size, encoding).measure_packed(planes, original_len);
-    CompressionSummary::from_sizes(&sizes, group_size.len())
-}
-
 /// The sign-magnitude BCS ratio the accelerator profile needs.  When
 /// `summary` was already computed in sign-magnitude (the hardware encoding
 /// and the default), its accounting is reused verbatim; only the
@@ -102,17 +84,6 @@ impl CompressStage {
     /// Creates the stage with the given encoding.
     pub fn new(encoding: Encoding) -> Self {
         Self { encoding }
-    }
-
-    /// BCS size accounting of already-packed bitplanes under this stage's
-    /// encoding (see [`CompressedLayer::compression`]).
-    pub fn summarize_planes(
-        &self,
-        planes: &BitplaneTensor,
-        original_len: usize,
-        group_size: GroupSize,
-    ) -> CompressionSummary {
-        bcs_summary(self.encoding, planes, original_len, group_size)
     }
 }
 
@@ -147,11 +118,14 @@ impl PipelineStage for CompressStage {
     fn run(&self, job: LayerJob) -> Result<CompressedLayer> {
         // The single group-extraction and bitplane-packing pass of the
         // chain: statistics and BCS accounting both run word-parallel off
-        // `planes`, and the planes travel downstream.
-        let groups = extract_groups(&job.weights, job.group_size)?;
-        let planes = groups.to_bitplanes();
-        let sparsity = LayerSparsityStats::from_tensor_and_planes(&job.weights, &planes);
-        let compression = self.summarize_planes(&planes, job.weights.data().len(), job.group_size);
+        // `planes`, and the planes travel downstream.  The payload never
+        // materialises: the BCS sizes count stored columns off the planes.
+        let PackedAnalysis {
+            planes,
+            stats: sparsity,
+            bcs,
+        } = PackedAnalysis::of(&job.weights, job.group_size, self.encoding)?;
+        let compression = CompressionSummary::from_sizes(&bcs, job.group_size.len());
         Ok(CompressedLayer {
             job,
             sparsity,
@@ -245,19 +219,13 @@ impl PipelineStage for BitFlipStage {
             // feeds the post-flip accounting (under this stage's own
             // encoding — no throwaway compress stage), statistics and
             // accelerator analysis alike.
-            let flipped_planes = extract_groups(&flipped, job.group_size)?.to_bitplanes();
-            let compression_after = bcs_summary(
-                self.encoding,
-                &flipped_planes,
-                flipped.data().len(),
-                job.group_size,
-            );
-            let flipped_stats =
-                LayerSparsityStats::from_tensor_and_planes(&flipped, &flipped_planes);
+            let packed = PackedAnalysis::of(&flipped, job.group_size, self.encoding)?;
+            let compression_after =
+                CompressionSummary::from_sizes(&packed.bcs, job.group_size.len());
             let bcs_ratio = sm_bcs_ratio(
                 self.encoding,
                 &compression_after,
-                &flipped_planes,
+                &packed.planes,
                 flipped.data().len(),
                 job.group_size,
             );
@@ -266,8 +234,8 @@ impl PipelineStage for BitFlipStage {
             let analysis = LayerAnalysis::from_shared_parts(
                 handle,
                 act,
-                &flipped_stats,
-                &flipped_planes,
+                &packed.stats,
+                &packed.planes,
                 bcs_ratio,
             );
             (

@@ -131,76 +131,112 @@ impl Groups {
         BitplaneTensor::from_slice(&self.data, self.group_size)
     }
 
-    /// Reassembles the original tensor layout (dropping the padding) into a
-    /// flat `Vec<i8>` of `rows * axis_len` elements in the original row-major
-    /// order.
-    pub fn to_flat(&self) -> Vec<i8> {
-        let groups_per_row = div_ceil(self.axis_len, self.group_size);
-        let padded_axis = groups_per_row * self.group_size;
-        let mut out = Vec::with_capacity(self.rows * self.axis_len);
-        for row in 0..self.rows {
-            let start = row * padded_axis;
-            out.extend_from_slice(&self.data[start..start + self.axis_len]);
+    /// Row length after zero-padding the grouped axis to a multiple of `G`.
+    fn padded_axis(&self) -> usize {
+        self.axis_len.div_ceil(self.group_size) * self.group_size
+    }
+}
+
+/// How a tensor's elements map onto group rows: `blocks` contiguous blocks
+/// of `axis_len × plane` elements, where row `(b, p)` (`p < plane`) holds
+/// the `axis_len` elements at stride `plane` from `b * axis_len * plane + p`.
+///
+/// A conv weight `[K, C, FY, FX]` is `K` blocks of `C × (FY·FX)`: row
+/// `(k, fy·FX + fx)` walks the input channels of one kernel position.  Linear
+/// and rank-1 tensors have `plane == 1`, so every row is contiguous.
+#[derive(Debug, Clone, Copy)]
+struct RowLayout {
+    blocks: usize,
+    axis_len: usize,
+    plane: usize,
+}
+
+impl RowLayout {
+    fn of(shape: Shape) -> Result<Self, CoreError> {
+        let (blocks, axis_len, plane) = match shape.rank() {
+            1 => (1, shape.dim(0), 1),
+            2 => (shape.dim(0), shape.dim(1), 1),
+            4 => (shape.dim(0), shape.dim(1), shape.dim(2) * shape.dim(3)),
+            rank => return Err(CoreError::UnsupportedRank(rank)),
+        };
+        Ok(Self {
+            blocks,
+            axis_len,
+            plane,
+        })
+    }
+
+    fn rows(self) -> usize {
+        self.blocks * self.plane
+    }
+
+    /// Gathers `data` into zero-padded rows of `axis_len.div_ceil(g) * g`.
+    fn gather(self, data: &[i8], g: usize) -> Groups {
+        let block_len = self.axis_len * self.plane;
+        assert_eq!(data.len(), self.blocks * block_len, "row layout mismatch");
+        let padded_axis = self.axis_len.div_ceil(g) * g;
+        let mut out = vec![0i8; self.rows() * padded_axis];
+        for (src, dst) in data
+            .chunks_exact(block_len)
+            .zip(out.chunks_exact_mut(self.plane * padded_axis))
+        {
+            for (p, row) in dst.chunks_exact_mut(padded_axis).enumerate() {
+                let row = &mut row[..self.axis_len];
+                if self.plane == 1 {
+                    row.copy_from_slice(src);
+                } else {
+                    for (d, &s) in row.iter_mut().zip(src[p..].iter().step_by(self.plane)) {
+                        *d = s;
+                    }
+                }
+            }
+        }
+        Groups {
+            group_size: g,
+            axis_len: self.axis_len,
+            rows: self.rows(),
+            data: out,
+        }
+    }
+
+    /// The inverse of [`RowLayout::gather`]: drops the padding and writes
+    /// every row back to its strided source positions.
+    fn scatter(self, groups: &Groups) -> Vec<i8> {
+        let block_len = self.axis_len * self.plane;
+        let padded_axis = groups.padded_axis();
+        let mut out = vec![0i8; self.blocks * block_len];
+        for (dst, src) in out
+            .chunks_exact_mut(block_len)
+            .zip(groups.data.chunks_exact(self.plane * padded_axis))
+        {
+            for (p, row) in src.chunks_exact(padded_axis).enumerate() {
+                let row = &row[..self.axis_len];
+                if self.plane == 1 {
+                    dst.copy_from_slice(row);
+                } else {
+                    for (d, &s) in dst[p..].iter_mut().step_by(self.plane).zip(row) {
+                        *d = s;
+                    }
+                }
+            }
         }
         out
     }
 }
 
-fn div_ceil(a: usize, b: usize) -> usize {
-    a.div_ceil(b)
-}
-
 /// Extracts weight groups from a quantised tensor along its input-channel
 /// axis (see module docs for the per-rank convention).
+///
+/// Every row is written straight into its zero-padded slot of the group
+/// buffer with a strided walk over the source tensor (no intermediate
+/// channel-last copy).
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::UnsupportedRank`] if the tensor rank is not 1, 2 or 4
 /// (rank-3 weights do not occur in the evaluated networks).
 pub fn extract_groups(tensor: &QuantTensor, group_size: GroupSize) -> Result<Groups, CoreError> {
-    let g = group_size.len();
-    let shape = tensor.shape();
-    let data = tensor.data();
-    match shape.rank() {
-        1 => Ok(group_rows(data, shape.dim(0), 1, g)),
-        2 => Ok(group_rows(data, shape.dim(1), shape.dim(0), g)),
-        4 => {
-            // [K, C, FY, FX]: the grouped axis is C, but it is not the
-            // innermost axis, so gather per (k, fy, fx) first.
-            let (k, c, fy, fx) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
-            let mut reordered = Vec::with_capacity(k * c * fy * fx);
-            for ki in 0..k {
-                for yi in 0..fy {
-                    for xi in 0..fx {
-                        for ci in 0..c {
-                            reordered.push(data[shape.offset(&[ki, ci, yi, xi])]);
-                        }
-                    }
-                }
-            }
-            Ok(group_rows(&reordered, c, k * fy * fx, g))
-        }
-        rank => Err(CoreError::UnsupportedRank(rank)),
-    }
-}
-
-/// Groups a flat buffer organised as `rows` rows of `axis_len` contiguous
-/// elements, padding each row's tail group with zeros.
-fn group_rows(data: &[i8], axis_len: usize, rows: usize, g: usize) -> Groups {
-    assert_eq!(data.len(), rows * axis_len, "row layout mismatch");
-    let groups_per_row = div_ceil(axis_len, g);
-    let padded_axis = groups_per_row * g;
-    let mut out = vec![0i8; rows * padded_axis];
-    for row in 0..rows {
-        let src = &data[row * axis_len..(row + 1) * axis_len];
-        out[row * padded_axis..row * padded_axis + axis_len].copy_from_slice(src);
-    }
-    Groups {
-        group_size: g,
-        axis_len,
-        rows,
-        data: out,
-    }
+    Ok(RowLayout::of(tensor.shape())?.gather(tensor.data(), group_size.len()))
 }
 
 /// Writes grouped (possibly Bit-Flipped) values back into a tensor with the
@@ -216,42 +252,34 @@ pub fn reassemble_tensor(
     groups: &Groups,
 ) -> Result<QuantTensor, CoreError> {
     let shape = original.shape();
-    let flat = groups.to_flat();
-    let data = match shape.rank() {
-        1 | 2 => flat,
-        4 => {
-            let (k, c, fy, fx) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
-            if flat.len() != k * c * fy * fx {
-                return Err(CoreError::Tensor(
-                    bitwave_tensor::TensorError::ShapeMismatch {
-                        expected: k * c * fy * fx,
-                        actual: flat.len(),
-                    },
-                ));
-            }
-            let mut out = vec![0i8; flat.len()];
-            let mut idx = 0usize;
-            for ki in 0..k {
-                for yi in 0..fy {
-                    for xi in 0..fx {
-                        for ci in 0..c {
-                            out[shape.offset(&[ki, ci, yi, xi])] = flat[idx];
-                            idx += 1;
-                        }
-                    }
-                }
-            }
-            out
-        }
-        rank => return Err(CoreError::UnsupportedRank(rank)),
-    };
-    Ok(QuantTensor::new(shape, data, original.params())?)
+    let layout = RowLayout::of(shape)?;
+    if groups.axis_len != layout.axis_len || groups.rows != layout.rows() {
+        return Err(CoreError::Tensor(
+            bitwave_tensor::TensorError::ShapeMismatch {
+                expected: shape.num_elements(),
+                actual: groups.rows * groups.axis_len,
+            },
+        ));
+    }
+    Ok(QuantTensor::new(
+        shape,
+        layout.scatter(groups),
+        original.params(),
+    )?)
 }
 
 /// Convenience: groups a plain slice (used by codecs operating on already
 /// flattened weight streams).
 pub fn group_slice(data: &[i8], group_size: GroupSize) -> Groups {
-    group_rows(data, data.len(), 1, group_size.len())
+    let g = group_size.len();
+    let mut padded = data.to_vec();
+    padded.resize(data.len().div_ceil(g) * g, 0);
+    Groups {
+        group_size: g,
+        axis_len: data.len(),
+        rows: 1,
+        data: padded,
+    }
 }
 
 /// Returns the number of groups a tensor of `shape` produces at `group_size`
@@ -261,13 +289,8 @@ pub fn group_slice(data: &[i8], group_size: GroupSize) -> Groups {
 ///
 /// Returns [`CoreError::UnsupportedRank`] for ungroupable ranks.
 pub fn group_count_for_shape(shape: Shape, group_size: GroupSize) -> Result<usize, CoreError> {
-    let g = group_size.len();
-    match shape.rank() {
-        1 => Ok(div_ceil(shape.dim(0), g)),
-        2 => Ok(shape.dim(0) * div_ceil(shape.dim(1), g)),
-        4 => Ok(shape.dim(0) * shape.dim(2) * shape.dim(3) * div_ceil(shape.dim(1), g)),
-        rank => Err(CoreError::UnsupportedRank(rank)),
-    }
+    let layout = RowLayout::of(shape)?;
+    Ok(layout.rows() * layout.axis_len.div_ceil(group_size.len()))
 }
 
 #[cfg(test)]
@@ -363,7 +386,9 @@ mod tests {
         let data: Vec<i8> = (0..10).map(|i| i as i8).collect();
         let groups = group_slice(&data, GroupSize::Custom(4));
         assert_eq!(groups.num_groups(), 3);
-        assert_eq!(groups.to_flat(), data);
+        let padded: Vec<i8> = groups.iter().flatten().copied().collect();
+        assert_eq!(&padded[..10], data.as_slice());
+        assert_eq!(&padded[10..], &[0, 0], "tail is zero padded");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! Fig. 1 reports the ratio `SR = bit sparsity / value sparsity` as the
 //! potential computational speedup of bit-level over value-level skipping.
 
+use crate::compress::{BcsCodec, BcsSizes};
 use crate::error::CoreError;
 use crate::group::{extract_groups, GroupSize};
 use bitwave_tensor::bitplane::{BitplaneTensor, WORD_LEN};
@@ -180,6 +181,45 @@ impl LayerSparsityStats {
             Encoding::TwosComplement => self.column_sparsity_twos_complement,
             Encoding::SignMagnitude => self.column_sparsity_sign_magnitude,
         }
+    }
+}
+
+/// One tensor's packed analysis: its weight groups packed into bitplanes,
+/// the sparsity statistics and the BCS size accounting read off those
+/// planes.  Every per-layer analysis (the pipeline's compress and Bit-Flip
+/// stages, the accelerator sparsity profile) starts from this one pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedAnalysis {
+    /// The bitplane-packed (zero-padded) weight groups.
+    pub planes: BitplaneTensor,
+    /// Sparsity statistics of the tensor.
+    pub stats: LayerSparsityStats,
+    /// BCS sizes under the requested encoding, with compression ratios
+    /// measured against the unpadded weight count.
+    pub bcs: BcsSizes,
+}
+
+impl PackedAnalysis {
+    /// Groups `weights` at `group_size`, packs the groups once and derives
+    /// the statistics and the `encoding` BCS sizes from the planes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::UnsupportedRank`] for ungroupable tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group size exceeds a 64-bit plane word (see
+    /// [`crate::group::Groups::to_bitplanes`]).
+    pub fn of(
+        weights: &QuantTensor,
+        group_size: GroupSize,
+        encoding: Encoding,
+    ) -> Result<Self, CoreError> {
+        let planes = extract_groups(weights, group_size)?.to_bitplanes();
+        let stats = LayerSparsityStats::from_tensor_and_planes(weights, &planes);
+        let bcs = BcsCodec::new(group_size, encoding).measure_packed(&planes, weights.data().len());
+        Ok(Self { planes, stats, bcs })
     }
 }
 

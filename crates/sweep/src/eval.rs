@@ -7,7 +7,10 @@
 //! * **Portfolio sharing** — sparsity profiles and synthetic weights depend
 //!   only on `(model, seed, sample_cap)`, so [`build_portfolio`] serves
 //!   each model from a process-wide `Arc` store: every candidate, worker
-//!   thread and serve request prices the same profiled portfolio.
+//!   thread and serve request prices the same profiled portfolio.  The
+//!   profiles are **core-only** ([`bitwave_accel::LayerAnalysis::core_profile`]):
+//!   every sweep point is a BCS BitWave spec, so the ZRE/CSR value-codec
+//!   passes never run and their ratios hold the `1.0` placeholder.
 //! * **Factored groups** — candidates that differ only along the
 //!   SRAM-size / DRAM-bandwidth axes share identical compute-side costs,
 //!   so [`evaluate_point_factored`] factors each portfolio model once per
@@ -23,7 +26,8 @@ use crate::config::SweepConfig;
 use crate::menu::{menu_rows, MenuRow};
 use crate::space::CandidatePoint;
 use bitwave::context::ExperimentContext;
-use bitwave_accel::sparsity::LayerSparsityProfile;
+use bitwave::BitwaveError;
+use bitwave_accel::sparsity::{LayerAnalysis, LayerSparsityProfile};
 use bitwave_accel::{bits_per_mac_class, EnergyModel};
 use bitwave_core::digest::Digest;
 use bitwave_dataflow::MemoryHierarchy;
@@ -42,7 +46,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 pub struct PortfolioModel {
     /// The network.
     pub network: NetworkSpec,
-    /// Per-layer sparsity profiles aligned with `network.layers`.
+    /// Per-layer core sparsity profiles aligned with `network.layers`
+    /// ([`LayerAnalysis::core_profile`]): `zre_compression_ratio` and
+    /// `csr_compression_ratio` hold the dense placeholder `1.0`, because no
+    /// sweep point (a BCS BitWave spec) reads the value-codec ratios.
     pub profiles: Vec<LayerSparsityProfile>,
 }
 
@@ -78,8 +85,19 @@ fn portfolio_model(
         .with_sample_cap(sample_cap);
     let network = by_name(name).map_err(|e| format!("unknown portfolio model `{name}`: {e}"))?;
     let weights = ctx.weights(&network);
-    let profiles = ctx
-        .profiles(&network, &weights)
+    let profiles = network
+        .layers
+        .iter()
+        .map(|layer| {
+            let handle = ctx.layer_weight_handle(&network, &weights, &layer.name)?;
+            let analysis = LayerAnalysis::from_weights(
+                handle.clone(),
+                layer.expected_activation_sparsity(),
+                ctx.group_size,
+            )?;
+            Ok(*analysis.core_profile())
+        })
+        .collect::<Result<Vec<_>, BitwaveError>>()
         .map_err(|e| format!("profiling {name}: {e}"))?;
     let model = Arc::new(PortfolioModel { network, profiles });
     if let Ok(mut guard) = store.lock() {
@@ -316,6 +334,8 @@ pub fn evaluate_point_factored(
     portfolio: &[Arc<PortfolioModel>],
 ) -> PointResult {
     let spec = point.spec();
+    // The portfolio carries core profiles only (see `PortfolioModel`).
+    debug_assert!(!spec.needs_value_codec_ratios());
     let memory = point_memory(point);
     let energy = EnergyModel::finfet_16nm();
     let entry = global_eval_engine().group(group_key(point, config, &spec), || GroupEntry {
@@ -350,6 +370,7 @@ pub fn evaluate_point_factored(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MenuKind;
     use crate::space::enumerate;
 
     #[test]
@@ -373,6 +394,48 @@ mod tests {
         other.seed += 1;
         let third = build_portfolio(&other).unwrap();
         assert!(!Arc::ptr_eq(&first[0], &third[0]));
+    }
+
+    #[test]
+    fn sweep_points_never_need_value_codec_ratios() {
+        for kind in [MenuKind::TableI, MenuKind::BitSim] {
+            // Exhaustive: a new menu family must be added to the list above.
+            match kind {
+                MenuKind::TableI | MenuKind::BitSim => {}
+            }
+            let mut config = SweepConfig::small();
+            config.menus = vec![kind];
+            for point in enumerate(&config) {
+                assert!(
+                    !point.spec().needs_value_codec_ratios(),
+                    "{} reads value-codec ratios",
+                    point.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn portfolio_profiles_are_the_core_profiles() {
+        let config = SweepConfig::tiny();
+        let ctx = ExperimentContext::default()
+            .with_seed(config.seed)
+            .with_sample_cap(config.sample_cap);
+        for model in build_portfolio(&config).unwrap() {
+            let weights = ctx.weights(&model.network);
+            let full = ctx.profiles(&model.network, &weights).unwrap();
+            assert_eq!(model.profiles.len(), full.len());
+            for (core, full) in model.profiles.iter().zip(full) {
+                assert_eq!(core.zre_compression_ratio, 1.0);
+                assert_eq!(core.csr_compression_ratio, 1.0);
+                let resolved = LayerSparsityProfile {
+                    zre_compression_ratio: full.zre_compression_ratio,
+                    csr_compression_ratio: full.csr_compression_ratio,
+                    ..*core
+                };
+                assert_eq!(resolved, full);
+            }
+        }
     }
 
     #[test]
