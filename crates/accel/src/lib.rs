@@ -12,12 +12,16 @@
 //! 2. **STEP 2** — per-layer sparsity statistics and compression ratios are
 //!    captured in [`sparsity::LayerSparsityProfile`], including the load
 //!    imbalance adjustment for runtime-scheduled bit-serial machines.
-//! 3. **STEP 3** — [`model::evaluate_layer`] combines both into effective
-//!    operation and memory-access counts (Eqs. 1–3).
+//! 3. **STEP 3** — [`model::evaluate_layer_with_mapping`] combines both,
+//!    under one layer's mapping decision, into effective operation and
+//!    memory-access counts (Eqs. 1–3).  It is the composition of the
+//!    spatial-unrolling part [`model::SuCost`] and the traffic part
+//!    [`model::LayerTraffic`], which the design-space search prices
+//!    separately.
 //! 4. **STEP 4** — the energy model ([`energy::EnergyModel`], Eq. 4) and the
-//!    latency model (Eq. 5) turn the counts into energy and cycles;
-//!    [`model::evaluate_network`] aggregates layers into the network-level
-//!    results behind Figs. 13–17.
+//!    latency model (Eq. 5) turn the counts into energy and cycles.  The
+//!    network-level results behind Figs. 13–17 are `bitwave`'s pipeline
+//!    reports, which sum these per-layer outcomes.
 //!
 //! [`area`] holds the area/power breakdowns and technology constants behind
 //! Fig. 18 and Tables III–IV.
@@ -33,8 +37,8 @@ pub mod spec;
 
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use model::{
-    bits_per_mac_class, evaluate_layer, evaluate_layer_with_mapping, evaluate_network, LayerResult,
-    LayerTraffic, NetworkError, NetworkResult, PricedTraffic, RepricedLayerCost, SuCost,
+    bits_per_mac_class, evaluate_layer_with_mapping, LayerTraffic, PricedTraffic,
+    RepricedLayerCost, SuCost,
 };
 pub use sparsity::{LayerAnalysis, LayerSparsityProfile};
 pub use spec::{AcceleratorKind, AcceleratorSpec, BitwaveOptimizations};
@@ -46,9 +50,7 @@ pub mod prelude {
         PeTypeRow, SotaRow,
     };
     pub use crate::energy::{EnergyBreakdown, EnergyModel};
-    pub use crate::model::{
-        evaluate_layer, evaluate_layer_with_mapping, evaluate_network, LayerResult, NetworkResult,
-    };
+    pub use crate::model::evaluate_layer_with_mapping;
     pub use crate::sparsity::{LayerAnalysis, LayerSparsityProfile};
     pub use crate::spec::{AcceleratorKind, AcceleratorSpec, BitwaveOptimizations};
 }

@@ -13,12 +13,13 @@
 //!    stream + broadcast activations + write-back) on a memory-bound layer.
 
 use bitwave::context::ExperimentContext;
-use bitwave::pipeline::Pipeline;
-use bitwave_accel::model::{evaluate_layer, evaluate_network};
+use bitwave::pipeline::{FlippedLayer, Pipeline};
+use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::spec::{AcceleratorSpec, BitwaveOptimizations};
 use bitwave_accel::{EnergyModel, LayerSparsityProfile};
 use bitwave_bench::{print_header, write_bench_json};
 use bitwave_core::group::GroupSize;
+use bitwave_dataflow::mapping::select_spatial_unrolling;
 use bitwave_dataflow::{DramSpec, DramTraffic, LayerFootprint, MemoryHierarchy};
 use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::resnet18;
@@ -65,19 +66,14 @@ fn memory(sram_kb: usize) -> MemoryHierarchy {
     }
 }
 
-fn resnet_profiles(
-    context: &ExperimentContext,
-    accel: &AcceleratorSpec,
-) -> Vec<LayerSparsityProfile> {
+/// ResNet18 through the compress + Bit-Flip prefix: the sparsity analysis
+/// every SRAM point and accelerator of the gates re-prices.
+fn resnet_prepared(context: &ExperimentContext) -> Vec<FlippedLayer> {
     let net = resnet18();
     let weights = context.weights(&net);
-    let prepared = Pipeline::new(context.clone())
+    Pipeline::new(context.clone())
         .prepare_with_weights(&net, &weights)
-        .expect("prepared layers");
-    prepared
-        .iter()
-        .map(|layer| *layer.analysis.profile_for(accel))
-        .collect()
+        .expect("prepared layers")
 }
 
 /// Gate 1: on a bandwidth-throttled deployment, ranking the SRAM axis by the
@@ -87,7 +83,7 @@ fn resnet_profiles(
 /// aware_memory_bound_layers)`.
 fn assert_memory_aware_dse_beats_compute_only(
     context: &ExperimentContext,
-    profiles: &[LayerSparsityProfile],
+    prepared: &[FlippedLayer],
 ) -> (usize, usize, f64, f64, usize) {
     print_header(
         "dram_dse",
@@ -101,14 +97,20 @@ fn assert_memory_aware_dse_beats_compute_only(
     let mut blind: Option<(usize, f64, f64)> = None; // (kb, compute metric, deployed total)
     let mut aware: Option<(usize, f64, usize)> = None; // (kb, total, memory-bound layers)
     for sram_kb in SRAM_AXIS_KB {
-        let result = evaluate_network(&spec, &net, profiles, &memory(sram_kb), &context.energy)
+        let sized = ExperimentContext {
+            memory: memory(sram_kb),
+            ..context.clone()
+        };
+        let result = Pipeline::new(sized)
+            .with_accelerator(spec.clone())
+            .simulate_prepared(&net, prepared)
             .expect("throttled evaluation");
-        let compute_metric: f64 = result.layers.iter().map(|l| l.compute_cycles).sum();
-        let bound = result
+        let compute_metric: f64 = result
             .layers
             .iter()
-            .filter(|l| l.boundedness.is_some_and(|b| b.memory_bound))
-            .count();
+            .map(|l| l.simulation.compute_cycles)
+            .sum();
+        let bound = result.memory_bound_layers;
         println!(
             "sram {sram_kb:>4} KiB: compute {compute_metric:.4e}  total {:.4e}  \
              memory-bound layers {bound}/{}",
@@ -173,14 +175,15 @@ fn assert_model_matches_engine_dram() -> (f64, f64, f64) {
         LayerSparsityProfile::from_weights(&weights, 0.5, GroupSize::from_len(8)).expect("profile");
     let mut spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
     spec.dram = DramSpec::constrained(8);
-    let result = evaluate_layer(
+    let decision = select_spatial_unrolling(&layer, &spec.su_set).expect("layer maps");
+    let result = evaluate_layer_with_mapping(
         &spec,
         &layer,
+        &decision,
         &profile,
         &MemoryHierarchy::bitwave_default(),
         &EnergyModel::finfet_16nm(),
-    )
-    .expect("layer evaluates");
+    );
     let boundedness = result
         .boundedness
         .expect("constrained tier reports boundedness");
@@ -220,11 +223,10 @@ fn assert_model_matches_engine_dram() -> (f64, f64, f64) {
 
 fn bench(c: &mut Criterion) {
     let context = ctx();
-    let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
-    let profiles = resnet_profiles(&context, &accel);
+    let prepared = resnet_prepared(&context);
 
     let (blind_kb, aware_kb, blind_total, aware_total, aware_bound) =
-        assert_memory_aware_dse_beats_compute_only(&context, &profiles);
+        assert_memory_aware_dse_beats_compute_only(&context, &prepared);
     let (model_dram_cycles, engine_dram_cycles, dram_deviation) =
         assert_model_matches_engine_dram();
     write_bench_json(
@@ -247,19 +249,15 @@ fn bench(c: &mut Criterion) {
 
     // Steady-state criterion loops.
     let net = resnet18();
-    let mut throttled = accel.clone();
+    let mut throttled = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
     throttled.dram = DramSpec::constrained(THROTTLED_BANDWIDTH_BITS);
+    let pipeline = Pipeline::new(context).with_accelerator(throttled);
     c.bench_function("dram/evaluate_resnet18_throttled", |b| {
         b.iter(|| {
             black_box(
-                evaluate_network(
-                    black_box(&throttled),
-                    black_box(&net),
-                    black_box(&profiles),
-                    &context.memory,
-                    &context.energy,
-                )
-                .expect("evaluation"),
+                pipeline
+                    .simulate_prepared(black_box(&net), black_box(&prepared))
+                    .expect("evaluation"),
             )
         })
     });

@@ -105,9 +105,12 @@ fn assert_searched_beats_heuristic_edp() -> (f64, f64) {
         "searched vs heuristic mapping EDP on ResNet18/BitWave (gate: searched <= heuristic)",
     );
     let net = resnet18();
-    let heuristic = Pipeline::new(ctx()).run_model(&net).expect("heuristic run");
+    let weights = ctx().weights(&net);
+    let heuristic = Pipeline::new(ctx())
+        .run(&net, &weights)
+        .expect("heuristic run");
     let searched = Pipeline::new(ctx().with_mapping_policy(MappingPolicy::Searched))
-        .run_model(&net)
+        .run(&net, &weights)
         .expect("searched run");
     let (h, s) = (edp(&heuristic), edp(&searched));
     println!(

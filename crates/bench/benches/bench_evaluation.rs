@@ -7,8 +7,7 @@ use bitwave::context::ExperimentContext;
 use bitwave::experiments::evaluation::{
     fig13_speedup_breakdown, fig14_15_17_sota_comparison, fig16_energy_breakdown,
 };
-use bitwave_accel::model::evaluate_network;
-use bitwave_accel::spec::{AcceleratorSpec, BitwaveOptimizations};
+use bitwave::pipeline::Pipeline;
 use bitwave_bench::{bench_context, print_header};
 use bitwave_dnn::models::resnet18;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -66,23 +65,21 @@ fn bench(c: &mut Criterion) {
     let ctx = bench_context();
     print_figures(&ctx);
 
-    // Benchmark the analytical model itself on one network (profiles are
-    // precomputed outside the timed region).
+    // Benchmark the analytical model itself on one network: the compress
+    // and Bit-Flip prefix (the sparsity profiles) runs outside the timed
+    // region, the map + simulate suffix inside it.
     let net = resnet18();
     let weights = ctx.weights(&net);
-    let profiles = ctx.profiles(&net, &weights).expect("profiles computed");
-    let spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+    let pipeline = Pipeline::new(ctx.clone());
+    let prepared = pipeline
+        .prepare_with_weights(&net, &weights)
+        .expect("layers prepared");
     c.bench_function("kernel/evaluate_resnet18_on_bitwave_model", |b| {
         b.iter(|| {
             black_box(
-                evaluate_network(
-                    black_box(&spec),
-                    black_box(&net),
-                    black_box(&profiles),
-                    &ctx.memory,
-                    &ctx.energy,
-                )
-                .expect("evaluation"),
+                pipeline
+                    .simulate_prepared(black_box(&net), black_box(&prepared))
+                    .expect("evaluation"),
             )
         })
     });

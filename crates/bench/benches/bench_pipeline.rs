@@ -17,14 +17,16 @@
 //! machines.
 
 use bitwave::context::ExperimentContext;
-use bitwave::pipeline::Pipeline;
-use bitwave_accel::model::evaluate_layer;
+use bitwave::pipeline::{ModelReport, Pipeline};
+use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::LayerSparsityProfile;
 use bitwave_bench::{print_header, write_bench_json};
 use bitwave_core::compress::BcsCodec;
 use bitwave_core::group::extract_groups;
 use bitwave_core::stats::LayerSparsityStats;
-use bitwave_dnn::models::resnet18;
+use bitwave_dataflow::mapping::select_spatial_unrolling;
+use bitwave_dnn::models::{resnet18, NetworkSpec};
+use bitwave_dnn::weights::NetworkWeights;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::copy_metrics::CopyCounter;
 use bitwave_tensor::QuantTensor;
@@ -55,6 +57,34 @@ fn pipeline_context() -> ExperimentContext {
     ExperimentContext::default().with_sample_cap(8_000)
 }
 
+/// The sequential side of the comparisons: every job through
+/// [`Pipeline::run_job`] in layer order, aggregated like [`Pipeline::run`].
+fn run_sequential(pipeline: &Pipeline, net: &NetworkSpec, weights: &NetworkWeights) -> ModelReport {
+    let layers = pipeline
+        .jobs_with_weights(net, weights)
+        .expect("plan")
+        .into_iter()
+        .map(|job| pipeline.run_job(job).expect("job runs"))
+        .collect();
+    ModelReport::from_layers(
+        net.name.clone(),
+        pipeline.accelerator().label.clone(),
+        layers,
+    )
+}
+
+/// One sequential whole-model run, weight generation included.
+fn generate_and_run_sequential(pipeline: &Pipeline, net: &NetworkSpec) -> ModelReport {
+    run_sequential(pipeline, net, &pipeline.context().weights(net))
+}
+
+/// One layer-parallel whole-model run, weight generation included.
+fn generate_and_run(pipeline: &Pipeline, net: &NetworkSpec) -> ModelReport {
+    pipeline
+        .run(net, &pipeline.context().weights(net))
+        .expect("parallel run")
+}
+
 fn print_scaling_summary(pipeline: &Pipeline) -> (usize, f64, f64, f64) {
     let net = resnet18();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -63,8 +93,8 @@ fn print_scaling_summary(pipeline: &Pipeline) -> (usize, f64, f64, f64) {
         "sequential vs rayon-parallel full-model pipeline (ResNet18)",
     );
 
-    let sequential = pipeline.run_model(&net).expect("sequential run");
-    let parallel = pipeline.run_model_parallel(&net).expect("parallel run");
+    let sequential = generate_and_run_sequential(pipeline, &net);
+    let parallel = generate_and_run(pipeline, &net);
     assert_eq!(sequential, parallel, "parallel run must be bit-identical");
 
     // Best of three rounds per mode (after the warm-up above), so one noisy
@@ -74,12 +104,12 @@ fn print_scaling_summary(pipeline: &Pipeline) -> (usize, f64, f64, f64) {
     };
     let t_seq = best_of(&mut || {
         let t0 = Instant::now();
-        black_box(pipeline.run_model(&net).expect("sequential run"));
+        black_box(generate_and_run_sequential(pipeline, &net));
         t0.elapsed()
     });
     let t_par = best_of(&mut || {
         let t0 = Instant::now();
-        black_box(pipeline.run_model_parallel(&net).expect("parallel run"));
+        black_box(generate_and_run(pipeline, &net));
         t0.elapsed()
     });
 
@@ -119,9 +149,7 @@ fn assert_zero_copy_dispatch(pipeline: &Pipeline) -> u64 {
     );
     let counter = CopyCounter::snapshot();
     let jobs = pipeline.jobs_with_weights(&net, &weights).expect("plan");
-    let report = pipeline
-        .run_model_weights_parallel(&net, &weights)
-        .expect("parallel run");
+    let report = pipeline.run(&net, &weights).expect("parallel run");
     let copies = counter.delta();
     println!(
         "jobs planned: {}   layers simulated: {}   weight-tensor deep copies: {copies}",
@@ -144,11 +172,7 @@ fn assert_zero_copy_dispatch(pipeline: &Pipeline) -> u64 {
 /// The network spec and weight set come from the caller, exactly like the
 /// new-path timing: only the per-layer pipeline work is measured, never
 /// weight generation.
-fn legacy_model_pass(
-    pipeline: &Pipeline,
-    net: &bitwave_dnn::models::NetworkSpec,
-    weights: &bitwave_dnn::weights::NetworkWeights,
-) -> f64 {
+fn legacy_model_pass(pipeline: &Pipeline, net: &NetworkSpec, weights: &NetworkWeights) -> f64 {
     let ctx = pipeline.context();
     let memory = ctx.memory;
     let energy = ctx.energy;
@@ -169,8 +193,10 @@ fn legacy_model_pass(
             ctx.group_size,
         )
         .expect("profile");
-        let result = evaluate_layer(pipeline.accelerator(), layer, &profile, &memory, &energy)
-            .expect("mapping");
+        let accelerator = pipeline.accelerator();
+        let decision = select_spatial_unrolling(layer, &accelerator.su_set).expect("mapping");
+        let result =
+            evaluate_layer_with_mapping(accelerator, layer, &decision, &profile, &memory, &energy);
         checksum += result.total_cycles;
     }
     checksum
@@ -190,10 +216,7 @@ fn assert_shared_analysis_speedup(pipeline: &Pipeline) -> (f64, f64, f64) {
     );
 
     // Warm-up + numerical agreement: both paths model the same machine.
-    let new_total = pipeline
-        .run_model_weights(&net, &weights)
-        .expect("pipeline run")
-        .total_cycles;
+    let new_total = run_sequential(pipeline, &net, &weights).total_cycles;
     let legacy_total = legacy_model_pass(pipeline, &net, &weights);
     assert!(
         (new_total - legacy_total).abs() <= 1e-6 * legacy_total,
@@ -214,7 +237,7 @@ fn assert_shared_analysis_speedup(pipeline: &Pipeline) -> (f64, f64, f64) {
     };
     let t_new = best_of(&mut || {
         for _ in 0..ROUNDS {
-            black_box(pipeline.run_model_weights(&net, &weights).expect("run"));
+            black_box(run_sequential(pipeline, &net, &weights));
         }
     });
     let t_legacy = best_of(&mut || {
@@ -266,15 +289,15 @@ fn bench(c: &mut Criterion) {
 
     let net = resnet18();
     c.bench_function("pipeline/run_model_sequential_resnet18", |b| {
-        b.iter(|| black_box(pipeline.run_model(black_box(&net)).expect("run")))
+        b.iter(|| black_box(generate_and_run_sequential(&pipeline, black_box(&net))))
     });
     c.bench_function("pipeline/run_model_parallel_resnet18", |b| {
-        b.iter(|| black_box(pipeline.run_model_parallel(black_box(&net)).expect("run")))
+        b.iter(|| black_box(generate_and_run(&pipeline, black_box(&net))))
     });
 
     // Single-job cost: the unit of work the parallel scheduler distributes.
     let job = pipeline
-        .jobs(&net)
+        .jobs_with_weights(&net, &pipeline.context().weights(&net))
         .expect("jobs planned")
         .into_iter()
         .last()

@@ -2,10 +2,8 @@
 
 use crate::error::{BitwaveError, Result};
 use bitwave_accel::EnergyModel;
-use bitwave_accel::LayerSparsityProfile;
 use bitwave_core::group::GroupSize;
 use bitwave_core::prelude::FlipStrategy;
-use bitwave_core::stats::LayerSparsityStats;
 use bitwave_dataflow::mapping::MappingPolicy;
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::models::NetworkSpec;
@@ -78,20 +76,6 @@ impl ExperimentContext {
         NetworkWeights::generate_sampled(spec, self.seed, self.sample_cap)
     }
 
-    /// Looks up one layer's weights, converting absence into a typed error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitwaveError::MissingLayer`] when the weights lack the layer.
-    pub fn layer_weights<'w>(
-        &self,
-        spec: &NetworkSpec,
-        weights: &'w NetworkWeights,
-        layer: &str,
-    ) -> Result<&'w bitwave_tensor::QuantTensor> {
-        Ok(self.layer_weight_handle(spec, weights, layer)?.tensor())
-    }
-
     /// Looks up one layer's shared weight handle, converting absence into a
     /// typed error.  Cloning the returned handle shares the tensor with the
     /// weight set instead of copying it — the way experiment drivers build
@@ -114,52 +98,6 @@ impl ExperimentContext {
             })
     }
 
-    /// Per-layer sparsity statistics of a weight set, aligned with
-    /// `spec.layers`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitwaveError::MissingLayer`] for absent weights and
-    /// propagates grouping errors.
-    pub fn layer_stats(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<Vec<LayerSparsityStats>> {
-        spec.layers
-            .iter()
-            .map(|l| {
-                let tensor = self.layer_weights(spec, weights, &l.name)?;
-                Ok(LayerSparsityStats::analyze(tensor, self.group_size)?)
-            })
-            .collect()
-    }
-
-    /// Per-layer sparsity profiles for the accelerator models, aligned with
-    /// `spec.layers`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitwaveError::MissingLayer`] for absent weights and
-    /// propagates grouping errors.
-    pub fn profiles(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<Vec<LayerSparsityProfile>> {
-        spec.layers
-            .iter()
-            .map(|l| {
-                let tensor = self.layer_weights(spec, weights, &l.name)?;
-                Ok(LayerSparsityProfile::from_weights(
-                    tensor,
-                    l.expected_activation_sparsity(),
-                    self.group_size,
-                )?)
-            })
-            .collect()
-    }
-
     /// The default one-shot Bit-Flip strategy the evaluation uses
     /// (Section III-D / Fig. 6): weight-heavy, perturbation-insensitive
     /// layers are flipped to 5 zero columns; for BERT the especially
@@ -179,19 +117,6 @@ impl ExperimentContext {
             strategy.set(&layer.name, self.group_size, zero_columns);
         }
         strategy
-    }
-
-    /// Bit-flipped weights under the default strategy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates grouping/flip errors from the Bit-Flip kernel.
-    pub fn flipped_weights(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<NetworkWeights> {
-        Ok(weights.apply_flip_strategy(&self.default_bitflip_strategy(spec))?)
     }
 }
 
@@ -219,27 +144,20 @@ mod tests {
     }
 
     #[test]
-    fn profiles_align_with_layers() {
-        let ctx = ExperimentContext::default().with_sample_cap(2_000);
-        let net = resnet18();
-        let weights = ctx.weights(&net);
-        let profiles = ctx.profiles(&net, &weights).unwrap();
-        assert_eq!(profiles.len(), net.layers.len());
-        let stats = ctx.layer_stats(&net, &weights).unwrap();
-        assert_eq!(stats.len(), net.layers.len());
-    }
-
-    #[test]
     fn missing_layers_surface_as_typed_errors() {
         let ctx = ExperimentContext::default().with_sample_cap(1_000);
         let net = resnet18();
         let mut foreign = bert_base();
         foreign.name = net.name.clone();
         let weights = ctx.weights(&foreign);
-        let err = ctx.layer_stats(&net, &weights).unwrap_err();
-        assert!(matches!(err, BitwaveError::MissingLayer { .. }));
-        let err = ctx.profiles(&net, &weights).unwrap_err();
-        assert!(matches!(err, BitwaveError::MissingLayer { .. }));
+        let err = ctx
+            .layer_weight_handle(&net, &weights, "layer4.1.conv2")
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            BitwaveError::MissingLayer { ref network, ref layer }
+                if network == "ResNet18" && layer == "layer4.1.conv2"
+        ));
     }
 
     #[test]
@@ -266,7 +184,9 @@ mod tests {
         let ctx = ExperimentContext::default().with_sample_cap(2_000);
         let net = resnet18();
         let weights = ctx.weights(&net);
-        let flipped = ctx.flipped_weights(&net, &weights).unwrap();
+        let flipped = weights
+            .apply_flip_strategy(&ctx.default_bitflip_strategy(&net))
+            .unwrap();
         assert_eq!(
             weights.layer("conv1").unwrap().data(),
             flipped.layer("conv1").unwrap().data()

@@ -2,17 +2,18 @@
 //! fronts, plus the Algorithm 1 greedy search.
 //!
 //! Whole-network compression accounting goes through the
-//! [`crate::pipeline`] compress stage ([`Pipeline::network_compression`]).
+//! [`crate::pipeline`] compress stage ([`network_bcs_compression`]).
 
 use crate::context::ExperimentContext;
 use crate::error::Result;
-use crate::pipeline::Pipeline;
-use bitwave_core::pareto::{pareto_front, ParetoPoint};
+use crate::pipeline::{CompressStage, CompressionSummary, Pipeline, PipelineStage};
+use bitwave_core::pareto::{pareto_front_n, Direction, ParetoPointN};
 use bitwave_core::prelude::FlipStrategy;
 use bitwave_core::search::{greedy_bitflip_search, SearchConfig, SearchOutcome};
 use bitwave_dnn::models::NetworkSpec;
 use bitwave_dnn::proxy::AccuracyProxy;
 use bitwave_dnn::weights::NetworkWeights;
+use bitwave_tensor::bits::Encoding;
 use serde::{Deserialize, Serialize};
 
 /// One point of a Fig. 6(a–d) layer-sensitivity curve.
@@ -156,22 +157,29 @@ pub fn network_bcs_compression(
     spec: &NetworkSpec,
     weights: &NetworkWeights,
 ) -> Result<f64> {
-    Pipeline::new(ctx.clone()).network_compression(spec, weights)
+    let compress = CompressStage::new(Encoding::SignMagnitude);
+    let summaries = Pipeline::new(ctx.clone())
+        .jobs_with_weights(spec, weights)?
+        .into_iter()
+        .map(|job| Ok(compress.run(job)?.compression))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(CompressionSummary::aggregate_ratio(&summaries))
 }
 
-/// The Pareto front of a Fig. 6(e–h) trade-off sweep.
-pub fn fig06_pareto(rows: &[TradeoffRow]) -> Vec<ParetoPoint> {
-    let points: Vec<ParetoPoint> = rows
+/// The Pareto front of a Fig. 6(e–h) trade-off sweep over
+/// `[compression ratio, quality]`, both maximised, sorted by ascending
+/// compression ratio.
+pub fn fig06_pareto(rows: &[TradeoffRow]) -> Vec<ParetoPointN<2>> {
+    let points: Vec<ParetoPointN<2>> = rows
         .iter()
         .map(|r| {
-            ParetoPoint::new(
-                r.compression_ratio,
-                r.quality,
+            ParetoPointN::new(
+                [r.compression_ratio, r.quality],
                 format!("{} {}", r.method, r.configuration),
             )
         })
         .collect();
-    pareto_front(&points)
+    pareto_front_n(&points, &[Direction::Maximize; 2])
 }
 
 /// Runs Algorithm 1 (greedy layer-wise Bit-Flip search) on a network with the
@@ -274,9 +282,7 @@ mod tests {
         let rows = fig06_tradeoff(&ctx, &net).unwrap();
         let front = fig06_pareto(&rows);
         assert!(!front.is_empty());
-        assert!(front
-            .windows(2)
-            .all(|w| w[0].compression_ratio <= w[1].compression_ratio));
+        assert!(front.windows(2).all(|w| w[0].metrics[0] <= w[1].metrics[0]));
     }
 
     #[test]

@@ -201,7 +201,7 @@ pub fn fig16_energy_breakdown(ctx: &ExperimentContext) -> Result<Vec<Fig16Row>> 
         .map(|spec| {
             let report = Pipeline::new(ctx.clone())
                 .with_default_bitflip(spec)
-                .run_model(spec)?;
+                .run(spec, &ctx.weights(spec))?;
             let total = report.energy.total_pj();
             Ok(Fig16Row {
                 network: spec.name.clone(),

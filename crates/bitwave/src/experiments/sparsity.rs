@@ -10,6 +10,7 @@ use bitwave_core::compress::{CompressionReport, CsrCodec, WeightCodec, ZreCodec}
 use bitwave_core::group::GroupSize;
 use bitwave_core::stats::SparsitySummary;
 use bitwave_dnn::models::{all_networks, resnet18};
+use bitwave_tensor::bits::Encoding;
 use serde::{Deserialize, Serialize};
 
 /// One network bar of Fig. 1.
@@ -36,11 +37,15 @@ pub struct Fig01Row {
 /// Propagates pipeline planning/stage errors.
 pub fn fig01_sparsity_survey(ctx: &ExperimentContext) -> Result<Vec<Fig01Row>> {
     let pipeline = Pipeline::new(ctx.clone());
+    let compress = CompressStage::new(Encoding::SignMagnitude);
     all_networks()
         .iter()
         .map(|net| {
-            let compressed = pipeline.compress_model(net)?;
-            let stats: Vec<_> = compressed.iter().map(|c| c.sparsity).collect();
+            let stats = pipeline
+                .jobs_with_weights(net, &ctx.weights(net))?
+                .into_iter()
+                .map(|job| Ok(compress.run(job)?.sparsity))
+                .collect::<Result<Vec<_>>>()?;
             let summary = SparsitySummary::aggregate(stats.iter());
             Ok(Fig01Row {
                 network: net.name.clone(),
@@ -96,7 +101,7 @@ pub fn fig04_bcs_representation(ctx: &ExperimentContext) -> Result<Fig04Result> 
         group_size: GroupSize::Custom(4),
         zero_column_target: 0,
     };
-    let compressed = CompressStage::new(bitwave_tensor::bits::Encoding::SignMagnitude).run(job)?;
+    let compressed = CompressStage::new(Encoding::SignMagnitude).run(job)?;
     let stats = compressed.sparsity;
     Ok(Fig04Result {
         layer: layer_name.to_string(),
@@ -167,7 +172,7 @@ pub fn fig05_compression_ratio(ctx: &ExperimentContext) -> Result<Vec<Fig05Row>>
         // Group along the input-channel axis per layer through the pipeline's
         // compress stage, then merge the accounting, mirroring how the
         // hardware compresses each layer.
-        let stage = CompressStage::new(bitwave_tensor::bits::Encoding::SignMagnitude);
+        let stage = CompressStage::new(Encoding::SignMagnitude);
         let mut payload = 0usize;
         let mut index = 0usize;
         let mut original = 0usize;

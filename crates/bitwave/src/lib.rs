@@ -11,7 +11,7 @@
 //! |--------|----------|
 //! | [`context`] | shared experiment configuration (seed, sampling cap, group size, memory, energy model) |
 //! | [`digest`] | stable FNV-1a/128 content digests over canonical JSON (request/report addressing for `bitwave-serve`) |
-//! | [`pipeline`] | the typed compress → bit-flip → map → simulate layer pipeline, sequential and rayon-parallel |
+//! | [`pipeline`] | the typed compress → bit-flip → map → simulate layer pipeline and its one whole-model entry point, the layer-parallel `Pipeline::run` |
 //! | [`error`] | [`BitwaveError`], the unified error propagated across all crate boundaries |
 //! | [`experiments::sparsity`] | Fig. 1, Fig. 4, Fig. 5 — sparsity survey, representation study, compression-ratio sweep |
 //! | [`experiments::bitflip`] | Fig. 6 — layer sensitivity and CR-vs-quality Pareto fronts |

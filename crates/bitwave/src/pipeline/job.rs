@@ -33,24 +33,10 @@ pub struct LayerJob {
 }
 
 impl LayerJob {
-    /// Plans one job per layer of `spec`, generating sampled weights from the
-    /// context and reading each layer's Bit-Flip target from `strategy`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitwaveError::EmptyModel`] for a layerless network and
-    /// [`BitwaveError::MissingLayer`] if weight generation skipped a layer.
-    pub fn plan(
-        ctx: &ExperimentContext,
-        spec: &NetworkSpec,
-        strategy: &FlipStrategy,
-    ) -> Result<Vec<LayerJob>> {
-        let weights = ctx.weights(spec);
-        Self::plan_with_weights(ctx, spec, &weights, strategy)
-    }
-
-    /// Plans jobs from an existing weight set (e.g. weights that were already
-    /// flipped or PTQ-quantised by an experiment driver).
+    /// Plans one job per layer of `spec` over `weights` (generated by
+    /// [`ExperimentContext::weights`], or already flipped or PTQ-quantised by
+    /// an experiment driver), reading each layer's Bit-Flip target from
+    /// `strategy`.
     ///
     /// # Errors
     ///
@@ -118,7 +104,9 @@ mod tests {
     fn plan_yields_one_job_per_layer_in_order() {
         let ctx = ExperimentContext::default().with_sample_cap(1_000);
         let net = resnet18();
-        let jobs = LayerJob::plan(&ctx, &net, &FlipStrategy::new()).unwrap();
+        let jobs =
+            LayerJob::plan_with_weights(&ctx, &net, &ctx.weights(&net), &FlipStrategy::new())
+                .unwrap();
         assert_eq!(jobs.len(), net.layers.len());
         for (job, layer) in jobs.iter().zip(&net.layers) {
             assert_eq!(job.layer.name, layer.name);
@@ -153,7 +141,7 @@ mod tests {
         let ctx = ExperimentContext::default().with_sample_cap(1_000);
         let net = resnet18();
         let strategy = ctx.default_bitflip_strategy(&net);
-        let jobs = LayerJob::plan(&ctx, &net, &strategy).unwrap();
+        let jobs = LayerJob::plan_with_weights(&ctx, &net, &ctx.weights(&net), &strategy).unwrap();
         let targeted: Vec<&LayerJob> = jobs.iter().filter(|j| j.zero_column_target > 0).collect();
         assert!(
             !targeted.is_empty(),
@@ -169,7 +157,7 @@ mod tests {
         let net = resnet18();
         let mut strategy = FlipStrategy::new();
         strategy.set("layer4.1.conv2", GroupSize::G8, 5);
-        let jobs = LayerJob::plan(&ctx, &net, &strategy).unwrap();
+        let jobs = LayerJob::plan_with_weights(&ctx, &net, &ctx.weights(&net), &strategy).unwrap();
         let targeted = jobs
             .iter()
             .find(|j| j.layer.name == "layer4.1.conv2")
@@ -197,7 +185,8 @@ mod tests {
         let ctx = ExperimentContext::default().with_sample_cap(1_000);
         let mut net = resnet18();
         net.layers.clear();
-        let err = LayerJob::plan(&ctx, &net, &FlipStrategy::new()).unwrap_err();
+        let err = LayerJob::plan_with_weights(&ctx, &net, &ctx.weights(&net), &FlipStrategy::new())
+            .unwrap_err();
         assert!(matches!(err, BitwaveError::EmptyModel { .. }));
     }
 }

@@ -9,11 +9,15 @@
 //! once, as typed stages over a [`LayerJob`], so that drivers, tests and
 //! benches all share one code path.
 //!
-//! [`Pipeline`] plans one job per model layer and runs the chain either
-//! sequentially ([`Pipeline::run_model`]) or across all cores with rayon
-//! ([`Pipeline::run_model_parallel`]).  Both produce **bit-identical**
-//! [`ModelReport`]s: jobs are independent and results are collected in layer
-//! order.
+//! [`Pipeline::run`] is the one whole-model entry point: it plans one job per
+//! model layer of a weight set and runs the chain with one rayon task per
+//! layer, collecting the reports in layer order.  Jobs are independent, so
+//! its [`ModelReport`] is **bit-identical** to the stage-by-stage fold
+//! [`Pipeline::jobs_with_weights`] → [`Pipeline::run_job`] →
+//! [`ModelReport::from_layers`], which the tests use as the sequential
+//! reference.  [`Pipeline::prepare_with_weights`] and
+//! [`Pipeline::simulate_prepared`] split the same chain after the Bit-Flip
+//! stage, so many accelerators can share one analysed weight set.
 //!
 //! The map stage honours the context's
 //! [`bitwave_dataflow::mapping::MappingPolicy`]: `Heuristic` (default)
@@ -50,8 +54,10 @@
 //! use bitwave::dnn::models::resnet18;
 //!
 //! let ctx = ExperimentContext::default().with_sample_cap(2_000);
-//! let report = Pipeline::new(ctx).run_model(&resnet18()).unwrap();
-//! assert_eq!(report.layers.len(), resnet18().layers.len());
+//! let net = resnet18();
+//! let weights = ctx.weights(&net);
+//! let report = Pipeline::new(ctx).run(&net, &weights).unwrap();
+//! assert_eq!(report.layers.len(), net.layers.len());
 //! assert!(report.weight_compression_ratio > 1.0);
 //! ```
 
@@ -134,17 +140,8 @@ impl Pipeline {
         &self.accelerator
     }
 
-    /// Plans one [`LayerJob`] per layer of `spec`, generating sampled
-    /// synthetic weights from the context.
-    ///
-    /// # Errors
-    ///
-    /// See [`LayerJob::plan`].
-    pub fn jobs(&self, spec: &NetworkSpec) -> Result<Vec<LayerJob>> {
-        LayerJob::plan(&self.ctx, spec, &self.strategy)
-    }
-
-    /// Plans jobs from an existing weight set instead of generating one.
+    /// Plans one [`LayerJob`] per layer of `spec` over `weights`, reading
+    /// each layer's Bit-Flip target from the pipeline's strategy.
     ///
     /// # Errors
     ///
@@ -176,50 +173,6 @@ impl Pipeline {
         let flipped = BitFlipStage::new(self.encoding).run(compressed)?;
         let mapped = self.map_stage().run(flipped)?;
         SimulateStage::new(self.accelerator.clone(), self.ctx.memory, self.ctx.energy).run(mapped)
-    }
-
-    /// Runs only the compress stage over all layers of `spec` — the prefix of
-    /// the chain the sparsity/compression experiments need.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn compress_model(&self, spec: &NetworkSpec) -> Result<Vec<CompressedLayer>> {
-        let stage = CompressStage::new(self.encoding);
-        self.jobs(spec)?
-            .into_iter()
-            .map(|job| stage.run(job))
-            .collect()
-    }
-
-    /// Like [`Pipeline::compress_model`] but over an existing weight set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn compress_model_weights(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<Vec<CompressedLayer>> {
-        let stage = CompressStage::new(self.encoding);
-        self.jobs_with_weights(spec, weights)?
-            .into_iter()
-            .map(|job| stage.run(job))
-            .collect()
-    }
-
-    /// Whole-model weight compression ratio (index included) of an existing
-    /// weight set at the context's group size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn network_compression(&self, spec: &NetworkSpec, weights: &NetworkWeights) -> Result<f64> {
-        let compressed = self.compress_model_weights(spec, weights)?;
-        Ok(CompressionSummary::aggregate_ratio(
-            compressed.iter().map(|layer| &layer.compression),
-        ))
     }
 
     /// Runs the map stage for every layer of `spec` (the Fig. 9 view of the
@@ -327,64 +280,16 @@ impl Pipeline {
         Ok(engine.search_network(&self.accelerator, spec, &profiles)?)
     }
 
-    /// Runs the full chain over every layer sequentially.
+    /// Runs the full chain over every layer of `spec` with `weights`, one
+    /// rayon task per layer, collecting the reports in layer order.  The
+    /// result is bit-identical to running [`Pipeline::run_job`] over
+    /// [`Pipeline::jobs_with_weights`] in sequence and aggregating with
+    /// [`ModelReport::from_layers`]: jobs are independent.
     ///
     /// # Errors
     ///
     /// Propagates planning and stage errors.
-    pub fn run_model(&self, spec: &NetworkSpec) -> Result<ModelReport> {
-        let layers: Vec<LayerReport> = self
-            .jobs(spec)?
-            .into_iter()
-            .map(|job| self.run_job(job))
-            .collect::<Result<_>>()?;
-        Ok(self.aggregate(spec, layers))
-    }
-
-    /// Runs the full chain with one rayon task per layer, using every core.
-    /// Produces a report **bit-identical** to [`Pipeline::run_model`]: jobs
-    /// are independent and collected in layer order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn run_model_parallel(&self, spec: &NetworkSpec) -> Result<ModelReport> {
-        let jobs = self.jobs(spec)?;
-        let layers: Vec<LayerReport> = jobs
-            .par_iter()
-            .map(|job| self.run_job(job.clone()))
-            .collect::<Result<_>>()?;
-        Ok(self.aggregate(spec, layers))
-    }
-
-    /// Like [`Pipeline::run_model`] but over an existing weight set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn run_model_weights(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<ModelReport> {
-        let layers: Vec<LayerReport> = self
-            .jobs_with_weights(spec, weights)?
-            .into_iter()
-            .map(|job| self.run_job(job))
-            .collect::<Result<_>>()?;
-        Ok(self.aggregate(spec, layers))
-    }
-
-    /// Like [`Pipeline::run_model_parallel`] but over an existing weight set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates planning and stage errors.
-    pub fn run_model_weights_parallel(
-        &self,
-        spec: &NetworkSpec,
-        weights: &NetworkWeights,
-    ) -> Result<ModelReport> {
+    pub fn run(&self, spec: &NetworkSpec, weights: &NetworkWeights) -> Result<ModelReport> {
         let jobs = self.jobs_with_weights(spec, weights)?;
         let layers: Vec<LayerReport> = jobs
             .par_iter()
@@ -407,12 +312,34 @@ mod tests {
         ExperimentContext::default().with_sample_cap(2_000)
     }
 
+    /// [`Pipeline::run`] over the context's generated weights for `net`.
+    fn run(pipeline: &Pipeline, net: &NetworkSpec) -> ModelReport {
+        pipeline.run(net, &pipeline.context().weights(net)).unwrap()
+    }
+
+    /// The sequential reference: every job through [`Pipeline::run_job`] in
+    /// layer order, aggregated with [`ModelReport::from_layers`].
+    fn run_sequentially(pipeline: &Pipeline, net: &NetworkSpec) -> ModelReport {
+        let weights = pipeline.context().weights(net);
+        let layers = pipeline
+            .jobs_with_weights(net, &weights)
+            .unwrap()
+            .into_iter()
+            .map(|job| pipeline.run_job(job).unwrap())
+            .collect();
+        ModelReport::from_layers(
+            net.name.clone(),
+            pipeline.accelerator().label.clone(),
+            layers,
+        )
+    }
+
     #[test]
     fn sequential_and_parallel_runs_are_bit_identical() {
         let pipeline = Pipeline::new(ctx()).with_default_bitflip(&resnet18());
         let net = resnet18();
-        let sequential = pipeline.run_model(&net).unwrap();
-        let parallel = pipeline.run_model_parallel(&net).unwrap();
+        let sequential = run_sequentially(&pipeline, &net);
+        let parallel = run(&pipeline, &net);
         assert_eq!(sequential, parallel);
     }
 
@@ -422,7 +349,7 @@ mod tests {
         // hardware pads each group, but the compression *ratio* must be
         // measured against the real (unpadded) weight storage.
         let net = resnet18();
-        let report = Pipeline::new(ctx()).run_model(&net).unwrap();
+        let report = run(&Pipeline::new(ctx()), &net);
         for layer in &report.layers {
             assert_eq!(
                 layer.compression.original_bits,
@@ -439,7 +366,7 @@ mod tests {
 
     #[test]
     fn prepared_suffix_matches_full_runs() {
-        // prepare_with_weights + simulate_prepared must reproduce run_model
+        // prepare_with_weights + simulate_prepared must reproduce run
         // exactly — the multi-accelerator fast path is not allowed to drift.
         let context = ctx();
         let net = resnet18();
@@ -447,14 +374,14 @@ mod tests {
         let pipeline = Pipeline::new(context).with_default_bitflip(&net);
         let prepared = pipeline.prepare_with_weights(&net, &weights).unwrap();
         let via_suffix = pipeline.simulate_prepared(&net, &prepared).unwrap();
-        let full = pipeline.run_model_weights(&net, &weights).unwrap();
+        let full = pipeline.run(&net, &weights).unwrap();
         assert_eq!(via_suffix, full);
     }
 
     #[test]
     fn reports_cover_every_layer_in_order() {
         let net = resnet18();
-        let report = Pipeline::new(ctx()).run_model(&net).unwrap();
+        let report = run(&Pipeline::new(ctx()), &net);
         assert_eq!(report.layers.len(), net.layers.len());
         for (layer_report, layer) in report.layers.iter().zip(&net.layers) {
             assert_eq!(layer_report.layer, layer.name);
@@ -475,10 +402,7 @@ mod tests {
         let net = resnet18();
         let context = ctx();
         let strategy = context.default_bitflip_strategy(&net);
-        let report = Pipeline::new(context)
-            .with_strategy(strategy)
-            .run_model(&net)
-            .unwrap();
+        let report = run(&Pipeline::new(context).with_strategy(strategy), &net);
         let flipped: Vec<_> = report
             .layers
             .iter()
@@ -557,7 +481,8 @@ mod tests {
         let compress = CompressStage::new(Encoding::SignMagnitude);
         let flip = BitFlipStage::new(Encoding::SignMagnitude);
         let mut flipped_seen = 0usize;
-        for job in pipeline.jobs(&net).unwrap() {
+        let weights = pipeline.context().weights(&net);
+        for job in pipeline.jobs_with_weights(&net, &weights).unwrap() {
             let flipped = flip.run(compress.run(job).unwrap()).unwrap();
             let Some(summary) = &flipped.bitflip else {
                 continue;
@@ -584,8 +509,9 @@ mod tests {
         use bitwave_accel::LayerSparsityProfile;
         let pipeline = Pipeline::new(ctx());
         let net = resnet18();
+        let weights = pipeline.context().weights(&net);
         let job = pipeline
-            .jobs(&net)
+            .jobs_with_weights(&net, &weights)
             .unwrap()
             .into_iter()
             .find(|j| j.layer.name == "layer3.0.conv1")
@@ -617,7 +543,7 @@ mod tests {
         let net = mobilenet_v2();
         let pipeline = Pipeline::new(ctx());
         let mappings = pipeline.map_model(&net).unwrap();
-        let report = pipeline.run_model(&net).unwrap();
+        let report = run(&pipeline, &net);
         assert_eq!(mappings.len(), report.layers.len());
         for (summary, layer) in mappings.iter().zip(&report.layers) {
             assert_eq!(summary.su, layer.mapping.su);
@@ -628,11 +554,11 @@ mod tests {
     #[test]
     fn dense_accelerator_reports_no_compression_gain_in_cycles() {
         let net = resnet18();
-        let dense = Pipeline::new(ctx())
-            .with_accelerator(AcceleratorSpec::dense())
-            .run_model(&net)
-            .unwrap();
-        let bitwave = Pipeline::new(ctx()).run_model(&net).unwrap();
+        let dense = run(
+            &Pipeline::new(ctx()).with_accelerator(AcceleratorSpec::dense()),
+            &net,
+        );
+        let bitwave = run(&Pipeline::new(ctx()), &net);
         assert!(bitwave.total_cycles < dense.total_cycles);
         assert!(bitwave.speedup_over(&dense) > 1.0);
         assert!(dense.speedup_over(&dense) == 1.0);
@@ -642,10 +568,11 @@ mod tests {
     fn searched_policy_never_loses_to_the_heuristic_on_edp() {
         use bitwave_dataflow::mapping::MappingPolicy;
         let net = resnet18();
-        let heuristic = Pipeline::new(ctx()).run_model(&net).unwrap();
-        let searched = Pipeline::new(ctx().with_mapping_policy(MappingPolicy::Searched))
-            .run_model(&net)
-            .unwrap();
+        let heuristic = run(&Pipeline::new(ctx()), &net);
+        let searched = run(
+            &Pipeline::new(ctx().with_mapping_policy(MappingPolicy::Searched)),
+            &net,
+        );
         let edp = |r: &ModelReport| r.total_cycles * r.energy.total_pj();
         assert!(
             edp(&searched) <= edp(&heuristic),
@@ -665,8 +592,8 @@ mod tests {
         use bitwave_dataflow::mapping::MappingPolicy;
         let pipeline = Pipeline::new(ctx().with_mapping_policy(MappingPolicy::Searched));
         let net = mobilenet_v2();
-        let sequential = pipeline.run_model(&net).unwrap();
-        let parallel = pipeline.run_model_parallel(&net).unwrap();
+        let sequential = run_sequentially(&pipeline, &net);
+        let parallel = run(&pipeline, &net);
         assert_eq!(sequential, parallel);
     }
 
@@ -679,7 +606,7 @@ mod tests {
         let pipeline = Pipeline::new(context).with_default_bitflip(&net);
         let prepared = pipeline.prepare_with_weights(&net, &weights).unwrap();
         let via_suffix = pipeline.simulate_prepared(&net, &prepared).unwrap();
-        let full = pipeline.run_model_weights(&net, &weights).unwrap();
+        let full = pipeline.run(&net, &weights).unwrap();
         assert_eq!(via_suffix, full);
     }
 
@@ -707,10 +634,7 @@ mod tests {
     #[test]
     fn layer_report_serializes_to_json_and_back() {
         let net = resnet18();
-        let report = Pipeline::new(ctx())
-            .with_default_bitflip(&net)
-            .run_model(&net)
-            .unwrap();
+        let report = run(&Pipeline::new(ctx()).with_default_bitflip(&net), &net);
         let json = serde_json::to_string_pretty(&report).unwrap();
         let parsed: ModelReport = serde_json::from_str(&json).unwrap();
         assert_eq!(parsed, report);

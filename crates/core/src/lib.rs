@@ -68,9 +68,7 @@ pub mod prelude {
     pub use crate::digest::{fnv1a128, Digest};
     pub use crate::error::CoreError;
     pub use crate::group::{extract_groups, GroupSize, Groups};
-    pub use crate::pareto::{
-        pareto_front, pareto_front_indices, pareto_front_n, Direction, ParetoPoint, ParetoPointN,
-    };
+    pub use crate::pareto::{pareto_front_indices, pareto_front_n, Direction, ParetoPointN};
     pub use crate::search::{greedy_bitflip_search, FlipStrategy, SearchConfig, SearchOutcome};
     pub use crate::stats::{LayerSparsityStats, SparsitySummary};
     pub use bitwave_tensor::bits::{nonzero_column_count, zero_column_count, Encoding};

@@ -1,18 +1,12 @@
 //! Multi-objective Pareto fronts.
 //!
-//! Two consumers share this module.  The network-wide Bit-Flip optimisation
-//! (Fig. 6e–h) reports the compression-ratio/accuracy Pareto front via the
-//! original two-metric [`ParetoPoint`].  The dataflow design-space explorer
-//! (`bitwave-dse`) prunes candidate mappings on **N objectives** — cycles,
-//! energy, EDP, utilisation — via the generalised [`ParetoPointN`] /
-//! [`pareto_front_n`] / [`pareto_front_indices`] API, with a per-axis
-//! [`Direction`] stating whether larger or smaller values win.
-//!
-//! [`ParetoPoint`] is kept as a thin wrapper over `ParetoPointN<2>` with
-//! both axes maximised, so its observable behaviour (filtering, ordering,
-//! deduplication) is unchanged.
-
-use serde::{Deserialize, Serialize};
+//! One API over **N objectives** — [`ParetoPointN`], [`pareto_front_n`],
+//! [`pareto_front_indices`] and [`FrontAccumulator`] — with a per-axis
+//! [`Direction`] stating whether larger or smaller values win.  The
+//! network-wide Bit-Flip optimisation (Fig. 6e–h) reports its
+//! `[compression ratio, quality]` front with both axes maximised; the
+//! dataflow design-space explorer (`bitwave-dse`) prunes candidate mappings
+//! on cycles, energy, EDP and utilisation.
 
 /// Whether larger or smaller values of one objective are better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,78 +185,6 @@ impl<const N: usize> FrontAccumulator<N> {
     }
 }
 
-/// One candidate operating point of the Bit-Flip trade-off (both axes
-/// maximised) — the original two-metric API, now a thin wrapper over
-/// [`ParetoPointN<2>`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ParetoPoint {
-    /// Weight compression ratio (higher is better).
-    pub compression_ratio: f64,
-    /// Model quality: accuracy, F1 or PESQ, depending on the network
-    /// (higher is better).
-    pub accuracy: f64,
-    /// Free-form label describing the configuration (e.g. "SM+BF z=5 G=16").
-    pub label: String,
-}
-
-/// Both of the classic axes are maximised.
-const CLASSIC_DIRECTIONS: [Direction; 2] = [Direction::Maximize, Direction::Maximize];
-
-impl ParetoPoint {
-    /// Creates a point.
-    pub fn new(compression_ratio: f64, accuracy: f64, label: impl Into<String>) -> Self {
-        Self {
-            compression_ratio,
-            accuracy,
-            label: label.into(),
-        }
-    }
-
-    /// The generalised view of this point: `[compression_ratio, accuracy]`.
-    pub fn as_n(&self) -> ParetoPointN<2> {
-        ParetoPointN::new([self.compression_ratio, self.accuracy], self.label.clone())
-    }
-
-    fn from_n(point: ParetoPointN<2>) -> Self {
-        Self {
-            compression_ratio: point.metrics[0],
-            accuracy: point.metrics[1],
-            label: point.label,
-        }
-    }
-
-    /// True when `self` dominates `other` (at least as good on both axes and
-    /// strictly better on at least one).
-    pub fn dominates(&self, other: &ParetoPoint) -> bool {
-        self.as_n().dominates(&other.as_n(), &CLASSIC_DIRECTIONS)
-    }
-}
-
-/// Extracts the Pareto-optimal subset of `points`, sorted by ascending
-/// compression ratio.
-pub fn pareto_front(points: &[ParetoPoint]) -> Vec<ParetoPoint> {
-    let generalized: Vec<ParetoPointN<2>> = points.iter().map(ParetoPoint::as_n).collect();
-    pareto_front_n(&generalized, &CLASSIC_DIRECTIONS)
-        .into_iter()
-        .map(ParetoPoint::from_n)
-        .collect()
-}
-
-/// Picks, from a set of points, the one with the highest compression ratio
-/// whose accuracy is at least `min_accuracy` (the operating point the paper
-/// quotes, e.g. "2.04× CR with < 0.5 % accuracy drop").
-pub fn best_under_accuracy_floor(points: &[ParetoPoint], min_accuracy: f64) -> Option<ParetoPoint> {
-    points
-        .iter()
-        .filter(|p| p.accuracy >= min_accuracy)
-        .max_by(|a, b| {
-            a.compression_ratio
-                .partial_cmp(&b.compression_ratio)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .cloned()
-}
-
 #[cfg(test)]
 #[path = "../tests/oracle/pareto.rs"]
 mod oracle;
@@ -272,58 +194,53 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn points() -> Vec<ParetoPoint> {
+    /// A Fig. 6-style `[compression ratio, quality]` fixture; both axes are
+    /// maximised.
+    fn points() -> Vec<ParetoPointN<2>> {
         vec![
-            ParetoPoint::new(1.0, 70.0, "baseline"),
-            ParetoPoint::new(1.5, 69.8, "a"),
-            ParetoPoint::new(1.5, 69.0, "dominated by a"),
-            ParetoPoint::new(2.0, 69.5, "b"),
-            ParetoPoint::new(2.5, 68.0, "c"),
-            ParetoPoint::new(2.4, 67.0, "dominated by c"),
+            ParetoPointN::new([1.0, 70.0], "baseline"),
+            ParetoPointN::new([1.5, 69.8], "a"),
+            ParetoPointN::new([1.5, 69.0], "dominated by a"),
+            ParetoPointN::new([2.0, 69.5], "b"),
+            ParetoPointN::new([2.5, 68.0], "c"),
+            ParetoPointN::new([2.4, 67.0], "dominated by c"),
         ]
     }
 
     #[test]
     fn dominance_relation() {
-        let a = ParetoPoint::new(2.0, 70.0, "a");
-        let b = ParetoPoint::new(1.5, 69.0, "b");
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-        assert!(!a.dominates(&a), "a point does not dominate itself");
+        let dirs = [Direction::Maximize; 2];
+        let a = ParetoPointN::new([2.0, 70.0], "a");
+        let b = ParetoPointN::new([1.5, 69.0], "b");
+        assert!(a.dominates(&b, &dirs));
+        assert!(!b.dominates(&a, &dirs));
+        assert!(!a.dominates(&a, &dirs), "a point does not dominate itself");
     }
 
     #[test]
     fn front_excludes_dominated_points() {
-        let front = pareto_front(&points());
+        let front = pareto_front_n(&points(), &[Direction::Maximize; 2]);
         let labels: Vec<&str> = front.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["baseline", "a", "b", "c"]);
-        // Sorted by compression ratio.
-        assert!(front
-            .windows(2)
-            .all(|w| w[0].compression_ratio <= w[1].compression_ratio));
-    }
-
-    #[test]
-    fn best_under_floor_matches_paper_style_query() {
-        let best = best_under_accuracy_floor(&points(), 69.4).unwrap();
-        assert_eq!(best.label, "b");
-        assert!(best_under_accuracy_floor(&points(), 99.0).is_none());
+        // Sorted by the first metric.
+        assert!(front.windows(2).all(|w| w[0].metrics[0] <= w[1].metrics[0]));
     }
 
     #[test]
     fn empty_input_gives_empty_front() {
-        assert!(pareto_front(&[]).is_empty());
-        assert!(best_under_accuracy_floor(&[], 0.0).is_none());
+        assert!(pareto_front_n::<2>(&[], &[Direction::Maximize; 2]).is_empty());
         assert!(pareto_front_indices::<3>(&[], &[Direction::Minimize; 3]).is_empty());
     }
 
     #[test]
     fn equal_points_are_deduplicated() {
         let pts = vec![
-            ParetoPoint::new(1.0, 50.0, "x"),
-            ParetoPoint::new(1.0, 50.0, "y"),
+            ParetoPointN::new([1.0, 50.0], "x"),
+            ParetoPointN::new([1.0, 50.0], "y"),
         ];
-        assert_eq!(pareto_front(&pts).len(), 1);
+        let front = pareto_front_n(&pts, &[Direction::Maximize; 2]);
+        assert_eq!(front.len(), 1);
+        assert_eq!(front[0].label, "x", "the first of equal points survives");
     }
 
     #[test]
@@ -456,28 +373,6 @@ mod tests {
                 acc.indices(),
                 oracle::front_indices(&metrics, &dirs.map(|d| d == Direction::Maximize))
             );
-        }
-
-        /// The classic two-metric wrapper agrees with the generalised front.
-        #[test]
-        fn classic_wrapper_matches_generalised_front(
-            raw in proptest::collection::vec(proptest::strategy::any::<u8>(), 0..40),
-        ) {
-            let points: Vec<ParetoPoint> = raw
-                .chunks_exact(2)
-                .enumerate()
-                .map(|(i, c)| ParetoPoint::new(metric(c[0]), metric(c[1]), format!("p{i}")))
-                .collect();
-            let classic = pareto_front(&points);
-            let generalised = pareto_front_n(
-                &points.iter().map(ParetoPoint::as_n).collect::<Vec<_>>(),
-                &[Direction::Maximize, Direction::Maximize],
-            );
-            prop_assert_eq!(classic.len(), generalised.len());
-            for (c, g) in classic.iter().zip(&generalised) {
-                prop_assert_eq!([c.compression_ratio, c.accuracy], g.metrics);
-                prop_assert_eq!(&c.label, &g.label);
-            }
         }
     }
 }

@@ -320,7 +320,7 @@ pub fn mobilenet_v2() -> NetworkSpec {
 
 /// Builds the CNN-LSTM audio-denoising specification.
 ///
-/// The authors' model is private (reference [6] of the paper); this
+/// The authors' model is private (reference \[6\] of the paper); this
 /// substitute keeps the two structural facts the paper relies on: the model
 /// mixes convolutional front-end layers with two LSTM layers, and `LSTM.0` +
 /// `LSTM.1` hold roughly 80 % of the weights.

@@ -1,6 +1,7 @@
 //! Synthetic Int8 network weights.
 //!
-//! Each layer's weights are drawn from its [`LayerWeightProfile`] and
+//! Each layer's weights are drawn from its
+//! [`bitwave_tensor::synth::LayerWeightProfile`] and
 //! quantised with a per-layer dynamic-range utilisation: a layer that only
 //! uses 35 % of the Int8 range produces mostly small-magnitude codes and
 //! therefore high bit-column sparsity, while a transformer layer using 95 %

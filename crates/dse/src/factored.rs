@@ -4,7 +4,7 @@
 //! compute side of Eq. 5 and the memory-invariant Eq. 4 terms), which
 //! depends only on the layer and the spatial unrolling, and a traffic part
 //! ([`LayerTraffic`]), which depends only on the layer, its tiling and the
-//! memory/DRAM point.  A [`FactoredLayer`] holds one layer's traffic part
+//! memory/DRAM point.  A `FactoredLayer` holds one layer's traffic part
 //! and one [`SuCost`] per spatial unrolling of its mapping space (every SU
 //! repeats for each of the space's [tilings](SearchSpace::tilings)).
 //! Pricing it at one memory/DRAM point prices the traffic once per tiling
@@ -20,7 +20,7 @@
 //!   totals only.  The winners are summed in layer order, as
 //!   [`crate::NetworkSearch`] aggregates them, so the totals are
 //!   **bit-identical** to the `searched_*` totals of
-//!   [`crate::DseEngine::search_network_sequential`] over the same inputs.
+//!   [`crate::DseEngine::search_network`] over the same inputs.
 
 use crate::cost::{EvaluatedMapping, MappingCost};
 use crate::error::{DseError, Result};
@@ -154,8 +154,8 @@ pub struct FactoredNetworkSearch {
 impl FactoredNetworkSearch {
     /// Prices every layer against `(memory, DRAM axes of accel)` and sums
     /// the winners in layer order — bit-identical to the `searched_*`
-    /// totals of [`crate::DseEngine::search_network_sequential`] over the
-    /// same accelerator, space, memory and energy tables.
+    /// totals of [`crate::DseEngine::search_network`] over the same
+    /// accelerator, space, memory and energy tables.
     pub fn price(
         &self,
         accel: &AcceleratorSpec,
@@ -286,9 +286,7 @@ mod tests {
                     },
                 ] {
                     let engine = DseEngine::new(memory, energy).with_space(space.clone());
-                    let full = engine
-                        .search_network_sequential(&accel, net, &profiles)
-                        .unwrap();
+                    let full = engine.search_network(&accel, net, &profiles).unwrap();
                     let priced = factored.price(&accel, &memory, &energy);
                     assert_eq!(
                         priced.cycles.to_bits(),

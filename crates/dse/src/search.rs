@@ -368,7 +368,8 @@ impl DseEngine {
     /// Searches every layer of a network with one rayon task per layer.
     /// Deterministic: the vendored rayon preserves index order and each
     /// layer's search is order-independent, so the result is bit-identical
-    /// to [`DseEngine::search_network_sequential`].
+    /// to searching the layers one after another (the naive oracle in
+    /// `crates/dse/tests/oracle/` is that sequential reference).
     ///
     /// # Errors
     ///
@@ -386,28 +387,6 @@ impl DseEngine {
         let layers: Vec<SearchedLayer> = items
             .par_iter()
             .map(|&(layer, profile)| self.search_one(accel, layer, profile))
-            .collect::<Result<_>>()?;
-        Ok(NetworkSearch::aggregate(accel.label.clone(), layers))
-    }
-
-    /// Sequential reference of [`DseEngine::search_network`] (property tests
-    /// assert bit-identity between the two).
-    ///
-    /// # Errors
-    ///
-    /// See [`DseEngine::search_network`].
-    pub fn search_network_sequential(
-        &self,
-        accel: &AcceleratorSpec,
-        spec: &NetworkSpec,
-        profiles: &[LayerSparsityProfile],
-    ) -> Result<NetworkSearch> {
-        self.check_alignment(spec, profiles)?;
-        let layers: Vec<SearchedLayer> = spec
-            .layers
-            .iter()
-            .zip(profiles)
-            .map(|(layer, profile)| self.search_one(accel, layer, profile))
             .collect::<Result<_>>()?;
         Ok(NetworkSearch::aggregate(accel.label.clone(), layers))
     }
@@ -535,9 +514,14 @@ mod tests {
         let engine = engine();
         let accel = bitwave();
         let parallel = engine.search_network(&accel, &net, &profiles).unwrap();
-        let sequential = engine
-            .search_network_sequential(&accel, &net, &profiles)
-            .unwrap();
+        // The sequential reference: one layer after another, in order.
+        let layers = net
+            .layers
+            .iter()
+            .zip(&profiles)
+            .map(|(layer, profile)| engine.search_one(&accel, layer, profile).unwrap())
+            .collect();
+        let sequential = NetworkSearch::aggregate(accel.label.clone(), layers);
         assert_eq!(parallel, sequential);
         let a = serde_json::to_string(&parallel).unwrap();
         let b = serde_json::to_string(&sequential).unwrap();
@@ -549,9 +533,7 @@ mod tests {
     fn misaligned_profiles_are_a_typed_error() {
         let net = resnet18();
         let engine = engine();
-        let err = engine
-            .search_network_sequential(&bitwave(), &net, &[])
-            .unwrap_err();
+        let err = engine.search_network(&bitwave(), &net, &[]).unwrap_err();
         assert!(matches!(err, DseError::MisalignedProfiles { .. }));
     }
 

@@ -266,7 +266,7 @@ impl NormalizedRequest {
         if self.key.bitflip {
             pipeline = pipeline.with_default_bitflip(&self.spec);
         }
-        pipeline.run_model_weights_parallel(&self.spec, weights)
+        pipeline.run(&self.spec, weights)
     }
 
     /// Serializes the response envelope (`digest` + `report`) exactly as the

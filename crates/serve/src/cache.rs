@@ -13,7 +13,6 @@
 use bitwave::digest::Digest;
 use bitwave_store::{StoreConfig, StoreStats, StringCodec, TieredStore};
 use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// Re-export: how a cache lookup was satisfied (`hit` / `disk` / `miss` /
@@ -68,16 +67,6 @@ impl ReportCache {
             evaluate: TieredStore::new(CacheOp::Evaluate.as_str(), config)?,
             search: TieredStore::new(CacheOp::Search.as_str(), config)?,
         })
-    }
-
-    /// Attaches (or re-roots) the disk tier of both ops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory creation/scan failures.
-    pub fn persist(&self, root: &Path) -> io::Result<()> {
-        self.evaluate.persist(root)?;
-        self.search.persist(root)
     }
 
     /// The tiered store behind one op (metrics and gauges).

@@ -11,7 +11,7 @@
 //! sweep.
 //!
 //! The hub decouples the sweep thread from the event loop: the thread
-//! pushes [`DesignEvent`]s and wakes the loop's poller; the loop drains
+//! pushes `DesignEvent`s and wakes the loop's poller; the loop drains
 //! them on its own thread and fans frames out to subscriber write buffers
 //! using the ordinary connection write machinery (write deadlines and the
 //! stalled-writer counter apply to slow stream readers unchanged).

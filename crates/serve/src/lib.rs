@@ -31,7 +31,7 @@
 //!   ReportCache (single-flight LRU) ─ miss ─▶ ModelStore (Arc weights)
 //!        │                                        │ zero tensor deep copies
 //!        │                                        ▼
-//!        │                         Pipeline::run_model_weights_parallel
+//!        │                         Pipeline::run (layer-parallel)
 //!        └─▶ completion ─▶ loop fans out to every waiter:
 //!            {digest, key, report} + X-Bitwave-Cache + X-Bitwave-Batch
 //! ```

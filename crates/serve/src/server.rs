@@ -4,7 +4,7 @@
 //! One `serve-loop` thread owns the listener and every client socket
 //! (non-blocking, registered with [`crate::poller::Poller`] — epoll on
 //! Linux, `poll(2)` elsewhere) and runs the readiness state machine in
-//! [`crate::event_loop`]: incremental parsing, inline answers for cheap
+//! the private `event_loop` module: incremental parsing, inline answers for cheap
 //! endpoints and cache hits, and centrally-enforced idle/read/write
 //! deadlines, so thousands of mostly-idle keep-alive connections cost
 //! buffers instead of threads.  Admission control lives on the same thread:
@@ -12,7 +12,7 @@
 //! per-client token-bucket rate limit (`429` + `Retry-After`) and a
 //! `max_inflight` cap on dispatched computations (`503` + `Retry-After`).
 //!
-//! Cache-missing evaluate/search requests become [`crate::batch`] jobs on a
+//! Cache-missing evaluate/search requests become batch jobs (the private `batch` module) on a
 //! queue drained by `workers` compute threads.  In-flight identical digests
 //! coalesce (riders), and distinct requests over one `(model, seed,
 //! sample_cap)` weight set gather behind the executing batch and dispatch

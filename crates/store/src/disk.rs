@@ -295,7 +295,7 @@ impl DiskTier {
     const QUARANTINE_CAP: usize = 64;
 
     /// Moves the entry for `key` into the quarantine subdirectory (deleting
-    /// instead once the quarantine holds [`Self::QUARANTINE_CAP`] files, or
+    /// instead once the quarantine holds `QUARANTINE_CAP` files, or
     /// when the rename fails).  Re-quarantining a digest overwrites its
     /// previous quarantined copy.
     pub fn quarantine(&self, key: Digest) {

@@ -8,8 +8,7 @@ use crate::stats::{StoreOutcome, StoreStats};
 use bitwave_core::digest::Digest;
 use std::fmt;
 use std::io;
-use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A content-addressed store with a sharded single-flight LRU memory tier
 /// and an optional checksummed disk tier.
@@ -28,8 +27,7 @@ use std::sync::{Arc, RwLock};
 pub struct TieredStore<C: StoreCodec> {
     op: String,
     memory: MemoryTier<C::Value>,
-    disk: RwLock<Option<DiskTier>>,
-    disk_bytes_cap: u64,
+    disk: Option<DiskTier>,
     stats: Arc<StoreStats>,
 }
 
@@ -67,8 +65,7 @@ impl<C: StoreCodec> TieredStore<C> {
         Ok(Self {
             op: op.to_string(),
             memory,
-            disk: RwLock::new(disk),
-            disk_bytes_cap: config.disk_bytes,
+            disk,
             stats,
         })
     }
@@ -88,18 +85,6 @@ impl<C: StoreCodec> TieredStore<C> {
         }
     }
 
-    /// Attaches (or re-roots) a disk tier after construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory creation/scan failures; the store stays on its
-    /// previous tier (or memory-only) when opening fails.
-    pub fn persist(&self, root: &Path) -> io::Result<()> {
-        let tier = DiskTier::open(root, &self.op, self.disk_bytes_cap)?;
-        *self.disk_lock_mut() = Some(tier);
-        Ok(())
-    }
-
     /// The op namespace.
     pub fn op(&self) -> &str {
         &self.op
@@ -107,7 +92,7 @@ impl<C: StoreCodec> TieredStore<C> {
 
     /// True when a disk tier is attached.
     pub fn persistent(&self) -> bool {
-        self.disk_lock().is_some()
+        self.disk.is_some()
     }
 
     /// The shared counters.
@@ -127,12 +112,12 @@ impl<C: StoreCodec> TieredStore<C> {
 
     /// Entry-count gauge of the disk tier (0 without one).
     pub fn disk_entries(&self) -> u64 {
-        self.disk_lock().as_ref().map_or(0, DiskTier::entries)
+        self.disk.as_ref().map_or(0, DiskTier::entries)
     }
 
     /// Byte gauge of the disk tier (0 without one).
     pub fn disk_bytes(&self) -> u64 {
-        self.disk_lock().as_ref().map_or(0, DiskTier::bytes)
+        self.disk.as_ref().map_or(0, DiskTier::bytes)
     }
 
     /// Drops every memory-tier entry, keeping the disk tier — after this,
@@ -141,23 +126,10 @@ impl<C: StoreCodec> TieredStore<C> {
         self.memory.clear();
     }
 
-    fn disk_lock(&self) -> std::sync::RwLockReadGuard<'_, Option<DiskTier>> {
-        self.disk
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn disk_lock_mut(&self) -> std::sync::RwLockWriteGuard<'_, Option<DiskTier>> {
-        self.disk
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Reads and decodes `key` from the disk tier; verification or decode
     /// failures quarantine the entry and report a miss.
     fn disk_read(&self, key: Digest) -> Option<(C::Value, u64)> {
-        let guard = self.disk_lock();
-        let disk = guard.as_ref()?;
+        let disk = self.disk.as_ref()?;
         match disk.read(key) {
             Ok(payload) => match C::decode(&payload) {
                 Ok(value) => Some((value, payload.len() as u64)),
@@ -176,8 +148,7 @@ impl<C: StoreCodec> TieredStore<C> {
     }
 
     fn disk_write(&self, key: Digest, payload: &[u8]) {
-        let guard = self.disk_lock();
-        if let Some(disk) = guard.as_ref() {
+        if let Some(disk) = &self.disk {
             if !disk.write(key, payload) {
                 StoreStats::bump(&self.stats.disk_write_errors);
             }
@@ -275,10 +246,7 @@ impl<C: StoreCodec> TieredStore<C> {
         match self.memory.try_peek(key) {
             TryPeek::Ready(_) => true,
             TryPeek::Pending => false,
-            TryPeek::Absent => self
-                .disk_lock()
-                .as_ref()
-                .is_some_and(|disk| disk.contains(key)),
+            TryPeek::Absent => self.disk.as_ref().is_some_and(|disk| disk.contains(key)),
         }
     }
 
@@ -488,37 +456,6 @@ mod tests {
         store.stats().note_coalesced();
         store.stats().note_coalesced();
         assert_eq!(store.stats().coalesced(), 2);
-    }
-
-    #[test]
-    fn persist_attaches_a_disk_tier_to_a_live_store() {
-        let root = temp_root("attach");
-        let store = TieredStore::<StringCodec>::memory_only("op", 8);
-        store
-            .get_or_compute(key("pre"), || Ok::<_, String>("early".to_string()), |e| e)
-            .unwrap();
-        store.persist(&root).unwrap();
-        assert!(store.persistent());
-        // New computations persist; the pre-attach entry stays memory-only
-        // until recomputed.
-        store
-            .get_or_compute(key("post"), || Ok::<_, String>("late".to_string()), |e| e)
-            .unwrap();
-        assert_eq!(store.disk_entries(), 1);
-        store.clear_memory();
-        let (_, outcome) = store
-            .get_or_compute(key("post"), || panic!("on disk"), |e: String| e)
-            .unwrap();
-        assert_eq!(outcome, StoreOutcome::Disk);
-        let (_, outcome) = store
-            .get_or_compute(key("pre"), || Ok::<_, String>("early".to_string()), |e| e)
-            .unwrap();
-        assert_eq!(
-            outcome,
-            StoreOutcome::Miss,
-            "pre-attach entry was memory-only"
-        );
-        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -423,7 +423,19 @@ mod tests {
             .with_sample_cap(config.sample_cap);
         for model in build_portfolio(&config).unwrap() {
             let weights = ctx.weights(&model.network);
-            let full = ctx.profiles(&model.network, &weights).unwrap();
+            let full: Vec<LayerSparsityProfile> = model
+                .network
+                .layers
+                .iter()
+                .map(|layer| {
+                    LayerSparsityProfile::from_weights(
+                        weights.layer(&layer.name).unwrap(),
+                        layer.expected_activation_sparsity(),
+                        ctx.group_size,
+                    )
+                    .unwrap()
+                })
+                .collect();
             assert_eq!(model.profiles.len(), full.len());
             for (core, full) in model.profiles.iter().zip(full) {
                 assert_eq!(core.zre_compression_ratio, 1.0);
@@ -469,7 +481,7 @@ mod tests {
             assert!(factored.feasible, "{:?}", factored.error);
             for (model, outcome) in portfolio.iter().zip(&factored.models) {
                 let full = engine
-                    .search_network_sequential(&point.spec(), &model.network, &model.profiles)
+                    .search_network(&point.spec(), &model.network, &model.profiles)
                     .unwrap();
                 assert_eq!(outcome.model, model.network.name);
                 assert_eq!(

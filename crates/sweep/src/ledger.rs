@@ -1,7 +1,7 @@
 //! The shared sweep ledger: content-addressed results plus claim files.
 //!
 //! Workers coordinate through a `bitwave-store` root shared on disk.  Each
-//! candidate's [`PointResult`](crate::eval::PointResult) is a
+//! candidate's [`crate::eval::PointResult`] is a
 //! content-addressed `"sweep"` entry keyed by `(sweep digest, index)`, so
 //! a result computed by any worker (or a previous run — warm restart) is
 //! visible to all.  Before computing, a worker must win the point's claim

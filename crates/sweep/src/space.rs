@@ -149,7 +149,7 @@ pub fn menu(kind: MenuKind, lanes: usize) -> SuSet {
             format!("BitSim-{lanes}"),
             BITSIM_TUPLES
                 .iter()
-                .map(|&(tag, c, k, ox)| named_su(tag, c, k, ox, 1))
+                .map(|&(tag, c, k, ox)| SpatialUnrolling::cxk(tag, c, ox, k))
                 .collect(),
         ),
     };
@@ -199,24 +199,13 @@ fn scale_su(su: SpatialUnrolling, target: usize, native: usize) -> SpatialUnroll
         }
         scale *= 2.0;
     }
-    named_su(
+    SpatialUnrolling::interned(
         &format!("{}@{target}", su.name),
         out.c.max(1),
         out.k.max(1),
         out.ox.max(1),
         out.g.max(1),
     )
-}
-
-/// Builds an SU with a runtime-derived name.  `SpatialUnrolling::name` is a
-/// `&'static str`, so the name goes through the crate's deserializer, whose
-/// intern pool leaks each distinct menu name exactly once (the sweep's name
-/// vocabulary is a few dozen strings).
-fn named_su(name: &str, c: usize, k: usize, ox: usize, g: usize) -> SpatialUnrolling {
-    let json = format!(
-        "{{\"name\":\"{name}\",\"c\":{c},\"k\":{k},\"ox\":{ox},\"oy\":1,\"fx\":1,\"fy\":1,\"g\":{g}}}"
-    );
-    serde_json::from_str(&json).expect("menu SU json is well-formed")
 }
 
 #[cfg(test)]

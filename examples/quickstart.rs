@@ -19,12 +19,14 @@ fn main() -> Result<(), BitwaveError> {
     // 2. One pipeline per accelerator configuration.  The BitWave pipeline
     //    also applies the paper's default one-shot Bit-Flip strategy.
     let bitwave = Pipeline::new(ctx.clone()).with_default_bitflip(&net);
-    let dense = Pipeline::new(ctx).with_accelerator(AcceleratorSpec::dense());
+    let dense = Pipeline::new(ctx.clone()).with_accelerator(AcceleratorSpec::dense());
 
-    // 3. Run the whole model across all cores; the parallel run is
-    //    bit-identical to `run_model`.
-    let report = bitwave.run_model_parallel(&net)?;
-    let dense_report = dense.run_model_parallel(&net)?;
+    // 3. Generate the weights once and run the whole model on both
+    //    pipelines, one layer per core; the result is bit-identical to
+    //    running the layers one after another.
+    let weights = ctx.weights(&net);
+    let report = bitwave.run(&net, &weights)?;
+    let dense_report = dense.run(&net, &weights)?;
 
     // 4. Inspect one weight-heavy layer end to end: serde serialises the
     //    full LayerReport (sparsity, compression, bit-flip, mapping and

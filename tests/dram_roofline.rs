@@ -27,14 +27,15 @@ fn network() -> NetworkSpec {
 fn run(dram: DramSpec) -> ModelReport {
     let mut spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
     spec.dram = dram;
-    Pipeline::new(
-        ExperimentContext::default()
-            .with_sample_cap(2_000)
-            .with_seed(7),
-    )
-    .with_accelerator(spec)
-    .run_model(&network())
-    .expect("pipeline run succeeds")
+    let ctx = ExperimentContext::default()
+        .with_sample_cap(2_000)
+        .with_seed(7);
+    let net = network();
+    let weights = ctx.weights(&net);
+    Pipeline::new(ctx)
+        .with_accelerator(spec)
+        .run(&net, &weights)
+        .expect("pipeline run succeeds")
 }
 
 #[test]

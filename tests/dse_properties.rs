@@ -1,12 +1,17 @@
 //! Property tests (vendored `proptest`) for the dataflow design-space
 //! exploration engine's behavioural contracts:
 //!
-//! * parallel and sequential network searches are **bit-identical** on
-//!   arbitrary synthetic networks (serialized JSON compared byte for byte);
+//! * the parallel network search is **bit-identical** to the naive
+//!   sequential oracle (`crates/dse/tests/oracle/`) on arbitrary synthetic
+//!   networks (serialized JSON compared byte for byte);
 //! * the searched winner never loses to the Fig. 9 heuristic on EDP (the
 //!   space seeds the accelerator's own SU set);
-//! * a `MappingPolicy::Searched` pipeline stays bit-identical between its
-//!   sequential and rayon-parallel drivers.
+//! * a `MappingPolicy::Searched` pipeline run stays bit-identical to the
+//!   sequential stage-by-stage fold.
+
+#[path = "../crates/dse/tests/oracle/mod.rs"]
+mod oracle;
+mod support;
 
 use bitwave::accel::spec::{AcceleratorSpec, BitwaveOptimizations};
 use bitwave::accel::LayerSparsityProfile;
@@ -15,9 +20,10 @@ use bitwave::core::group::GroupSize;
 use bitwave::dataflow::mapping::MappingPolicy;
 use bitwave::dnn::layer::LayerSpec;
 use bitwave::dnn::models::{NetworkSpec, TaskKind};
-use bitwave::dse::DseEngine;
+use bitwave::dse::{DseEngine, SearchSpace};
 use bitwave::pipeline::Pipeline;
 use proptest::prelude::*;
+use support::run_sequentially;
 
 /// Builds one synthetic layer from drawn parameters (mirrors
 /// `tests/pipeline_properties.rs`).
@@ -61,8 +67,8 @@ fn profiles_for(ctx: &ExperimentContext, net: &NetworkSpec) -> Vec<LayerSparsity
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// (a) Parallel ≡ sequential, byte for byte, on arbitrary synthetic
-    /// networks.
+    /// (a) The parallel search ≡ the sequential oracle, byte for byte, on
+    /// arbitrary synthetic networks.
     #[test]
     fn parallel_and_sequential_searches_agree(
         kinds in proptest::collection::vec(0u8..3, 1..=4),
@@ -84,9 +90,15 @@ proptest! {
         let engine = DseEngine::new(ctx.memory, ctx.energy);
 
         let parallel = engine.search_network(&accel, &net, &profiles).unwrap();
-        let sequential = engine
-            .search_network_sequential(&accel, &net, &profiles)
-            .unwrap();
+        let sequential = oracle::search_network(
+            &accel,
+            &net,
+            &profiles,
+            &ctx.memory,
+            &ctx.energy,
+            &SearchSpace::default(),
+        )
+        .unwrap();
         prop_assert_eq!(&parallel, &sequential);
         prop_assert_eq!(
             serde_json::to_string(&parallel).unwrap(),
@@ -114,8 +126,8 @@ proptest! {
         prop_assert!(sum_searched <= sum_heuristic);
     }
 
-    /// (b) A searched-policy pipeline keeps the sequential/parallel
-    /// bit-identity contract on arbitrary synthetic networks.
+    /// (b) A searched-policy pipeline run keeps the bit-identity contract
+    /// with the sequential fold on arbitrary synthetic networks.
     #[test]
     fn searched_pipeline_runs_are_bit_identical(
         kinds in proptest::collection::vec(0u8..3, 1..=3),
@@ -135,9 +147,10 @@ proptest! {
             .with_seed(seed)
             .with_group_size(group)
             .with_mapping_policy(MappingPolicy::Searched);
+        let weights = ctx.weights(&net);
         let pipeline = Pipeline::new(ctx);
-        let sequential = pipeline.run_model(&net).unwrap();
-        let parallel = pipeline.run_model_parallel(&net).unwrap();
+        let sequential = run_sequentially(&pipeline, &net, &weights);
+        let parallel = pipeline.run(&net, &weights).unwrap();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(sequential.layers.len(), net.layers.len());
     }

@@ -2,6 +2,8 @@
 //! simulate chain on real layer shapes, exercised through the unified
 //! `bitwave::pipeline` subsystem.
 
+mod support;
+
 use bitwave::context::ExperimentContext;
 use bitwave::core::group::GroupSize;
 use bitwave::core::prelude::zero_column_count;
@@ -11,6 +13,7 @@ use bitwave::dnn::weights::generate_layer_sample;
 use bitwave::pipeline::{BitFlipStage, CompressStage, Pipeline, PipelineStage};
 use bitwave::sim::engine::{BitwaveEngine, EngineConfig};
 use bitwave::tensor::prelude::*;
+use support::run_sequentially;
 
 /// Compress a real ResNet18 layer through the pipeline's compress stage,
 /// check losslessness of the underlying codec, run the bit-flip stage, and
@@ -62,20 +65,21 @@ fn compress_flip_compress_pipeline() {
     }
 }
 
-/// The parallel whole-model pipeline run is bit-identical to the sequential
-/// run, with and without Bit-Flip (the determinism contract of
-/// `run_model_parallel`).
+/// The layer-parallel whole-model run is bit-identical to the sequential
+/// stage-by-stage fold, with and without Bit-Flip (the determinism contract
+/// of `Pipeline::run`).
 #[test]
 fn parallel_pipeline_is_bit_identical_to_sequential() {
     let ctx = ExperimentContext::default().with_sample_cap(4_000);
     let net = resnet18();
+    let weights = ctx.weights(&net);
     for with_flip in [false, true] {
         let mut pipeline = Pipeline::new(ctx.clone());
         if with_flip {
             pipeline = pipeline.with_default_bitflip(&net);
         }
-        let sequential = pipeline.run_model(&net).unwrap();
-        let parallel = pipeline.run_model_parallel(&net).unwrap();
+        let sequential = run_sequentially(&pipeline, &net, &weights);
+        let parallel = pipeline.run(&net, &weights).unwrap();
         assert_eq!(
             sequential, parallel,
             "parallel run diverged (bitflip: {with_flip})"

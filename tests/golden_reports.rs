@@ -171,7 +171,9 @@ fn model_reports_match_golden_snapshots() {
         if bitflip {
             pipeline = pipeline.with_default_bitflip(&net);
         }
-        let report = pipeline.run_model(&net).expect("golden run succeeds");
+        let report = pipeline
+            .run(&net, &golden_context().weights(&net))
+            .expect("golden run succeeds");
         assert_matches_golden(slug, &report);
     }
 }
@@ -185,7 +187,7 @@ fn bert_style_model_report_matches_golden_snapshot() {
     let report = Pipeline::new(golden_context())
         .with_accelerator(AcceleratorSpec::bitwave(BitwaveOptimizations::all()))
         .with_default_bitflip(&net)
-        .run_model(&net)
+        .run(&net, &golden_context().weights(&net))
         .expect("golden bert run succeeds");
     assert!(
         report.layers.iter().any(|l| l.bitflip.is_some()),

@@ -11,6 +11,8 @@
 //! Inputs are drawn from the deterministic per-test RNG of the vendored
 //! proptest shim, so every failure is reproducible.
 
+mod support;
+
 use bitwave::context::ExperimentContext;
 use bitwave::core::bitflip::flip_tensor;
 use bitwave::core::compress::{BcsCodec, WeightCodec};
@@ -22,6 +24,7 @@ use bitwave::pipeline::Pipeline;
 use bitwave::tensor::bits::Encoding;
 use bitwave::tensor::prelude::*;
 use proptest::prelude::*;
+use support::run_sequentially;
 
 /// Builds one synthetic layer from drawn parameters; `kind` selects among
 /// the weight-tensor ranks the grouping supports.
@@ -85,9 +88,10 @@ proptest! {
                 strategy.set(&layer.name, group, *target);
             }
         }
+        let weights = ctx.weights(&net);
         let pipeline = Pipeline::new(ctx).with_strategy(strategy);
-        let sequential = pipeline.run_model(&net).unwrap();
-        let parallel = pipeline.run_model_parallel(&net).unwrap();
+        let sequential = run_sequentially(&pipeline, &net, &weights);
+        let parallel = pipeline.run(&net, &weights).unwrap();
         prop_assert_eq!(&sequential, &parallel);
         prop_assert_eq!(sequential.layers.len(), net.layers.len());
     }
