@@ -282,8 +282,7 @@ mod tests {
         // A 1x1 convolution over a 1x1 feature map is exactly a linear layer.
         let gen = WeightGenerator::new(WeightDistribution::Uniform { range: 1.0 }, 3);
         let w4 = quantize_per_tensor(&gen.generate(Shape::conv_weight(4, 6, 1, 1)), 8).unwrap();
-        let x4 = quantize_per_tensor(&gen.generate_salted(Shape::feature_map(1, 6, 1, 1), 9), 8)
-            .unwrap();
+        let x4 = quantize_per_tensor(&gen.generate(Shape::feature_map(1, 6, 1, 1)), 8).unwrap();
         let (conv_out, _) = conv2d_int8(&x4, &w4, 1, 0).unwrap();
         let w2 = w4.reshaped(Shape::d2(4, 6)).unwrap();
         let x2 = x4.reshaped(Shape::d2(1, 6)).unwrap();

@@ -2,7 +2,8 @@
 //!
 //! Each layer's weights are drawn from its
 //! [`bitwave_tensor::synth::LayerWeightProfile`] and
-//! quantised with a per-layer dynamic-range utilisation: a layer that only
+//! quantised with a per-layer dynamic-range utilisation, in one
+//! [`WeightGenerator::generate_int8`] call: a layer that only
 //! uses 35 % of the Int8 range produces mostly small-magnitude codes and
 //! therefore high bit-column sparsity, while a transformer layer using 95 %
 //! of the range has few zero columns — reproducing the qualitative sparsity
@@ -18,7 +19,6 @@ use bitwave_core::prelude::FlipStrategy;
 use bitwave_core::stats::LayerSparsityStats;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::prelude::*;
-use bitwave_tensor::quant::QuantParams;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -51,31 +51,11 @@ pub fn generate_layer_sample(layer: &LayerSpec, seed: u64, max_elements: usize) 
 
 fn generate_with_shape(layer: &LayerSpec, shape: Shape, seed: u64) -> QuantTensor {
     let profile = layer.weight_profile;
-    let generator = WeightGenerator::new(profile.distribution, seed);
-    let salt = fnv1a(layer.name.as_bytes());
-    let float_weights = generator.generate_salted(shape, salt);
-    quantize_with_utilisation(&float_weights, profile.dynamic_range_utilisation)
-}
-
-/// Quantises a float tensor so that its maximum magnitude lands at
-/// `127 * utilisation` rather than 127, emulating layers whose trained
-/// dynamic range only covers part of the Int8 grid.
-fn quantize_with_utilisation(tensor: &FloatTensor, utilisation: f64) -> QuantTensor {
-    let utilisation = utilisation.clamp(0.05, 1.0);
-    let abs_max = tensor.abs_max();
-    let target_max = 127.0 * utilisation as f32;
-    let scale = if abs_max == 0.0 {
-        1.0
-    } else {
-        abs_max / target_max
-    };
-    let data: Vec<i8> = tensor
-        .data()
-        .iter()
-        .map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8)
-        .collect();
-    QuantTensor::new(tensor.shape(), data, QuantParams::symmetric(scale, 8))
-        .expect("shape preserved")
+    WeightGenerator::new(profile.distribution, seed).generate_int8(
+        shape,
+        fnv1a(layer.name.as_bytes()),
+        profile.dynamic_range_utilisation,
+    )
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -396,9 +376,9 @@ mod tests {
 
     #[test]
     fn utilisation_controls_code_magnitudes() {
-        let t = FloatTensor::new(Shape::d1(5), vec![0.1, -0.2, 0.3, -0.4, 0.5]).unwrap();
-        let low = quantize_with_utilisation(&t, 0.3);
-        let high = quantize_with_utilisation(&t, 1.0);
+        let g = WeightGenerator::new(WeightDistribution::Uniform { range: 0.5 }, 4);
+        let low = g.generate_int8(Shape::d1(64), 0, 0.3);
+        let high = g.generate_int8(Shape::d1(64), 0, 1.0);
         let max_low = low.data().iter().map(|v| v.unsigned_abs()).max().unwrap();
         let max_high = high.data().iter().map(|v| v.unsigned_abs()).max().unwrap();
         assert!(max_low < max_high);

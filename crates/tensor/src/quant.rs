@@ -59,6 +59,26 @@ impl Default for QuantParams {
     }
 }
 
+/// `x.round()` (round half away from zero) without the libm call.
+///
+/// Bit-identical to [`f32::round`] for every input, NaN, ±∞ and ±0
+/// included: a magnitude of 2²³ or more (and NaN) is already integral and
+/// comes back unchanged; below that, `as i32` truncates exactly and the
+/// dropped fraction decides whether to step one away from zero.
+#[inline]
+pub fn round_half_away(x: f32) -> f32 {
+    if x.is_nan() || x.abs() >= 8_388_608.0 {
+        return x;
+    }
+    let truncated = x as i32 as f32;
+    let rounded = if (x - truncated).abs() >= 0.5 {
+        truncated + x.signum()
+    } else {
+        truncated
+    };
+    rounded.copysign(x)
+}
+
 fn check_bits(bits: u8) -> Result<(), TensorError> {
     if bits == 0 || bits > 8 {
         return Err(TensorError::InvalidBitWidth(bits));
@@ -97,7 +117,7 @@ pub fn quantize_per_tensor(tensor: &FloatTensor, bits: u8) -> Result<QuantTensor
         .data()
         .iter()
         .map(|&v| {
-            let q = (v / scale).round();
+            let q = round_half_away(v / scale);
             q.clamp(-q_max, q_max) as i8
         })
         .collect();
@@ -150,7 +170,7 @@ pub fn quantize_per_channel(
     let mut data = vec![0i8; num];
     for (i, &v) in tensor.data().iter().enumerate() {
         let ch = (i / channel_stride) % channels;
-        let q = (v / scales[ch]).round().clamp(-q_max, q_max);
+        let q = round_half_away(v / scales[ch]).clamp(-q_max, q_max);
         data[i] = q as i8;
     }
     let summary_scale = scales.iter().cloned().fold(0.0f32, f32::max);
@@ -361,6 +381,62 @@ mod tests {
         let q = quantize_per_tensor(&t, 8).unwrap();
         assert!(q.data().iter().all(|&v| v == 0));
         assert!(q.params().scale.is_finite());
+    }
+
+    /// Every `f32` bit pattern, NaN, ±∞, ±0, the `as i32` saturation range
+    /// and the ±127 clamp included.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn round_half_away_matches_f32_round_on_every_bit_pattern() {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let chunk = (1u64 << 32).div_ceil(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                scope.spawn(move || {
+                    let end = ((t + 1) * chunk).min(1 << 32);
+                    for bits in t * chunk..end {
+                        let x = f32::from_bits(bits as u32);
+                        let (ours, libm) = (round_half_away(x), x.round());
+                        if libm.is_nan() {
+                            assert!(ours.is_nan(), "{x:e}");
+                        } else {
+                            assert_eq!(ours.to_bits(), libm.to_bits(), "{x:e}");
+                        }
+                        assert_eq!(
+                            ours.clamp(-127.0, 127.0) as i8,
+                            libm.clamp(-127.0, 127.0) as i8,
+                            "{x:e}"
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn round_half_away_edge_cases() {
+        for x in [
+            0.5f32,
+            -0.5,
+            1.5,
+            -2.5,
+            0.499_999_97,
+            -0.3,
+            -0.0,
+            0.0,
+            8_388_607.5,
+            -8_388_607.5,
+            3e9,
+            -3e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+        ] {
+            assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x:e}");
+        }
+        assert!(round_half_away(f32::NAN).is_nan());
+        assert_eq!(round_half_away(f32::NAN).clamp(-127.0, 127.0) as i8, 0);
     }
 
     #[test]
