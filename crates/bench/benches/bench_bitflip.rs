@@ -5,8 +5,9 @@
 use bitwave::context::ExperimentContext;
 use bitwave::experiments::bitflip::{fig06_layer_sensitivity, fig06_pareto, fig06_tradeoff};
 use bitwave_bench::{bench_context, print_header};
-use bitwave_core::bitflip::{flip_slice, flip_tensor};
-use bitwave_core::group::GroupSize;
+use bitwave_core::bitflip::{flip_groups, flip_slice, flip_tensor};
+use bitwave_core::group::{extract_groups, reassemble_tensor, GroupSize};
+use bitwave_core::stats::PackedAnalysis;
 use bitwave_dnn::models::all_networks;
 use bitwave_dnn::weights::generate_layer_sample;
 use bitwave_tensor::bits::Encoding;
@@ -99,6 +100,21 @@ fn bench(c: &mut Criterion) {
                     Encoding::SignMagnitude,
                 ))
                 .expect("flip succeeds");
+            }
+        })
+    });
+    // The same layers through the Bit-Flip stage's flipped-layer pass:
+    // extract the groups once, flip them in place, pack the flipped groups
+    // with their statistics and BCS sizes, reassemble the tensor.
+    c.bench_function("kernel/bitflip_stage_resnet18_default_strategy", |b| {
+        b.iter(|| {
+            for &(tensor, group_size, zero_columns) in &flipped_layers {
+                let mut groups = extract_groups(black_box(tensor), group_size).expect("groupable");
+                let stats = flip_groups(&mut groups, zero_columns, Encoding::SignMagnitude)
+                    .expect("flip succeeds");
+                let packed = PackedAnalysis::from_groups(&groups, Encoding::SignMagnitude);
+                let flipped = reassemble_tensor(tensor, &groups).expect("same shape");
+                black_box((stats, packed, flipped));
             }
         })
     });

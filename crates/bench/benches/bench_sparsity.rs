@@ -85,8 +85,8 @@ fn assert_bitplane_speedup_gate() -> SparsityBenchReport {
     let packed_s = min_sample_seconds(SAMPLES, || {
         for (weights, groups) in layers.iter().zip(&grouped) {
             let planes = black_box(groups).to_bitplanes();
-            black_box(LayerSparsityStats::from_tensor_and_planes(
-                black_box(weights),
+            black_box(LayerSparsityStats::from_planes(
+                black_box(weights.data().len()),
                 &planes,
             ));
             black_box(codec.measure_packed(&planes, weights.data().len()));

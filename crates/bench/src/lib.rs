@@ -133,8 +133,8 @@ pub fn measure_sparsity_kernel_ratios() -> SparsityKernelRatios {
     });
     let packed_analysis = min_sample_seconds(RATIO_SAMPLES, || {
         let planes = black_box(&groups).to_bitplanes();
-        black_box(LayerSparsityStats::from_tensor_and_planes(
-            black_box(&weights),
+        black_box(LayerSparsityStats::from_planes(
+            black_box(weights.data().len()),
             &planes,
         ));
     });

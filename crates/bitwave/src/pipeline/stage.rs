@@ -12,9 +12,13 @@
 //! [`BitplaneTensor`] and derives statistics and BCS accounting from the
 //! word-parallel planes, then hands the planes forward so the bit-flip stage
 //! can build the accelerator-facing [`bitwave_accel::LayerAnalysis`] without
-//! re-grouping, re-packing or re-compressing the unflipped tensor.  The
-//! ZRE/CSR value-codec passes — needed only by the SCNN baseline — stay
-//! deferred inside the analysis until a simulation actually reads them.
+//! re-grouping, re-packing or re-compressing the unflipped tensor.  A layer
+//! with a Bit-Flip target is grouped once more, by the bit-flip stage: it
+//! flips the extracted groups in place, packs the flipped groups straight
+//! into the planes of the post-flip analysis, and reassembles the tensor
+//! only for the weight handle it passes on.  The ZRE/CSR value-codec
+//! passes — needed only by the SCNN baseline — stay deferred inside the
+//! analysis until a simulation actually reads them.
 
 use crate::error::Result;
 use crate::pipeline::job::LayerJob;
@@ -23,9 +27,9 @@ use crate::pipeline::report::{
 };
 use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::{AcceleratorSpec, EnergyModel, LayerAnalysis};
-use bitwave_core::bitflip::flip_tensor;
+use bitwave_core::bitflip::flip_groups;
 use bitwave_core::compress::BcsCodec;
-use bitwave_core::group::GroupSize;
+use bitwave_core::group::{extract_groups, reassemble_tensor, GroupSize};
 use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
 use bitwave_dataflow::mapping::{select_spatial_unrolling, MappingDecision, MappingPolicy};
 use bitwave_dataflow::MemoryHierarchy;
@@ -136,8 +140,9 @@ impl PipelineStage for CompressStage {
     }
 }
 
-/// Applies the job's zero-column Bit-Flip target (no-op at target 0) and
-/// re-compresses the flipped weights.
+/// Applies the job's zero-column Bit-Flip target (no-op at target 0): flips
+/// the layer's weight groups in place and packs the flipped groups once for
+/// the post-flip BCS accounting, statistics and accelerator analysis.
 #[derive(Debug, Clone, Copy)]
 pub struct BitFlipStage {
     /// Bit encoding the flip optimises for.
@@ -209,17 +214,13 @@ impl PipelineStage for BitFlipStage {
             );
             (None, analysis)
         } else {
-            let (flipped, stats) = flip_tensor(
-                &job.weights,
-                job.group_size,
-                job.zero_column_target,
-                self.encoding,
-            )?;
-            // One group extraction + bitplane packing of the flipped tensor
-            // feeds the post-flip accounting (under this stage's own
-            // encoding — no throwaway compress stage), statistics and
-            // accelerator analysis alike.
-            let packed = PackedAnalysis::of(&flipped, job.group_size, self.encoding)?;
+            // One pass in the group layout: the flipped groups are packed
+            // as they are (under this stage's own encoding), and the tensor
+            // is reassembled only for the job's weight handle.
+            let mut groups = extract_groups(&job.weights, job.group_size)?;
+            let stats = flip_groups(&mut groups, job.zero_column_target, self.encoding)?;
+            let packed = PackedAnalysis::from_groups(&groups, self.encoding);
+            let flipped = reassemble_tensor(&job.weights, &groups)?;
             let compression_after =
                 CompressionSummary::from_sizes(&packed.bcs, job.group_size.len());
             let bcs_ratio = sm_bcs_ratio(

@@ -11,9 +11,8 @@
 //! allowed columns.
 
 use crate::error::CoreError;
-use crate::group::{extract_groups, reassemble_tensor, GroupSize};
+use crate::group::{extract_groups, reassemble_tensor, GroupSize, Groups};
 use bitwave_tensor::bits::{Encoding, WORD_BITS};
-use bitwave_tensor::metrics::euclidean_distance_i8;
 use bitwave_tensor::QuantTensor;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -59,7 +58,8 @@ pub struct FlipStats {
 /// order with the minimal total — the mask an exhaustive per-mask
 /// projection search keeps when it replaces its incumbent only on strictly
 /// smaller cost, since the costs are exact integers.  Only the winning
-/// mask's projection is materialised.
+/// mask's projection is materialised.  This is the kernel of
+/// [`flip_groups`] run on one group.
 ///
 /// # Errors
 ///
@@ -70,43 +70,54 @@ pub fn flip_group(
     target_zero_columns: u32,
     encoding: Encoding,
 ) -> Result<FlipOutcome, CoreError> {
-    if group.is_empty() || group.len() > 64 {
-        return Err(CoreError::InvalidGroupLength(group.len()));
-    }
-    let target = target_zero_columns.min(WORD_BITS as u32);
-    let current = (!used_columns(group, encoding)).count_ones();
-    if current >= target {
-        return Ok(FlipOutcome {
-            flipped: group.to_vec(),
-            distance: 0.0,
-            achieved_zero_columns: current,
-        });
-    }
-
-    let table = FlipTable::get(encoding);
-    let (mask, cost) = table.best_mask(group, WORD_BITS - target as usize);
-    let nearest = &table.nearest[usize::from(mask)];
-    let flipped: Vec<i8> = group
-        .iter()
-        .map(|&w| nearest[usize::from(w as u8)])
-        .collect();
-    let achieved = (!used_columns(&flipped, encoding)).count_ones();
-    debug_assert!(achieved >= target);
+    check_group_len(group.len())?;
+    let mut flipped = group.to_vec();
+    let tally = FlipTable::get(encoding)
+        .flip_all(std::iter::once(flipped.as_mut_slice()), target_zero_columns);
     Ok(FlipOutcome {
-        distance: f64::from(cost).sqrt(),
-        achieved_zero_columns: achieved,
         flipped,
+        distance: (tally.squared_distance as f64).sqrt(),
+        achieved_zero_columns: tally.zero_columns as u32,
     })
 }
 
-/// The columns any element of `group` uses under `encoding` (the OR of the
-/// encoded bytes).
-fn used_columns(group: &[i8], encoding: Encoding) -> u8 {
-    group.iter().fold(0, |used, &w| used | encoding.encode(w))
+/// Rejects group lengths the Bit-Flip search cannot handle.
+fn check_group_len(len: usize) -> Result<(), CoreError> {
+    if (1..=64).contains(&len) {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidGroupLength(len))
+    }
 }
 
-/// Number of 8-bit masks of the most common popcount, C(8, 4).
-const MAX_MASKS_PER_POPCOUNT: usize = 70;
+/// Running totals of a flip over many groups.  Every squared cost is an
+/// exact integer, so the total needs no floating-point accumulation.
+#[derive(Debug, Default)]
+struct FlipTally {
+    groups: usize,
+    groups_modified: usize,
+    squared_distance: u64,
+    zero_columns: u64,
+}
+
+impl FlipTally {
+    /// The aggregate statistics over `num_weights` unpadded weights.
+    /// Padding costs nothing (0 is representable under every mask), so the
+    /// RMS over the padded groups is the RMS over the weights.
+    fn stats(&self, num_weights: usize) -> FlipStats {
+        FlipStats {
+            groups: self.groups,
+            groups_modified: self.groups_modified,
+            rms_perturbation: (self.squared_distance as f64).sqrt()
+                / (num_weights.max(1) as f64).sqrt(),
+            mean_zero_columns: if self.groups > 0 {
+                self.zero_columns as f64 / self.groups as f64
+            } else {
+                0.0
+            },
+        }
+    }
+}
 
 /// The separable Bit-Flip cost table of one encoding: for every column mask
 /// and every value, the nearest value whose encoding uses only the mask's
@@ -117,8 +128,12 @@ const MAX_MASKS_PER_POPCOUNT: usize = 70;
 /// sign-magnitude), and a negative value under a mask without the sign
 /// column projects to the smallest representable magnitude, 0.  Every value
 /// differs from its projection by at most 128 (0 is always representable),
-/// so a cost fits in a `u16` and a 64-element group total in a `u32`.
+/// so a 64-element group total fits in a `u32`.  Costs are stored as `u32`
+/// too: the search adds whole cost rows to its totals, and same-width rows
+/// add without a widening step.
 pub struct FlipTable {
+    /// `encoded[value as u8]`: the byte `value` encodes to.
+    encoded: [u8; 256],
     /// `nearest[mask][value as u8]`.
     nearest: Box<[[i8; 256]; 256]>,
     /// `masks_by_popcount[k]`: the masks with popcount `k`, ascending.
@@ -127,7 +142,7 @@ pub struct FlipTable {
     /// `value` onto `masks_by_popcount[k][j]`, where `n` is the number of
     /// masks of popcount `k` — one value's costs for all those masks are
     /// contiguous.
-    costs_by_popcount: [Vec<u16>; WORD_BITS + 1],
+    costs_by_popcount: [Vec<u32>; WORD_BITS + 1],
 }
 
 impl FlipTable {
@@ -162,40 +177,100 @@ impl FlipTable {
                 for &mask in masks {
                     let d = i32::from(byte as i8)
                         - i32::from(nearest[usize::from(mask)][usize::from(byte)]);
-                    costs.push(d.unsigned_abs().pow(2) as u16);
+                    costs.push(d.unsigned_abs().pow(2));
                 }
             }
             costs
         });
         Self {
+            encoded: std::array::from_fn(|byte| encoding.encode(byte as u8 as i8)),
             nearest,
             masks_by_popcount,
             costs_by_popcount,
         }
     }
 
-    /// The first mask, in ascending order, of minimal total cost over
-    /// `group` among the masks with `popcount` allowed columns, and that
-    /// total.
-    fn best_mask(&self, group: &[i8], popcount: usize) -> (u8, u32) {
-        let masks = &self.masks_by_popcount[popcount];
-        let costs = &self.costs_by_popcount[popcount];
-        let n = masks.len();
-        let mut totals = [0u32; MAX_MASKS_PER_POPCOUNT];
-        let totals = &mut totals[..n];
-        for &w in group {
-            let row = &costs[usize::from(w as u8) * n..][..n];
-            for (total, &c) in totals.iter_mut().zip(row) {
-                *total += u32::from(c);
-            }
+    /// Flips every group of `groups` in place to at least
+    /// `target_zero_columns` zero columns (clamped to `0..=8`) under this
+    /// table's encoding.  Groups must hold `1..=64` weights.
+    fn flip_all<'a>(
+        &self,
+        groups: impl Iterator<Item = &'a mut [i8]>,
+        target_zero_columns: u32,
+    ) -> FlipTally {
+        let target = target_zero_columns.min(WORD_BITS as u32);
+        // The number of candidate masks, C(8, popcount), fixes the width of
+        // the per-group totals array.
+        match WORD_BITS - target as usize {
+            0 | 8 => self.flip_all_n::<1>(groups, target),
+            1 | 7 => self.flip_all_n::<8>(groups, target),
+            2 | 6 => self.flip_all_n::<28>(groups, target),
+            3 | 5 => self.flip_all_n::<56>(groups, target),
+            _ => self.flip_all_n::<70>(groups, target),
         }
-        let mut best = 0;
-        for (j, &total) in totals.iter().enumerate() {
-            if total < totals[best] {
-                best = j;
+    }
+
+    /// [`FlipTable::flip_all`] with the `N` candidate masks of popcount
+    /// `8 - target`: a group short of the target sums the `N` mask totals
+    /// from its cost rows in one pass, keeps the first minimal total (ties
+    /// go to the lower mask) and is overwritten with that mask's
+    /// projection.
+    fn flip_all_n<'a, const N: usize>(
+        &self,
+        groups: impl Iterator<Item = &'a mut [i8]>,
+        target: u32,
+    ) -> FlipTally {
+        let popcount = WORD_BITS - target as usize;
+        let masks: &[u8; N] = self.masks_by_popcount[popcount]
+            .as_slice()
+            .try_into()
+            .expect("C(8, popcount) masks");
+        // Sliced to its known length so the row lookups need no bounds
+        // checks.
+        let costs = &self.costs_by_popcount[popcount][..256 * N];
+        let mut tally = FlipTally::default();
+        for group in groups {
+            tally.groups += 1;
+            let current = (!self.used_columns(group)).count_ones();
+            if current >= target {
+                tally.zero_columns += u64::from(current);
+                continue;
             }
+            let mut totals = [0u32; N];
+            for &w in group.iter() {
+                let row: &[u32; N] = costs[usize::from(w as u8) * N..][..N]
+                    .try_into()
+                    .expect("one cost row of N masks per byte value");
+                for (total, &c) in totals.iter_mut().zip(row) {
+                    *total += c;
+                }
+            }
+            let (mut best, mut best_total) = (0, totals[0]);
+            for (j, &total) in totals.iter().enumerate().skip(1) {
+                if total < best_total {
+                    best = j;
+                    best_total = total;
+                }
+            }
+            let nearest = &self.nearest[usize::from(masks[best])];
+            for w in group.iter_mut() {
+                *w = nearest[usize::from(*w as u8)];
+            }
+            let used = self.used_columns(group);
+            debug_assert!((!used).count_ones() >= target);
+            tally.groups_modified += usize::from(best_total > 0);
+            tally.squared_distance += u64::from(best_total);
+            tally.zero_columns += u64::from((!used).count_ones());
         }
-        (masks[best], totals[best])
+        tally
+    }
+
+    /// The columns any element of `group` uses (the OR of the encoded
+    /// bytes).
+    fn used_columns(&self, group: &[i8]) -> u8 {
+        group
+            .iter()
+            .fold(0, |used, &w| used | self.encoded[usize::from(w as u8)])
     }
 
     /// The nearest value to `value` that uses only the columns in `mask`.
@@ -205,7 +280,7 @@ impl FlipTable {
 
     /// The squared distance from `value` to [`FlipTable::nearest`], as the
     /// search reads it.
-    pub fn cost(&self, mask: u8, value: i8) -> u16 {
+    pub fn cost(&self, mask: u8, value: i8) -> u32 {
         let k = mask.count_ones() as usize;
         let masks = &self.masks_by_popcount[k];
         let j = masks
@@ -329,8 +404,8 @@ fn nearest_value(value: i8, sorted: &[i8]) -> i8 {
     best
 }
 
-/// Flips every group of a flat weight slice.  Returns the flipped weights and
-/// aggregate statistics.
+/// Flips every group of a flat weight slice (the trailing group may be
+/// short).  Returns the flipped weights and aggregate statistics.
 ///
 /// # Errors
 ///
@@ -342,25 +417,29 @@ pub fn flip_slice(
     encoding: Encoding,
 ) -> Result<(Vec<i8>, FlipStats), CoreError> {
     let g = group_size.len();
-    let mut out = Vec::with_capacity(weights.len());
-    let mut stats = FlipStats::default();
-    let mut squared_sum = 0.0f64;
-    let mut zero_cols = 0u64;
-    for chunk in weights.chunks(g) {
-        let outcome = flip_group(chunk, target_zero_columns, encoding)?;
-        stats.groups += 1;
-        if outcome.distance > 0.0 {
-            stats.groups_modified += 1;
-        }
-        squared_sum += outcome.distance * outcome.distance;
-        zero_cols += u64::from(outcome.achieved_zero_columns);
-        out.extend_from_slice(&outcome.flipped[..chunk.len()]);
-    }
-    if stats.groups > 0 && !weights.is_empty() {
-        stats.rms_perturbation = (squared_sum / weights.len() as f64).sqrt();
-        stats.mean_zero_columns = zero_cols as f64 / stats.groups as f64;
-    }
-    Ok((out, stats))
+    check_group_len(g)?;
+    let mut out = weights.to_vec();
+    let tally = FlipTable::get(encoding).flip_all(out.chunks_mut(g), target_zero_columns);
+    Ok((out, tally.stats(weights.len())))
+}
+
+/// Flips extracted weight groups in place — the Bit-Flip pass of the
+/// pipeline, which packs the flipped groups straight into bitplanes
+/// ([`crate::stats::PackedAnalysis::from_groups`]) and reassembles the
+/// tensor only for the weights it hands on.  Zero padding stays zero and
+/// costs nothing, so the statistics are those of the unpadded weights.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidGroupLength`] for group sizes outside `1..=64`.
+pub fn flip_groups(
+    groups: &mut Groups,
+    target_zero_columns: u32,
+    encoding: Encoding,
+) -> Result<FlipStats, CoreError> {
+    check_group_len(groups.group_size())?;
+    let tally = FlipTable::get(encoding).flip_all(groups.iter_mut(), target_zero_columns);
+    Ok(tally.stats(groups.num_weights()))
 }
 
 /// Flips a whole weight tensor, grouping along the input-channel axis exactly
@@ -377,30 +456,8 @@ pub fn flip_tensor(
     encoding: Encoding,
 ) -> Result<(QuantTensor, FlipStats), CoreError> {
     let mut groups = extract_groups(tensor, group_size)?;
-    let mut stats = FlipStats::default();
-    let mut squared_sum = 0.0f64;
-    let mut zero_cols = 0u64;
-    for group in groups.iter_mut() {
-        let outcome = flip_group(group, target_zero_columns, encoding)?;
-        stats.groups += 1;
-        if outcome.distance > 0.0 {
-            stats.groups_modified += 1;
-        }
-        squared_sum += outcome.distance * outcome.distance;
-        zero_cols += u64::from(outcome.achieved_zero_columns);
-        group.copy_from_slice(&outcome.flipped);
-    }
-    let flipped = reassemble_tensor(tensor, &groups)?;
-    if stats.groups > 0 {
-        let n = tensor.data().len().max(1) as f64;
-        stats.rms_perturbation = (squared_sum / n).sqrt();
-        stats.mean_zero_columns = zero_cols as f64 / stats.groups as f64;
-    }
-    // The distance accounting above includes padded elements, which are zero
-    // in both the original and flipped groups, so the RMS is exact.
-    let exact_distance = euclidean_distance_i8(tensor.data(), flipped.data());
-    stats.rms_perturbation = exact_distance / (tensor.data().len().max(1) as f64).sqrt();
-    Ok((flipped, stats))
+    let stats = flip_groups(&mut groups, target_zero_columns, encoding)?;
+    Ok((reassemble_tensor(tensor, &groups)?, stats))
 }
 
 #[cfg(test)]

@@ -116,6 +116,12 @@ impl Groups {
         self.data.len()
     }
 
+    /// Number of weights the groups were extracted from (the padding
+    /// excluded).
+    pub fn num_weights(&self) -> usize {
+        self.rows * self.axis_len
+    }
+
     /// Packs the (padded) group data into a [`BitplaneTensor`] whose group
     /// windows coincide with these groups: window `i` of every plane holds
     /// bit column `b` of group `i`.  This is the one packing step the

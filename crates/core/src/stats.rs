@@ -14,7 +14,7 @@
 
 use crate::compress::{BcsCodec, BcsSizes};
 use crate::error::CoreError;
-use crate::group::{extract_groups, GroupSize};
+use crate::group::{extract_groups, GroupSize, Groups};
 use bitwave_tensor::bitplane::{BitplaneTensor, WORD_LEN};
 use bitwave_tensor::bits::{nonzero_column_count, Encoding, WORD_BITS};
 use bitwave_tensor::sm;
@@ -64,26 +64,25 @@ impl LayerSparsityStats {
     /// Group sizes fitting a 64-bit plane word run on the bitplane kernels;
     /// larger custom sweep sizes fall back to
     /// [`LayerSparsityStats::from_tensor_and_groups_scalar`].
-    pub fn from_tensor_and_groups(tensor: &QuantTensor, groups: &crate::group::Groups) -> Self {
+    pub fn from_tensor_and_groups(tensor: &QuantTensor, groups: &Groups) -> Self {
         if groups.group_size() <= WORD_LEN {
-            Self::from_tensor_and_planes(tensor, &groups.to_bitplanes())
+            Self::from_planes(tensor.data().len(), &groups.to_bitplanes())
         } else {
             Self::from_tensor_and_groups_scalar(tensor, groups)
         }
     }
 
-    /// Analyses a weight tensor from its **bitplane-packed** representation:
-    /// every density is a plane popcount and every column statistic a window
-    /// mask, with no per-element bit walking.  `planes` must be packed from
-    /// the extracted groups of the same tensor
+    /// Analyses `num_weights` weights from their **bitplane-packed**
+    /// representation: every density is a plane popcount and every column
+    /// statistic a window mask, with no per-element bit walking.  `planes`
+    /// must be packed from the extracted groups of those weights
     /// ([`crate::group::Groups::to_bitplanes`]); the padding a group
     /// extraction appends is all-zero and therefore invisible to every count.
     ///
     /// The result is bit-identical to the scalar analysis: all counts are
     /// exact integers, and the final divisions are performed in the same
     /// order on the same values.
-    pub fn from_tensor_and_planes(tensor: &QuantTensor, planes: &BitplaneTensor) -> Self {
-        let num_weights = tensor.data().len();
+    pub fn from_planes(num_weights: usize, planes: &BitplaneTensor) -> Self {
         let zeros = num_weights - planes.nonzero_elements() as usize;
         let value_sparsity = if num_weights == 0 {
             0.0
@@ -131,10 +130,7 @@ impl LayerSparsityStats {
     /// The pre-bitplane scalar analysis, kept as the reference
     /// implementation for the equivalence tests, the `bench_sparsity`
     /// speedup gate, and group sizes beyond a plane word.
-    pub fn from_tensor_and_groups_scalar(
-        tensor: &QuantTensor,
-        groups: &crate::group::Groups,
-    ) -> Self {
+    pub fn from_tensor_and_groups_scalar(tensor: &QuantTensor, groups: &Groups) -> Self {
         let data = tensor.data();
         let num_weights = data.len();
         let zeros = data.iter().filter(|&&v| v == 0).count();
@@ -200,8 +196,8 @@ pub struct PackedAnalysis {
 }
 
 impl PackedAnalysis {
-    /// Groups `weights` at `group_size`, packs the groups once and derives
-    /// the statistics and the `encoding` BCS sizes from the planes.
+    /// Groups `weights` at `group_size` and runs
+    /// [`PackedAnalysis::from_groups`] on the groups.
     ///
     /// # Errors
     ///
@@ -216,10 +212,28 @@ impl PackedAnalysis {
         group_size: GroupSize,
         encoding: Encoding,
     ) -> Result<Self, CoreError> {
-        let planes = extract_groups(weights, group_size)?.to_bitplanes();
-        let stats = LayerSparsityStats::from_tensor_and_planes(weights, &planes);
-        let bcs = BcsCodec::new(group_size, encoding).measure_packed(&planes, weights.data().len());
-        Ok(Self { planes, stats, bcs })
+        Ok(Self::from_groups(
+            &extract_groups(weights, group_size)?,
+            encoding,
+        ))
+    }
+
+    /// Packs already extracted `groups` once and derives the statistics and
+    /// the `encoding` BCS sizes from the planes.  The Bit-Flip stage packs
+    /// its flipped groups here without reassembling and re-grouping the
+    /// tensor first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group size exceeds a 64-bit plane word (see
+    /// [`crate::group::Groups::to_bitplanes`]).
+    pub fn from_groups(groups: &Groups, encoding: Encoding) -> Self {
+        let planes = groups.to_bitplanes();
+        let num_weights = groups.num_weights();
+        let stats = LayerSparsityStats::from_planes(num_weights, &planes);
+        let bcs = BcsCodec::new(GroupSize::from_len(groups.group_size()), encoding)
+            .measure_packed(&planes, num_weights);
+        Self { planes, stats, bcs }
     }
 }
 

@@ -24,7 +24,7 @@ fn table_matches_naive_nearest_for_every_mask_and_value() {
                     "{encoding:?} mask {mask:#010b} value {value}"
                 );
                 assert_eq!(
-                    u32::from(table.cost(mask, value)),
+                    table.cost(mask, value),
                     (d * d) as u32,
                     "{encoding:?} mask {mask:#010b} value {value}"
                 );
@@ -51,7 +51,7 @@ fn table_projects_a_disallowed_sign_to_the_smallest_magnitude() {
     for value in [-1i8, -5, -64, -127, -128] {
         assert_eq!(sm.nearest(0b0111_1111, value), 0);
         assert_eq!(
-            u32::from(sm.cost(0b0111_1111, value)),
+            sm.cost(0b0111_1111, value),
             (i32::from(value)).pow(2) as u32
         );
     }

@@ -38,7 +38,7 @@ fn assert_stats_equal(values: &[i8], group_size: GroupSize) {
     let tensor = tensor_from(values);
     let groups = extract_groups(&tensor, group_size).unwrap();
     let scalar = LayerSparsityStats::from_tensor_and_groups_scalar(&tensor, &groups);
-    let packed = LayerSparsityStats::from_tensor_and_planes(&tensor, &groups.to_bitplanes());
+    let packed = LayerSparsityStats::from_planes(tensor.data().len(), &groups.to_bitplanes());
     // `LayerSparsityStats` derives PartialEq over all its (f64-bearing)
     // fields, so this is bitwise-exact ratio equality.
     assert_eq!(scalar, packed, "stats diverge at g={}", group_size.len());

@@ -270,23 +270,62 @@ impl NormalizedRequest {
     }
 
     /// Serializes the response envelope (`digest` + `report`) exactly as the
-    /// cache stores and replays it.
+    /// cache stores and replays it: the bytes of an [`EvaluateResponse`].
+    /// The report is serialized once; its `report_digest` is the digest of
+    /// those bytes ([`ModelReport::content_digest`]), and the envelope is
+    /// spliced around them.
     ///
     /// # Errors
     ///
     /// Propagates serialization failure as [`ServeError::Internal`].
     pub fn envelope(&self, digest: &Digest, report: &ModelReport) -> Result<String, ServeError> {
-        let report_digest = report
-            .content_digest()
-            .map_err(|e| ServeError::Internal(e.to_string()))?;
-        let envelope = EvaluateResponse {
-            digest: digest.to_hex(),
-            report_digest: report_digest.to_hex(),
-            key: self.key.clone(),
-            report: report.clone(),
-        };
-        serde_json::to_string(&envelope).map_err(|e| ServeError::Internal(e.to_string()))
+        let report = to_json(report)?;
+        let report_digest = Digest::of_bytes(report.as_bytes());
+        Ok(json_object(&[
+            ("digest", &quoted(digest)),
+            ("report_digest", &quoted(&report_digest)),
+            ("key", &to_json(&self.key)?),
+            ("report", &report),
+        ]))
     }
+}
+
+/// Compact JSON of `value`.
+fn to_json<T: Serialize>(value: &T) -> Result<String, ServeError> {
+    serde_json::to_string(value).map_err(|e| ServeError::Internal(e.to_string()))
+}
+
+/// A digest as a JSON string.
+fn quoted(digest: &Digest) -> String {
+    format!("\"{digest}\"")
+}
+
+/// The compact JSON object of `fields`, each value already compact JSON,
+/// in order — the bytes `serde_json::to_string` gives a struct with those
+/// fields — written into a string of exactly its length.  Field names must
+/// need no escaping.
+fn json_object(fields: &[(&str, &str)]) -> String {
+    // `{` `}`, one `,` between fields, and `"name":` per field.
+    let len = 2
+        + fields.len().saturating_sub(1)
+        + fields
+            .iter()
+            .map(|(name, value)| name.len() + 3 + value.len())
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push('{');
+    for (i, (name, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        out.push_str(name);
+        out.push_str("\":");
+        out.push_str(value);
+    }
+    out.push('}');
+    debug_assert_eq!(out.len(), len);
+    out
 }
 
 /// The canonical, digestible identity of one dataflow search: the
@@ -346,18 +385,18 @@ impl NormalizedSearch {
     }
 
     /// Serializes the response envelope exactly as the cache stores and
-    /// replays it.
+    /// replays it: the bytes of a [`SearchResponse`], spliced from the
+    /// serialized key and search without cloning either.
     ///
     /// # Errors
     ///
     /// Propagates serialization failure as [`ServeError::Internal`].
     pub fn envelope(&self, digest: &Digest, search: &NetworkSearch) -> Result<String, ServeError> {
-        let envelope = SearchResponse {
-            digest: digest.to_hex(),
-            key: self.key.clone(),
-            search: search.clone(),
-        };
-        serde_json::to_string(&envelope).map_err(|e| ServeError::Internal(e.to_string()))
+        Ok(json_object(&[
+            ("digest", &quoted(digest)),
+            ("key", &to_json(&self.key)?),
+            ("search", &to_json(search)?),
+        ]))
     }
 }
 
@@ -689,6 +728,51 @@ mod tests {
             Some(digest.to_hex().as_str())
         );
         assert!(value.get("search").is_some());
+    }
+
+    #[test]
+    fn evaluate_envelope_is_the_derived_serialization() {
+        for body in [
+            r#"{"model":"resnet18","sample_cap":1500,"bitflip":true}"#,
+            r#"{"model":"mobilenet-v2","sample_cap":1500}"#,
+            r#"{"model":"bert-base","sample_cap":1000}"#,
+            r#"{"model":"resnet18","sample_cap":1500,"accelerator":"stripes",
+                "group_size":8,"dram_bandwidth_bits":4,"dram_burst_bytes":128}"#,
+        ] {
+            let normalized = request(body).normalize().unwrap();
+            let weights = normalized.key.knobs.to_context().weights(&normalized.spec);
+            let report = normalized.evaluate(&weights).unwrap();
+            let digest = normalized.key.digest().unwrap();
+            let derived = serde_json::to_string(&EvaluateResponse {
+                digest: digest.to_hex(),
+                report_digest: report.content_digest().unwrap().to_hex(),
+                key: normalized.key.clone(),
+                report: report.clone(),
+            })
+            .unwrap();
+            let envelope = normalized.envelope(&digest, &report).unwrap();
+            assert_eq!(envelope, derived, "{body}");
+            assert_eq!(envelope.capacity(), envelope.len(), "{body}");
+        }
+    }
+
+    #[test]
+    fn search_envelope_is_the_derived_serialization() {
+        let normalized = request(r#"{"model":"resnet18","sample_cap":1500,"bitflip":true}"#)
+            .normalize_search()
+            .unwrap();
+        let weights = normalized.key.knobs.to_context().weights(&normalized.spec);
+        let search = normalized.run(&weights).unwrap();
+        let digest = normalized.key.digest().unwrap();
+        let derived = serde_json::to_string(&SearchResponse {
+            digest: digest.to_hex(),
+            key: normalized.key.clone(),
+            search: search.clone(),
+        })
+        .unwrap();
+        let envelope = normalized.envelope(&digest, &search).unwrap();
+        assert_eq!(envelope, derived);
+        assert_eq!(envelope.capacity(), envelope.len());
     }
 
     #[test]
