@@ -7,8 +7,9 @@
 //! The modelling flow mirrors the paper's four steps:
 //!
 //! 1. **STEP 1** — dense activity counts per accelerator and layer come from
-//!    the ZigZag-style model in `bitwave-dataflow`
-//!    ([`bitwave_dataflow::ActivityCounts`]).
+//!    the ZigZag-style model in `bitwave-dataflow`: the on-chip counts
+//!    ([`bitwave_dataflow::ActivityCounts`]) and the per-operand DRAM fetch
+//!    counts ([`bitwave_dataflow::DramFetches`]).
 //! 2. **STEP 2** — per-layer sparsity statistics and compression ratios are
 //!    captured in [`sparsity::LayerSparsityProfile`], including the load
 //!    imbalance adjustment for runtime-scheduled bit-serial machines.

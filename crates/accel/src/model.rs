@@ -11,17 +11,20 @@
 //!    imbalance-adjusted non-zero bit/column count), and weight-compression
 //!    scaling of the memory traffic (Eq. 3),
 //! 3. converts memory traffic into cycles using each interface's bandwidth
-//!    and combines them with the compute cycles following Eq. 5 (compute and
-//!    on-chip transfers overlap; DRAM traffic and output write-back add on
-//!    top),
+//!    and combines them with the compute cycles following Eq. 5: compute and
+//!    on-chip transfers overlap and the output write-back adds on top; the
+//!    DRAM traffic ([`bitwave_dataflow::DramFetches`] per operand) adds
+//!    `bytes × 8 / dram_word_bits` cycles under the unconstrained tier, or
+//!    sets the per-layer roofline `max(compute, dram)` under a constrained
+//!    one,
 //! 4. prices every remaining operation with the unit energies of Eq. 4.
 
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::sparsity::LayerSparsityProfile;
 use crate::spec::{AcceleratorSpec, PeStyle, WeightCompression};
 use bitwave_dataflow::{
-    dram_reads, dram_reads_auto, ActivityCounts, MemoryBoundedness, MemoryHierarchy,
-    SpatialUnrolling, TemporalMapping,
+    ActivityCounts, DramFetches, MemoryBoundedness, MemoryHierarchy, SpatialUnrolling,
+    TemporalMapping,
 };
 use bitwave_dnn::layer::LayerSpec;
 
@@ -70,9 +73,9 @@ pub struct LayerTraffic {
 pub struct PricedTraffic {
     dram_bytes: f64,
     dram_cycles: f64,
-    /// `(weight, activation)` DRAM fetch multipliers under a constrained
-    /// tier (the roofline verdict needs them); `None` when unconstrained.
-    fetches: Option<(u64, u64)>,
+    /// The DRAM fetch counts under a constrained tier (the roofline verdict
+    /// reports them); `None` when unconstrained.
+    fetches: Option<DramFetches>,
     sram_fill_pj: f64,
     dram_pj: f64,
 }
@@ -121,7 +124,7 @@ impl SuCost {
         profile: &LayerSparsityProfile,
         energy_model: &EnergyModel,
     ) -> Self {
-        let activity = ActivityCounts::analyze_spatial(layer, su);
+        let activity = ActivityCounts::of(layer, su);
 
         // Eq. 1: value-sparsity skipping (only machines that support it).
         let keep_w = if spec.sparsity.weight_value {
@@ -262,13 +265,13 @@ impl SuCost {
             dram_cycles: traffic.dram_cycles,
             total_cycles: self.total_cycles(traffic),
             energy: self.energy(traffic),
-            boundedness: traffic.fetches.map(|(weight_fetches, act_fetches)| {
+            boundedness: traffic.fetches.map(|fetches| {
                 MemoryBoundedness::from_roofline(
                     self.compute_side_cycles,
                     traffic.dram_cycles,
                     traffic.dram_bytes,
-                    weight_fetches,
-                    act_fetches,
+                    fetches.weight,
+                    fetches.act,
                 )
             }),
         }
@@ -288,11 +291,10 @@ impl LayerTraffic {
         }
     }
 
-    /// Prices the layer's traffic under `temporal` (`None`: the activity
-    /// model's automatic cheapest order), a concrete memory hierarchy and
-    /// the DRAM axes of `spec` (`spec.dram`, `spec.dram_bandwidth_bits`):
-    /// the SRAM fit check / DRAM reads, the DRAM cycles and the
-    /// traffic-dependent energy terms.
+    /// Prices the layer's traffic under `temporal` (`None`: the cheapest
+    /// natural order), a concrete memory hierarchy and `spec.dram`: the
+    /// per-operand DRAM fetches, the DRAM cycles and the traffic-dependent
+    /// energy terms.
     pub fn price(
         &self,
         spec: &AcceleratorSpec,
@@ -300,43 +302,23 @@ impl LayerTraffic {
         memory: &MemoryHierarchy,
         energy_model: &EnergyModel,
     ) -> PricedTraffic {
-        let (dram_read_weight, dram_read_act) = match temporal {
-            Some(temporal) => dram_reads(
-                self.weight_count,
-                self.input_count,
-                self.output_count,
-                memory,
-                temporal,
-            ),
-            None => dram_reads_auto(
-                self.weight_count,
-                self.input_count,
-                self.output_count,
-                memory,
-            ),
-        };
-        let dram_read_weight_e = dram_read_weight as f64 / self.weight_cr;
-        // The weight SRAM is filled once per DRAM read, compressed.
-        let sram_write_weight_e = dram_read_weight as f64 / self.weight_cr;
+        let fetches = DramFetches::of(
+            self.weight_count,
+            self.input_count,
+            self.output_count,
+            memory,
+            temporal,
+        );
+        let dram_read_act = self.input_count * fetches.act;
+        // The weight stream and the weight-SRAM fill it feeds are both
+        // compressed.
+        let dram_read_weight_e = (self.weight_count * fetches.weight) as f64 / self.weight_cr;
 
         let dram_bytes = dram_read_act as f64 + dram_read_weight_e + self.output_count as f64;
-        let (dram_cycles, fetches) = if spec.dram.is_constrained() {
-            // The DRAM reads scale with the refetch multipliers, so dividing
-            // by the per-operand footprint recovers them exactly.
-            let weight_fetches = match self.weight_count {
-                0 => 0,
-                count => dram_read_weight / count,
-            };
-            let act_fetches = match self.input_count {
-                0 => 0,
-                count => dram_read_act / count,
-            };
-            (
-                spec.dram.cycles_for_bytes(dram_bytes),
-                Some((weight_fetches, act_fetches)),
-            )
+        let dram_cycles = if spec.dram.is_constrained() {
+            spec.dram.cycles_for_bytes(dram_bytes)
         } else {
-            (dram_bytes * 8.0 / spec.dram_bandwidth_bits as f64, None)
+            dram_bytes * 8.0 / memory.dram_word_bits as f64
         };
 
         // The input-SRAM fill mirrors the activation DRAM reads, the
@@ -345,8 +327,8 @@ impl LayerTraffic {
         PricedTraffic {
             dram_bytes,
             dram_cycles,
-            fetches,
-            sram_fill_pj: (dram_read_act as f64 + sram_write_weight_e + self.output_count as f64)
+            fetches: spec.dram.is_constrained().then_some(fetches),
+            sram_fill_pj: (dram_read_act as f64 + dram_read_weight_e + self.output_count as f64)
                 * energy_model.sram_write_pj_per_byte,
             dram_pj: dram_bytes * energy_model.dram_pj_per_byte,
         }
@@ -601,6 +583,74 @@ mod tests {
         assert!(result.boundedness.is_none());
         assert!(result.total_cycles > result.dram_cycles);
         assert!(result.total_cycles > result.compute_cycles);
+    }
+
+    #[test]
+    fn unconstrained_dram_cycles_follow_the_dram_word_width() {
+        let net = resnet18();
+        let layer = net.layer("layer3.0.conv1").unwrap();
+        let profile = layer_profile(layer);
+        let spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        let decision = select_spatial_unrolling(layer, &spec.su_set).unwrap();
+        let energy = EnergyModel::finfet_16nm();
+        let run = |dram_word_bits| {
+            let memory = MemoryHierarchy {
+                dram_word_bits,
+                ..MemoryHierarchy::bitwave_default()
+            };
+            evaluate_layer_with_mapping(&spec, layer, &decision, &profile, &memory, &energy)
+        };
+        let narrow = run(64);
+        let wide = run(128);
+        assert!(narrow.dram_cycles > 0.0);
+        // A 128-bit word moves the same bytes in half the cycles, and the
+        // additive Eq. 5 total drops by exactly that much.
+        assert_eq!(wide.dram_cycles, narrow.dram_cycles / 2.0);
+        let saved = narrow.total_cycles - wide.total_cycles;
+        assert!((saved - narrow.dram_cycles / 2.0).abs() < 1e-6 * narrow.total_cycles);
+        assert_eq!(wide.energy, narrow.energy);
+    }
+
+    #[test]
+    fn constrained_boundedness_reports_the_fetch_counts() {
+        let energy = EnergyModel::finfet_16nm();
+        let mut spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        spec.dram = bitwave_dataflow::DramSpec::constrained(64);
+        let roomy = MemoryHierarchy::bitwave_default();
+        let starved = MemoryHierarchy {
+            weight_sram_bytes: 16 * 1024,
+            activation_sram_bytes: 16 * 1024,
+            ..roomy
+        };
+        let mut refetched = 0;
+        for net in [resnet18(), bitwave_dnn::models::bert_base()] {
+            for layer in &net.layers {
+                let w = generate_layer_sample(layer, 3, 4_000);
+                let profile = LayerSparsityProfile::from_weights(&w, 0.5, GroupSize::G8).unwrap();
+                let cr = weight_compression_ratio(&spec, &profile);
+                let decision = select_spatial_unrolling(layer, &spec.su_set).unwrap();
+                let d = &layer.dims;
+                let (wc, ic, oc) = (d.weight_count(), d.input_count(), d.output_count());
+                for memory in [&roomy, &starved] {
+                    let fetches = DramFetches::of(wc, ic, oc, memory, decision.temporal);
+                    let result = evaluate_layer_with_mapping(
+                        &spec, layer, &decision, &profile, memory, &energy,
+                    );
+                    let b = result.boundedness.expect("constrained tier reports");
+                    assert_eq!(
+                        (b.weight_fetches, b.act_fetches),
+                        (fetches.weight, fetches.act),
+                        "{}",
+                        layer.name
+                    );
+                    let bytes =
+                        (ic * fetches.act) as f64 + (wc * fetches.weight) as f64 / cr + oc as f64;
+                    assert_eq!(b.dram_bytes.to_bits(), bytes.to_bits(), "{}", layer.name);
+                    refetched += usize::from(fetches.weight > 1 || fetches.act > 1);
+                }
+            }
+        }
+        assert!(refetched > 0, "the 16 KiB SRAM forces refetches");
     }
 
     #[test]

@@ -143,8 +143,6 @@ pub struct AcceleratorSpec {
     /// bits (drives the load-imbalance penalty of Pragmatic/Bitlet; 1 means
     /// no synchronisation constraint).
     pub sync_lanes: usize,
-    /// DRAM bandwidth in bits per cycle.
-    pub dram_bandwidth_bits: usize,
     /// On-chip activation SRAM bandwidth in bits per cycle.
     pub act_sram_bandwidth_bits: usize,
     /// On-chip weight SRAM bandwidth in bits per cycle.
@@ -152,12 +150,21 @@ pub struct AcceleratorSpec {
     /// BitWave-only optimisation toggles (ignored by other kinds).
     pub bitwave_opts: BitwaveOptimizations,
     /// The DRAM tier.  [`DramSpec::unconstrained`] (the default everywhere)
-    /// keeps the legacy additive Eq. 5 cost with `dram_bandwidth_bits`
-    /// above; a [constrained](DramSpec::constrained) tier supersedes that
-    /// field and switches each layer to the roofline
-    /// `max(cycle_compute, cycle_dram)` with boundedness reporting.
+    /// adds `bytes × 8 /`
+    /// [`MemoryHierarchy::dram_word_bits`](bitwave_dataflow::MemoryHierarchy::dram_word_bits)
+    /// DRAM cycles to each layer (the additive Eq. 5); a
+    /// [constrained](DramSpec::constrained) tier switches each layer to the
+    /// roofline `max(cycle_compute, cycle_dram)` at its own bandwidth, with
+    /// boundedness reporting.
     pub dram: DramSpec,
 }
+
+/// The `"dram_bandwidth_bits"` value every serialized spec carries.  DRAM is
+/// priced at the memory hierarchy's word width (unconstrained tier) or at the
+/// tier's own bandwidth (constrained, serialized under `"dram"`); the key
+/// keeps the one value registry specs carry so that report digests and DSE
+/// search keys, throttled ones included, stay byte-stable.
+const SERIALIZED_DRAM_BANDWIDTH_BITS: usize = 64;
 
 /// Hand-written so the `dram` field is **omitted** from the canonical JSON
 /// while the tier is unconstrained: every digest that embeds a spec — DSE
@@ -176,7 +183,7 @@ impl Serialize for AcceleratorSpec {
             ("sync_lanes".to_string(), self.sync_lanes.to_value()),
             (
                 "dram_bandwidth_bits".to_string(),
-                self.dram_bandwidth_bits.to_value(),
+                SERIALIZED_DRAM_BANDWIDTH_BITS.to_value(),
             ),
             (
                 "act_sram_bandwidth_bits".to_string(),
@@ -242,7 +249,6 @@ impl AcceleratorSpec {
             sparsity: SparsitySupport::default(),
             compression: WeightCompression::None,
             sync_lanes: 1,
-            dram_bandwidth_bits: 64,
             act_sram_bandwidth_bits: 1024,
             weight_sram_bandwidth_bits: 1024,
             bitwave_opts: BitwaveOptimizations {
@@ -602,6 +608,10 @@ mod tests {
         assert_ne!(baseline_json, throttled_json);
         assert!(throttled_json.contains("\"dram\""));
         assert!(throttled_json.contains("\"bandwidth_bits\":32"));
+        // Everything before the tier keeps the unconstrained bytes, including
+        // the `dram_bandwidth_bits` key every serialized spec carries.
+        assert!(throttled_json.starts_with(&baseline_json[..baseline_json.len() - 1]));
+        assert!(throttled_json.contains("\"dram_bandwidth_bits\":64"));
         assert!(
             throttled_json.ends_with("}}"),
             "dram must be the last field"

@@ -20,7 +20,7 @@ use bitwave_accel::{EnergyModel, LayerSparsityProfile};
 use bitwave_bench::{print_header, write_bench_json};
 use bitwave_core::group::GroupSize;
 use bitwave_dataflow::mapping::select_spatial_unrolling;
-use bitwave_dataflow::{DramSpec, DramTraffic, LayerFootprint, MemoryHierarchy};
+use bitwave_dataflow::{DramFetches, DramSpec, MemoryHierarchy};
 use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::resnet18;
 use bitwave_sim::engine::{BitwaveEngine, EngineConfig};
@@ -262,13 +262,23 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    let footprints: Vec<LayerFootprint> = net.layers.iter().map(LayerFootprint::of_layer).collect();
+    let footprints: Vec<(u64, u64, u64)> = net
+        .layers
+        .iter()
+        .map(|l| {
+            let d = &l.dims;
+            (d.weight_count(), d.input_count(), d.output_count())
+        })
+        .collect();
     let tight = memory(64);
     c.bench_function("dram/traffic_analyze_cheapest_resnet18", |b| {
         b.iter(|| {
             footprints
                 .iter()
-                .map(|fp| DramTraffic::analyze_cheapest(black_box(fp), &tight).total_bytes())
+                .map(|&(w, i, o)| {
+                    let f = DramFetches::of(black_box(w), i, o, &tight, None);
+                    w * f.weight + i * f.act + o
+                })
                 .sum::<u64>()
         })
     });

@@ -2,22 +2,17 @@
 //!
 //! For every accelerator–layer pair, STEP 1 of the paper's modelling flow
 //! extracts dense operational activity counts from ZigZag: the number of MAC
-//! operations, the effective MACs per cycle under the chosen spatial
-//! unrolling, and the read/write counts at every memory level.  This module
-//! computes those counts analytically with an output-stationary dataflow and
-//! the shared SRAM–DRAM hierarchy of [`crate::memory::MemoryHierarchy`]:
+//! operations and the read/write counts at every memory level.  This module
+//! computes the on-chip counts analytically for an output-stationary
+//! dataflow: a weight SRAM read is spatially reused across the unrolled
+//! output positions (`OXu·OYu`), an activation SRAM read across the unrolled
+//! output channels (`Ku`), and outputs are accumulated in PE-local registers
+//! and written to SRAM once.
 //!
-//! * Weights and activations each enter the chip at least once.  If one
-//!   operand's working set exceeds its SRAM, the other operand has to be
-//!   re-streamed once per tile; the model evaluates both tiling orders
-//!   (weight-outer and activation-outer) and keeps the cheaper one, which is
-//!   the decision ZigZag's temporal-mapping search would make.
-//! * On-chip, a weight SRAM read is spatially reused across the unrolled
-//!   output positions (`OXu·OYu`), an activation SRAM read across the
-//!   unrolled output channels (`Ku`); outputs are accumulated in PE-local
-//!   registers and written to SRAM once (output stationary).
+//! The off-chip counts (`N_DRAM`, and the SRAM fills that mirror them)
+//! depend on the memory hierarchy and the temporal mapping, not on the
+//! spatial unrolling; [`crate::dram::DramFetches::of`] decides them.
 
-use crate::memory::MemoryHierarchy;
 use crate::su::SpatialUnrolling;
 use bitwave_dnn::layer::LayerSpec;
 use serde::{Deserialize, Serialize};
@@ -34,21 +29,11 @@ pub enum TilingOrder {
     ActivationOuter,
 }
 
-impl TilingOrder {
-    /// Short display tag (`wo` / `ao`).
-    pub fn tag(self) -> &'static str {
-        match self {
-            TilingOrder::WeightOuter => "wo",
-            TilingOrder::ActivationOuter => "ao",
-        }
-    }
-}
-
 /// An explicit temporal mapping: the tiling (loop) order plus a tile-count
 /// multiplier on top of the minimum the SRAM capacity forces.  A design-space
 /// search enumerates these alongside spatial unrollings; `tile_factor = 1`
-/// with the cheaper order reproduces what [`ActivityCounts::analyze`] picks
-/// automatically.
+/// with the cheaper order reproduces what [`crate::dram::DramFetches::of`]
+/// picks when given no mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TemporalMapping {
     /// The tiling order.
@@ -70,220 +55,41 @@ impl TemporalMapping {
     }
 }
 
-/// Dense (sparsity-unaware) activity counts of one layer on one accelerator
-/// configuration — the reproduction of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Dense (sparsity-unaware) on-chip activity counts of one layer under one
+/// spatial unrolling — the memory-hierarchy-independent part of Table II.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityCounts {
     /// Total MAC operations (`N_mac`).
     pub macs: u64,
-    /// Effective MACs per cycle under the chosen SU (`N_mac,cycle`).
-    pub macs_per_cycle: f64,
-    /// Off-chip activation reads in elements (`N_DRAM read,a`).
-    pub dram_read_act: u64,
-    /// Off-chip weight reads in elements (`N_DRAM read,w`).
-    pub dram_read_weight: u64,
-    /// Off-chip activation writes in elements (`N_DRAM write,a`).
-    pub dram_write_act: u64,
     /// On-chip input-activation SRAM reads (`N_SRAM read-input`).
     pub sram_read_input: u64,
     /// On-chip weight SRAM reads (`N_SRAM read-weight`).
     pub sram_read_weight: u64,
     /// On-chip output SRAM writes (`N_SRAM write-output`).
     pub sram_write_output: u64,
-    /// On-chip input SRAM fills from DRAM (`N_SRAM write-input`).
-    pub sram_write_input: u64,
-    /// On-chip weight SRAM fills from DRAM (`N_SRAM write-weight`).
-    pub sram_write_weight: u64,
     /// PE register-file reads (`N_reg read`).
     pub reg_read: u64,
     /// PE register-file writes (`N_reg write`).
     pub reg_write: u64,
 }
 
-/// Off-chip read counts `(dram_read_weight, dram_read_act)` of one layer
-/// under an explicit temporal mapping — the **only** part of
-/// [`ActivityCounts`] that depends on the memory hierarchy.  Exposed
-/// separately so a factored cost model can re-price just the DRAM axes of
-/// a mapping whose compute side is already known.
-pub fn dram_reads(
-    weight_count: u64,
-    input_count: u64,
-    output_count: u64,
-    memory: &MemoryHierarchy,
-    temporal: TemporalMapping,
-) -> (u64, u64) {
-    let factor = temporal.tile_factor.max(1) as u64;
-    match temporal.order {
-        // Weights resident tile by tile, activations re-streamed once per
-        // weight tile.
-        TilingOrder::WeightOuter => {
-            let weight_tiles = memory.weight_tiles(weight_count as usize) as u64 * factor;
-            (weight_count, input_count * weight_tiles)
-        }
-        // Activations resident tile by tile, weights re-streamed once per
-        // activation tile.
-        TilingOrder::ActivationOuter => {
-            let act_tiles =
-                memory.activation_tiles((input_count + output_count) as usize) as u64 * factor;
-            (weight_count * act_tiles, input_count)
-        }
-    }
-}
-
-/// [`dram_reads`] under the automatic cheapest-order choice: both natural
-/// tiling orders are priced and the one with less total off-chip read
-/// traffic wins (ties go to weight-outer) — exactly the decision
-/// [`ActivityCounts::analyze`] makes.
-pub fn dram_reads_auto(
-    weight_count: u64,
-    input_count: u64,
-    output_count: u64,
-    memory: &MemoryHierarchy,
-) -> (u64, u64) {
-    let wo = dram_reads(
-        weight_count,
-        input_count,
-        output_count,
-        memory,
-        TemporalMapping::natural(TilingOrder::WeightOuter),
-    );
-    let ao = dram_reads(
-        weight_count,
-        input_count,
-        output_count,
-        memory,
-        TemporalMapping::natural(TilingOrder::ActivationOuter),
-    );
-    if wo.0 + wo.1 <= ao.0 + ao.1 {
-        wo
-    } else {
-        ao
-    }
-}
-
 impl ActivityCounts {
-    /// Analyses one layer under one spatial unrolling and memory hierarchy,
-    /// letting the model pick the cheaper tiling order (the decision
-    /// ZigZag's temporal-mapping search would make).
-    pub fn analyze(layer: &LayerSpec, su: &SpatialUnrolling, memory: &MemoryHierarchy) -> Self {
-        let dims = &layer.dims;
-        let (dram_read_weight, dram_read_act) = dram_reads_auto(
-            dims.weight_count(),
-            dims.input_count(),
-            dims.output_count(),
-            memory,
-        );
-        Self::assemble(layer, su, dram_read_weight, dram_read_act)
-    }
-
-    /// Analyses one layer under an **explicit** temporal mapping instead of
-    /// the automatic cheapest-order choice — the entry point the dataflow
-    /// design-space exploration enumerates loop orders and tile sizes with.
-    pub fn analyze_with(
-        layer: &LayerSpec,
-        su: &SpatialUnrolling,
-        memory: &MemoryHierarchy,
-        temporal: TemporalMapping,
-    ) -> Self {
-        let dims = &layer.dims;
-        let (dram_read_weight, dram_read_act) = dram_reads(
-            dims.weight_count(),
-            dims.input_count(),
-            dims.output_count(),
-            memory,
-            temporal,
-        );
-        Self::assemble(layer, su, dram_read_weight, dram_read_act)
-    }
-
-    /// The memory-hierarchy-**independent** activity counts of one layer
-    /// under one spatial unrolling, with the DRAM read counts left at zero.
-    /// A factored cost model computes these once per `(layer, SU)` and
-    /// fills the DRAM axes in per memory configuration via [`dram_reads`] /
-    /// [`dram_reads_auto`]; the zeros here are placeholders, never totals.
-    pub fn analyze_spatial(layer: &LayerSpec, su: &SpatialUnrolling) -> Self {
-        Self::assemble(layer, su, 0, 0)
-    }
-
-    /// Everything except the DRAM read decision: MAC counts, spatial SRAM
-    /// reuse and register activity, with the given off-chip reads slotted
-    /// into the DRAM axes (and their mirrored SRAM fill counts).
-    fn assemble(
-        layer: &LayerSpec,
-        su: &SpatialUnrolling,
-        dram_read_weight: u64,
-        dram_read_act: u64,
-    ) -> Self {
+    /// The counts of `layer` under spatial unrolling `su`.
+    pub fn of(layer: &LayerSpec, su: &SpatialUnrolling) -> Self {
         let dims = &layer.dims;
         let macs = dims.macs();
-        let utilization = su.utilization(dims);
-        let macs_per_cycle = (su.parallelism() as f64 * utilization).max(1.0);
-
-        let dram_write_act = dims.output_count();
-
         // Spatial reuse on chip.
         let weight_reuse = (su.ox * su.oy).max(1) as u64;
         let input_reuse = su.k.max(1) as u64;
-        let sram_read_weight = macs / weight_reuse;
-        let sram_read_input = macs / input_reuse;
-        let sram_write_output = dims.output_count();
-        let sram_write_input = dram_read_act;
-        let sram_write_weight = dram_read_weight;
-
-        // Output-stationary accumulation: one register read + write per MAC.
-        let reg_read = macs;
-        let reg_write = macs;
-
         Self {
             macs,
-            macs_per_cycle,
-            dram_read_act,
-            dram_read_weight,
-            dram_write_act,
-            sram_read_input,
-            sram_read_weight,
-            sram_write_output,
-            sram_write_input,
-            sram_write_weight,
-            reg_read,
-            reg_write,
-        }
-    }
-
-    /// Dense compute cycles implied by the counts (`N_mac / N_mac,cycle`),
-    /// before any sparsity skipping.
-    pub fn dense_compute_cycles(&self) -> f64 {
-        self.macs as f64 / self.macs_per_cycle
-    }
-
-    /// Total DRAM traffic in elements.
-    pub fn dram_total(&self) -> u64 {
-        self.dram_read_act + self.dram_read_weight + self.dram_write_act
-    }
-
-    /// Element-wise sum of two activity counts (for network-level totals).
-    pub fn accumulate(&self, other: &ActivityCounts) -> ActivityCounts {
-        ActivityCounts {
-            macs: self.macs + other.macs,
-            // Aggregate throughput is defined by total MACs over total cycles.
-            macs_per_cycle: {
-                let cycles = self.dense_compute_cycles() + other.dense_compute_cycles();
-                if cycles > 0.0 {
-                    (self.macs + other.macs) as f64 / cycles
-                } else {
-                    self.macs_per_cycle
-                }
-            },
-            dram_read_act: self.dram_read_act + other.dram_read_act,
-            dram_read_weight: self.dram_read_weight + other.dram_read_weight,
-            dram_write_act: self.dram_write_act + other.dram_write_act,
-            sram_read_input: self.sram_read_input + other.sram_read_input,
-            sram_read_weight: self.sram_read_weight + other.sram_read_weight,
-            sram_write_output: self.sram_write_output + other.sram_write_output,
-            sram_write_input: self.sram_write_input + other.sram_write_input,
-            sram_write_weight: self.sram_write_weight + other.sram_write_weight,
-            reg_read: self.reg_read + other.reg_read,
-            reg_write: self.reg_write + other.reg_write,
+            sram_read_input: macs / input_reuse,
+            sram_read_weight: macs / weight_reuse,
+            sram_write_output: dims.output_count(),
+            // Output-stationary accumulation: one register read + write per
+            // MAC.
+            reg_read: macs,
+            reg_write: macs,
         }
     }
 }
@@ -291,18 +97,41 @@ impl ActivityCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dram::DramFetches;
+    use crate::memory::MemoryHierarchy;
     use crate::su::{baseline_su, bitwave_su};
+    use crate::utilization::effective_macs_per_cycle;
     use bitwave_dnn::models::{bert_base, resnet18};
+
+    /// `layer`'s DRAM fetch counts under `temporal` on `memory`.
+    fn fetches(
+        layer: &LayerSpec,
+        memory: &MemoryHierarchy,
+        temporal: Option<TemporalMapping>,
+    ) -> DramFetches {
+        let d = &layer.dims;
+        DramFetches::of(
+            d.weight_count(),
+            d.input_count(),
+            d.output_count(),
+            memory,
+            temporal,
+        )
+    }
+
+    /// DRAM read elements (refetches included) under `fetches`.
+    fn reads(layer: &LayerSpec, fetches: DramFetches) -> u64 {
+        layer.dims.weight_count() * fetches.weight + layer.dims.input_count() * fetches.act
+    }
 
     #[test]
     fn small_layer_reads_each_operand_once() {
         let net = resnet18();
         let layer = net.layer("layer1.0.conv1").unwrap(); // 36,864 weights, fits SRAM
-        let counts =
-            ActivityCounts::analyze(layer, &bitwave_su::SU1, &MemoryHierarchy::bitwave_default());
-        assert_eq!(counts.dram_read_weight, layer.dims.weight_count());
-        assert_eq!(counts.dram_read_act, layer.dims.input_count());
-        assert_eq!(counts.dram_write_act, layer.dims.output_count());
+        let f = fetches(layer, &MemoryHierarchy::bitwave_default(), None);
+        assert_eq!(f, DramFetches { weight: 1, act: 1 });
+        let counts = ActivityCounts::of(layer, &bitwave_su::SU1);
+        assert_eq!(counts.sram_write_output, layer.dims.output_count());
         assert_eq!(counts.macs, layer.macs());
     }
 
@@ -310,12 +139,22 @@ mod tests {
     fn oversized_weights_force_extra_traffic_on_one_operand() {
         let net = bert_base();
         let layer = net.layer("bert.encoder.layer.0.intermediate").unwrap(); // 2.36 MB of weights
-        let counts =
-            ActivityCounts::analyze(layer, &bitwave_su::SU6, &MemoryHierarchy::bitwave_default());
+        let mem = MemoryHierarchy::bitwave_default();
+        // Weight-outer cuts the weights into tiles and re-streams the
+        // activations once per tile.
+        let wo = fetches(
+            layer,
+            &mem,
+            Some(TemporalMapping::natural(TilingOrder::WeightOuter)),
+        );
+        assert_eq!(wo.weight, 1);
+        assert!(wo.act > 1);
         // With only 4 tokens the activations are tiny, so the model should
         // keep weights streaming once and never re-read them.
-        assert_eq!(counts.dram_read_weight, layer.dims.weight_count());
-        assert!(counts.dram_read_act >= layer.dims.input_count());
+        let f = fetches(layer, &mem, None);
+        assert_eq!(f.weight, 1);
+        assert!(f.act >= 1);
+        assert!(reads(layer, f) < reads(layer, wo));
     }
 
     #[test]
@@ -323,7 +162,7 @@ mod tests {
         let net = resnet18();
         let layer = net.layer("layer2.0.conv2").unwrap();
         let su = bitwave_su::SU1; // OXu=16, Ku=32
-        let counts = ActivityCounts::analyze(layer, &su, &MemoryHierarchy::bitwave_default());
+        let counts = ActivityCounts::of(layer, &su);
         assert_eq!(counts.sram_read_weight, layer.macs() / 16);
         assert_eq!(counts.sram_read_input, layer.macs() / 32);
         assert_eq!(counts.sram_write_output, layer.dims.output_count());
@@ -333,25 +172,11 @@ mod tests {
     fn dense_cycles_scale_inversely_with_utilization() {
         let net = resnet18();
         let layer = net.layer("conv1").unwrap(); // only 3 input channels
-        let mem = MemoryHierarchy::bitwave_default();
-        let low_util = ActivityCounts::analyze(layer, &bitwave_su::SU3, &mem); // Cu=32 badly used
-        let high_util = ActivityCounts::analyze(layer, &baseline_su::XY_4096, &mem);
-        assert!(low_util.dense_compute_cycles() > high_util.dense_compute_cycles());
-    }
-
-    #[test]
-    fn accumulate_sums_counts_and_averages_throughput() {
-        let net = resnet18();
-        let mem = MemoryHierarchy::bitwave_default();
-        let a =
-            ActivityCounts::analyze(net.layer("layer1.0.conv1").unwrap(), &bitwave_su::SU1, &mem);
-        let b =
-            ActivityCounts::analyze(net.layer("layer1.0.conv2").unwrap(), &bitwave_su::SU1, &mem);
-        let total = a.accumulate(&b);
-        assert_eq!(total.macs, a.macs + b.macs);
-        assert_eq!(total.dram_total(), a.dram_total() + b.dram_total());
-        let expected_cycles = a.dense_compute_cycles() + b.dense_compute_cycles();
-        assert!((total.dense_compute_cycles() - expected_cycles).abs() / expected_cycles < 1e-9);
+        let dense_cycles = |su: &SpatialUnrolling| {
+            ActivityCounts::of(layer, su).macs as f64 / effective_macs_per_cycle(&layer.dims, su)
+        };
+        // SU3's Cu=32 is badly used by 3 input channels.
+        assert!(dense_cycles(&bitwave_su::SU3) > dense_cycles(&baseline_su::XY_4096));
     }
 
     #[test]
@@ -359,28 +184,42 @@ mod tests {
         let net = bert_base();
         let mem = MemoryHierarchy::bitwave_default();
         for layer in &net.layers {
-            let auto = ActivityCounts::analyze(layer, &bitwave_su::SU6, &mem);
-            let wo = ActivityCounts::analyze_with(
+            let wo = fetches(
                 layer,
-                &bitwave_su::SU6,
                 &mem,
-                TemporalMapping::natural(TilingOrder::WeightOuter),
+                Some(TemporalMapping::natural(TilingOrder::WeightOuter)),
             );
-            let ao = ActivityCounts::analyze_with(
+            let ao = fetches(
                 layer,
-                &bitwave_su::SU6,
                 &mem,
-                TemporalMapping::natural(TilingOrder::ActivationOuter),
+                Some(TemporalMapping::natural(TilingOrder::ActivationOuter)),
             );
-            let cheaper = if wo.dram_read_weight + wo.dram_read_act
-                <= ao.dram_read_weight + ao.dram_read_act
-            {
+            let cheaper = if reads(layer, wo) <= reads(layer, ao) {
                 wo
             } else {
                 ao
             };
-            assert_eq!(auto, cheaper, "{}", layer.name);
+            assert_eq!(fetches(layer, &mem, None), cheaper, "{}", layer.name);
         }
+        // A tie goes to weight-outer: 200 weights and 200 inputs, each
+        // needing two 100-byte tiles, read 600 elements under either order.
+        let tight = MemoryHierarchy {
+            weight_sram_bytes: 100,
+            activation_sram_bytes: 100,
+            ..mem
+        };
+        let tie = DramFetches::of(200, 200, 0, &tight, None);
+        assert_eq!(tie, DramFetches { weight: 1, act: 2 });
+        assert_eq!(
+            DramFetches::of(
+                200,
+                200,
+                0,
+                &tight,
+                Some(TemporalMapping::natural(TilingOrder::ActivationOuter))
+            ),
+            DramFetches { weight: 2, act: 1 }
+        );
     }
 
     #[test]
@@ -389,72 +228,16 @@ mod tests {
         let layer = net.layer("bert.encoder.layer.0.intermediate").unwrap();
         let mem = MemoryHierarchy::bitwave_default();
         for order in [TilingOrder::WeightOuter, TilingOrder::ActivationOuter] {
-            let natural = ActivityCounts::analyze_with(
+            let natural = fetches(layer, &mem, Some(TemporalMapping::natural(order)));
+            let finer = fetches(
                 layer,
-                &bitwave_su::SU6,
                 &mem,
-                TemporalMapping::natural(order),
-            );
-            let finer = ActivityCounts::analyze_with(
-                layer,
-                &bitwave_su::SU6,
-                &mem,
-                TemporalMapping {
+                Some(TemporalMapping {
                     order,
                     tile_factor: 4,
-                },
+                }),
             );
-            assert!(finer.dram_total() >= natural.dram_total());
-            assert!(finer.dram_total() > natural.dram_total() || layer.dims.weight_count() == 0);
-            assert_eq!(finer.macs, natural.macs);
-        }
-        assert_eq!(TilingOrder::WeightOuter.tag(), "wo");
-        assert_eq!(TilingOrder::ActivationOuter.tag(), "ao");
-    }
-
-    #[test]
-    fn split_dram_reads_match_the_full_analysis() {
-        let net = bert_base();
-        let mem = MemoryHierarchy::bitwave_default();
-        for layer in &net.layers {
-            let dims = &layer.dims;
-            let auto = ActivityCounts::analyze(layer, &bitwave_su::SU6, &mem);
-            assert_eq!(
-                dram_reads_auto(
-                    dims.weight_count(),
-                    dims.input_count(),
-                    dims.output_count(),
-                    &mem
-                ),
-                (auto.dram_read_weight, auto.dram_read_act),
-                "{}",
-                layer.name
-            );
-            for order in [TilingOrder::WeightOuter, TilingOrder::ActivationOuter] {
-                let temporal = TemporalMapping {
-                    order,
-                    tile_factor: 3,
-                };
-                let full = ActivityCounts::analyze_with(layer, &bitwave_su::SU6, &mem, temporal);
-                let spatial = ActivityCounts::analyze_spatial(layer, &bitwave_su::SU6);
-                let (w, a) = dram_reads(
-                    dims.weight_count(),
-                    dims.input_count(),
-                    dims.output_count(),
-                    &mem,
-                    temporal,
-                );
-                assert_eq!((full.dram_read_weight, full.dram_read_act), (w, a));
-                // The spatial part is everything except the DRAM axes and
-                // their mirrored SRAM fills.
-                assert_eq!(spatial.macs, full.macs);
-                assert_eq!(spatial.sram_read_weight, full.sram_read_weight);
-                assert_eq!(spatial.sram_read_input, full.sram_read_input);
-                assert_eq!(spatial.sram_write_output, full.sram_write_output);
-                assert_eq!(spatial.dram_write_act, full.dram_write_act);
-                assert_eq!(spatial.dram_read_weight, 0);
-                assert_eq!(spatial.dram_read_act, 0);
-            }
+            assert!(reads(layer, finer) > reads(layer, natural));
         }
     }
 
@@ -462,8 +245,7 @@ mod tests {
     fn register_activity_tracks_macs() {
         let net = resnet18();
         let layer = net.layer("fc").unwrap();
-        let counts =
-            ActivityCounts::analyze(layer, &bitwave_su::SU6, &MemoryHierarchy::bitwave_default());
+        let counts = ActivityCounts::of(layer, &bitwave_su::SU6);
         assert_eq!(counts.reg_read, layer.macs());
         assert_eq!(counts.reg_write, layer.macs());
     }

@@ -1,24 +1,23 @@
-//! The DRAM tier: timing model, per-operand traffic and refetch accounting.
+//! The DRAM tier: timing model and the per-operand fetch counts.
 //!
 //! The Eq. 1–5 cost stack models the PE array and the on-chip SRAMs; this
 //! module adds the off-chip tier the BitSim exemplar models with
 //! `_check_layer_mem_size` / `_calc_num_mem_refetch`: a [`DramSpec`] turns
-//! byte traffic into burst-quantised DRAM cycles, and [`DramTraffic`]
-//! derives the per-operand traffic — including the refetch multipliers that
-//! appear when a layer's weight or activation working set exceeds its SRAM —
-//! from the same tile arithmetic [`crate::activity::ActivityCounts`] uses,
-//! so the two views of the memory system can never drift apart.
+//! byte traffic into burst-quantised DRAM cycles, and [`DramFetches::of`]
+//! is the one place that decides how often each operand is streamed from
+//! DRAM — once when the layer's working sets fit their SRAMs, more often
+//! when the resident operand has to be cut into tiles.
 //!
 //! A layer's total latency under a constrained DRAM tier is the roofline
 //! `max(cycle_compute, cycle_dram)` (compute and DRAM transfers overlap
 //! through double buffering, exactly as BitSim sums
 //! `max(cycle_layer_compute, cycle_layer_dram)` per layer); the default
-//! [`DramSpec::unconstrained`] tier keeps the legacy additive Eq. 5
-//! behaviour byte-identical.
+//! [`DramSpec::unconstrained`] tier adds `bytes × 8 /`
+//! [`MemoryHierarchy::dram_word_bits`] DRAM cycles on top of the compute
+//! side instead (the additive Eq. 5).
 
 use crate::activity::{TemporalMapping, TilingOrder};
 use crate::memory::MemoryHierarchy;
-use bitwave_dnn::layer::LayerSpec;
 use serde::{Deserialize, Serialize};
 
 /// Default DRAM burst length in bytes (a 64-byte burst: 8 beats of the
@@ -27,22 +26,24 @@ pub const DEFAULT_BURST_BYTES: usize = 64;
 
 /// The DRAM interface of one accelerator configuration.
 ///
-/// `bandwidth_bits: None` is the **unconstrained** default: the memory
-/// model keeps its legacy additive DRAM term and reports no boundedness —
-/// existing reports stay byte-identical.  A constrained tier
+/// `bandwidth_bits: None` is the **unconstrained** default: DRAM traffic
+/// costs `bytes × 8 /` [`MemoryHierarchy::dram_word_bits`] cycles (one word
+/// per cycle, 64 bits by default), *added* to the compute side of Eq. 5, and
+/// no boundedness is reported.  A constrained tier
 /// ([`DramSpec::constrained`]) switches the layer total to the roofline
 /// `max(compute, dram)` with burst-quantised DRAM cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DramSpec {
-    /// Sustained DRAM bandwidth in bits per compute cycle; `None` models an
-    /// effectively infinite interface (the compute-only legacy behaviour).
+    /// Sustained DRAM bandwidth in bits per compute cycle; `None` is the
+    /// unconstrained tier (additive DRAM cycles at the memory hierarchy's
+    /// word width, no roofline).
     pub bandwidth_bits: Option<usize>,
     /// Burst length in bytes: every transfer is rounded up to whole bursts.
     pub burst_bytes: usize,
 }
 
 impl DramSpec {
-    /// The unconstrained default tier (legacy compute-only behaviour).
+    /// The unconstrained default tier (additive Eq. 5 DRAM term).
     pub fn unconstrained() -> Self {
         Self {
             bandwidth_bits: None,
@@ -76,8 +77,9 @@ impl DramSpec {
         (bytes / burst).ceil().max(0.0) * burst
     }
 
-    /// DRAM cycles needed to move `bytes` (burst-quantised); 0 for the
-    /// unconstrained tier.
+    /// The roofline's DRAM side: cycles needed to move `bytes`
+    /// (burst-quantised).  0 for the unconstrained tier, which has no
+    /// roofline; its additive term is priced at the word width instead.
     pub fn cycles_for_bytes(&self, bytes: f64) -> f64 {
         match self.bandwidth_bits {
             None => 0.0,
@@ -92,139 +94,59 @@ impl Default for DramSpec {
     }
 }
 
-/// Per-operand DRAM working set of one layer in bytes (Int8 operands: one
-/// byte per element).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LayerFootprint {
-    /// Weight tensor bytes.
-    pub weight_bytes: usize,
-    /// Input activation bytes (including the halo a convolution reads).
-    pub input_bytes: usize,
-    /// Output activation bytes.
-    pub output_bytes: usize,
-}
-
-impl LayerFootprint {
-    /// The footprint of one layer's loop nest.
-    pub fn of_layer(layer: &LayerSpec) -> Self {
-        Self {
-            weight_bytes: layer.dims.weight_count() as usize,
-            input_bytes: layer.dims.input_count() as usize,
-            output_bytes: layer.dims.output_count() as usize,
-        }
-    }
-
-    /// Bytes competing for the activation SRAM (inputs + outputs).
-    pub fn activation_bytes(&self) -> usize {
-        self.input_bytes + self.output_bytes
-    }
-
-    /// The BitSim `_check_layer_mem_size` check: which operands fit their
-    /// SRAM outright (no refetch needed).
-    pub fn fit(&self, memory: &MemoryHierarchy) -> FitCheck {
-        FitCheck {
-            weights_fit: memory.weights_fit(self.weight_bytes),
-            activations_fit: memory.activations_fit(self.activation_bytes()),
-        }
-    }
-}
-
-/// Which operands of a layer fit their on-chip SRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FitCheck {
-    /// The whole weight tensor fits the weight SRAM.
-    pub weights_fit: bool,
-    /// Inputs + outputs fit the activation SRAM.
-    pub activations_fit: bool,
-}
-
 /// How often each operand is streamed from DRAM under one temporal mapping —
 /// the BitSim `_calc_num_mem_refetch` accounting.  A count of 1 means the
 /// operand enters the chip exactly once; higher counts are refetches forced
-/// by the resident operand's tile count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RefetchCounts {
-    /// Tiles the resident operand is cut into (capacity-forced count times
-    /// the mapping's `tile_factor`).
-    pub resident_tiles: u64,
+/// by the resident operand's tile count.  A layer's DRAM reads are
+/// `count × fetches` per operand; its outputs are written back once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DramFetches {
     /// Times the weight tensor is streamed from DRAM.
-    pub weight_fetches: u64,
+    pub weight: u64,
     /// Times the input activations are streamed from DRAM.
-    pub act_fetches: u64,
+    pub act: u64,
 }
 
-/// Per-operand DRAM traffic of one layer under one temporal mapping, before
-/// weight compression (compression scales the weight stream downstream, in
-/// the Eq. 3 stage of the cost model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DramTraffic {
-    /// Weight bytes read from DRAM (refetches included).
-    pub read_weight_bytes: u64,
-    /// Activation bytes read from DRAM (refetches included).
-    pub read_act_bytes: u64,
-    /// Output bytes written back to DRAM.
-    pub write_bytes: u64,
-    /// The refetch accounting behind the read totals.
-    pub refetch: RefetchCounts,
-}
-
-impl DramTraffic {
-    /// Derives the traffic of `footprint` under `temporal`, mirroring the
-    /// tile arithmetic of [`crate::activity::ActivityCounts::analyze_with`]
-    /// exactly (the coherence is pinned by tests): the resident operand is
-    /// cut into capacity-forced tiles and streamed once, the other operand
-    /// is re-streamed once per resident tile.
-    pub fn analyze(
-        footprint: &LayerFootprint,
+impl DramFetches {
+    /// The fetch counts of a layer with the given operand element counts
+    /// (Int8: one byte each) under `temporal`.  The resident operand is cut
+    /// into capacity-forced tiles (times the mapping's `tile_factor`) and
+    /// streamed once; the other operand is re-streamed once per resident
+    /// tile.  `None` picks the cheaper natural order by DRAM read volume,
+    /// ties going to weight-outer — the decision ZigZag's temporal-mapping
+    /// search would make.
+    pub fn of(
+        weight_count: u64,
+        input_count: u64,
+        output_count: u64,
         memory: &MemoryHierarchy,
-        temporal: TemporalMapping,
+        temporal: Option<TemporalMapping>,
     ) -> Self {
-        let factor = temporal.tile_factor.max(1) as u64;
-        let (resident_tiles, weight_fetches, act_fetches) = match temporal.order {
-            TilingOrder::WeightOuter => {
-                let tiles = memory.weight_tiles(footprint.weight_bytes) as u64 * factor;
-                (tiles, 1, tiles)
-            }
-            TilingOrder::ActivationOuter => {
-                let tiles = memory.activation_tiles(footprint.activation_bytes()) as u64 * factor;
-                (tiles, tiles, 1)
+        let under = |temporal: TemporalMapping| {
+            let factor = temporal.tile_factor.max(1) as u64;
+            match temporal.order {
+                TilingOrder::WeightOuter => Self {
+                    weight: 1,
+                    act: memory.weight_tiles(weight_count as usize) as u64 * factor,
+                },
+                TilingOrder::ActivationOuter => Self {
+                    weight: memory.activation_tiles((input_count + output_count) as usize) as u64
+                        * factor,
+                    act: 1,
+                },
             }
         };
-        Self {
-            read_weight_bytes: footprint.weight_bytes as u64 * weight_fetches,
-            read_act_bytes: footprint.input_bytes as u64 * act_fetches,
-            write_bytes: footprint.output_bytes as u64,
-            refetch: RefetchCounts {
-                resident_tiles,
-                weight_fetches,
-                act_fetches,
-            },
+        if let Some(temporal) = temporal {
+            return under(temporal);
         }
-    }
-
-    /// Derives the traffic under the cheaper of the two tiling orders — the
-    /// choice [`crate::activity::ActivityCounts::analyze`] makes.
-    pub fn analyze_cheapest(footprint: &LayerFootprint, memory: &MemoryHierarchy) -> Self {
-        let wo = Self::analyze(
-            footprint,
-            memory,
-            TemporalMapping::natural(TilingOrder::WeightOuter),
-        );
-        let ao = Self::analyze(
-            footprint,
-            memory,
-            TemporalMapping::natural(TilingOrder::ActivationOuter),
-        );
-        if wo.read_weight_bytes + wo.read_act_bytes <= ao.read_weight_bytes + ao.read_act_bytes {
+        let wo = under(TemporalMapping::natural(TilingOrder::WeightOuter));
+        let ao = under(TemporalMapping::natural(TilingOrder::ActivationOuter));
+        let reads = |f: Self| weight_count * f.weight + input_count * f.act;
+        if reads(wo) <= reads(ao) {
             wo
         } else {
             ao
         }
-    }
-
-    /// Total DRAM traffic in bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.read_weight_bytes + self.read_act_bytes + self.write_bytes
     }
 }
 
@@ -282,8 +204,7 @@ impl MemoryBoundedness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::ActivityCounts;
-    use crate::su::bitwave_su;
+    use bitwave_dnn::layer::LayerSpec;
 
     fn memory(weight_sram: usize, act_sram: usize) -> MemoryHierarchy {
         MemoryHierarchy {
@@ -292,6 +213,10 @@ mod tests {
             dram_word_bits: 64,
             sram_word_bits: 64,
         }
+    }
+
+    fn natural(order: TilingOrder) -> Option<TemporalMapping> {
+        Some(TemporalMapping::natural(order))
     }
 
     #[test]
@@ -324,108 +249,107 @@ mod tests {
 
     #[test]
     fn fit_check_matches_the_hierarchy() {
-        let fp = LayerFootprint {
-            weight_bytes: 1000,
-            input_bytes: 300,
-            output_bytes: 200,
-        };
-        let fit = fp.fit(&memory(1024, 512));
-        assert!(fit.weights_fit);
-        assert!(fit.activations_fit);
-        let fit = fp.fit(&memory(999, 499));
-        assert!(!fit.weights_fit);
-        assert!(!fit.activations_fit);
-        // Exactly at capacity still fits (<=, one tile, no refetch).
-        let fit = fp.fit(&memory(1000, 500));
-        assert!(fit.weights_fit && fit.activations_fit);
+        // The BitSim `_check_layer_mem_size` view: an operand that fits its
+        // SRAM (at capacity still fits) is one tile, so the other operand
+        // streams exactly once; below capacity it is refetched.
+        let (weights, inputs, outputs) = (1000, 300, 200);
+        let wo = natural(TilingOrder::WeightOuter);
+        let ao = natural(TilingOrder::ActivationOuter);
+        for (mem, fits) in [
+            (memory(1024, 512), true),
+            (memory(1000, 500), true),
+            (memory(999, 499), false),
+        ] {
+            let expected = if fits { 1 } else { 2 };
+            assert_eq!(
+                DramFetches::of(weights, inputs, outputs, &mem, wo).act,
+                expected
+            );
+            assert_eq!(
+                DramFetches::of(weights, inputs, outputs, &mem, ao).weight,
+                expected
+            );
+        }
     }
 
     #[test]
     fn zero_size_layers_produce_no_traffic_and_one_tile() {
-        let fp = LayerFootprint {
-            weight_bytes: 0,
-            input_bytes: 0,
-            output_bytes: 0,
-        };
-        for order in [TilingOrder::WeightOuter, TilingOrder::ActivationOuter] {
-            let t = DramTraffic::analyze(&fp, &memory(1024, 1024), TemporalMapping::natural(order));
-            assert_eq!(t.total_bytes(), 0);
-            assert_eq!(t.refetch.resident_tiles, 1);
-            assert_eq!(t.refetch.weight_fetches.min(t.refetch.act_fetches), 1);
+        let mem = memory(1024, 1024);
+        for temporal in [
+            natural(TilingOrder::WeightOuter),
+            natural(TilingOrder::ActivationOuter),
+            None,
+        ] {
+            let fetches = DramFetches::of(0, 0, 0, &mem, temporal);
+            // An empty working set is still one (empty) tile, so neither
+            // operand is refetched and the read bytes `0 × fetches` are 0.
+            assert_eq!(fetches, DramFetches { weight: 1, act: 1 });
         }
     }
 
     #[test]
     fn tiles_exactly_at_capacity_need_no_refetch() {
-        let fp = LayerFootprint {
-            weight_bytes: 4096,
-            input_bytes: 2048,
-            output_bytes: 2048,
-        };
-        let mem = memory(4096, 4096);
-        let wo = DramTraffic::analyze(
-            &fp,
-            &mem,
-            TemporalMapping::natural(TilingOrder::WeightOuter),
-        );
-        assert_eq!(wo.refetch.resident_tiles, 1);
-        assert_eq!(wo.read_act_bytes, 2048);
-        // One byte over the edge doubles the resident tile count.
-        let mem = memory(4095, 4096);
-        let wo = DramTraffic::analyze(
-            &fp,
-            &mem,
-            TemporalMapping::natural(TilingOrder::WeightOuter),
-        );
-        assert_eq!(wo.refetch.resident_tiles, 2);
-        assert_eq!(wo.read_act_bytes, 2 * 2048);
+        let (weights, inputs, outputs) = (4096, 2048, 2048);
+        let wo = natural(TilingOrder::WeightOuter);
+        let at_capacity = DramFetches::of(weights, inputs, outputs, &memory(4096, 4096), wo);
+        assert_eq!(at_capacity, DramFetches { weight: 1, act: 1 });
+        // One byte over the edge doubles the resident tile count, so the
+        // activations stream twice while the resident weights stream once.
+        let over = DramFetches::of(weights, inputs, outputs, &memory(4095, 4096), wo);
+        assert_eq!(over.act, 2);
+        assert_eq!(over.weight, 1, "resident operand still streams once");
+        // The same edge on the activation side under activation-outer.
+        let ao = natural(TilingOrder::ActivationOuter);
         assert_eq!(
-            wo.read_weight_bytes, 4096,
-            "resident operand still streams once"
+            DramFetches::of(weights, inputs, outputs, &memory(4096, 4096), ao).weight,
+            1
         );
+        let over = DramFetches::of(weights, inputs, outputs, &memory(4096, 4095), ao);
+        assert_eq!(over, DramFetches { weight: 2, act: 1 });
     }
 
     #[test]
-    fn traffic_is_coherent_with_activity_counts() {
-        // The module promises byte-level agreement with ActivityCounts for
-        // every order × tile factor, including the depthwise Gu×OXu shape.
+    fn resident_operand_streams_once_and_the_other_once_per_tile() {
+        // Conv, depthwise (Gu×OXu shape) and linear layers, both orders and
+        // several tile factors: the resident operand enters the chip once,
+        // the other once per resident tile (`ceil(bytes / SRAM) × factor`).
         let conv = LayerSpec::conv2d("c", 64, 128, 3, 1, 1, 56, 0.5);
         let depthwise = LayerSpec::depthwise("dw", 384, 3, 1, 1, 14, 0.5);
         let linear = LayerSpec::linear("fc", 4096, 1000, 1, 0.5);
-        let mem = memory(16 * 1024, 8 * 1024);
+        let (weight_sram, act_sram) = (16 * 1024u64, 8 * 1024u64);
+        let mem = memory(weight_sram as usize, act_sram as usize);
         for layer in [&conv, &depthwise, &linear] {
-            let su = if layer.kind.is_depthwise() {
-                bitwave_su::SU7
-            } else {
-                bitwave_su::SU1
-            };
-            let fp = LayerFootprint::of_layer(layer);
-            for order in [TilingOrder::WeightOuter, TilingOrder::ActivationOuter] {
-                for tile_factor in [1, 2, 5] {
-                    let temporal = TemporalMapping { order, tile_factor };
-                    let counts = ActivityCounts::analyze_with(layer, &su, &mem, temporal);
-                    let traffic = DramTraffic::analyze(&fp, &mem, temporal);
-                    assert_eq!(
-                        traffic.read_weight_bytes, counts.dram_read_weight,
-                        "{}",
-                        layer.name
-                    );
-                    assert_eq!(
-                        traffic.read_act_bytes, counts.dram_read_act,
-                        "{}",
-                        layer.name
-                    );
-                    assert_eq!(traffic.write_bytes, counts.dram_write_act, "{}", layer.name);
-                }
+            let d = &layer.dims;
+            let (w, i, o) = (d.weight_count(), d.input_count(), d.output_count());
+            for tile_factor in [1, 2, 5] {
+                let factor = tile_factor as u64;
+                let wo = DramFetches::of(
+                    w,
+                    i,
+                    o,
+                    &mem,
+                    Some(TemporalMapping {
+                        order: TilingOrder::WeightOuter,
+                        tile_factor,
+                    }),
+                );
+                let weight_tiles = w.div_ceil(weight_sram).max(1);
+                assert_eq!(wo.weight, 1, "{}", layer.name);
+                assert_eq!(wo.act, weight_tiles * factor, "{}", layer.name);
+                let ao = DramFetches::of(
+                    w,
+                    i,
+                    o,
+                    &mem,
+                    Some(TemporalMapping {
+                        order: TilingOrder::ActivationOuter,
+                        tile_factor,
+                    }),
+                );
+                let act_tiles = (i + o).div_ceil(act_sram).max(1);
+                assert_eq!(ao.weight, act_tiles * factor, "{}", layer.name);
+                assert_eq!(ao.act, 1, "{}", layer.name);
             }
-            let auto = ActivityCounts::analyze(layer, &su, &mem);
-            let cheapest = DramTraffic::analyze_cheapest(&fp, &mem);
-            assert_eq!(
-                cheapest.read_weight_bytes + cheapest.read_act_bytes,
-                auto.dram_read_weight + auto.dram_read_act,
-                "{}",
-                layer.name
-            );
         }
     }
 
@@ -433,35 +357,38 @@ mod tests {
     fn depthwise_footprint_counts_per_channel_kernels() {
         // Depthwise Gu×OXu shape: K channels of FX×FY kernels, C = 1.
         let layer = LayerSpec::depthwise("dw", 384, 3, 1, 1, 14, 0.5);
-        let fp = LayerFootprint::of_layer(&layer);
-        assert_eq!(fp.weight_bytes, 384 * 3 * 3);
-        assert!(fp.input_bytes > 0 && fp.output_bytes > 0);
+        let d = &layer.dims;
+        assert_eq!(d.weight_count(), 384 * 3 * 3);
+        assert!(d.input_count() > 0 && d.output_count() > 0);
         // Small enough to fit the paper-default SRAM: exactly one fetch each.
-        let t = DramTraffic::analyze_cheapest(&fp, &MemoryHierarchy::bitwave_default());
-        assert_eq!(t.refetch.weight_fetches, 1);
-        assert_eq!(t.refetch.act_fetches, 1);
+        let fetches = DramFetches::of(
+            d.weight_count(),
+            d.input_count(),
+            d.output_count(),
+            &MemoryHierarchy::bitwave_default(),
+            None,
+        );
+        assert_eq!(fetches, DramFetches { weight: 1, act: 1 });
     }
 
     #[test]
     fn shrinking_sram_never_decreases_refetches() {
-        let fp = LayerFootprint {
-            weight_bytes: 100_000,
-            input_bytes: 40_000,
-            output_bytes: 20_000,
-        };
+        let (weights, inputs, outputs) = (100_000, 40_000, 20_000);
         let mut previous = 0u64;
         for shift in 0..8 {
             let mem = memory((128 * 1024) >> shift, (64 * 1024) >> shift);
-            let t = DramTraffic::analyze(
-                &fp,
+            let fetches = DramFetches::of(
+                weights,
+                inputs,
+                outputs,
                 &mem,
-                TemporalMapping::natural(TilingOrder::WeightOuter),
+                natural(TilingOrder::WeightOuter),
             );
             assert!(
-                t.refetch.act_fetches >= previous,
+                fetches.act >= previous,
                 "halving SRAM must not reduce refetches"
             );
-            previous = t.refetch.act_fetches;
+            previous = fetches.act;
         }
     }
 

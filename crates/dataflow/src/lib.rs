@@ -12,11 +12,13 @@
 //!   SU (Fig. 9) and the resulting effective MACs/cycle.
 //! * [`memory`] — the SRAM/DRAM hierarchy parameters shared by all modelled
 //!   accelerators (Section V-B "a common SRAM-DRAM memory hierarchy").
-//! * [`activity`] — the Table II activity counts (`N_DRAM`, `N_SRAM`,
-//!   `N_reg`, `N_mac`, `N_mac,cycle`) derived analytically per layer.
-//! * [`dram`] — the DRAM tier: burst-quantised timing, per-operand traffic
-//!   and refetch accounting (the BitSim `_check_layer_mem_size` /
-//!   `_calc_num_mem_refetch` logic) behind the per-layer roofline
+//! * [`activity`] — the on-chip Table II activity counts (`N_SRAM`,
+//!   `N_reg`, `N_mac`) derived analytically per layer and SU, and the
+//!   temporal mapping (tiling order + tile factor) types.
+//! * [`dram`] — the DRAM tier: burst-quantised timing and the one
+//!   per-operand fetch-count decision ([`DramFetches::of`], the BitSim
+//!   `_check_layer_mem_size` / `_calc_num_mem_refetch` logic) behind the
+//!   `N_DRAM` counts and the per-layer roofline
 //!   `max(cycle_compute, cycle_dram)`.
 //! * [`mapping`] — per-layer SU selection for dynamic-dataflow accelerators
 //!   (BitWave, HUAA), mirroring the offline ZigZag search the paper uses.
@@ -31,8 +33,8 @@ pub mod memory;
 pub mod su;
 pub mod utilization;
 
-pub use activity::{dram_reads, dram_reads_auto, ActivityCounts, TemporalMapping, TilingOrder};
-pub use dram::{DramSpec, DramTraffic, LayerFootprint, MemoryBoundedness};
+pub use activity::{ActivityCounts, TemporalMapping, TilingOrder};
+pub use dram::{DramFetches, DramSpec, MemoryBoundedness};
 pub use mapping::{
     map_network, select_spatial_unrolling, MappingDecision, MappingError, MappingPolicy,
 };
@@ -43,7 +45,7 @@ pub use utilization::{effective_macs_per_cycle, spatial_utilization};
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::activity::{ActivityCounts, TemporalMapping, TilingOrder};
-    pub use crate::dram::{DramSpec, DramTraffic, LayerFootprint, MemoryBoundedness};
+    pub use crate::dram::{DramFetches, DramSpec, MemoryBoundedness};
     pub use crate::mapping::{
         map_network, select_spatial_unrolling, MappingDecision, MappingError, MappingPolicy,
     };

@@ -15,7 +15,9 @@ pub struct MemoryHierarchy {
     pub weight_sram_bytes: usize,
     /// On-chip activation SRAM capacity in bytes.
     pub activation_sram_bytes: usize,
-    /// DRAM interface width in bits per access (one burst beat).
+    /// DRAM interface width in bits per access (one burst beat).  The
+    /// unconstrained DRAM tier moves one such word per cycle: its additive
+    /// Eq. 5 term is `bytes × 8 / dram_word_bits`.
     pub dram_word_bits: usize,
     /// SRAM word width in bits per access.
     pub sram_word_bits: usize,
@@ -31,21 +33,6 @@ impl MemoryHierarchy {
             dram_word_bits: 64,
             sram_word_bits: 64,
         }
-    }
-
-    /// Total on-chip SRAM in bytes.
-    pub fn total_sram_bytes(&self) -> usize {
-        self.weight_sram_bytes + self.activation_sram_bytes
-    }
-
-    /// Whether a weight working set of `bytes` fits the weight SRAM.
-    pub fn weights_fit(&self, bytes: usize) -> bool {
-        bytes <= self.weight_sram_bytes
-    }
-
-    /// Whether input + output activations of `bytes` fit the activation SRAM.
-    pub fn activations_fit(&self, bytes: usize) -> bool {
-        bytes <= self.activation_sram_bytes
     }
 
     /// Number of weight tiles needed when a weight working set of `bytes`
@@ -74,17 +61,19 @@ mod tests {
     #[test]
     fn default_matches_paper_capacities() {
         let m = MemoryHierarchy::bitwave_default();
-        assert_eq!(m.total_sram_bytes(), 512 * 1024);
+        assert_eq!(m.weight_sram_bytes + m.activation_sram_bytes, 512 * 1024);
         assert_eq!(m.dram_word_bits, 64);
     }
 
     #[test]
     fn fit_checks() {
+        // A working set fits its SRAM (one tile) up to and including the
+        // capacity.
         let m = MemoryHierarchy::bitwave_default();
-        assert!(m.weights_fit(100 * 1024));
-        assert!(!m.weights_fit(300 * 1024));
-        assert!(m.activations_fit(256 * 1024));
-        assert!(!m.activations_fit(256 * 1024 + 1));
+        assert_eq!(m.weight_tiles(100 * 1024), 1);
+        assert_eq!(m.weight_tiles(300 * 1024), 2);
+        assert_eq!(m.activation_tiles(256 * 1024), 1);
+        assert_eq!(m.activation_tiles(256 * 1024 + 1), 2);
     }
 
     #[test]

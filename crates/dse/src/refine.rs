@@ -17,23 +17,21 @@ use bitwave_tensor::QuantTensor;
 
 /// Lowers a `Cu × OXu × Ku` spatial unrolling onto the cycle-level BCE
 /// array.  Returns `None` for shapes the engine cannot execute: depthwise
-/// `Gu` unrolling, kernel-dimension unrolling, `OYu > 1`, or a `Cu` outside
-/// the BCE lane range (1..=64, the BCS group-size bound).
+/// `Gu` unrolling, kernel-dimension unrolling, `OYu > 1`, a zero `Ku` or
+/// `OXu`, or a `Cu` outside the BCE lane range (`1..=`[`BCE_LANES`](bitwave_sim::bce::BCE_LANES)).
 pub fn engine_config_for(su: &SpatialUnrolling) -> Option<EngineConfig> {
     if su.g != 1 || su.fx != 1 || su.fy != 1 || su.oy != 1 {
         return None;
     }
-    if su.c == 0 || su.c > 64 || su.k == 0 || su.ox == 0 {
-        return None;
-    }
-    Some(EngineConfig {
+    let config = EngineConfig {
         ku: su.k,
         mu: su.ox,
         lanes: su.c,
         // Eight kernels share one packed weight segment (Fig. 10) unless the
         // mapping unrolls fewer output channels.
         sync_kernels: su.k.min(8),
-    })
+    };
+    config.validate().ok().map(|()| config)
 }
 
 /// Cross-validates a searched mapping's compute-cycle model against the
@@ -96,6 +94,8 @@ mod tests {
         assert!(engine_config_for(&bitwave_su::SU7).is_none(), "Gu unrolls");
         let wide = SpatialUnrolling::cxk("DSE", 128, 1, 32);
         assert!(engine_config_for(&wide).is_none(), "Cu beyond lane range");
+        let empty = SpatialUnrolling::cxk("DSE", 8, 1, 0);
+        assert!(engine_config_for(&empty).is_none(), "Ku = 0");
     }
 
     #[test]
@@ -119,5 +119,20 @@ mod tests {
         let weights = tensor(8, 64, 3);
         let err = validate_mapping(&input, &weights, &mapping(bitwave_su::SU7)).unwrap_err();
         assert!(matches!(err, DseError::UnliftableMapping { .. }));
+        // Table I mappings wider than one BCE (Cu = 16 or 32) are refused
+        // up front instead of reaching the engine.
+        for su in [
+            bitwave_su::SU2,
+            bitwave_su::SU3,
+            bitwave_su::SU5,
+            bitwave_su::SU6,
+        ] {
+            let err = validate_mapping(&input, &weights, &mapping(su)).unwrap_err();
+            assert!(
+                matches!(err, DseError::UnliftableMapping { ref label } if label == su.name),
+                "{}: {err:?}",
+                su.name
+            );
+        }
     }
 }

@@ -19,7 +19,7 @@
 //!   [`BitColumnEngine`] arithmetic and can be compared bit-exactly against
 //!   the Int8 reference kernels.
 
-use crate::bce::BitColumnEngine;
+use crate::bce::{BitColumnEngine, BCE_LANES};
 use crate::error::{check_reference, SimError};
 use crate::zcip::ZeroColumnIndexParser;
 use bitwave_core::compress::{BcsCodec, BcsGroup};
@@ -64,6 +64,24 @@ impl EngineConfig {
     /// Total 1b×8b multiplier lanes.
     pub fn num_lanes(&self) -> usize {
         self.num_bces() * self.lanes
+    }
+
+    /// Checks that the array can run this configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] for a zero `ku`, `mu` or `sync_kernels`,
+    /// or a lane count outside `1..=`[`BCE_LANES`].
+    pub fn validate(&self) -> Result<(), SimError> {
+        let runnable = self.ku > 0
+            && self.mu > 0
+            && self.sync_kernels > 0
+            && (1..=BCE_LANES).contains(&self.lanes);
+        if runnable {
+            Ok(())
+        } else {
+            Err(SimError::InvalidConfig(*self))
+        }
     }
 }
 
@@ -155,13 +173,16 @@ impl BitwaveEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Tensor`] if the inner dimensions of `activations`
-    /// and `weights` disagree or either tensor is not rank-2.
+    /// Returns [`SimError::InvalidConfig`] if the engine's configuration
+    /// cannot run (see [`EngineConfig::validate`]), and [`SimError::Tensor`]
+    /// if the inner dimensions of `activations` and `weights` disagree or
+    /// either tensor is not rank-2.
     pub fn run_matmul(
         &self,
         activations: &QuantTensor,
         weights: &QuantTensor,
     ) -> Result<(Vec<i32>, SimStats), SimError> {
+        self.config.validate()?;
         let a_shape = activations.shape();
         let w_shape = weights.shape();
         if a_shape.rank() != 2 || w_shape.rank() != 2 || a_shape.dim(1) != w_shape.dim(1) {
@@ -244,12 +265,12 @@ impl BitwaveEngine {
                         for (cg, group) in kernel_groups[ki].iter().enumerate() {
                             let c_begin = cg * lanes;
                             let c_end = (c_begin + lanes).min(c);
-                            let mut lane_acts = [0i8; 64];
+                            let mut lane_acts = [0i8; BCE_LANES];
                             let n = c_end - c_begin;
                             lane_acts[..n]
                                 .copy_from_slice(&adata[mi * c + c_begin..mi * c + c_end]);
                             let schedule = self.parser.parse(group.index);
-                            bce.process_group(group, &schedule, &lane_acts[..lanes.min(64)]);
+                            bce.process_group(group, &schedule, &lane_acts[..lanes]);
                         }
                         outputs[mi * k + ki] = bce.accumulator() as i32;
                     }
@@ -501,6 +522,29 @@ mod tests {
         let a = random_tensor(Shape::d2(2, 16), 1, 1.0);
         let w = random_tensor(Shape::d2(4, 17), 2, 1.0);
         assert!(engine.run_matmul(&a, &w).is_err());
+    }
+
+    #[test]
+    fn unrunnable_configs_are_a_typed_error() {
+        let a = random_tensor(Shape::d2(2, 16), 1, 1.0);
+        let w = random_tensor(Shape::d2(4, 16), 2, 1.0);
+        let su1 = EngineConfig::su1();
+        for config in [
+            EngineConfig { lanes: 16, ..su1 },
+            EngineConfig { lanes: 0, ..su1 },
+            EngineConfig { ku: 0, ..su1 },
+            EngineConfig { mu: 0, ..su1 },
+            EngineConfig {
+                sync_kernels: 0,
+                ..su1
+            },
+        ] {
+            let err = BitwaveEngine::new(config).run_matmul(&a, &w).unwrap_err();
+            assert_eq!(err, SimError::InvalidConfig(config));
+        }
+        // Narrower groups than a full BCE still run.
+        let narrow = EngineConfig { lanes: 4, ..su1 };
+        assert!(BitwaveEngine::new(narrow).run_matmul(&a, &w).is_ok());
     }
 
     #[test]

@@ -4,6 +4,8 @@
 //! environment is offline; the shape matches what `#[derive(Error)]` would
 //! generate.
 
+use crate::bce::BCE_LANES;
+use crate::engine::EngineConfig;
 use bitwave_core::error::CoreError;
 use bitwave_tensor::TensorError;
 use std::fmt;
@@ -22,6 +24,13 @@ pub enum SimError {
         /// The propagated core error.
         CoreError,
     ),
+    /// The engine configuration cannot run on the BCE array: a zero `ku`,
+    /// `mu` or `sync_kernels`, or a lane count outside
+    /// `1..=`[`BCE_LANES`].
+    InvalidConfig(
+        /// The rejected configuration.
+        EngineConfig,
+    ),
     /// The bit-column-serial result diverged from the Int8 reference kernel —
     /// a simulator defect surfaced by a `*_verified` run.
     ReferenceMismatch {
@@ -39,6 +48,12 @@ impl fmt::Display for SimError {
         match self {
             SimError::Tensor(e) => write!(f, "tensor error: {e}"),
             SimError::Core(e) => write!(f, "core error: {e}"),
+            SimError::InvalidConfig(c) => write!(
+                f,
+                "engine config ku={} mu={} lanes={} sync_kernels={} needs non-zero \
+                 ku, mu and sync_kernels and 1..={BCE_LANES} lanes",
+                c.ku, c.mu, c.lanes, c.sync_kernels
+            ),
             SimError::ReferenceMismatch {
                 index,
                 simulated,

@@ -98,7 +98,6 @@ impl CandidatePoint {
         spec.label = self.label();
         spec.su_set = menu(self.menu, self.lanes);
         spec.sync_lanes = self.sync_lanes;
-        spec.dram_bandwidth_bits = self.dram_bandwidth_bits;
         spec.act_sram_bandwidth_bits = self.sram_bandwidth_bits;
         spec.weight_sram_bandwidth_bits = self.sram_bandwidth_bits;
         // The sweep's bandwidth axis is a *real* constraint: candidates run
@@ -306,7 +305,6 @@ mod tests {
         let spec = point.spec();
         assert_eq!(spec.su_set.peak_parallelism(), 8192);
         assert_eq!(spec.sync_lanes, 16);
-        assert_eq!(spec.dram_bandwidth_bits, 128);
         assert_eq!(spec.act_sram_bandwidth_bits, 2048);
         assert_eq!(spec.weight_sram_bandwidth_bits, 2048);
         assert!(spec.label.contains("bitsim"));
