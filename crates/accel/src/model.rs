@@ -276,6 +276,35 @@ impl SuCost {
             }),
         }
     }
+
+    /// Whether this SU part at `utilization` **covers** `other` at
+    /// `other_utilization`: it is no worse on every field a candidate's
+    /// total cycles and energy read (`compute_side_cycles`, `compute_pj`,
+    /// `sram_read_pj`, `register_pj`), at least as well utilised, and
+    /// finite.  [`Self::total_cycles`] is a `max` or `+` of
+    /// `compute_side_cycles` with the DRAM cycles, [`Self::energy`] a
+    /// fixed-order sum of the other three with the traffic terms, and EDP
+    /// their product; under IEEE round-to-nearest each is monotone
+    /// non-decreasing in non-negative operands.  So under every
+    /// [`PricedTraffic`] the covering part's EDP is at most `other`'s at no
+    /// lower utilisation, and `other` can never be the *first* row with the
+    /// minimum `(EDP, −utilisation)` when the covering part is enumerated
+    /// before it.  A part with a NaN field covers nothing and is covered by
+    /// nothing (every comparison with NaN fails).
+    pub fn covers(&self, utilization: f64, other: &SuCost, other_utilization: f64) -> bool {
+        let fields = |c: &SuCost| {
+            [
+                c.compute_side_cycles,
+                c.compute_pj,
+                c.sram_read_pj,
+                c.register_pj,
+            ]
+        };
+        let (mine, theirs) = (fields(self), fields(other));
+        utilization >= other_utilization
+            && mine.iter().all(|v| v.is_finite())
+            && mine.iter().zip(&theirs).all(|(a, b)| a <= b)
+    }
 }
 
 impl LayerTraffic {
@@ -768,6 +797,130 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An SU part with the given `[compute_side_cycles, compute_pj,
+    /// sram_read_pj, register_pj]`.
+    fn su_part([cycles, compute_pj, sram_read_pj, register_pj]: [f64; 4]) -> SuCost {
+        SuCost {
+            effective_macs: 1.0,
+            compute_cycles: cycles,
+            compute_side_cycles: cycles,
+            compute_pj,
+            register_pj,
+            sram_read_pj,
+        }
+    }
+
+    /// One resnet18 layer's traffic priced under the unconstrained and a
+    /// constrained DRAM tier.
+    fn priced_traffics() -> [PricedTraffic; 2] {
+        let layer = &resnet18().layers[1];
+        let profile = layer_profile(layer);
+        let energy = EnergyModel::finfet_16nm();
+        let memory = MemoryHierarchy::bitwave_default();
+        let mut throttled = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        throttled.dram = bitwave_dataflow::DramSpec::constrained(32);
+        [
+            AcceleratorSpec::bitwave(BitwaveOptimizations::all()),
+            throttled,
+        ]
+        .map(|spec| LayerTraffic::of(&spec, layer, &profile).price(&spec, None, &memory, &energy))
+    }
+
+    fn edp(su: &SuCost, traffic: &PricedTraffic) -> f64 {
+        su.total_cycles(traffic) * su.energy(traffic).total_pj()
+    }
+
+    #[test]
+    fn equal_su_parts_cover_each_other() {
+        let a = su_part([100.0, 5.0, 3.0, 2.0]);
+        assert!(a.covers(0.5, &a, 0.5));
+        assert!(a.covers(0.75, &a, 0.5), "higher utilisation still covers");
+        // Any one field worse is enough to stop covering.
+        for field in 0..4 {
+            let mut fields = [100.0, 5.0, 3.0, 2.0];
+            fields[field] *= 1.5;
+            let worse = su_part(fields);
+            assert!(a.covers(0.5, &worse, 0.5), "field {field}");
+            assert!(!worse.covers(0.5, &a, 0.5), "field {field}");
+        }
+    }
+
+    #[test]
+    fn a_better_utilised_equal_part_is_not_covered_and_wins_the_edp_tie() {
+        let earlier = su_part([100.0, 5.0, 3.0, 2.0]);
+        let later = earlier;
+        assert!(!earlier.covers(0.5, &later, 1.0));
+        assert!(later.covers(1.0, &earlier, 0.5));
+        // Same EDP under every traffic, so the min-EDP order breaks the tie
+        // on utilisation: the later part must stay to win it.
+        for traffic in priced_traffics() {
+            assert_eq!(
+                edp(&earlier, &traffic).to_bits(),
+                edp(&later, &traffic).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_part_with_a_nan_field_covers_nothing_and_is_never_covered() {
+        let good = su_part([100.0, 5.0, 3.0, 2.0]);
+        for field in 0..4 {
+            let mut fields = [100.0, 5.0, 3.0, 2.0];
+            fields[field] = f64::NAN;
+            let nan = su_part(fields);
+            assert!(!nan.covers(0.5, &good, 0.5), "field {field}");
+            assert!(!good.covers(0.5, &nan, 0.5), "field {field}");
+            assert!(!nan.covers(0.5, &nan, 0.5), "field {field}");
+        }
+        assert!(!good.covers(f64::NAN, &good, 0.5));
+        assert!(!good.covers(0.5, &good, f64::NAN));
+        // An infinite field cannot cover either: `inf × 0` would be NaN.
+        let infinite = su_part([f64::INFINITY, 5.0, 3.0, 2.0]);
+        assert!(!infinite.covers(0.5, &infinite, 0.5));
+        assert!(good.covers(0.5, &infinite, 0.5));
+    }
+
+    #[test]
+    fn a_covering_part_is_never_worse_under_real_traffic() {
+        // Every pair of Table I SU parts on the first resnet18 layers: when
+        // one covers the other, its cycles, energy and EDP are no higher
+        // under both DRAM tiers.
+        let spec = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        let energy = EnergyModel::finfet_16nm();
+        let traffics = priced_traffics();
+        let mut covered = 0;
+        for layer in resnet18().layers.iter().take(8) {
+            let profile = layer_profile(layer);
+            let parts: Vec<(SuCost, f64)> = spec
+                .su_set
+                .options
+                .iter()
+                .map(|su| {
+                    let utilization = su.utilization_for(layer);
+                    let lanes = su.parallelism() as f64 * utilization;
+                    (
+                        SuCost::of(&spec, layer, su, lanes, &profile, &energy),
+                        utilization,
+                    )
+                })
+                .collect();
+            for (i, (a, ua)) in parts.iter().enumerate() {
+                for (j, (b, ub)) in parts.iter().enumerate() {
+                    if !a.covers(*ua, b, *ub) {
+                        continue;
+                    }
+                    covered += usize::from(i != j);
+                    for traffic in &traffics {
+                        assert!(a.total_cycles(traffic) <= b.total_cycles(traffic));
+                        assert!(a.energy(traffic).total_pj() <= b.energy(traffic).total_pj());
+                        assert!(edp(a, traffic) <= edp(b, traffic));
+                    }
+                }
+            }
+        }
+        assert!(covered > 0);
     }
 
     #[test]

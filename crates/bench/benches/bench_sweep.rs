@@ -25,7 +25,7 @@
 //! 5. multi-process sharding: same ≥ 2.5× gate for a 4-worker sharded
 //!    sweep, same core-count guard, same byte-identity fallback.
 
-use bitwave_accel::EnergyModel;
+use bitwave_accel::{bits_per_mac_class, EnergyModel};
 use bitwave_bench::{oracle, print_header, write_bench_json};
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dse::{factor_network, FactoredNetworkSearch};
@@ -91,6 +91,12 @@ struct SweepBenchReport {
     available_cores: usize,
     warm_reevaluated: usize,
     warm_reused: usize,
+    /// SU parts the factoring of every compute group enumerates, over the
+    /// whole portfolio.
+    su_parts_enumerated: usize,
+    /// Of those, the parts no earlier part of their layer covers — the
+    /// ones each point's pricing composes.
+    su_parts_kept: usize,
     baseline_label: String,
     baseline_edp: f64,
     best_edp: f64,
@@ -204,6 +210,36 @@ fn bench(c: &mut Criterion) {
             }
         })
     });
+
+    // The SU parts one `small` sweep factors and the share that survives
+    // the covering prune: every compute group (points that differ only in
+    // SRAM sizes or DRAM bandwidth share one) over the whole portfolio.
+    let mut groups_seen = Vec::new();
+    let (mut su_parts_enumerated, mut su_parts_kept) = (0, 0);
+    for point in bitwave_sweep::enumerate(&config) {
+        let spec = point.spec();
+        let group = (
+            point.lanes,
+            point.menu,
+            point.sram_bandwidth_bits,
+            bits_per_mac_class(&spec),
+        );
+        if groups_seen.contains(&group) {
+            continue;
+        }
+        groups_seen.push(group);
+        for m in &portfolio {
+            let factored = factor_network(&spec, &m.network, &m.profiles, &energy, &config.space)
+                .expect("the small portfolio factors");
+            su_parts_enumerated += factored.su_parts_enumerated();
+            su_parts_kept += factored.su_parts_kept();
+        }
+    }
+    println!(
+        "SU parts per small sweep ({} compute groups): {su_parts_enumerated} enumerated, \
+         {su_parts_kept} kept",
+        groups_seen.len()
+    );
 
     // Gate 1: some front member strictly dominates the paper's Table I
     // BitWave configuration on portfolio EDP.  That configuration is a
@@ -405,6 +441,8 @@ fn bench(c: &mut Criterion) {
             available_cores: cores,
             warm_reevaluated: warm.evaluated,
             warm_reused: warm.reused,
+            su_parts_enumerated,
+            su_parts_kept,
             baseline_label,
             baseline_edp,
             best_edp,

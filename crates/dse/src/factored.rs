@@ -8,16 +8,23 @@
 //! and one [`SuCost`] per spatial unrolling of its mapping space (every SU
 //! repeats for each of the space's [tilings](SearchSpace::tilings)).
 //! Pricing it at one memory/DRAM point prices the traffic once per tiling
-//! and composes every candidate from the two parts, in enumeration order.
+//! and composes candidates from the two parts, in enumeration order.
 //!
 //! Two callers share it:
 //!
-//! * [`crate::DseEngine::search_layer`] prices one layer, picks the min-EDP
-//!   winner and the Pareto front, and materialises only those mappings;
+//! * [`crate::DseEngine::search_layer`] prices one layer, composes every
+//!   candidate, picks the min-EDP winner and the Pareto front, and
+//!   materialises only those mappings;
 //! * [`factor_network`] factors a whole network once per `(lanes, SU menu,
 //!   bandwidth, bit-class)` sweep group, and [`FactoredNetworkSearch::price`]
 //!   prices it per `(SRAM sizes, DRAM axes)` point into the searched winner
-//!   totals only.  The winners are summed in layer order, as
+//!   totals only.  Factoring drops every SU part that an earlier part of its
+//!   layer [covers](SuCost::covers) — no worse on compute-side cycles,
+//!   compute, SRAM-read and register energy, and utilisation — because
+//!   total cycles, energy and EDP are monotone in those fields under IEEE
+//!   rounding, so a covered part can never hold the first min-EDP row
+//!   under any memory/DRAM point (about 6 % of the parts of the `small`
+//!   sweep survive).  The winners are summed in layer order, as
 //!   [`crate::NetworkSearch`] aggregates them, so the totals are
 //!   **bit-identical** to the `searched_*` totals of
 //!   [`crate::DseEngine::search_network`] over the same inputs.
@@ -94,18 +101,43 @@ impl FactoredLayer {
         }
     }
 
-    /// Prices the traffic part once per tiling at one memory/DRAM point.
-    pub(crate) fn price(
+    /// Drops every SU part that an earlier kept part
+    /// [covers](SuCost::covers), keeping the rest in enumeration order.
+    /// Covering is transitive, so checking the kept parts only is enough.
+    /// Afterwards the min-EDP row of [`Self::objectives`] is unchanged under
+    /// every priced traffic, but enumeration indices no longer hold, so
+    /// [`Self::mapping`] must not be used.
+    fn drop_covered(&mut self) {
+        let mut kept = 0;
+        for i in 0..self.sus.len() {
+            let (su, utilization) = self.sus[i];
+            let covered = self.sus[..kept]
+                .iter()
+                .any(|(by, by_utilization)| by.covers(*by_utilization, &su, utilization));
+            if !covered {
+                self.sus[kept] = (su, utilization);
+                kept += 1;
+            }
+        }
+        self.sus.truncate(kept);
+    }
+
+    /// Prices the traffic part once per tiling at one memory/DRAM point
+    /// into `priced` (cleared first).
+    pub(crate) fn price_into(
         &self,
         accel: &AcceleratorSpec,
         tilings: &[TemporalMapping],
         memory: &MemoryHierarchy,
         energy: &EnergyModel,
-    ) -> Vec<PricedTraffic> {
-        tilings
-            .iter()
-            .map(|&temporal| self.traffic.price(accel, Some(temporal), memory, energy))
-            .collect()
+        priced: &mut Vec<PricedTraffic>,
+    ) {
+        priced.clear();
+        priced.extend(
+            tilings
+                .iter()
+                .map(|&temporal| self.traffic.price(accel, Some(temporal), memory, energy)),
+        );
     }
 
     /// Every candidate's `[total cycles, energy, EDP, utilisation]` row in
@@ -143,12 +175,15 @@ impl FactoredLayer {
     }
 }
 
-/// A whole network's search space, factored layer by layer.
+/// A whole network's search space, factored layer by layer, with every
+/// covered SU part dropped.
 #[derive(Debug)]
 pub struct FactoredNetworkSearch {
     /// The layers in execution order.
     layers: Vec<FactoredLayer>,
     tilings: Vec<TemporalMapping>,
+    /// SU parts enumerated over all layers, before covered ones were dropped.
+    su_parts_enumerated: usize,
 }
 
 impl FactoredNetworkSearch {
@@ -156,6 +191,14 @@ impl FactoredNetworkSearch {
     /// the winners in layer order — bit-identical to the `searched_*`
     /// totals of [`crate::DseEngine::search_network`] over the same
     /// accelerator, space, memory and energy tables.
+    ///
+    /// Only the SU parts that no earlier part [covers](SuCost::covers) are
+    /// composed with the priced tilings: a covered part is no better on
+    /// compute-side cycles and every memory-invariant energy term and no
+    /// better utilised, and the total cycles, energy and EDP are monotone
+    /// in those fields under IEEE rounding, so its rows can never be the
+    /// first min-EDP row the full scan picks.  The winners, and so the
+    /// totals, are the full scan's bit for bit.
     pub fn price(
         &self,
         accel: &AcceleratorSpec,
@@ -165,8 +208,9 @@ impl FactoredNetworkSearch {
         REPRICED.fetch_add(self.layers.len() as u64, Ordering::Relaxed);
         let mut cycles = 0.0;
         let mut energy_pj = 0.0;
+        let mut priced = Vec::with_capacity(self.tilings.len());
         for layer in &self.layers {
-            let priced = layer.price(accel, &self.tilings, memory, energy);
+            layer.price_into(accel, &self.tilings, memory, energy, &mut priced);
             let (_, best) = min_edp(layer.objectives(&priced))
                 .expect("factored layers hold at least one candidate");
             cycles += best[0];
@@ -178,10 +222,22 @@ impl FactoredNetworkSearch {
             edp: cycles * energy_pj,
         }
     }
+
+    /// SU parts the mapping space enumerated, summed over the layers.
+    pub fn su_parts_enumerated(&self) -> usize {
+        self.su_parts_enumerated
+    }
+
+    /// SU parts [`Self::price`] composes, summed over the layers: those no
+    /// earlier part of their layer covers.
+    pub fn su_parts_kept(&self) -> usize {
+        self.layers.iter().map(|layer| layer.sus.len()).sum()
+    }
 }
 
 /// Factors a whole network for `accel`: per layer, one [`SuCost`] per
-/// spatial unrolling of the mapping space.  The expensive half of a sweep
+/// spatial unrolling of the mapping space, less those an earlier part of
+/// the layer [covers](SuCost::covers).  The expensive half of a sweep
 /// point's evaluation — reusable across every point that shares this
 /// accelerator's compute-side configuration.
 ///
@@ -209,6 +265,7 @@ pub fn factor_network(
     // depthwise-ness: one lookup each for plain and depthwise layers.
     let mut spaces: [Option<Arc<Vec<Candidate>>>; 2] = [None, None];
     let mut layers = Vec::with_capacity(network.layers.len());
+    let mut su_parts_enumerated = 0;
     for (layer, profile) in network.layers.iter().zip(profiles) {
         // Same error order as the engine: the heuristic SU pick
         // (which validates the layer dims) comes first.
@@ -220,16 +277,17 @@ pub fn factor_network(
                 layer: layer.name.clone(),
             });
         }
-        layers.push(FactoredLayer::of(
-            accel,
-            layer,
-            profile,
-            energy,
-            candidates,
-            tilings.len(),
-        ));
+        let mut factored =
+            FactoredLayer::of(accel, layer, profile, energy, candidates, tilings.len());
+        su_parts_enumerated += factored.sus.len();
+        factored.drop_covered();
+        layers.push(factored);
     }
-    Ok(FactoredNetworkSearch { layers, tilings })
+    Ok(FactoredNetworkSearch {
+        layers,
+        tilings,
+        su_parts_enumerated,
+    })
 }
 
 #[cfg(test)]
@@ -303,6 +361,66 @@ mod tests {
             }
         }
         assert!(factored_repriced_total() >= 2);
+    }
+
+    #[test]
+    fn dropping_covered_parts_keeps_a_better_utilised_tie_and_its_win() {
+        let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        let energy = EnergyModel::finfet_16nm();
+        let net = resnet18();
+        let layer = &net.layers[1];
+        let profile = &profiles_for(&net)[1];
+        let su = &accel.su_set.options[0];
+        let part = SuCost::of(&accel, layer, su, su.parallelism() as f64, profile, &energy);
+        let mut factored = FactoredLayer {
+            traffic: LayerTraffic::of(&accel, layer, profile),
+            // The third part is covered by both earlier ones; the second
+            // ties the first on every cost field at higher utilisation.
+            sus: vec![(part, 0.5), (part, 1.0), (part, 0.5)],
+        };
+        let tilings = SearchSpace::default().tilings();
+        let mut priced = Vec::new();
+        factored.price_into(
+            &accel,
+            &tilings,
+            &MemoryHierarchy::bitwave_default(),
+            &energy,
+            &mut priced,
+        );
+        let (full_index, full_row) = min_edp(factored.objectives(&priced)).unwrap();
+        assert_eq!(
+            full_index / tilings.len(),
+            1,
+            "the better-utilised tie wins"
+        );
+        factored.drop_covered();
+        assert_eq!(factored.sus, vec![(part, 0.5), (part, 1.0)]);
+        let (_, pruned_row) = min_edp(factored.objectives(&priced)).unwrap();
+        assert_eq!(pruned_row.map(f64::to_bits), full_row.map(f64::to_bits));
+        assert_eq!(pruned_row[3], 1.0);
+    }
+
+    #[test]
+    fn factoring_counts_the_enumerated_and_the_kept_parts() {
+        let net = resnet18();
+        let accel = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
+        let space = SearchSpace::default();
+        let factored = factor_network(
+            &accel,
+            &net,
+            &profiles_for(&net),
+            &EnergyModel::finfet_16nm(),
+            &space,
+        )
+        .unwrap();
+        let enumerated: usize = net
+            .layers
+            .iter()
+            .map(|layer| space.enumerate(&accel, layer).len() / space.tilings().len())
+            .sum();
+        assert_eq!(factored.su_parts_enumerated(), enumerated);
+        assert!(factored.su_parts_kept() >= net.layers.len());
+        assert!(factored.su_parts_kept() < enumerated);
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   and one SU part per spatial unrolling, priced once per tiling and
 //!   composed per candidate.  The engine prices one layer at a time; the
 //!   hardware sweep factors whole networks once per accelerator compute
-//!   configuration ([`factor_network`]) and prices them per `(SRAM sizes,
-//!   DRAM axes)` point into the searched winner totals only.
+//!   configuration ([`factor_network`], which drops the SU parts an
+//!   earlier part covers) and prices them per `(SRAM sizes, DRAM axes)`
+//!   point into the searched winner totals only.
 //! * [`search`] — the engine: minimum-EDP winner selection, a generalised
 //!   cycles/energy/EDP/utilisation Pareto front (`bitwave_core::pareto`),
 //!   and deterministic rayon fan-out (parallel ≡ sequential, bit-identical).

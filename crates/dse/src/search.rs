@@ -338,7 +338,8 @@ impl DseEngine {
             &candidates,
             tilings.len(),
         );
-        let priced = factored.price(accel, &tilings, &self.memory, &self.energy);
+        let mut priced = Vec::with_capacity(tilings.len());
+        factored.price_into(accel, &tilings, &self.memory, &self.energy, &mut priced);
         let objectives: Vec<[f64; 4]> = factored.objectives(&priced).collect();
         let (winner, _) =
             min_edp(objectives.iter().copied()).expect("the mapping space is non-empty");

@@ -56,10 +56,6 @@ impl BitColumnEngine {
 
     /// The accumulated output value.
     pub fn accumulator(&self) -> i64 {
-        self.stats_checked_accumulator()
-    }
-
-    fn stats_checked_accumulator(&self) -> i64 {
         self.accumulator
     }
 

@@ -132,17 +132,8 @@ impl SimStats {
         if streamed == 0 {
             1.0
         } else {
-            (self.macs_weight_bits()) as f64 / streamed as f64
+            self.dense_weight_bits as f64 / streamed as f64
         }
-    }
-
-    fn macs_weight_bits(&self) -> u64 {
-        self.dense_weight_bits
-    }
-
-    /// Dense (uncompressed) weight volume in bits.
-    pub fn dense_weight_volume_bits(&self) -> u64 {
-        self.dense_weight_bits
     }
 }
 

@@ -16,11 +16,14 @@
 //!   so [`evaluate_point_factored`] factors each portfolio model once per
 //!   `(lanes, menu, bandwidth, bit-class)` group
 //!   ([`bitwave_dse::factor_network`]: one SU part per spatial unrolling
-//!   of each layer shape) and per point prices only what a
-//!   [`PointResult`] keeps — each model's searched cycles, energy and EDP
-//!   ([`bitwave_dse::FactoredNetworkSearch::price`]), bit-identical to the
-//!   searched totals of a [`bitwave_dse::DseEngine`] network search at the
-//!   point.
+//!   of each layer shape, less every part an earlier one covers — no
+//!   worse on compute-side cycles and memory-invariant energy, no better
+//!   utilised, so it can never win the min-EDP scan at any point) and per
+//!   point prices only what a [`PointResult`] keeps — each model's
+//!   searched cycles, energy and EDP
+//!   ([`bitwave_dse::FactoredNetworkSearch::price`], composing the kept
+//!   parts only), bit-identical to the searched totals of a
+//!   [`bitwave_dse::DseEngine`] network search at the point.
 
 use crate::config::SweepConfig;
 use crate::menu::{menu_rows, MenuRow};

@@ -64,14 +64,14 @@ proptest! {
     #[test]
     fn factored_evaluation_equals_full_evaluation(
         lanes_pow in 10u32..=13,   // 1024..=8192 lanes
-        sync_pick in 0u8..2,       // 8 or 16 synced lanes
+        sync_pick in 0u8..3,       // 1, 8 or 16 synced lanes
         sram_pick in 0u8..2,       // 16 KiB (DRAM-bound) or 1024 KiB (fits)
         dram_pick in 0u8..2,       // 32 or 128 bits/cycle
         sram_bw_pick in 0u8..2,    // 512 or 1024 bits/cycle
         menu_pick in 0u8..2,
         seed in 1u64..500,
     ) {
-        let sync = [8usize, 16][sync_pick as usize];
+        let sync = [1usize, 8, 16][sync_pick as usize];
         let sram_kb = [16usize, 1024][sram_pick as usize];
         let dram_bits = [32usize, 128][dram_pick as usize];
         let sram_bits = [512usize, 1024][sram_bw_pick as usize];
