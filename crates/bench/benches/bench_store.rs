@@ -1,7 +1,7 @@
 //! Gates for the tiered persistent store (`bitwave-store`): a warm restart
 //! must amortize the pipeline, and the memory tier must amortize the disk.
 //!
-//! Two invariants are **asserted** (not just timed) before the criterion
+//! Three invariants are **asserted** (not just timed) before the criterion
 //! loops, so `cargo bench --bench bench_store` doubles as the CI gate:
 //!
 //! 1. restarting the evaluation service against the same `--store-root` and
@@ -9,12 +9,16 @@
 //!    response replays from the disk tier (`X-Bitwave-Cache: disk`) with
 //!    byte-identical JSON and zero weight regenerations;
 //! 2. a memory-tier hit is ≥ 10× faster than a disk-tier hit on a
-//!    report-sized entry — promoting an entry into memory must matter.
+//!    report-sized entry — promoting an entry into memory must matter;
+//! 3. the disk tier's word-parallel payload checksum is ≥ 4× faster than
+//!    byte-serial FNV-1a/128 on the same 256 KiB payload (a ratio of two
+//!    timings on one host, so it holds across machines).
 
-use bitwave::digest::Digest;
+use bitwave::digest::{fnv1a128, Digest};
 use bitwave_bench::{print_header, write_bench_json};
 use bitwave_serve::client::Client;
 use bitwave_serve::server::{start, ServeConfig, ServerHandle};
+use bitwave_store::disk::payload_checksum;
 use bitwave_store::{StoreConfig, StoreOutcome, StringCodec, TieredStore};
 use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
@@ -34,6 +38,11 @@ struct StoreBenchReport {
     memory_hit_us: f64,
     tier_speedup: f64,
     tier_speedup_gate: f64,
+    checksum_256k_us: f64,
+    fnv1a128_256k_us: f64,
+    checksum_speedup: f64,
+    checksum_speedup_gate: f64,
+    available_cores: usize,
 }
 
 const EVALUATE_BODY: &str = r#"{"model":"resnet18","accelerator":"bitwave","sample_cap":8000}"#;
@@ -182,6 +191,44 @@ fn assert_memory_vs_disk_gate(
     )
 }
 
+/// Gate 3: the payload checksum ≥ 4× faster than FNV-1a/128 on one
+/// 256 KiB payload.  Returns (checksum µs, FNV-1a/128 µs, ratio), each the
+/// mean of `ROUNDS` calls.
+fn assert_checksum_gate() -> (f64, f64, f64) {
+    const TARGET: f64 = 4.0;
+    const ROUNDS: u32 = 50;
+    print_header(
+        "store_checksum",
+        "disk-entry payload checksum vs FNV-1a/128 on 256 KiB (>=4x gate)",
+    );
+    let payload: Vec<u8> = "{\"layer\":\"conv1\",\"edp\":1234.5678}"
+        .bytes()
+        .cycle()
+        .take(256 * 1024)
+        .collect();
+    let mean_us = |hash: &dyn Fn(&[u8]) -> u128| {
+        black_box(hash(black_box(&payload)));
+        let t0 = Instant::now();
+        for _ in 0..ROUNDS {
+            black_box(hash(black_box(&payload)));
+        }
+        t0.elapsed().as_secs_f64() * 1e6 / f64::from(ROUNDS)
+    };
+    let checksum_us = mean_us(&payload_checksum);
+    let fnv_us = mean_us(&fnv1a128);
+    let ratio = fnv_us / checksum_us.max(f64::MIN_POSITIVE);
+    println!(
+        "payload checksum: {checksum_us:.1} us   FNV-1a/128: {fnv_us:.1} us   \
+         ratio: {ratio:.1}x   (target: >={TARGET}x)"
+    );
+    assert!(
+        ratio >= TARGET,
+        "the payload checksum ({checksum_us:.1} us) must be >={TARGET}x faster than \
+         FNV-1a/128 ({fnv_us:.1} us) on 256 KiB"
+    );
+    (checksum_us, fnv_us, ratio)
+}
+
 fn bench(c: &mut Criterion) {
     let restart_root = temp_root("restart");
     let (warm_restart_cold_ms, warm_restart_warm_ms, warm_restart_speedup) =
@@ -191,6 +238,7 @@ fn bench(c: &mut Criterion) {
     let tier_root = temp_root("tiers");
     let (store, key, (disk_hit_us, memory_hit_us, tier_speedup)) =
         assert_memory_vs_disk_gate(&tier_root);
+    let (checksum_256k_us, fnv1a128_256k_us, checksum_speedup) = assert_checksum_gate();
     write_bench_json(
         "BENCH_store.json",
         &StoreBenchReport {
@@ -202,6 +250,11 @@ fn bench(c: &mut Criterion) {
             memory_hit_us,
             tier_speedup,
             tier_speedup_gate: 10.0,
+            checksum_256k_us,
+            fnv1a128_256k_us,
+            checksum_speedup,
+            checksum_speedup_gate: 4.0,
+            available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         },
     );
 

@@ -19,8 +19,9 @@
 //! The ledger never stores results — completion is signalled by publishing
 //! the result itself (e.g. a [`crate::TieredStore`] entry) and then
 //! [`ClaimLedger::release`]-ing the claim.  Callers check for the result
-//! *before* claiming, so a released claim is never re-taken for completed
-//! work.
+//! *before* claiming and again *after* winning a claim: a peer may publish
+//! and release between the first check and the claim, and only the second
+//! check keeps completed work from being taken again.
 
 use std::fs;
 use std::io::{self, Write};

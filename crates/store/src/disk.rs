@@ -8,12 +8,21 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"BWS1"
-//!      4     4  format version (u32 LE)
+//!      4     4  format version (u32 LE) — 2
 //!      8    16  entry digest (u128 LE) — must match the file name / lookup
 //!     24     8  payload length (u64 LE)
-//!     32    16  FNV-1a/128 checksum of the payload (u128 LE)
+//!     32    16  payload checksum (u128 LE) — see [`payload_checksum`]
 //!     48     …  payload
 //! ```
+//!
+//! The payload checksum is word-parallel: four independent `u64` lanes
+//! each absorb one little-endian word of every 32-byte stripe (the last
+//! stripe zero-padded), and the lanes are folded with the payload length
+//! into 128 bits.  Each lane step is a bijection of the lane for a fixed
+//! word, so any change confined to one lane — every single-bit flip — is
+//! always detected.  Format 1 used FNV-1a/128, one 128-bit multiply per
+//! byte in a serial chain; its entries now fail the version check and are
+//! recomputed like any other miss.
 //!
 //! Writes go to a temp file in the same directory and are published with an
 //! atomic rename, so readers never observe a half-written entry.  Reads
@@ -22,7 +31,7 @@
 //! `<op>/quarantine/` and reports a miss — corruption is never an error and
 //! never panics.
 
-use bitwave_core::digest::{fnv1a128, Digest};
+use bitwave_core::digest::Digest;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -31,10 +40,83 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MAGIC: [u8; 4] = *b"BWS1";
 /// On-disk format version; entries written by a different version are
 /// quarantined as misses, never decoded.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 const HEADER_LEN: usize = 48;
 /// Subdirectory corrupt entries are moved into.
 pub const QUARANTINE_DIR: &str = "quarantine";
+
+/// Initial lane states of [`payload_checksum`] (the first 256 bits of π's
+/// fractional part).  Part of the on-disk format.
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
+/// Odd multiplier of the lane step (odd, so multiplying is a bijection).
+const CHECKSUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Bytes absorbed per step: one `u64` word per lane.
+const STRIPE: usize = 32;
+
+/// One lane step: a bijection of `lane` for a fixed `word` (xor, odd
+/// multiply and xorshift each invert).
+fn absorb(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(CHECKSUM_MUL);
+    x ^ (x >> 29)
+}
+
+/// Feeds one 32-byte stripe to the four lanes, word `i` to lane `i`.
+fn absorb_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+    for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+        *lane = absorb(*lane, word);
+    }
+}
+
+/// The murmur3 64-bit finaliser, a bijection with full avalanche.
+fn avalanche(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// The 128-bit payload checksum stored at header bytes 32..48 of a
+/// format-[`FORMAT_VERSION`] entry.
+///
+/// Four `u64` lanes absorb the payload in 32-byte stripes (the tail
+/// zero-padded to a full stripe), so the four multiply chains run in
+/// parallel instead of one 128-bit multiply per byte.  The lanes and the
+/// payload length are then folded into 128 bits: lanes 0 and 2 into the
+/// low half, lanes 1 and 3 into the high half, each through a bijective
+/// finaliser, followed by two Feistel rounds across the halves.  Every
+/// step is a bijection of the state a single lane feeds, so a change
+/// confined to one lane (any single-bit flip) always changes the result.
+///
+/// The value is part of the on-disk format: changing it requires a
+/// [`FORMAT_VERSION`] bump.  It is an error-detecting checksum, not a
+/// content digest — request keys stay FNV-1a/128
+/// ([`bitwave_core::digest::Digest`]).
+pub fn payload_checksum(payload: &[u8]) -> u128 {
+    let mut lanes = CHECKSUM_SEEDS;
+    let stripes = payload.chunks_exact(STRIPE);
+    let tail = stripes.remainder();
+    for stripe in stripes {
+        absorb_stripe(&mut lanes, stripe);
+    }
+    if !tail.is_empty() {
+        let mut padded = [0u8; STRIPE];
+        padded[..tail.len()].copy_from_slice(tail);
+        absorb_stripe(&mut lanes, &padded);
+    }
+    let len = payload.len() as u64;
+    let mut lo = avalanche(lanes[0] ^ lanes[2].rotate_left(32) ^ len);
+    let mut hi = avalanche(lanes[1] ^ lanes[3].rotate_left(32) ^ len.rotate_left(32));
+    hi ^= avalanche(lo);
+    lo ^= avalanche(hi);
+    (u128::from(hi) << 64) | u128::from(lo)
+}
 
 /// Why a disk read missed (all treated identically by the store; the
 /// distinction feeds quarantine accounting).
@@ -173,7 +255,11 @@ impl DiskTier {
         }
         drop(file);
         match Self::verify(key, &raw) {
-            Some(payload_start) => Ok(raw.split_off(payload_start)),
+            Some(payload_start) => {
+                // Drop the header in place: no second payload-sized buffer.
+                raw.drain(..payload_start);
+                Ok(raw)
+            }
             None => {
                 self.quarantine(key);
                 Err(DiskMiss::Quarantined)
@@ -200,7 +286,7 @@ impl DiskTier {
             return None;
         }
         let checksum = u128::from_le_bytes(raw[32..48].try_into().ok()?);
-        if fnv1a128(payload) != checksum {
+        if payload_checksum(payload) != checksum {
             return None;
         }
         Some(HEADER_LEN)
@@ -230,7 +316,7 @@ impl DiskTier {
             file.write_all(&FORMAT_VERSION.to_le_bytes())?;
             file.write_all(&key.raw().to_le_bytes())?;
             file.write_all(&(payload.len() as u64).to_le_bytes())?;
-            file.write_all(&fnv1a128(payload).to_le_bytes())?;
+            file.write_all(&payload_checksum(payload).to_le_bytes())?;
             file.write_all(payload)?;
             file.sync_all()?;
             fs::rename(&tmp, &path)
@@ -328,6 +414,63 @@ mod tests {
             std::env::temp_dir().join(format!("bitwave-store-disk-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         root
+    }
+
+    /// The known-answer payload of `len` bytes: a fixed byte pattern that
+    /// exercises every lane and the zero-padded tail.
+    fn kat_payload(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    /// Pins the format-2 checksum: a change to any of these values changes
+    /// what is on disk and must come with a [`FORMAT_VERSION`] bump.
+    #[test]
+    fn payload_checksum_known_answers() {
+        let known: [(usize, u128); 6] = [
+            (0, 0x2466_5319_dfce_517a_986a_7acd_ce3a_45bc),
+            (1, 0x58b1_8717_0764_06bf_3296_f30f_6c26_b066),
+            (31, 0xae2c_1919_b76e_fce3_5b21_2130_0922_7b17),
+            (32, 0x9c15_8720_fbad_375a_0c3b_ea3d_7144_9923),
+            (33, 0x7907_fb1f_4f9e_7513_d965_2cdb_8bac_1c4c),
+            (20_480, 0x7be0_d166_fef7_dbe5_21b2_3145_cad3_5740),
+        ];
+        for (len, expected) in known {
+            assert_eq!(
+                payload_checksum(&kat_payload(len)),
+                expected,
+                "checksum of the {len}-byte known-answer payload"
+            );
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_the_checksum() {
+        let payload = kat_payload(100);
+        let clean = payload_checksum(&payload);
+        for bit in 0..payload.len() * 8 {
+            let mut flipped = payload.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(payload_checksum(&flipped), clean, "flip of bit {bit}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_changes_the_checksum() {
+        let payload = kat_payload(100);
+        let clean = payload_checksum(&payload);
+        for keep in 0..payload.len() {
+            assert_ne!(
+                payload_checksum(&payload[..keep]),
+                clean,
+                "truncation to {keep} bytes"
+            );
+        }
+        // A zero-padded tail is not mistaken for a longer zero-filled one.
+        let mut zero_extended = payload.clone();
+        zero_extended.extend_from_slice(&[0; 4]);
+        assert_ne!(payload_checksum(&zero_extended), clean);
     }
 
     #[test]

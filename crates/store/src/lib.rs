@@ -10,10 +10,10 @@
 //!   its own for values that should never touch disk (the weight store:
 //!   weights are cheap to regenerate and big on disk).
 //! * [`disk::DiskTier`] — one file per entry at `<root>/<op>/<digest>`
-//!   with a versioned header, length and FNV-1a/128 checksum; atomic
-//!   write-via-rename; fully verified reads.  Corrupt, truncated or
-//!   version-mismatched entries are **quarantined and treated as misses —
-//!   never errors**.
+//!   with a versioned header, length and word-parallel 128-bit payload
+//!   checksum ([`disk::payload_checksum`]); atomic write-via-rename; fully
+//!   verified reads.  Corrupt, truncated or version-mismatched entries are
+//!   **quarantined and treated as misses — never errors**.
 //! * [`TieredStore`] — memory over optional disk, glued by a
 //!   [`codec::StoreCodec`] that serializes each value **once** to bytes,
 //!   so replays from either tier are byte-identical.

@@ -1,10 +1,13 @@
 //! Property tests for the disk tier: arbitrary values round-trip
 //! byte-identically across reopen, and arbitrary corruption (byte flips,
 //! truncation) is a miss that recomputes — never a panic or an error
-//! surfaced to the caller.
+//! surfaced to the caller.  Entries of an earlier on-disk format are
+//! quarantined and recomputed, never served.
 
-use bitwave_core::digest::Digest;
-use bitwave_store::{StoreConfig, StoreOutcome, StringCodec, TieredStore};
+use bitwave_core::digest::{fnv1a128, Digest};
+use bitwave_store::{
+    StoreConfig, StoreOutcome, StringCodec, TieredStore, FORMAT_VERSION, QUARANTINE_DIR,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -139,4 +142,54 @@ proptest! {
         prop_assert_eq!(&*value, &payload);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// A format-1 entry (same header layout, FNV-1a/128 payload checksum) left
+/// by an older build is a quarantined miss: the value is recomputed and
+/// rewritten in the current format, which then replays from disk.
+#[test]
+fn a_format_1_entry_is_quarantined_and_recomputed() {
+    let root = temp_root("format1");
+    let config = StoreConfig::default().with_root(&root);
+    let key = Digest::of_bytes(b"written-by-format-1");
+    let payload = "a report cached before the checksum changed";
+
+    let mut entry = Vec::new();
+    entry.extend_from_slice(b"BWS1");
+    entry.extend_from_slice(&1u32.to_le_bytes());
+    entry.extend_from_slice(&key.raw().to_le_bytes());
+    entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    entry.extend_from_slice(&fnv1a128(payload.as_bytes()).to_le_bytes());
+    entry.extend_from_slice(payload.as_bytes());
+    let dir = root.join("prop");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(key.to_hex()), &entry).unwrap();
+
+    let store = TieredStore::<StringCodec>::new("prop", &config).unwrap();
+    assert_eq!(store.disk_entries(), 1);
+    let (value, outcome) = store
+        .get_or_compute(key, || Ok::<_, String>(payload.to_string()), |e| e)
+        .unwrap();
+    assert_eq!(
+        outcome,
+        StoreOutcome::Miss,
+        "a format-1 entry is never served"
+    );
+    assert_eq!(&*value, payload);
+    assert_eq!(store.stats().quarantined(), 1);
+    assert!(dir.join(QUARANTINE_DIR).join(key.to_hex()).exists());
+
+    store.clear_memory();
+    let (replayed, outcome) = store
+        .get_or_compute(key, || panic!("the rewritten entry replays"), |e: String| e)
+        .unwrap();
+    assert_eq!(outcome, StoreOutcome::Disk);
+    assert_eq!(&*replayed, payload);
+    let rewritten = std::fs::read(dir.join(key.to_hex())).unwrap();
+    assert_eq!(
+        rewritten[4..8],
+        FORMAT_VERSION.to_le_bytes(),
+        "the recompute rewrote the entry in the current format"
+    );
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -31,6 +31,16 @@ struct PointKey {
     index: usize,
 }
 
+/// What [`SweepLedger::claim_unpublished`] found.
+#[derive(Debug)]
+pub enum PointClaim {
+    /// The point has a result (a peer published it just before the claim);
+    /// no claim is left held for it.
+    Published(Arc<PointResult>),
+    /// The point has no result yet; the claim attempt's outcome.
+    Unpublished(ClaimOutcome),
+}
+
 /// A handle onto one sweep's shared state: the result store and (when a
 /// root is given) the claim ledger.
 pub struct SweepLedger {
@@ -138,15 +148,39 @@ impl SweepLedger {
         }
     }
 
+    /// Claims point `index`, then looks for its result again.  A peer can
+    /// publish `index` (which releases its claim file) between a caller's
+    /// [`Self::result`] miss and this claim, so the claim alone succeeds
+    /// for finished work.  A won claim on a published point is released
+    /// and the result returned instead.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unexpected claim-file I/O errors.
+    pub fn claim_unpublished(&self, index: usize) -> io::Result<PointClaim> {
+        let outcome = self.claim(index)?;
+        if outcome.owned() {
+            if let Some(result) = self.result(index) {
+                self.release(index);
+                return Ok(PointClaim::Published(result));
+            }
+        }
+        Ok(PointClaim::Unpublished(outcome))
+    }
+
+    fn release(&self, index: usize) {
+        if let Some(claims) = &self.claims {
+            claims.release(&format!("{index}"));
+        }
+    }
+
     /// Publishes a computed result and releases the point's claim.
     pub fn publish(&self, index: usize, result: PointResult) -> Arc<PointResult> {
         let (value, _) = self
             .store
             .get_or_compute(self.key(index), || Ok::<_, String>(result), |e| e)
             .unwrap_or_else(|_| unreachable!("sweep publish compute is infallible"));
-        if let Some(claims) = &self.claims {
-            claims.release(&format!("{index}"));
-        }
+        self.release(index);
         if let Ok(mut guard) = self.seen.lock() {
             guard.insert(index, Arc::clone(&value));
         }
@@ -217,6 +251,33 @@ mod tests {
         // Publishing released the claim; the point is answered by the store
         // so no one needs it, but a re-claim must not dead-lock.
         assert_eq!(b.claim(2).unwrap(), ClaimOutcome::Claimed);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The race a sharded worker hits: its lookup misses, a peer then
+    /// publishes (releasing the claim file), and its claim succeeds.  The
+    /// re-check must answer with the peer's result and leave no claim.
+    #[test]
+    fn a_claim_on_a_point_a_peer_just_published_is_released() {
+        let config = SweepConfig::tiny();
+        let root = temp_root("recheck");
+        let a = SweepLedger::open(&config, Some(&root)).unwrap();
+        let b = SweepLedger::open(&config, Some(&root)).unwrap();
+        assert!(b.result(4).is_none());
+        a.publish(4, synthetic_result(4));
+        match b.claim_unpublished(4).unwrap() {
+            PointClaim::Published(result) => assert_eq!(result.index, 4),
+            PointClaim::Unpublished(outcome) => {
+                panic!("a published point must not be claimed: {outcome:?}")
+            }
+        }
+        let claim_file = root.join("sweep-claims").join(b.sweep()).join("4.claim");
+        assert!(!claim_file.exists(), "the re-check releases the claim");
+        // An unpublished point is claimed as before.
+        assert!(matches!(
+            b.claim_unpublished(5).unwrap(),
+            PointClaim::Unpublished(ClaimOutcome::Claimed)
+        ));
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -48,7 +48,7 @@ pub use eval::{
     build_portfolio, evaluate_point_factored, global_eval_engine, profile_reuse_total, EvalEngine,
     ModelOutcome, PointResult,
 };
-pub use ledger::SweepLedger;
+pub use ledger::{PointClaim, SweepLedger};
 pub use menu::{menu_rows, MenuRow};
 pub use run::{
     assemble_report, run_sharded, run_sharded_with, run_with_progress, run_with_progress_opts,

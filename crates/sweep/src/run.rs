@@ -4,8 +4,9 @@
 //! Every worker runs the same loop over the full candidate enumeration:
 //! *look up, else claim, else wait*.  A point already in the shared store
 //! is taken as-is (warm restarts and other workers' results are
-//! indistinguishable); an unclaimed point is claimed, evaluated and
-//! published; a point held by a live peer is left alone and re-checked on
+//! indistinguishable); an unclaimed point is claimed, looked up once more
+//! (a peer may publish it between the lookup and the claim), evaluated
+//! and published; a point held by a live peer is left alone and re-checked on
 //! the next pass — unless the claim has expired, in which case it is
 //! stolen.  The loop ends when every point has a result, so any number of
 //! workers over one store root converge on one complete result set, and
@@ -14,7 +15,7 @@
 
 use crate::config::{SweepConfig, SWEEP_SCHEMA_VERSION};
 use crate::eval::{build_portfolio, evaluate_point_factored, PointResult, PortfolioModel};
-use crate::ledger::SweepLedger;
+use crate::ledger::{PointClaim, SweepLedger};
 use crate::space::{enumerate, CandidatePoint};
 use bitwave_core::pareto::{Direction, FrontAccumulator};
 use serde::{Deserialize, Serialize};
@@ -205,31 +206,34 @@ fn run_loop(
         let mut next = Vec::with_capacity(pending.len());
         let mut owned: Vec<&CandidatePoint> = Vec::with_capacity(batch_cap);
         for point in pending {
-            if let Some(result) = ledger.result(point.index) {
-                stats.reused += 1;
-                on_result(&result);
-                continue;
-            }
-            let outcome = ledger.claim(point.index)?;
-            if outcome.owned() {
-                if outcome == bitwave_store::ClaimOutcome::Stolen {
-                    stats.stolen += 1;
+            let claim = match ledger.result(point.index) {
+                Some(result) => PointClaim::Published(result),
+                None => ledger.claim_unpublished(point.index)?,
+            };
+            match claim {
+                PointClaim::Published(result) => {
+                    stats.reused += 1;
+                    on_result(&result);
                 }
-                owned.push(point);
-                if owned.len() == batch_cap {
-                    flush_batch(
-                        &owned,
-                        config,
-                        ledger,
-                        &mut portfolio,
-                        opts,
-                        &mut stats,
-                        &mut on_result,
-                    )?;
-                    owned.clear();
+                PointClaim::Unpublished(outcome) if outcome.owned() => {
+                    if outcome == bitwave_store::ClaimOutcome::Stolen {
+                        stats.stolen += 1;
+                    }
+                    owned.push(point);
+                    if owned.len() == batch_cap {
+                        flush_batch(
+                            &owned,
+                            config,
+                            ledger,
+                            &mut portfolio,
+                            opts,
+                            &mut stats,
+                            &mut on_result,
+                        )?;
+                        owned.clear();
+                    }
                 }
-            } else {
-                next.push(point);
+                PointClaim::Unpublished(_) => next.push(point),
             }
         }
         if !owned.is_empty() {
