@@ -7,7 +7,8 @@
 //! 1. restarting the evaluation service against the same `--store-root` and
 //!    re-issuing an evaluation is ≥ 10× faster than the cold run — the
 //!    response replays from the disk tier (`X-Bitwave-Cache: disk`) with
-//!    byte-identical JSON and zero weight regenerations;
+//!    byte-identical JSON and zero weight regenerations (medians of five
+//!    restart/re-evaluate rounds);
 //! 2. a memory-tier hit is ≥ 10× faster than a disk-tier hit on a
 //!    report-sized entry — promoting an entry into memory must matter;
 //! 3. the disk tier's word-parallel payload checksum is ≥ 4× faster than
@@ -24,7 +25,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The `BENCH_store.json` trajectory record, matching the
 /// `BENCH_dse.json`/`BENCH_dram.json` convention.
@@ -45,6 +46,9 @@ struct StoreBenchReport {
     available_cores: usize,
 }
 
+/// Restart/re-evaluate rounds behind gate 1's medians.
+const WARM_RESTART_ROUNDS: usize = 5;
+
 const EVALUATE_BODY: &str = r#"{"model":"resnet18","accelerator":"bitwave","sample_cap":8000}"#;
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -63,15 +67,10 @@ fn persistent_server(root: &std::path::Path) -> ServerHandle {
     .expect("persistent server starts")
 }
 
-/// Gate 1: warm-restart evaluate ≥ 10× faster than cold, byte-identical,
-/// served from the disk tier.
-fn assert_warm_restart_gate(root: &std::path::Path) -> (f64, f64, f64) {
-    const TARGET: f64 = 10.0;
-    print_header(
-        "store_warm_restart",
-        "evaluate after a service restart replays from disk (>=10x gate)",
-    );
-
+/// One cold evaluate on a fresh root, then one evaluate after a restart over
+/// the same root, served from the disk tier byte-identically.  Returns the
+/// two latencies.
+fn warm_restart_round(root: &std::path::Path) -> (Duration, Duration) {
     let first = persistent_server(root);
     let mut client = Client::new(first.local_addr());
     let t0 = Instant::now();
@@ -108,21 +107,48 @@ fn assert_warm_restart_gate(root: &std::path::Path) -> (f64, f64, f64) {
     );
     drop(client);
     second.shutdown();
+    (cold_elapsed, warm_elapsed)
+}
 
-    let ratio = cold_elapsed.as_secs_f64() / warm_elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
+/// Gate 1: warm-restart evaluate ≥ 10× faster than cold, byte-identical,
+/// served from the disk tier.  The cold evaluate takes only a few
+/// milliseconds, so one slow request would decide a single-round ratio; the
+/// gate compares the medians of [`WARM_RESTART_ROUNDS`] rounds instead.
+fn assert_warm_restart_gate() -> (f64, f64, f64) {
+    const TARGET: f64 = 10.0;
+    print_header(
+        "store_warm_restart",
+        "evaluate after a service restart replays from disk (>=10x gate)",
+    );
+
+    let (mut colds, mut warms): (Vec<f64>, Vec<f64>) = (0..WARM_RESTART_ROUNDS)
+        .map(|round| {
+            let root = temp_root(&format!("restart-{round}"));
+            let (cold, warm) = warm_restart_round(&root);
+            let _ = std::fs::remove_dir_all(&root);
+            println!("round {round}: cold evaluate {cold:?}   warm-restart evaluate {warm:?}");
+            (cold.as_secs_f64() * 1e3, warm.as_secs_f64() * 1e3)
+        })
+        .unzip();
+    let (cold_ms, warm_ms) = (median(&mut colds), median(&mut warms));
+    let ratio = cold_ms / warm_ms.max(f64::MIN_POSITIVE);
     println!(
-        "cold evaluate: {cold_elapsed:?}   warm-restart evaluate: {warm_elapsed:?}   \
-         ratio: {ratio:.1}x   (target: >={TARGET}x)"
+        "median of {WARM_RESTART_ROUNDS} rounds: cold {cold_ms:.3} ms   warm-restart \
+         {warm_ms:.3} ms   ratio: {ratio:.1}x   (target: >={TARGET}x)"
     );
     assert!(
         ratio >= TARGET,
-        "warm-restart evaluate ({warm_elapsed:?}) must be >={TARGET}x faster than cold ({cold_elapsed:?})"
+        "median warm-restart evaluate ({warm_ms:.3} ms) must be >={TARGET}x faster than \
+         the median cold one ({cold_ms:.3} ms)"
     );
-    (
-        cold_elapsed.as_secs_f64() * 1e3,
-        warm_elapsed.as_secs_f64() * 1e3,
-        ratio,
-    )
+    (cold_ms, warm_ms, ratio)
+}
+
+/// The median of `samples` (the upper one of the middle pair for an even
+/// count).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Gate 2: memory-tier hit ≥ 10× faster than disk-tier hit on a
@@ -230,10 +256,8 @@ fn assert_checksum_gate() -> (f64, f64, f64) {
 }
 
 fn bench(c: &mut Criterion) {
-    let restart_root = temp_root("restart");
     let (warm_restart_cold_ms, warm_restart_warm_ms, warm_restart_speedup) =
-        assert_warm_restart_gate(&restart_root);
-    let _ = std::fs::remove_dir_all(&restart_root);
+        assert_warm_restart_gate();
 
     let tier_root = temp_root("tiers");
     let (store, key, (disk_hit_us, memory_hit_us, tier_speedup)) =

@@ -9,10 +9,16 @@
 use crate::context::ExperimentContext;
 use crate::error::Result;
 use crate::pipeline::{ModelReport, Pipeline};
+use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::spec::{AcceleratorSpec, BitwaveOptimizations};
+use bitwave_accel::LayerSparsityProfile;
+use bitwave_core::group::GroupSize;
+use bitwave_dataflow::su::bitwave_su;
+use bitwave_dataflow::MappingDecision;
+use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::{all_networks, NetworkSpec};
-use bitwave_sim::engine::EngineConfig;
-use bitwave_sim::validate::{validate_layer, ValidationReport};
+use bitwave_sim::engine::{BitwaveEngine, EngineConfig};
+use bitwave_sim::validate::ValidationReport;
 use bitwave_tensor::prelude::*;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -215,22 +221,51 @@ pub fn fig16_energy_breakdown(ctx: &ExperimentContext) -> Result<Vec<Fig16Row>> 
         .collect()
 }
 
-/// Section V-B validation: the analytical model against the cycle-level
-/// simulator on a representative matmul workload.
+/// Section V-B validation: the production Eq. 1–5 model (the one the
+/// pipeline, the DSE and the sweep price with) against the cycle-level
+/// simulator on a representative matmul workload under SU1.
 ///
 /// # Errors
 ///
-/// Propagates quantisation and simulator errors.
+/// Propagates quantisation, grouping and simulator errors.
 pub fn validation_model_vs_simulator(ctx: &ExperimentContext) -> Result<ValidationReport> {
+    let (rows, out_features, in_features) = (32, 64, 256);
     let gen = WeightGenerator::new(WeightDistribution::Laplacian { scale: 0.02 }, ctx.seed);
-    let weights = quantize_per_tensor(&gen.generate(Shape::d2(64, 256)), 8)?;
+    let weights = quantize_per_tensor(&gen.generate(Shape::d2(out_features, in_features)), 8)?;
     let acts = ActivationGenerator::new(
         bitwave_tensor::synth::ActivationKind::Relu { std: 1.0 },
         ctx.seed ^ 1,
     )
-    .generate(Shape::d2(32, 256));
+    .generate(Shape::d2(rows, in_features));
     let acts = quantize_per_tensor(&acts, 8)?;
-    Ok(validate_layer(&acts, &weights, EngineConfig::su1())?)
+    let (_, stats) = BitwaveEngine::new(EngineConfig::su1()).run_matmul(&acts, &weights)?;
+
+    // SU1's `Cu = 8` lanes are the group size the engine streams.
+    let su = bitwave_su::SU1;
+    let layer = LayerSpec::linear("validation", in_features, out_features, rows, 1.0);
+    let utilization = su.utilization(&layer.dims);
+    let decision = MappingDecision {
+        layer: layer.name.clone(),
+        su,
+        label: su.name.to_string(),
+        temporal: None,
+        utilization,
+        effective_macs_per_cycle: su.parallelism() as f64 * utilization,
+    };
+    let profile = LayerSparsityProfile::from_weights(&weights, 0.0, GroupSize::G8)?;
+    let priced = evaluate_layer_with_mapping(
+        &AcceleratorSpec::bitwave(BitwaveOptimizations::all()),
+        &layer,
+        &decision,
+        &profile,
+        &ctx.memory,
+        &ctx.energy,
+    );
+    Ok(ValidationReport::new(
+        &stats,
+        priced.compute_cycles,
+        profile.bcs_compression_ratio,
+    ))
 }
 
 #[cfg(test)]

@@ -89,18 +89,17 @@ pub struct Pipeline {
     ctx: ExperimentContext,
     accelerator: AcceleratorSpec,
     strategy: FlipStrategy,
-    encoding: Encoding,
 }
 
 impl Pipeline {
     /// Creates a pipeline targeting the fully optimised BitWave accelerator
-    /// with no Bit-Flip (lossless) and sign-magnitude encoding.
+    /// with no Bit-Flip (lossless).  The stages always compress and flip in
+    /// sign-magnitude, the encoding the BitWave hardware uses.
     pub fn new(ctx: ExperimentContext) -> Self {
         Self {
             ctx,
             accelerator: AcceleratorSpec::bitwave(BitwaveOptimizations::all()),
             strategy: FlipStrategy::new(),
-            encoding: Encoding::SignMagnitude,
         }
     }
 
@@ -120,13 +119,6 @@ impl Pipeline {
     /// (builder style).
     pub fn with_default_bitflip(mut self, spec: &NetworkSpec) -> Self {
         self.strategy = self.ctx.default_bitflip_strategy(spec);
-        self
-    }
-
-    /// Overrides the bit encoding (builder style); the default sign-magnitude
-    /// encoding is what the BitWave hardware uses.
-    pub fn with_encoding(mut self, encoding: Encoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -169,8 +161,8 @@ impl Pipeline {
     ///
     /// Propagates the first stage error.
     pub fn run_job(&self, job: LayerJob) -> Result<LayerReport> {
-        let compressed = CompressStage::new(self.encoding).run(job)?;
-        let flipped = BitFlipStage::new(self.encoding).run(compressed)?;
+        let compressed = CompressStage::new(Encoding::SignMagnitude).run(job)?;
+        let flipped = BitFlipStage::new(Encoding::SignMagnitude).run(compressed)?;
         let mapped = self.map_stage().run(flipped)?;
         SimulateStage::new(self.accelerator.clone(), self.ctx.memory, self.ctx.energy).run(mapped)
     }
@@ -219,8 +211,8 @@ impl Pipeline {
         spec: &NetworkSpec,
         weights: &NetworkWeights,
     ) -> Result<Vec<FlippedLayer>> {
-        let compress = CompressStage::new(self.encoding);
-        let flip = BitFlipStage::new(self.encoding);
+        let compress = CompressStage::new(Encoding::SignMagnitude);
+        let flip = BitFlipStage::new(Encoding::SignMagnitude);
         self.jobs_with_weights(spec, weights)?
             .into_iter()
             .map(|job| flip.run(compress.run(job)?))

@@ -55,11 +55,6 @@ impl NetworkSpec {
         self.layers.iter().map(LayerSpec::weight_count).sum()
     }
 
-    /// Parameter size in MB at Int8 (1 byte per weight).
-    pub fn weight_megabytes(&self) -> f64 {
-        self.total_weights() as f64 / 1e6
-    }
-
     /// Looks a layer up by name.
     pub fn layer(&self, name: &str) -> Option<&LayerSpec> {
         self.layers.iter().find(|l| l.name == name)

@@ -73,15 +73,14 @@ pub struct AccuracyProxy {
     /// `(layer name, sensitivity, weight share)` rows.
     layer_profile: Vec<(String, f64, f64)>,
     baseline: NetworkWeights,
-    gain: f64,
 }
 
 impl AccuracyProxy {
-    /// Default perturbation-to-quality gain.  Calibrated so that flipping the
+    /// The perturbation-to-quality gain.  Calibrated so that flipping the
     /// weight-heavy layers of the CNNs to 4–7 zero columns costs well under
     /// one accuracy point (the paper's operating regime), while aggressive
     /// uniform PTQ costs several points.
-    pub const DEFAULT_GAIN: f64 = 0.2;
+    pub const GAIN: f64 = 0.2;
 
     /// Creates a proxy from a network specification and its baseline
     /// (unmodified) weights.
@@ -104,14 +103,7 @@ impl AccuracyProxy {
             baseline_quality: spec.baseline_quality,
             layer_profile,
             baseline,
-            gain: Self::DEFAULT_GAIN,
         }
-    }
-
-    /// Overrides the perturbation-to-quality gain (builder style).
-    pub fn with_gain(mut self, gain: f64) -> Self {
-        self.gain = gain;
-        self
     }
 
     /// The metric this proxy reports.
@@ -132,12 +124,7 @@ impl AccuracyProxy {
     /// Estimated quality of a modified weight set.
     pub fn quality_of(&self, modified: &NetworkWeights) -> f64 {
         let perturbation = self.weighted_perturbation(modified);
-        (self.baseline_quality - self.gain * self.metric.range() * perturbation).max(0.0)
-    }
-
-    /// Estimated quality drop (baseline − modified), in metric units.
-    pub fn quality_drop_of(&self, modified: &NetworkWeights) -> f64 {
-        self.baseline_quality - self.quality_of(modified)
+        (self.baseline_quality - Self::GAIN * self.metric.range() * perturbation).max(0.0)
     }
 
     /// Estimated quality after applying a Bit-Flip strategy to the baseline
@@ -331,18 +318,6 @@ mod tests {
         assert_eq!(proxy.metric(), QualityMetric::F1);
         assert_eq!(proxy.network(), "Bert-Base");
         assert!((proxy.baseline_quality() - 88.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gain_scales_the_drop() {
-        let spec = resnet18();
-        let weights = NetworkWeights::generate_sampled(&spec, 11, 4_000);
-        let proxy_low = AccuracyProxy::new(&spec, weights.clone()).with_gain(0.1);
-        let proxy_high = AccuracyProxy::new(&spec, weights).with_gain(0.4);
-        let ptq_low = proxy_low.baseline_quality() - proxy_low.quality_of_ptq(3, None);
-        let ptq_high = proxy_high.baseline_quality() - proxy_high.quality_of_ptq(3, None);
-        assert!(ptq_high > ptq_low);
-        assert!((ptq_high / ptq_low - 4.0).abs() < 0.2);
     }
 
     #[test]

@@ -14,9 +14,7 @@ use crate::layer::LayerSpec;
 use crate::models::NetworkSpec;
 use bitwave_core::bitflip::flip_tensor;
 use bitwave_core::error::CoreError;
-use bitwave_core::group::GroupSize;
 use bitwave_core::prelude::FlipStrategy;
-use bitwave_core::stats::LayerSparsityStats;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::prelude::*;
 use rayon::prelude::*;
@@ -148,21 +146,6 @@ impl NetworkWeights {
         self.layers.is_empty()
     }
 
-    /// Per-layer sparsity statistics at the given group size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates grouping errors from the statistics analysis.
-    pub fn sparsity_stats(
-        &self,
-        group_size: GroupSize,
-    ) -> Result<Vec<(String, LayerSparsityStats)>, CoreError> {
-        self.layers
-            .iter()
-            .map(|(name, t)| Ok((name.clone(), LayerSparsityStats::analyze(t, group_size)?)))
-            .collect()
-    }
-
     /// Applies a Bit-Flip strategy, returning the flipped weights.  Layers
     /// not mentioned by the strategy are left untouched.  For each layer the
     /// strategy's best (group size, zero columns) entry is applied, matching
@@ -230,8 +213,9 @@ impl NetworkWeights {
 mod tests {
     use super::*;
     use crate::models::{bert_base, resnet18};
-    use bitwave_core::group::extract_groups;
+    use bitwave_core::group::{extract_groups, GroupSize};
     use bitwave_core::prelude::zero_column_count;
+    use bitwave_core::stats::LayerSparsityStats;
 
     #[test]
     fn generation_is_deterministic_and_layer_dependent() {

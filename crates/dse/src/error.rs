@@ -6,7 +6,6 @@
 
 use bitwave_core::error::CoreError;
 use bitwave_dataflow::mapping::MappingError;
-use bitwave_sim::error::SimError;
 use std::fmt;
 
 /// Errors produced while exploring a layer's mapping space.
@@ -24,11 +23,6 @@ pub enum DseError {
         /// The propagated core error.
         CoreError,
     ),
-    /// The cycle-level validation engine rejected the workload.
-    Sim(
-        /// The propagated simulator error.
-        SimError,
-    ),
     /// The search space produced no candidates for a layer.
     EmptySpace {
         /// The offending layer name.
@@ -41,12 +35,6 @@ pub enum DseError {
         /// Number of profiles.
         profiles: usize,
     },
-    /// A mapping cannot be lowered onto the cycle-level BCE engine (e.g.
-    /// depthwise `Gu` unrolling or a `Cu` beyond the BCE lane range).
-    UnliftableMapping {
-        /// Label of the offending mapping.
-        label: String,
-    },
 }
 
 impl fmt::Display for DseError {
@@ -54,7 +42,6 @@ impl fmt::Display for DseError {
         match self {
             DseError::Mapping(e) => write!(f, "mapping error: {e}"),
             DseError::Core(e) => write!(f, "core error: {e}"),
-            DseError::Sim(e) => write!(f, "simulator error: {e}"),
             DseError::EmptySpace { layer } => {
                 write!(f, "search space has no candidates for layer `{layer}`")
             }
@@ -62,12 +49,6 @@ impl fmt::Display for DseError {
                 write!(
                     f,
                     "network search needs one profile per layer ({layers} layers, {profiles} profiles)"
-                )
-            }
-            DseError::UnliftableMapping { label } => {
-                write!(
-                    f,
-                    "mapping `{label}` cannot be lowered onto the cycle-level BCE engine"
                 )
             }
         }
@@ -79,7 +60,6 @@ impl std::error::Error for DseError {
         match self {
             DseError::Mapping(e) => Some(e),
             DseError::Core(e) => Some(e),
-            DseError::Sim(e) => Some(e),
             _ => None,
         }
     }
@@ -94,12 +74,6 @@ impl From<MappingError> for DseError {
 impl From<CoreError> for DseError {
     fn from(e: CoreError) -> Self {
         DseError::Core(e)
-    }
-}
-
-impl From<SimError> for DseError {
-    fn from(e: SimError) -> Self {
-        DseError::Sim(e)
     }
 }
 
@@ -134,9 +108,5 @@ mod tests {
             profiles: 2,
         };
         assert!(e.to_string().contains("3 layers"));
-        let e = DseError::UnliftableMapping {
-            label: "SU7".to_string(),
-        };
-        assert!(e.to_string().contains("SU7"));
     }
 }

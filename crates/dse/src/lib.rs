@@ -30,8 +30,13 @@
 //!   cycles/energy/EDP/utilisation Pareto front (`bitwave_core::pareto`),
 //!   and deterministic rayon fan-out (parallel ≡ sequential, bit-identical).
 //!   Each result carries a content digest of its search inputs.
-//! * [`refine`] — cycle-level cross-validation of searched mappings on the
-//!   `bitwave-sim` BCE array.
+//!
+//! The Eq. 1–5 model every candidate is priced with is held to the
+//! cycle-level BCE engine of `bitwave-sim` by this crate's
+//! `tests/engine_agreement.rs`: `Cu × OXu × Ku` mappings lowered onto the
+//! engine, linear and convolutional layers, within the paper's 6 % bound
+//! (Section V-B) wherever the model's 8-group synchronisation describes the
+//! engine; the test documents and bounds the known deviations.
 //!
 //! # Example
 //!
@@ -67,7 +72,6 @@
 pub mod cost;
 pub mod error;
 pub mod factored;
-pub mod refine;
 pub mod search;
 pub mod space;
 
@@ -76,7 +80,6 @@ pub use error::{DseError, Result};
 pub use factored::{
     factor_network, factored_repriced_total, FactoredNetworkSearch, SearchedTotals,
 };
-pub use refine::{engine_config_for, validate_mapping};
 pub use search::{DseEngine, LayerSearchResult, NetworkSearch, SearchedLayer, DSE_SCHEMA_VERSION};
 pub use space::{space_reuse_total, Candidate, SearchSpace};
 

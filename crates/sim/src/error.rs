@@ -6,11 +6,10 @@
 
 use crate::bce::BCE_LANES;
 use crate::engine::EngineConfig;
-use bitwave_core::error::CoreError;
 use bitwave_tensor::TensorError;
 use std::fmt;
 
-/// Errors produced by the simulator and its validation harness.
+/// Errors produced by the cycle-level simulator.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SimError {
@@ -18,11 +17,6 @@ pub enum SimError {
     Tensor(
         /// The propagated tensor error.
         TensorError,
-    ),
-    /// An underlying grouping/compression error.
-    Core(
-        /// The propagated core error.
-        CoreError,
     ),
     /// The engine configuration cannot run on the BCE array: a zero `ku`,
     /// `mu` or `sync_kernels`, or a lane count outside
@@ -47,7 +41,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Tensor(e) => write!(f, "tensor error: {e}"),
-            SimError::Core(e) => write!(f, "core error: {e}"),
             SimError::InvalidConfig(c) => write!(
                 f,
                 "engine config ku={} mu={} lanes={} sync_kernels={} needs non-zero \
@@ -70,7 +63,6 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Tensor(e) => Some(e),
-            SimError::Core(e) => Some(e),
             _ => None,
         }
     }
@@ -79,12 +71,6 @@ impl std::error::Error for SimError {
 impl From<TensorError> for SimError {
     fn from(e: TensorError) -> Self {
         SimError::Tensor(e)
-    }
-}
-
-impl From<CoreError> for SimError {
-    fn from(e: CoreError) -> Self {
-        SimError::Core(e)
     }
 }
 
@@ -120,8 +106,6 @@ mod tests {
         let e = SimError::from(TensorError::Empty);
         assert!(e.to_string().contains("tensor error"));
         assert!(e.source().is_some());
-        let e = SimError::from(CoreError::UnsupportedRank(3));
-        assert!(e.to_string().contains("core error"));
         let e = SimError::ReferenceMismatch {
             index: 4,
             simulated: -1,

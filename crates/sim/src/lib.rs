@@ -16,8 +16,12 @@
 //!   whole layer (lowered to a matrix multiplication) from BCS-compressed
 //!   weights under a Table-I spatial unrolling, producing both the functional
 //!   result and cycle/access statistics.
-//! * [`validate`] — the model-vs-simulator validation the paper uses to trust
-//!   its analytical results ("a deviation of less than 6 %").
+//! * [`validate`] — the report of the model-vs-simulator validation the paper
+//!   uses to trust its analytical results ("a deviation of less than 6 %"):
+//!   engine statistics against cycles and a compression ratio the caller
+//!   priced with `bitwave-accel`.  The crate holds no analytical model; the
+//!   production model is held to the engine by `bitwave-dse`'s
+//!   `engine_agreement` test.
 //!
 //! The simulator's outputs are checked bit-exactly against the Int8 reference
 //! kernels of `bitwave-dnn`, which is the strongest functional argument that
@@ -36,7 +40,7 @@ pub mod zcip;
 pub use bce::BitColumnEngine;
 pub use engine::{BitwaveEngine, EngineConfig, SimStats};
 pub use error::SimError;
-pub use validate::{validate_layer, ValidationReport};
+pub use validate::ValidationReport;
 pub use zcip::ZeroColumnIndexParser;
 
 /// Convenience re-exports.
@@ -44,6 +48,6 @@ pub mod prelude {
     pub use crate::bce::BitColumnEngine;
     pub use crate::engine::{BitwaveEngine, EngineConfig, SimStats};
     pub use crate::error::SimError;
-    pub use crate::validate::{validate_layer, ValidationReport};
+    pub use crate::validate::ValidationReport;
     pub use crate::zcip::ZeroColumnIndexParser;
 }

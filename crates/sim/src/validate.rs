@@ -3,15 +3,14 @@
 //! a deviation of less than 6 %").
 //!
 //! We do not have the authors' RTL, but the same validation role is played by
-//! the cycle-level engine of this crate: for a given workload and weight
-//! tensor, the analytical compute-cycle estimate of `bitwave-accel` (Eq. 2
-//! with the imbalance-adjusted column count) is compared against the cycles
-//! the simulated array actually takes.
+//! the cycle-level engine of this crate.  The caller prices a layer with the
+//! production Eq. 1–5 model (`bitwave-accel`'s `evaluate_layer_with_mapping`)
+//! and runs the same workload on the engine; a [`ValidationReport`] compares
+//! the two.  This crate holds no model of its own: the engine is the only
+//! source of the simulated numbers, the caller the only source of the priced
+//! ones.
 
-use crate::engine::{BitwaveEngine, EngineConfig, SimStats};
-use crate::error::SimError;
-use bitwave_core::group::GroupSize;
-use bitwave_tensor::{QuantTensor, Shape};
+use crate::engine::SimStats;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one validation run.
@@ -30,143 +29,30 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
+    /// Compares the engine's `stats` with the caller's priced compute cycles
+    /// and BCS compression ratio for the same workload.
+    pub fn new(stats: &SimStats, model_cycles: f64, model_compression_ratio: f64) -> Self {
+        let sim = stats.compute_cycles as f64;
+        let deviation = if sim == 0.0 {
+            if model_cycles == 0.0 {
+                0.0
+            } else {
+                1.0
+            }
+        } else {
+            (sim - model_cycles).abs() / sim
+        };
+        Self {
+            simulated_cycles: stats.compute_cycles,
+            model_cycles,
+            deviation,
+            simulated_compression_ratio: stats.weight_compression_ratio(),
+            model_compression_ratio,
+        }
+    }
+
     /// Whether the deviation is within the paper's reported 6 % bound.
     pub fn within_paper_bound(&self) -> bool {
         self.deviation < 0.06
-    }
-}
-
-/// Validates the analytical compute-cycle model against the cycle-level
-/// engine for one lowered matrix multiplication (`input: M×C`,
-/// `weights: K×C`).
-///
-/// # Errors
-///
-/// Propagates shape and grouping errors from the engine and the analytical
-/// model.
-pub fn validate_layer(
-    input: &QuantTensor,
-    weights: &QuantTensor,
-    config: EngineConfig,
-) -> Result<ValidationReport, SimError> {
-    let engine = BitwaveEngine::new(config);
-    let (_, stats) = engine.run_matmul(input, weights)?;
-    let model_cycles = analytical_compute_cycles(weights, input.shape(), config)?;
-    let model_cr = analytical_compression_ratio(weights, config)?;
-    Ok(report_from(&stats, model_cycles, model_cr))
-}
-
-fn report_from(stats: &SimStats, model_cycles: f64, model_cr: f64) -> ValidationReport {
-    let sim = stats.compute_cycles as f64;
-    let deviation = if sim == 0.0 {
-        if model_cycles == 0.0 {
-            0.0
-        } else {
-            1.0
-        }
-    } else {
-        (sim - model_cycles).abs() / sim
-    };
-    ValidationReport {
-        simulated_cycles: stats.compute_cycles,
-        model_cycles,
-        deviation,
-        simulated_compression_ratio: stats.weight_compression_ratio(),
-        model_compression_ratio: model_cr,
-    }
-}
-
-/// The Eq. 2 analytical estimate specialised to the engine's SU1-style
-/// arrangement: `macs × synced-columns / (lanes × utilisation)`.
-fn analytical_compute_cycles(
-    weights: &QuantTensor,
-    input_shape: Shape,
-    config: EngineConfig,
-) -> Result<f64, SimError> {
-    use bitwave_accel::sparsity::LayerSparsityProfile;
-    let profile =
-        LayerSparsityProfile::from_weights(weights, 0.0, GroupSize::from_len(config.lanes))?;
-    let m = input_shape.dim(0) as f64;
-    let k = weights.shape().dim(0) as f64;
-    let c = weights.shape().dim(1) as f64;
-    let macs = m * k * c;
-    let util_k = k / ((k / config.ku as f64).ceil() * config.ku as f64);
-    let util_m = m / ((m / config.mu as f64).ceil() * config.mu as f64);
-    let util_c = c / ((c / config.lanes as f64).ceil() * config.lanes as f64);
-    let lanes = (config.num_lanes() as f64) * util_k * util_m * util_c;
-    Ok(macs * profile.max_nonzero_columns_synced / lanes)
-}
-
-/// The analytical BCS compression ratio of the weights at the engine's group
-/// size.
-fn analytical_compression_ratio(
-    weights: &QuantTensor,
-    config: EngineConfig,
-) -> Result<f64, SimError> {
-    use bitwave_accel::sparsity::LayerSparsityProfile;
-    Ok(
-        LayerSparsityProfile::from_weights(weights, 0.0, GroupSize::from_len(config.lanes))?
-            .bcs_compression_ratio,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bitwave_tensor::prelude::*;
-
-    fn random_tensor(shape: Shape, seed: u64, spread: f64) -> QuantTensor {
-        let gen = WeightGenerator::new(WeightDistribution::Laplacian { scale: spread }, seed);
-        quantize_per_tensor(&gen.generate(shape), 8).unwrap()
-    }
-
-    #[test]
-    fn model_matches_simulator_within_paper_bound() {
-        // A well-formed workload (dimensions divisible by the SU) keeps the
-        // analytical model within the paper's 6 % of the simulator.
-        let input = random_tensor(Shape::d2(32, 128), 1, 1.0);
-        let weights = random_tensor(Shape::d2(64, 128), 2, 0.05);
-        let report = validate_layer(&input, &weights, EngineConfig::su1()).unwrap();
-        assert!(
-            report.within_paper_bound(),
-            "deviation {:.3} exceeds 6% (sim {}, model {:.1})",
-            report.deviation,
-            report.simulated_cycles,
-            report.model_cycles
-        );
-    }
-
-    #[test]
-    fn compression_ratio_estimates_agree() {
-        let input = random_tensor(Shape::d2(16, 256), 3, 1.0);
-        let weights = random_tensor(Shape::d2(32, 256), 4, 0.04);
-        let report = validate_layer(&input, &weights, EngineConfig::su1()).unwrap();
-        let rel = (report.simulated_compression_ratio - report.model_compression_ratio).abs()
-            / report.model_compression_ratio;
-        assert!(rel < 0.05, "compression ratios diverge by {rel:.3}");
-        assert!(report.simulated_compression_ratio > 1.0);
-    }
-
-    #[test]
-    fn ragged_dimensions_stay_reasonably_close() {
-        // Dimensions that do not divide the SU exercise the utilisation terms.
-        let input = random_tensor(Shape::d2(21, 100), 5, 1.0);
-        let weights = random_tensor(Shape::d2(50, 100), 6, 0.05);
-        let report = validate_layer(&input, &weights, EngineConfig::su1()).unwrap();
-        assert!(
-            report.deviation < 0.15,
-            "deviation {:.3} too large for ragged dims",
-            report.deviation
-        );
-    }
-
-    #[test]
-    fn dense_weights_validate_exactly() {
-        // Full-range weights: no skipping anywhere, both counts are exact.
-        let input = random_tensor(Shape::d2(16, 64), 7, 1.0);
-        let gen = WeightGenerator::new(WeightDistribution::Uniform { range: 1.0 }, 8);
-        let weights = quantize_per_tensor(&gen.generate(Shape::d2(32, 64)), 8).unwrap();
-        let report = validate_layer(&input, &weights, EngineConfig::su1()).unwrap();
-        assert!(report.deviation < 0.06, "deviation {:.3}", report.deviation);
     }
 }

@@ -42,13 +42,15 @@ pub trait StoreCodec: Send + Sync + 'static {
     fn encode(value: &Self::Value) -> Result<Vec<u8>, CodecError>;
 
     /// Decodes a value from bytes previously produced by
-    /// [`StoreCodec::encode`].
+    /// [`StoreCodec::encode`].  Takes the verified payload by value, so a
+    /// codec whose value owns its bytes (e.g. [`StringCodec`]) reuses the
+    /// buffer instead of copying it.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] for malformed bytes; the store treats this as
     /// a miss and quarantines the entry.
-    fn decode(bytes: &[u8]) -> Result<Self::Value, CodecError>;
+    fn decode(bytes: Vec<u8>) -> Result<Self::Value, CodecError>;
 
     /// Byte weight of a value for memory-tier accounting.  The default
     /// materializes the encoded form and measures it; codecs whose encoded
@@ -61,7 +63,8 @@ pub trait StoreCodec: Send + Sync + 'static {
 
 /// Identity codec for already-serialized string payloads (e.g. the serve
 /// tier's JSON response bodies): encode is a byte copy, decode validates
-/// UTF-8.  Replays are trivially byte-identical.
+/// UTF-8 in place and keeps the payload buffer.  Replays are trivially
+/// byte-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StringCodec;
 
@@ -72,10 +75,9 @@ impl StoreCodec for StringCodec {
         Ok(value.as_bytes().to_vec())
     }
 
-    fn decode(bytes: &[u8]) -> Result<String, CodecError> {
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|e| CodecError::new(format!("invalid UTF-8 payload: {e}")))
+    fn decode(bytes: Vec<u8>) -> Result<String, CodecError> {
+        String::from_utf8(bytes)
+            .map_err(|e| CodecError::new(format!("invalid UTF-8 payload: {}", e.utf8_error())))
     }
 
     fn byte_weight(value: &String) -> u64 {
@@ -102,8 +104,8 @@ where
             .map_err(|e| CodecError::new(e.to_string()))
     }
 
-    fn decode(bytes: &[u8]) -> Result<T, CodecError> {
-        let text = std::str::from_utf8(bytes)
+    fn decode(bytes: Vec<u8>) -> Result<T, CodecError> {
+        let text = std::str::from_utf8(&bytes)
             .map_err(|e| CodecError::new(format!("invalid UTF-8: {e}")))?;
         serde_json::from_str(text).map_err(|e| CodecError::new(e.to_string()))
     }
@@ -116,8 +118,8 @@ mod tests {
     #[test]
     fn string_codec_roundtrips_and_rejects_bad_utf8() {
         let encoded = StringCodec::encode(&"{\"a\":1}".to_string()).unwrap();
-        assert_eq!(StringCodec::decode(&encoded).unwrap(), "{\"a\":1}");
-        assert!(StringCodec::decode(&[0xff, 0xfe]).is_err());
+        assert_eq!(StringCodec::decode(encoded).unwrap(), "{\"a\":1}");
+        assert!(StringCodec::decode(vec![0xff, 0xfe]).is_err());
     }
 
     #[derive(Debug, PartialEq, Serialize, Deserialize)]
@@ -135,13 +137,13 @@ mod tests {
             count: 21,
         };
         let encoded = JsonCodec::<Probe>::encode(&probe).unwrap();
-        let decoded = JsonCodec::<Probe>::decode(&encoded).unwrap();
+        let decoded = JsonCodec::<Probe>::decode(encoded.clone()).unwrap();
         assert_eq!(decoded, probe);
         let re_encoded = JsonCodec::<Probe>::encode(&decoded).unwrap();
         assert_eq!(
             re_encoded, encoded,
             "decoded values must replay byte-identically"
         );
-        assert!(JsonCodec::<Probe>::decode(b"{not json").is_err());
+        assert!(JsonCodec::<Probe>::decode(b"{not json".to_vec()).is_err());
     }
 }

@@ -131,14 +131,17 @@ impl<C: StoreCodec> TieredStore<C> {
     fn disk_read(&self, key: Digest) -> Option<(C::Value, u64)> {
         let disk = self.disk.as_ref()?;
         match disk.read(key) {
-            Ok(payload) => match C::decode(&payload) {
-                Ok(value) => Some((value, payload.len() as u64)),
-                Err(_) => {
-                    disk.quarantine(key);
-                    StoreStats::bump(&self.stats.quarantined);
-                    None
+            Ok(payload) => {
+                let len = payload.len() as u64;
+                match C::decode(payload) {
+                    Ok(value) => Some((value, len)),
+                    Err(_) => {
+                        disk.quarantine(key);
+                        StoreStats::bump(&self.stats.quarantined);
+                        None
+                    }
                 }
-            },
+            }
             Err(DiskMiss::Absent) => None,
             Err(DiskMiss::Quarantined) => {
                 StoreStats::bump(&self.stats.quarantined);
@@ -489,6 +492,22 @@ mod tests {
             .get_or_compute(key("z"), || panic!("rewritten"), |e: String| e)
             .unwrap();
         assert_eq!(outcome, StoreOutcome::Disk);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_verified_payload_that_fails_to_decode_is_quarantined() {
+        let root = temp_root("undecodable");
+        let config = StoreConfig::default().with_root(&root);
+        let store = TieredStore::<StringCodec>::new("op", &config).unwrap();
+        // A well-formed, checksummed entry whose payload is not UTF-8.
+        store.disk_write(key("u"), &[0xff, 0xfe]);
+        let (value, outcome) = store
+            .get_or_compute(key("u"), || Ok::<_, String>("fresh".to_string()), |e| e)
+            .unwrap();
+        assert_eq!(outcome, StoreOutcome::Miss);
+        assert_eq!(*value, "fresh");
+        assert_eq!(store.stats().quarantined(), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

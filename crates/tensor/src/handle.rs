@@ -30,24 +30,9 @@ impl WeightHandle {
         Self(Arc::new(tensor))
     }
 
-    /// Wraps an already shared tensor (no copy).
-    pub fn from_arc(tensor: Arc<QuantTensor>) -> Self {
-        Self(tensor)
-    }
-
     /// Borrow the underlying tensor.
     pub fn tensor(&self) -> &QuantTensor {
         &self.0
-    }
-
-    /// The shared allocation backing this handle.
-    pub fn as_arc(&self) -> &Arc<QuantTensor> {
-        &self.0
-    }
-
-    /// Number of live handles sharing this tensor (diagnostics/tests).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.0)
     }
 
     /// True when both handles point at the **same allocation** (not merely
@@ -109,7 +94,7 @@ mod tests {
         let c = h.clone();
         assert_eq!(copy_metrics::deep_copies(), before, "clone must not copy");
         assert!(h.shares_allocation_with(&c));
-        assert_eq!(h.handle_count(), 2);
+        assert_eq!(Arc::strong_count(&h.0), 2);
         assert_eq!(c.data(), h.data());
     }
 
@@ -128,6 +113,8 @@ mod tests {
         let b = WeightHandle::new(tensor());
         assert_eq!(a, b);
         assert!(!a.shares_allocation_with(&b));
+        let via_from: WeightHandle = tensor().into();
+        assert_eq!(via_from, a);
         let mut other = tensor();
         other.data_mut()[0] = 99;
         assert_ne!(a, WeightHandle::new(other));
@@ -146,14 +133,5 @@ mod tests {
         let t = h.into_tensor();
         assert_eq!(copy_metrics::deep_copies(), before + 1, "shared: one copy");
         assert_eq!(t.data(), keep_alive.data());
-    }
-
-    #[test]
-    fn from_arc_and_from_impl() {
-        let arc = Arc::new(tensor());
-        let h = WeightHandle::from_arc(Arc::clone(&arc));
-        assert!(Arc::ptr_eq(h.as_arc(), &arc));
-        let via_from: WeightHandle = tensor().into();
-        assert_eq!(via_from, h);
     }
 }

@@ -66,21 +66,9 @@ pub fn from_sign_magnitude(encoded: u8) -> i8 {
     }
 }
 
-/// Splits a value into `(sign, magnitude)` where `sign` is `true` for
-/// negative values.
-pub fn sign_and_magnitude(value: i8) -> (bool, u8) {
-    let sm = to_sign_magnitude(value);
-    (sm & SIGN_BIT != 0, sm & MAGNITUDE_MASK)
-}
-
 /// Encodes a slice of `i8` values into sign-magnitude bytes.
 pub fn encode_slice(values: &[i8]) -> Vec<u8> {
     values.iter().map(|&v| to_sign_magnitude(v)).collect()
-}
-
-/// Decodes a slice of sign-magnitude bytes back into `i8` values.
-pub fn decode_slice(encoded: &[u8]) -> Vec<i8> {
-    encoded.iter().map(|&b| from_sign_magnitude(b)).collect()
 }
 
 /// Number of `1` bits in the two's-complement representation of `value`.
@@ -155,7 +143,11 @@ mod tests {
     #[test]
     fn slice_roundtrip() {
         let values: Vec<i8> = vec![0, 1, -1, 64, -64, 127, -127, 3, -3];
-        assert_eq!(decode_slice(&encode_slice(&values)), values);
+        let decoded: Vec<i8> = encode_slice(&values)
+            .into_iter()
+            .map(from_sign_magnitude)
+            .collect();
+        assert_eq!(decoded, values);
     }
 
     #[test]
@@ -182,9 +174,9 @@ mod tests {
 
         #[test]
         fn sign_matches_value_sign(v in -127i8..=127) {
-            let (sign, magnitude) = sign_and_magnitude(v);
-            prop_assert_eq!(sign, v < 0);
-            prop_assert_eq!(magnitude as i16, (v as i16).abs());
+            let encoded = to_sign_magnitude(v);
+            prop_assert_eq!(encoded & SIGN_BIT != 0, v < 0);
+            prop_assert_eq!((encoded & MAGNITUDE_MASK) as i16, (v as i16).abs());
         }
 
         #[test]
