@@ -282,7 +282,7 @@ impl Tally {
 }
 
 #[test]
-fn the_lowering_accepts_cxk_shapes_one_bce_wide() {
+fn cxk_mappings_lower_onto_the_engine() {
     let su1 = engine_config(&bitwave_su::SU1).expect("SU1 lowers");
     assert_eq!(su1, EngineConfig::su1());
     let su4 = engine_config(&bitwave_su::SU4).expect("SU4 lowers");
@@ -290,6 +290,14 @@ fn the_lowering_accepts_cxk_shapes_one_bce_wide() {
         (su4.ku, su4.mu, su4.lanes, su4.sync_kernels),
         (128, 1, 8, 8)
     );
+    let narrow = engine_config(&SpatialUnrolling::cxk("DSE", 4, 2, 3)).unwrap();
+    assert_eq!(narrow.sync_kernels, 3, "a pass never syncs more than Ku");
+    let lowered: Vec<&str> = sus().iter().map(|su| su.name).collect();
+    assert_eq!(&lowered[..2], ["SU1", "SU4"]);
+}
+
+#[test]
+fn unliftable_mappings_are_refused() {
     // Table I's Cu = 16/32 shapes are wider than one BCE; SU7 unrolls Gu.
     for su in [
         bitwave_su::SU2,
@@ -300,8 +308,6 @@ fn the_lowering_accepts_cxk_shapes_one_bce_wide() {
     ] {
         assert_eq!(engine_config(&su), None, "{}", su.name);
     }
-    let narrow = engine_config(&SpatialUnrolling::cxk("DSE", 4, 2, 3)).unwrap();
-    assert_eq!(narrow.sync_kernels, 3, "a pass never syncs more than Ku");
     let base = SpatialUnrolling::cxk("DSE", 8, 4, 8);
     for refused in [
         SpatialUnrolling::cxk("DSE", 8, 4, 0),
@@ -314,8 +320,6 @@ fn the_lowering_accepts_cxk_shapes_one_bce_wide() {
     ] {
         assert_eq!(engine_config(&refused), None, "{refused:?}");
     }
-    let lowered: Vec<&str> = sus().iter().map(|su| su.name).collect();
-    assert_eq!(&lowered[..2], ["SU1", "SU4"]);
 }
 
 #[test]
@@ -375,36 +379,64 @@ fn conv_layers_agree_with_the_engine() {
     tally.print("conv");
 }
 
-/// The model-vs-simulator cases the simulator crate used to check against
-/// its own copy of Eq. 2, now against the production model on SU1.  Each
+/// Runs one of the model-vs-simulator cases the simulator crate used to
+/// check against its own copy of Eq. 2, now against the production model on
+/// SU1: a linear layer of `m` rows, `k` outputs and `c` inputs.  Each case
 /// stays within the paper's 6 % either way, the ragged one included.
-#[test]
-fn su1_validation_layers_agree_with_the_engine() {
-    let cases = [
-        ("32x64x128", 32, 64, 128, Spread::Laplacian, 2),
-        ("ragged 21x50x100", 21, 50, 100, Spread::Laplacian, 6),
-        ("compression 16x32x256", 16, 32, 256, Spread::Laplacian, 4),
-        ("uniform dense 16x32x64", 16, 32, 64, Spread::Uniform, 8),
-    ];
+fn su1_case(label: &str, (m, k, c): (usize, usize, usize), spread: Spread, seed: u64) {
+    let layer = LayerSpec::linear("fc", c, k, m, 1.0);
+    let w = spread.weights(layer.weight_shape(), seed);
+    let expected = if c % 8 == 0 {
+        Bound::Paper
+    } else {
+        Bound::OverPriceOnly
+    };
+    assert_eq!(
+        Bound::of(&layer, &bitwave_su::SU1, spread),
+        expected,
+        "{label}"
+    );
     let mut tally = Tally::default();
-    for (label, m, k, c, spread, seed) in cases {
-        let layer = LayerSpec::linear("fc", c, k, m, 1.0);
-        let w = spread.weights(layer.weight_shape(), seed);
-        let expected = if c % 8 == 0 {
-            Bound::Paper
-        } else {
-            Bound::OverPriceOnly
-        };
-        assert_eq!(
-            Bound::of(&layer, &bitwave_su::SU1, spread),
-            expected,
-            "{label}"
-        );
-        let deviation = tally.check(label, &layer, &bitwave_su::SU1, spread, &w);
-        assert!(
-            deviation.abs() < PAPER_BOUND,
-            "{label}: off by {deviation:+.4}"
-        );
-    }
-    tally.print("SU1 validation layers");
+    let deviation = tally.check(label, &layer, &bitwave_su::SU1, spread, &w);
+    assert!(
+        deviation.abs() < PAPER_BOUND,
+        "{label}: off by {deviation:+.4}"
+    );
+    tally.print(label);
+}
+
+#[test]
+fn model_matches_simulator_within_paper_bound() {
+    su1_case("SU1 32x64x128", (32, 64, 128), Spread::Laplacian, 2);
+}
+
+#[test]
+fn compression_ratio_estimates_agree() {
+    // The ratio itself is asserted exactly equal by `Tally::check`.
+    let layer = LayerSpec::linear("fc", 256, 32, 16, 1.0);
+    let w = Spread::Laplacian.weights(layer.weight_shape(), 4);
+    assert!(agreement(&layer, bitwave_su::SU1, &w).simulated_compression_ratio > 1.0);
+    su1_case(
+        "SU1 compression 16x32x256",
+        (16, 32, 256),
+        Spread::Laplacian,
+        4,
+    );
+}
+
+#[test]
+fn ragged_dimensions_stay_reasonably_close() {
+    // Dimensions that do not divide the SU exercise the utilisation terms.
+    su1_case("SU1 ragged 21x50x100", (21, 50, 100), Spread::Laplacian, 6);
+}
+
+#[test]
+fn dense_weights_validate_exactly() {
+    // Full-range uniform weights: almost no column can be skipped.
+    su1_case(
+        "SU1 uniform dense 16x32x64",
+        (16, 32, 64),
+        Spread::Uniform,
+        8,
+    );
 }

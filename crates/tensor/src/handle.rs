@@ -113,8 +113,6 @@ mod tests {
         let b = WeightHandle::new(tensor());
         assert_eq!(a, b);
         assert!(!a.shares_allocation_with(&b));
-        let via_from: WeightHandle = tensor().into();
-        assert_eq!(via_from, a);
         let mut other = tensor();
         other.data_mut()[0] = 99;
         assert_ne!(a, WeightHandle::new(other));
@@ -133,5 +131,16 @@ mod tests {
         let t = h.into_tensor();
         assert_eq!(copy_metrics::deep_copies(), before + 1, "shared: one copy");
         assert_eq!(t.data(), keep_alive.data());
+    }
+
+    #[test]
+    fn from_impl_wraps_without_copying() {
+        let _guard = copy_metrics::exclusive();
+        let t = tensor();
+        let before = copy_metrics::deep_copies();
+        let via_from: WeightHandle = t.into();
+        assert_eq!(copy_metrics::deep_copies(), before, "From must not copy");
+        assert_eq!(Arc::strong_count(&via_from.0), 1);
+        assert_eq!(via_from, WeightHandle::new(tensor()));
     }
 }
