@@ -8,9 +8,17 @@
 //! weight is the expected maximum over the group rather than the mean.  We
 //! compute those maxima directly from the (synthetic) weight tensors instead
 //! of assuming a distribution.
+//!
+//! Each accelerator reads only part of a profile.  BitWave reads the value,
+//! bit and column sparsity and the BCS ratio, all of which come off the
+//! counts the compress stage reduced while packing.  Two passes over the
+//! weights serve baselines only: the two's-complement bit counts (Pragmatic
+//! and Bitlet price their bit-serial cycles with them) and the ZRE/CSR
+//! ratios (SCNN).  A [`LayerAnalysis`] runs each lazily, the first time a
+//! machine that reads it is priced.
 
 use crate::spec::AcceleratorSpec;
-use bitwave_core::compress::{CsrCodec, WeightCodec, ZreCodec};
+use bitwave_core::compress::{BcsCodec, CsrCodec, WeightCodec, ZreCodec};
 use bitwave_core::error::CoreError;
 use bitwave_core::group::GroupSize;
 use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
@@ -64,11 +72,10 @@ pub struct LayerSparsityProfile {
 
 impl LayerSparsityProfile {
     /// Analyses a weight tensor (plus the layer's expected activation value
-    /// sparsity) at the given group size, including the eager ZRE/CSR
-    /// value-codec passes.  The single-analysis pipeline path instead builds
-    /// the profile from already-extracted parts
-    /// ([`LayerSparsityProfile::from_shared_parts`]) and defers the
-    /// value-codec passes behind a [`LayerAnalysis`].
+    /// sparsity) at the given group size, resolving every pass eagerly.  The
+    /// single-analysis pipeline path instead builds the profile from
+    /// already-extracted parts ([`LayerSparsityProfile::from_shared_parts`])
+    /// and defers the baseline-only passes behind a [`LayerAnalysis`].
     ///
     /// # Errors
     ///
@@ -78,67 +85,72 @@ impl LayerSparsityProfile {
         activation_value_sparsity: f64,
         group_size: GroupSize,
     ) -> Result<Self, CoreError> {
-        // CR is measured against the real (unpadded) weight storage, matching
-        // the pipeline's CompressionSummary and the ZRE/CSR accounting; the
-        // measured payload/index still reflect the padded tail groups.
         let packed = PackedAnalysis::of(weights, group_size, Encoding::SignMagnitude)?;
-        Ok(Self::from_shared_parts(
-            weights,
-            activation_value_sparsity,
-            &packed.stats,
-            &packed.planes,
-            packed.bcs.compression_ratio_with_index(),
+        Ok(
+            Self::from_shared_parts(activation_value_sparsity, &packed.stats, &packed.planes)
+                .with_tc_counts(weights)
+                .with_value_codecs(weights),
         )
-        .with_value_codecs(weights))
     }
 
     /// Builds the profile from parts an earlier pass **already extracted** —
-    /// the statistics, bitplane-packed groups and BCS compression ratio the
-    /// pipeline's compress stage produced — so nothing is re-derived per
-    /// stage.  The value-codec (ZRE/CSR) ratios are left at their dense
-    /// placeholder of `1.0`; resolve them with
-    /// [`LayerSparsityProfile::with_value_codecs`] or, lazily, through a
-    /// [`LayerAnalysis`].
+    /// the statistics and the bitplane-packed groups (with the counts
+    /// reduced while packing, which also give the sign-magnitude BCS ratio)
+    /// the pipeline's compress stage produced — so nothing is re-derived per
+    /// stage.  The two passes only baselines read stay at dense
+    /// placeholders: the two's-complement bit counts at `8.0` (resolve with
+    /// [`LayerSparsityProfile::with_tc_counts`]) and the ZRE/CSR ratios at
+    /// `1.0` ([`LayerSparsityProfile::with_value_codecs`]); a
+    /// [`LayerAnalysis`] resolves both lazily.
     ///
-    /// `stats` and `planes` must come from the same `weights` tensor at the
-    /// same group size; given that, the non-placeholder fields are identical
-    /// to [`LayerSparsityProfile::from_weights`].
+    /// `stats` and `planes` must come from the same weights at the same
+    /// group size; given that, the non-placeholder fields are identical to
+    /// [`LayerSparsityProfile::from_weights`].
     pub fn from_shared_parts(
-        weights: &QuantTensor,
         activation_value_sparsity: f64,
         stats: &LayerSparsityStats,
         planes: &BitplaneTensor,
-        bcs_compression_ratio: f64,
     ) -> Self {
-        // Non-zero columns per group (word-parallel indicator sums), and the
-        // synced maximum over chunks of BITWAVE_SYNC_GROUPS groups.
-        let column_counts = planes.group_nonzero_column_counts(Encoding::SignMagnitude);
-        let mean_nonzero_columns = mean_u32(&column_counts);
-        let max_nonzero_columns_synced = mean_of_chunk_max(&column_counts, BITWAVE_SYNC_GROUPS);
-
-        let bits = TcBitCounts::of(weights.data());
-
+        // Non-zero columns per group, and the synced maximum over chunks of
+        // BITWAVE_SYNC_GROUPS groups.  CR is measured against the real
+        // (unpadded) weight storage, like the pipeline's CompressionSummary
+        // and the ZRE/CSR accounting.
+        let column_counts = &planes.counts().group_columns;
+        let bcs = BcsCodec::new(
+            GroupSize::from_len(planes.group_size()),
+            Encoding::SignMagnitude,
+        )
+        .measure_packed(planes, stats.num_weights);
         Self {
             weight_value_sparsity: stats.value_sparsity,
             activation_value_sparsity: activation_value_sparsity.clamp(0.0, 1.0),
             weight_bit_sparsity_tc: stats.bit_sparsity_twos_complement,
             weight_bit_sparsity_sm: stats.bit_sparsity_sign_magnitude,
             group_size: planes.group_size(),
-            mean_nonzero_columns,
-            max_nonzero_columns_synced,
-            mean_nonzero_bits_tc: bits.mean,
-            max_nonzero_bits_sync16: bits.max_sync16,
-            max_nonzero_bits_sync64: bits.max_sync64,
-            bcs_compression_ratio,
+            mean_nonzero_columns: mean_u32(column_counts),
+            max_nonzero_columns_synced: mean_of_chunk_max(column_counts, BITWAVE_SYNC_GROUPS),
+            mean_nonzero_bits_tc: 8.0,
+            max_nonzero_bits_sync16: 8.0,
+            max_nonzero_bits_sync64: 8.0,
+            bcs_compression_ratio: bcs.compression_ratio_with_index(),
             zre_compression_ratio: 1.0,
             csr_compression_ratio: 1.0,
         }
     }
 
+    /// Resolves the two's-complement bit counts (the pass only the
+    /// bit-serial baselines with bit skipping consume) from the weights.
+    pub fn with_tc_counts(self, weights: &QuantTensor) -> Self {
+        TcBitCounts::of(weights.data()).applied_to(self)
+    }
+
     /// Resolves the ZRE/CSR value-codec compression ratios (the two passes
     /// only the SCNN baseline consumes) from the weight tensor.
-    pub fn with_value_codecs(mut self, weights: &QuantTensor) -> Self {
-        let (zre, csr) = value_codec_ratios(weights);
+    pub fn with_value_codecs(self, weights: &QuantTensor) -> Self {
+        self.with_codec_ratios(value_codec_ratios(weights))
+    }
+
+    fn with_codec_ratios(mut self, (zre, csr): (f64, f64)) -> Self {
         self.zre_compression_ratio = zre;
         self.csr_compression_ratio = csr;
         self
@@ -179,17 +191,20 @@ pub fn value_codec_ratios(weights: &QuantTensor) -> (f64, f64) {
     )
 }
 
-/// One layer's shared sparsity analysis: the eagerly-computed core profile
-/// (everything the BitWave configurations and the bit-serial baselines read)
-/// plus the weight handle needed to resolve the value-codec (ZRE/CSR) ratios
-/// **lazily** — they run only when a value-sparsity baseline (SCNN) actually
-/// evaluates the layer, and at most once per layer even when many
-/// accelerators share the analysis across threads.
-#[derive(Debug)]
+/// One layer's shared sparsity analysis: the eagerly computed part of the
+/// profile (everything BitWave reads: value, bit and column sparsity and
+/// the BCS ratio) plus the weight handle that resolves the two
+/// baseline-only passes **lazily** — the two's-complement bit counts when a
+/// bit-serial machine with bit skipping (Pragmatic, Bitlet) reads them, the
+/// ZRE/CSR ratios when a value-sparsity machine (SCNN) does.  Each pass runs
+/// at most once per layer, even when many accelerators share the analysis
+/// across threads.
+#[derive(Debug, Clone)]
 pub struct LayerAnalysis {
-    core: LayerSparsityProfile,
+    eager: LayerSparsityProfile,
     weights: WeightHandle,
-    full: OnceLock<LayerSparsityProfile>,
+    tc_counts: OnceLock<TcBitCounts>,
+    codec_ratios: OnceLock<(f64, f64)>,
 }
 
 impl LayerAnalysis {
@@ -201,19 +216,16 @@ impl LayerAnalysis {
         activation_value_sparsity: f64,
         stats: &LayerSparsityStats,
         planes: &BitplaneTensor,
-        bcs_compression_ratio: f64,
     ) -> Self {
-        let core = LayerSparsityProfile::from_shared_parts(
-            &weights,
-            activation_value_sparsity,
-            stats,
-            planes,
-            bcs_compression_ratio,
-        );
         Self {
-            core,
+            eager: LayerSparsityProfile::from_shared_parts(
+                activation_value_sparsity,
+                stats,
+                planes,
+            ),
             weights,
-            full: OnceLock::new(),
+            tc_counts: OnceLock::new(),
+            codec_ratios: OnceLock::new(),
         }
     }
 
@@ -234,7 +246,6 @@ impl LayerAnalysis {
             activation_value_sparsity,
             &packed.stats,
             &packed.planes,
-            packed.bcs.compression_ratio_with_index(),
         ))
     }
 
@@ -243,55 +254,70 @@ impl LayerAnalysis {
         &self.weights
     }
 
-    /// The eager core profile; its `zre_compression_ratio` /
-    /// `csr_compression_ratio` fields hold the dense placeholder `1.0`.
-    pub fn core_profile(&self) -> &LayerSparsityProfile {
-        &self.core
+    /// The eager profile with the requested lazy passes resolved (each at
+    /// most once, thread-safe); unresolved fields keep their placeholders.
+    fn resolve(&self, tc_counts: bool, codec_ratios: bool) -> LayerSparsityProfile {
+        let mut profile = self.eager;
+        if tc_counts {
+            profile = self
+                .tc_counts
+                .get_or_init(|| TcBitCounts::of(self.weights.data()))
+                .applied_to(profile);
+        }
+        if codec_ratios {
+            profile = profile.with_codec_ratios(
+                *self
+                    .codec_ratios
+                    .get_or_init(|| value_codec_ratios(&self.weights)),
+            );
+        }
+        profile
     }
 
-    /// The full profile including the ZRE/CSR ratios, computing them on
-    /// first call (thread-safe, at most once).
-    pub fn full_profile(&self) -> &LayerSparsityProfile {
-        self.full
-            .get_or_init(|| self.core.with_value_codecs(&self.weights))
+    /// The core profile: two's-complement bit counts resolved, ZRE/CSR at
+    /// the dense placeholder `1.0`.  Every profile that is digested or
+    /// serialized (the sweep portfolio, DSE search keys) is this one.
+    pub fn core_profile(&self) -> LayerSparsityProfile {
+        self.resolve(true, false)
     }
 
-    /// Whether the lazy value-codec passes have run (diagnostics/tests).
+    /// The full profile, every pass resolved.
+    pub fn full_profile(&self) -> LayerSparsityProfile {
+        self.resolve(true, true)
+    }
+
+    /// The profile `spec`'s pricing needs, resolving only the lazy passes
+    /// `spec` reads: a BitWave run resolves neither.  Pricing it equals
+    /// pricing the full profile bit for bit; it is not a search key (see
+    /// [`LayerAnalysis::keyed_profile`]).
+    pub fn profile_for(&self, spec: &AcceleratorSpec) -> LayerSparsityProfile {
+        self.resolve(spec.reads_tc_bit_counts(), spec.needs_value_codec_ratios())
+    }
+
+    /// The profile a DSE search for `spec` is keyed on: the core profile,
+    /// plus the ZRE/CSR ratios for machines that read them.  The key
+    /// digests every field, so the bit counts are resolved even for
+    /// machines that never price them.
+    pub fn keyed_profile(&self, spec: &AcceleratorSpec) -> LayerSparsityProfile {
+        self.resolve(true, spec.needs_value_codec_ratios())
+    }
+
+    /// Whether the lazy two's-complement bit-count pass has run.
+    pub fn tc_counts_computed(&self) -> bool {
+        self.tc_counts.get().is_some()
+    }
+
+    /// Whether the lazy value-codec passes have run.
     pub fn value_codecs_computed(&self) -> bool {
-        self.full.get().is_some()
-    }
-
-    /// The profile `spec`'s evaluation needs: the full profile for machines
-    /// that read value-codec ratios (SCNN), the cheap core profile otherwise.
-    pub fn profile_for(&self, spec: &AcceleratorSpec) -> &LayerSparsityProfile {
-        if spec.needs_value_codec_ratios() {
-            self.full_profile()
-        } else {
-            self.core_profile()
-        }
-    }
-}
-
-impl Clone for LayerAnalysis {
-    fn clone(&self) -> Self {
-        let full = OnceLock::new();
-        if let Some(profile) = self.full.get() {
-            let _ = full.set(*profile);
-        }
-        Self {
-            core: self.core,
-            weights: self.weights.clone(),
-            full,
-        }
+        self.codec_ratios.get().is_some()
     }
 }
 
 impl PartialEq for LayerAnalysis {
-    /// Equality over the analysis *inputs and eager results* (core profile
-    /// and weights); whether the lazy codecs have been resolved yet is not an
-    /// observable difference.
+    /// Equality over the analysis *inputs and eager results*; whether the
+    /// lazy passes have been resolved yet is not an observable difference.
     fn eq(&self, other: &Self) -> bool {
-        self.core == other.core && self.weights == other.weights
+        self.eager == other.eager && self.weights == other.weights
     }
 }
 
@@ -300,6 +326,7 @@ impl PartialEq for LayerAnalysis {
 /// [`PRAGMATIC_SYNC_LANES`] and [`BITLET_SYNC_LANES`] lanes that run in
 /// lockstep.  Every sum is an exact integer, so each ratio is bit-identical
 /// to summing the per-weight counts as `f64`s.
+#[derive(Debug, Clone, Copy)]
 struct TcBitCounts {
     mean: f64,
     max_sync16: f64,
@@ -338,6 +365,13 @@ impl TcBitCounts {
             max_sync16: mean(sum_max16, PRAGMATIC_SYNC_LANES),
             max_sync64: mean(sum_max64, BITLET_SYNC_LANES),
         }
+    }
+
+    fn applied_to(&self, mut profile: LayerSparsityProfile) -> LayerSparsityProfile {
+        profile.mean_nonzero_bits_tc = self.mean;
+        profile.max_nonzero_bits_sync16 = self.max_sync16;
+        profile.max_nonzero_bits_sync64 = self.max_sync64;
+        profile
     }
 }
 
@@ -510,25 +544,25 @@ mod tests {
             let stats = LayerSparsityStats::from_tensor_and_groups(&w, &groups);
             let bcs = BcsCodec::new(g, Encoding::SignMagnitude)
                 .compress_groups(groups.iter(), w.data().len());
-            let shared = LayerSparsityProfile::from_shared_parts(
-                &w,
-                act,
-                &stats,
-                &planes,
-                bcs.compression_ratio_with_index(),
+            let shared = LayerSparsityProfile::from_shared_parts(act, &stats, &planes);
+            assert_eq!(
+                shared.bcs_compression_ratio,
+                bcs.compression_ratio_with_index()
             );
-            // Core fields are bit-identical; value codecs are placeholders...
+            // Eager fields are bit-identical; the baseline-only passes are
+            // placeholders...
+            assert_eq!(shared.mean_nonzero_bits_tc, 8.0);
+            assert_eq!(shared.max_nonzero_bits_sync64, 8.0);
             assert_eq!(shared.zre_compression_ratio, 1.0);
             assert_eq!(shared.csr_compression_ratio, 1.0);
             // ...until resolved, after which the whole profile matches.
-            assert_eq!(shared.with_value_codecs(&w), eager);
+            assert_eq!(shared.with_tc_counts(&w).with_value_codecs(&w), eager);
         }
     }
 
     #[test]
     fn layer_analysis_resolves_value_codecs_lazily_and_once() {
-        use crate::spec::{AcceleratorSpec, BitwaveOptimizations};
-        use bitwave_tensor::handle::WeightHandle;
+        use crate::spec::BitwaveOptimizations;
         let net = resnet18();
         let layer = net.layer("layer3.0.conv1").unwrap();
         let w = generate_layer_sample(layer, 3, 20_000);
@@ -537,29 +571,104 @@ mod tests {
 
         let analysis =
             LayerAnalysis::from_weights(WeightHandle::new(w), act, GroupSize::G8).unwrap();
-        assert!(!analysis.value_codecs_computed());
+        let resolved = |a: &LayerAnalysis| (a.tc_counts_computed(), a.value_codecs_computed());
+        assert_eq!(resolved(&analysis), (false, false));
 
-        // BitWave and the bit-serial machines read the core profile only.
+        // BitWave reads neither lazy pass.
         let bitwave = AcceleratorSpec::bitwave(BitwaveOptimizations::all());
-        assert!(!bitwave.needs_value_codec_ratios());
-        let core = analysis.profile_for(&bitwave);
-        assert_eq!(core.bcs_compression_ratio, eager.bcs_compression_ratio);
-        assert_eq!(core.zre_compression_ratio, 1.0);
-        assert!(!analysis.value_codecs_computed());
+        assert!(!bitwave.reads_tc_bit_counts() && !bitwave.needs_value_codec_ratios());
+        let lean = analysis.profile_for(&bitwave);
+        assert_eq!(lean.bcs_compression_ratio, eager.bcs_compression_ratio);
+        assert_eq!(lean.mean_nonzero_bits_tc, 8.0);
+        assert_eq!(lean.zre_compression_ratio, 1.0);
+        assert_eq!(resolved(&analysis), (false, false));
 
-        // SCNN triggers the lazy ZRE/CSR passes; the result matches the
-        // eager constructor exactly.
+        // SCNN triggers the ZRE/CSR passes only.
         let scnn = AcceleratorSpec::scnn();
-        assert!(scnn.needs_value_codec_ratios());
-        let full = analysis.profile_for(&scnn);
-        assert_eq!(*full, eager);
-        assert!(analysis.value_codecs_computed());
+        let with_codecs = analysis.profile_for(&scnn);
+        assert_eq!(
+            with_codecs.zre_compression_ratio,
+            eager.zre_compression_ratio
+        );
+        assert_eq!(with_codecs.mean_nonzero_bits_tc, 8.0);
+        assert_eq!(resolved(&analysis), (false, true));
+
+        // Pragmatic triggers the bit counts; after that every profile
+        // matches the eager constructor exactly.
+        let pragmatic = AcceleratorSpec::pragmatic();
+        assert!(pragmatic.reads_tc_bit_counts());
+        assert_eq!(
+            analysis.profile_for(&pragmatic).max_nonzero_bits_sync16,
+            eager.max_nonzero_bits_sync16
+        );
+        assert_eq!(resolved(&analysis), (true, true));
+        assert_eq!(analysis.full_profile(), eager);
+        assert_eq!(analysis.keyed_profile(&scnn), eager);
+        assert_eq!(
+            analysis.core_profile(),
+            LayerSparsityProfile {
+                zre_compression_ratio: 1.0,
+                csr_compression_ratio: 1.0,
+                ..eager
+            }
+        );
 
         // Clones preserve equality and the resolved state is carried over.
         let clone = analysis.clone();
         assert_eq!(clone, analysis);
-        assert!(clone.value_codecs_computed());
-        assert_eq!(*clone.full_profile(), eager);
+        assert_eq!(resolved(&clone), (true, true));
+        assert_eq!(clone.full_profile(), eager);
+    }
+
+    #[test]
+    fn lean_profiles_price_every_registry_machine_like_full_profiles() {
+        // `profile_for(spec)` leaves the passes `spec` does not read at
+        // their placeholders; pricing must not be able to tell, bit for bit,
+        // on every machine the SotA comparison prices (unconstrained and
+        // throttled DRAM).
+        use crate::energy::EnergyModel;
+        use crate::model::evaluate_layer_with_mapping;
+        use bitwave_dataflow::mapping::select_spatial_unrolling;
+        use bitwave_dataflow::{DramSpec, MemoryHierarchy};
+        let net = resnet18();
+        let memory = MemoryHierarchy::bitwave_default();
+        let energy = EnergyModel::finfet_16nm();
+        for layer_name in ["conv1", "layer2.0.downsample", "layer4.1.conv2", "fc"] {
+            let layer = net.layer(layer_name).unwrap();
+            let w = WeightHandle::new(generate_layer_sample(layer, 9, 20_000));
+            let act = layer.expected_activation_sparsity();
+            for name in AcceleratorSpec::REGISTRY_NAMES {
+                for dram in [DramSpec::unconstrained(), DramSpec::constrained(64)] {
+                    let spec = AcceleratorSpec {
+                        dram,
+                        ..AcceleratorSpec::by_name(name).unwrap()
+                    };
+                    let analysis =
+                        LayerAnalysis::from_weights(w.clone(), act, GroupSize::G16).unwrap();
+                    let decision = select_spatial_unrolling(layer, &spec.su_set).unwrap();
+                    let price = |profile: &LayerSparsityProfile| {
+                        let cost = evaluate_layer_with_mapping(
+                            &spec, layer, &decision, profile, &memory, &energy,
+                        );
+                        format!("{cost:?}")
+                    };
+                    let lean = price(&analysis.profile_for(&spec));
+                    assert_eq!(
+                        (
+                            analysis.tc_counts_computed(),
+                            analysis.value_codecs_computed()
+                        ),
+                        (spec.reads_tc_bit_counts(), spec.needs_value_codec_ratios()),
+                        "{name}: profile_for resolves exactly the passes the spec reads"
+                    );
+                    assert_eq!(
+                        lean,
+                        price(&analysis.full_profile()),
+                        "{name} on {layer_name}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

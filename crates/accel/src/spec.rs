@@ -232,12 +232,19 @@ pub const BIT_SERIAL_LANES: usize = 4096;
 impl AcceleratorSpec {
     /// True when evaluating this machine reads the value-codec (ZRE/CSR)
     /// compression ratios of a layer's sparsity profile.  Only the
-    /// ZRE-compressed SotA baseline (SCNN) does; every BitWave configuration
-    /// and the bit-serial baselines run off the eagerly-computed core
-    /// profile, so [`crate::sparsity::LayerAnalysis`] defers the value-codec
-    /// passes until a machine with this flag asks.
+    /// ZRE-compressed SotA baseline (SCNN) does, so
+    /// [`crate::sparsity::LayerAnalysis`] defers the value-codec passes
+    /// until a machine with this flag asks.
     pub fn needs_value_codec_ratios(&self) -> bool {
         self.compression == WeightCompression::Zre
+    }
+
+    /// True when evaluating this machine reads the two's-complement bit
+    /// counts of a layer's sparsity profile: only bit-serial machines that
+    /// skip zero weight bits (Pragmatic, Bitlet) price their cycles with
+    /// them, so [`crate::sparsity::LayerAnalysis`] defers that pass too.
+    pub fn reads_tc_bit_counts(&self) -> bool {
+        self.pe_style == PeStyle::BitSerial && self.sparsity.weight_bit
     }
 
     fn common(kind: AcceleratorKind, pe_style: PeStyle, su_set: SuSet) -> Self {

@@ -138,7 +138,7 @@ fn resnet18_profiles(accel: &AcceleratorSpec) -> Vec<LayerSparsityProfile> {
         .prepare_with_weights(&net, &weights)
         .expect("prepared layers")
         .iter()
-        .map(|layer| *layer.analysis.profile_for(accel))
+        .map(|layer| layer.analysis.keyed_profile(accel))
         .collect()
 }
 

@@ -51,6 +51,7 @@ fn guard_kernel_ratios() {
     for (kernel, measured) in [
         ("packed_analysis", current.packed_analysis),
         ("packed_compress", current.packed_compress),
+        ("fused_reduction", current.fused_reduction),
     ] {
         let committed = baseline_ratio(kernel);
         let limit = committed * RATIO_TOLERANCE;

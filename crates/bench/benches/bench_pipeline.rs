@@ -15,18 +15,25 @@
 //!
 //! plus the existing >1.5x sequential-vs-parallel scaling target on 4+ core
 //! machines.
+//!
+//! It also records, one thread, where a cold Bit-Flip `/v1/evaluate` op's
+//! time goes: weight generation, compress, Bit-Flip (with the accelerator
+//! profile part on its own), map + simulate, and report serialization.
 
 use bitwave::context::ExperimentContext;
-use bitwave::pipeline::{ModelReport, Pipeline};
+use bitwave::pipeline::{
+    BitFlipStage, CompressStage, MapStage, ModelReport, Pipeline, PipelineStage, SimulateStage,
+};
 use bitwave_accel::model::evaluate_layer_with_mapping;
-use bitwave_accel::LayerSparsityProfile;
-use bitwave_bench::{print_header, write_bench_json};
+use bitwave_accel::{LayerAnalysis, LayerSparsityProfile};
+use bitwave_bench::{print_header, write_bench_json, HostFacts};
 use bitwave_core::compress::BcsCodec;
 use bitwave_core::group::extract_groups;
 use bitwave_core::stats::LayerSparsityStats;
 use bitwave_dataflow::mapping::select_spatial_unrolling;
 use bitwave_dnn::models::{resnet18, NetworkSpec};
 use bitwave_dnn::weights::NetworkWeights;
+use bitwave_serve::EvaluateRequest;
 use bitwave_tensor::bits::Encoding;
 use bitwave_tensor::copy_metrics::CopyCounter;
 use bitwave_tensor::QuantTensor;
@@ -39,6 +46,8 @@ use std::time::Instant;
 /// `BENCH_dse.json`/`BENCH_dram.json` convention.
 #[derive(Serialize)]
 struct PipelineBenchReport {
+    host: HostFacts,
+    evaluate_bitflip_split: StageSplit,
     cores: usize,
     sequential_ms: f64,
     parallel_ms: f64,
@@ -49,6 +58,133 @@ struct PipelineBenchReport {
     legacy_emulation_ms: f64,
     shared_analysis_speedup: f64,
     shared_analysis_gate: f64,
+}
+
+/// Mean one-thread milliseconds per cold Bit-Flip evaluate op, by stage.
+/// `bitflip_ms` includes `bitflip_profile_ms`; the other stages sum to
+/// `total_ms`.
+#[derive(Serialize)]
+struct StageSplit {
+    request: &'static str,
+    ops: usize,
+    generate_ms: f64,
+    compress_ms: f64,
+    bitflip_ms: f64,
+    /// Building one accelerator profile from already packed parts and
+    /// reading it for the request's accelerator, for every layer: the part
+    /// of the Bit-Flip stage that is not the flip itself.  Timed on the
+    /// compress stage's outputs, apart from the op.
+    bitflip_profile_ms: f64,
+    map_simulate_ms: f64,
+    report_ms: f64,
+    total_ms: f64,
+}
+
+/// Times `f`, adding its milliseconds to `total`.
+fn timed<T>(total: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = f();
+    *total += t0.elapsed().as_secs_f64() * 1e3;
+    out
+}
+
+/// The stage split of e2ebench's `evaluate_bitflip` op (ResNet18, Bit-Flip,
+/// cap 15 000, a new seed per op), run through the stage-by-stage path on
+/// one thread (`RAYON_NUM_THREADS=1` while it runs).
+fn measure_stage_split() -> StageSplit {
+    const OPS: usize = 40;
+    const WARMUP: usize = 3;
+    print_header(
+        "pipeline_stage_split",
+        "one-thread per-stage time of a cold Bit-Flip evaluate op (ResNet18, cap 15000)",
+    );
+    let previous_threads = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let mut t = [0.0f64; 6];
+    for op in 0..WARMUP + OPS {
+        if op == WARMUP {
+            t = [0.0; 6];
+        }
+        let body = format!(
+            r#"{{"model":"resnet18","bitflip":true,"sample_cap":15000,"seed":{}}}"#,
+            1000 + op
+        );
+        let normalized = EvaluateRequest::from_json(body.as_bytes())
+            .and_then(|r| r.normalize())
+            .expect("request normalizes");
+        let digest = normalized.key.digest().expect("key digests");
+        let knobs = &normalized.key.knobs;
+        let weights = timed(&mut t[0], || {
+            NetworkWeights::generate_sampled(&normalized.spec, knobs.seed, knobs.sample_cap)
+        });
+        let pipeline = Pipeline::new(knobs.to_context())
+            .with_accelerator(normalized.accelerator.clone())
+            .with_default_bitflip(&normalized.spec);
+        let ctx = pipeline.context();
+        let accelerator = pipeline.accelerator();
+        let compress = CompressStage::new(Encoding::SignMagnitude);
+        let flip = BitFlipStage::new(Encoding::SignMagnitude);
+        let map = MapStage::new(accelerator.clone())
+            .with_policy(ctx.mapping_policy)
+            .with_cost_tables(ctx.memory, ctx.energy);
+        let simulate = SimulateStage::new(accelerator.clone(), ctx.memory, ctx.energy);
+        let mut layers = Vec::new();
+        for job in pipeline
+            .jobs_with_weights(&normalized.spec, &weights)
+            .expect("plan")
+        {
+            let compressed = timed(&mut t[1], || compress.run(job)).expect("compress");
+            timed(&mut t[3], || {
+                let analysis = LayerAnalysis::from_shared_parts(
+                    compressed.job.weights.clone(),
+                    compressed.job.layer.expected_activation_sparsity(),
+                    &compressed.sparsity,
+                    &compressed.planes,
+                );
+                black_box(analysis.profile_for(accelerator))
+            });
+            let flipped = timed(&mut t[2], || flip.run(compressed)).expect("bit-flip");
+            layers.push(
+                timed(&mut t[4], || map.run(flipped).and_then(|m| simulate.run(m)))
+                    .expect("map + simulate"),
+            );
+        }
+        timed(&mut t[5], || {
+            let report = ModelReport::from_layers(
+                normalized.spec.name.clone(),
+                accelerator.label.clone(),
+                layers,
+            );
+            black_box(normalized.envelope(&digest, &report).expect("envelope"))
+        });
+    }
+    match previous_threads {
+        Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    let per_op = t.map(|ms| ms / OPS as f64);
+    let split = StageSplit {
+        request: r#"{"model":"resnet18","bitflip":true,"sample_cap":15000,"seed":<new>}"#,
+        ops: OPS,
+        generate_ms: per_op[0],
+        compress_ms: per_op[1],
+        bitflip_ms: per_op[2],
+        bitflip_profile_ms: per_op[3],
+        map_simulate_ms: per_op[4],
+        report_ms: per_op[5],
+        total_ms: per_op[0] + per_op[1] + per_op[2] + per_op[4] + per_op[5],
+    };
+    println!(
+        "{OPS} ops, ms/op: generate {:.2}  compress {:.2}  bit-flip {:.2} (profile part {:.2})  map+simulate {:.2}  report {:.2}  total {:.2}",
+        split.generate_ms,
+        split.compress_ms,
+        split.bitflip_ms,
+        split.bitflip_profile_ms,
+        split.map_simulate_ms,
+        split.report_ms,
+        split.total_ms
+    );
+    split
 }
 
 fn pipeline_context() -> ExperimentContext {
@@ -271,9 +407,12 @@ fn bench(c: &mut Criterion) {
     let lossless = Pipeline::new(pipeline_context());
     let (shared_analysis_ms, legacy_emulation_ms, shared_analysis_speedup) =
         assert_shared_analysis_speedup(&lossless);
+    let evaluate_bitflip_split = measure_stage_split();
     write_bench_json(
         "BENCH_pipeline.json",
         &PipelineBenchReport {
+            host: HostFacts::of_this_host(),
+            evaluate_bitflip_split,
             cores,
             sequential_ms,
             parallel_ms,

@@ -14,7 +14,7 @@ use bitwave::experiments::sparsity::{
 };
 use bitwave_bench::{
     bench_context, measure_sparsity_kernel_ratios, min_sample_seconds, print_header,
-    sparsity_layer_set, write_bench_json, SparsityKernelRatios,
+    sparsity_layer_set, write_bench_json, HostFacts, SparsityKernelRatios,
 };
 use bitwave_core::compress::{BcsCodec, WeightCodec};
 use bitwave_core::group::{extract_groups, GroupSize};
@@ -36,6 +36,8 @@ const SAMPLES: usize = 10;
 /// root for the `bench_kernels` guard and for tracking across PRs.
 #[derive(Debug, Serialize)]
 struct SparsityBenchReport {
+    /// The host the numbers were measured on.
+    host: HostFacts,
     /// Layers in the gated ResNet18-sized set.
     layers: usize,
     /// Total weights analysed per pass.
@@ -107,6 +109,7 @@ fn assert_bitplane_speedup_gate() -> SparsityBenchReport {
         "bitplane analysis speedup {speedup:.2}x is below the {SPEEDUP_GATE}x gate"
     );
     SparsityBenchReport {
+        host: HostFacts::of_this_host(),
         layers: layers.len(),
         total_weights,
         scalar_analysis_ms: scalar_s * 1e3,

@@ -29,9 +29,10 @@
 pub mod oracle;
 
 use bitwave::context::ExperimentContext;
+use bitwave_accel::LayerSparsityProfile;
 use bitwave_core::compress::BcsCodec;
 use bitwave_core::group::{extract_groups, GroupSize};
-use bitwave_core::stats::LayerSparsityStats;
+use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
 use bitwave_dnn::models::resnet18;
 use bitwave_dnn::weights::generate_layer_sample;
 use bitwave_tensor::bits::Encoding;
@@ -74,6 +75,45 @@ pub fn write_bench_json<T: Serialize>(name: &str, value: &T) {
     println!("wrote {}", path.display());
 }
 
+/// The host facts a recorded number needs to be read: core count, CPU model
+/// and compiler.
+#[derive(Debug, Clone, Serialize)]
+pub struct HostFacts {
+    /// Available parallelism (`nproc`).
+    pub nproc: usize,
+    /// The first `model name` of `/proc/cpuinfo` (`"unknown"` elsewhere).
+    pub cpu_model: String,
+    /// `rustc --version` (`"unknown"` when it cannot be run).
+    pub rustc: String,
+}
+
+impl HostFacts {
+    /// Reads the facts of this host.
+    pub fn of_this_host() -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+                    .map(|(_, model)| model.trim().to_string())
+            })
+            .unwrap_or_else(|| "unknown".to_string());
+        let rustc = std::process::Command::new("rustc")
+            .arg("--version")
+            .output()
+            .ok()
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|version| version.trim().to_string())
+            .filter(|version| !version.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        Self {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model,
+            rustc,
+        }
+    }
+}
+
 /// Minimum wall-clock seconds of one call to `f` over `samples` runs — the
 /// low-noise point estimate both the speedup gate and the kernel-ratio
 /// guard time with.
@@ -110,6 +150,10 @@ pub struct SparsityKernelRatios {
     pub packed_analysis: f64,
     /// Packed (size-only) BCS accounting over the calibration kernel.
     pub packed_compress: f64,
+    /// The whole per-layer analysis of the pipeline over the calibration
+    /// kernel: one packing pass that reduces every count, then the
+    /// statistics, the BCS sizes and the accelerator profile read off it.
+    pub fused_reduction: f64,
 }
 
 const RATIO_SAMPLES: usize = 15;
@@ -142,10 +186,19 @@ pub fn measure_sparsity_kernel_ratios() -> SparsityKernelRatios {
         let planes = black_box(&groups).to_bitplanes();
         black_box(codec.measure_packed(&planes, weights.data().len()));
     });
+    let fused_reduction = min_sample_seconds(RATIO_SAMPLES, || {
+        let packed = PackedAnalysis::from_groups(black_box(&groups), Encoding::SignMagnitude);
+        black_box(LayerSparsityProfile::from_shared_parts(
+            0.5,
+            &packed.stats,
+            &packed.planes,
+        ));
+    });
 
     let calibration = calibration.max(f64::MIN_POSITIVE);
     SparsityKernelRatios {
         packed_analysis: packed_analysis / calibration,
         packed_compress: packed_compress / calibration,
+        fused_reduction: fused_reduction / calibration,
     }
 }

@@ -35,13 +35,15 @@
 //! reference counts instead of deep-copying tensors (`bench_pipeline` gates
 //! on a copy count of **zero** via [`bitwave_tensor::copy_metrics`]).  The
 //! expensive per-tensor analysis happens **once per layer**: the compress
-//! stage extracts the weight groups a single time, packs them into a
-//! word-parallel [`bitwave_tensor::bitplane::BitplaneTensor`] and derives
-//! statistics and BCS accounting from the packed planes, the bit-flip stage
-//! reuses those parts to build
-//! the accelerator-facing [`bitwave_accel::LayerAnalysis`], and the ZRE/CSR
-//! value-codec passes that only the SCNN baseline reads stay **lazy** until
-//! a value-sparsity simulation asks for them.
+//! stage extracts the weight groups a single time and packs them into a
+//! word-parallel [`bitwave_tensor::bitplane::BitplaneTensor`], reducing in
+//! that pass every count statistics, BCS accounting and the accelerator
+//! profile read.  The bit-flip stage reuses those parts to build the
+//! accelerator-facing [`bitwave_accel::LayerAnalysis`] (and flips the
+//! compress stage's groups in place for a layer with a flip target).  The
+//! passes only baselines read stay **lazy** until a simulation of such a
+//! machine asks for them: the two's-complement bit counts (Pragmatic,
+//! Bitlet) and the ZRE/CSR value-codec ratios (SCNN).
 //!
 //! The refactor that introduced this is pinned by golden snapshots
 //! (`tests/golden/`, byte-compared in `tests/golden_reports.rs`; regenerate
@@ -238,10 +240,7 @@ impl Pipeline {
         let layers: Vec<LayerReport> = prepared
             .iter()
             .map(|layer| {
-                let decision = map.decide_with_profile(
-                    &layer.job.layer,
-                    layer.analysis.profile_for(&self.accelerator),
-                )?;
+                let decision = map.decide_for(&layer.job.layer, &layer.analysis)?;
                 Ok(simulate.evaluate(layer, &decision))
             })
             .collect::<Result<_>>()?;
@@ -266,7 +265,7 @@ impl Pipeline {
         let prepared = self.prepare_with_weights(spec, weights)?;
         let profiles: Vec<bitwave_accel::LayerSparsityProfile> = prepared
             .iter()
-            .map(|layer| *layer.analysis.profile_for(&self.accelerator))
+            .map(|layer| layer.analysis.keyed_profile(&self.accelerator))
             .collect();
         let engine = bitwave_dse::DseEngine::new(self.ctx.memory, self.ctx.energy);
         Ok(engine.search_network(&self.accelerator, spec, &profiles)?)
@@ -427,8 +426,8 @@ mod tests {
         assert!(prepared.iter().any(|l| l.bitflip.is_none()));
         for layer in &prepared {
             assert!(
-                !layer.analysis.value_codecs_computed(),
-                "{}: ZRE/CSR must stay lazy until a SotA simulation asks",
+                !layer.analysis.value_codecs_computed() && !layer.analysis.tc_counts_computed(),
+                "{}: the baseline-only passes must stay lazy until a SotA simulation asks",
                 layer.job.layer.name
             );
             let monolithic = LayerSparsityProfile::from_weights(
@@ -437,28 +436,50 @@ mod tests {
                 layer.job.group_size,
             )
             .unwrap();
-            assert_eq!(*layer.analysis.full_profile(), monolithic);
+            assert_eq!(layer.analysis.full_profile(), monolithic);
         }
     }
 
     #[test]
     fn bitwave_only_runs_never_trigger_value_codec_passes() {
-        // A BitWave (BCS) simulation reads only the core profile; the lazy
-        // ZRE/CSR passes must fire for SCNN and only for SCNN.
+        // A BitWave (BCS) simulation resolves neither lazy pass (with and
+        // without Bit-Flip); the ZRE/CSR passes fire for SCNN only and the
+        // two's-complement bit counts for the bit-skipping bit-serial
+        // machines only.
         let context = ctx();
         let net = resnet18();
         let weights = context.weights(&net);
-        let pipeline = Pipeline::new(context);
-        let prepared = pipeline.prepare_with_weights(&net, &weights).unwrap();
-        pipeline.simulate_prepared(&net, &prepared).unwrap();
-        assert!(prepared.iter().all(|l| !l.analysis.value_codecs_computed()));
-        let scnn = pipeline
-            .clone()
-            .with_accelerator(AcceleratorSpec::scnn())
-            .simulate_prepared(&net, &prepared)
-            .unwrap();
-        assert!(prepared.iter().all(|l| l.analysis.value_codecs_computed()));
-        assert!(scnn.total_cycles > 0.0);
+        let resolved = |prepared: &[FlippedLayer]| {
+            let all = |pass: fn(&FlippedLayer) -> bool| prepared.iter().all(pass);
+            (
+                all(|l| l.analysis.tc_counts_computed()),
+                all(|l| l.analysis.value_codecs_computed()),
+            )
+        };
+        for pipeline in [
+            Pipeline::new(context.clone()),
+            Pipeline::new(context).with_default_bitflip(&net),
+        ] {
+            let prepared = pipeline.prepare_with_weights(&net, &weights).unwrap();
+            pipeline.simulate_prepared(&net, &prepared).unwrap();
+            let none = prepared
+                .iter()
+                .all(|l| !l.analysis.tc_counts_computed() && !l.analysis.value_codecs_computed());
+            assert!(none, "a BitWave run must resolve no lazy pass");
+            let scnn = pipeline
+                .clone()
+                .with_accelerator(AcceleratorSpec::scnn())
+                .simulate_prepared(&net, &prepared)
+                .unwrap();
+            assert_eq!(resolved(&prepared), (false, true));
+            assert!(scnn.total_cycles > 0.0);
+            pipeline
+                .clone()
+                .with_accelerator(AcceleratorSpec::bitlet())
+                .simulate_prepared(&net, &prepared)
+                .unwrap();
+            assert_eq!(resolved(&prepared), (true, true));
+        }
     }
 
     #[test]
@@ -486,7 +507,7 @@ mod tests {
             assert_eq!(
                 summary.compression_after.cr_with_index,
                 flipped.analysis.core_profile().bcs_compression_ratio,
-                "analysis must reuse the post-flip BCS accounting"
+                "analysis must agree with the post-flip BCS accounting"
             );
         }
         assert!(flipped_seen > 0, "strategy must flip some layers");
@@ -496,8 +517,8 @@ mod tests {
     fn mixed_stage_encodings_still_yield_a_sign_magnitude_profile_ratio() {
         // A two's-complement compress stage feeding a sign-magnitude
         // bit-flip stage (or vice versa) must not mislabel the TC summary as
-        // the profile's SM BCS ratio: reuse is keyed on the encoding the
-        // summary was computed under.
+        // the profile's SM BCS ratio: the profile reads the sign-magnitude
+        // column count off the planes, whatever the stages' encodings.
         use bitwave_accel::LayerSparsityProfile;
         let pipeline = Pipeline::new(ctx());
         let net = resnet18();
@@ -520,7 +541,6 @@ mod tests {
             (Encoding::TwosComplement, Encoding::TwosComplement),
         ] {
             let compressed = CompressStage::new(compress_enc).run(job.clone()).unwrap();
-            assert_eq!(compressed.encoding, compress_enc);
             let flipped = BitFlipStage::new(flip_enc).run(compressed).unwrap();
             assert_eq!(
                 flipped.analysis.core_profile().bcs_compression_ratio,

@@ -8,17 +8,21 @@
 //! [`CompressStage`]).
 //!
 //! The chain performs its per-tensor analysis **once**: the compress stage
-//! extracts the weight groups a single time, packs them into a
-//! [`BitplaneTensor`] and derives statistics and BCS accounting from the
-//! word-parallel planes, then hands the planes forward so the bit-flip stage
-//! can build the accelerator-facing [`bitwave_accel::LayerAnalysis`] without
-//! re-grouping, re-packing or re-compressing the unflipped tensor.  A layer
-//! with a Bit-Flip target is grouped once more, by the bit-flip stage: it
-//! flips the extracted groups in place, packs the flipped groups straight
+//! extracts the weight groups a single time and packs them into a
+//! [`BitplaneTensor`], reducing every count the statistics, the BCS
+//! accounting and the accelerator profile read in that same pass over the
+//! plane words.  It hands the planes forward so the bit-flip stage can build
+//! the accelerator-facing [`bitwave_accel::LayerAnalysis`] without
+//! re-grouping, re-packing or re-compressing the unflipped tensor.  For a
+//! layer with a Bit-Flip target it also hands forward the extracted groups:
+//! the bit-flip stage flips them in place, packs the flipped groups straight
 //! into the planes of the post-flip analysis, and reassembles the tensor
-//! only for the weight handle it passes on.  The ZRE/CSR value-codec
-//! passes — needed only by the SCNN baseline — stay deferred inside the
-//! analysis until a simulation actually reads them.
+//! only for the weight handle it passes on.
+//!
+//! Two passes only baselines read stay deferred inside the analysis until a
+//! simulation of such a machine asks for them: the two's-complement bit
+//! counts (Pragmatic and Bitlet price their bit-serial cycles with them) and
+//! the ZRE/CSR value-codec ratios (SCNN).  A BitWave run resolves neither.
 
 use crate::error::Result;
 use crate::pipeline::job::LayerJob;
@@ -28,8 +32,7 @@ use crate::pipeline::report::{
 use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::{AcceleratorSpec, EnergyModel, LayerAnalysis};
 use bitwave_core::bitflip::flip_groups;
-use bitwave_core::compress::BcsCodec;
-use bitwave_core::group::{extract_groups, reassemble_tensor, GroupSize};
+use bitwave_core::group::{extract_groups, reassemble_tensor, Groups};
 use bitwave_core::stats::{LayerSparsityStats, PackedAnalysis};
 use bitwave_dataflow::mapping::{select_spatial_unrolling, MappingDecision, MappingPolicy};
 use bitwave_dataflow::MemoryHierarchy;
@@ -64,26 +67,6 @@ pub struct CompressStage {
     pub encoding: Encoding,
 }
 
-/// The sign-magnitude BCS ratio the accelerator profile needs.  When
-/// `summary` was already computed in sign-magnitude (the hardware encoding
-/// and the default), its accounting is reused verbatim; only the
-/// Fig. 4-style two's-complement pipelines pay for a second pass.
-fn sm_bcs_ratio(
-    summary_encoding: Encoding,
-    summary: &CompressionSummary,
-    planes: &BitplaneTensor,
-    original_len: usize,
-    group_size: GroupSize,
-) -> f64 {
-    if summary_encoding == Encoding::SignMagnitude {
-        summary.cr_with_index
-    } else {
-        BcsCodec::new(group_size, Encoding::SignMagnitude)
-            .measure_packed(planes, original_len)
-            .compression_ratio_with_index()
-    }
-}
-
 impl CompressStage {
     /// Creates the stage with the given encoding.
     pub fn new(encoding: Encoding) -> Self {
@@ -98,17 +81,16 @@ pub struct CompressedLayer {
     pub job: LayerJob,
     /// Sparsity statistics of the weights.
     pub sparsity: LayerSparsityStats,
-    /// Lossless BCS size accounting.
+    /// Lossless BCS size accounting under the stage's encoding.
     pub compression: CompressionSummary,
-    /// The encoding [`CompressedLayer::compression`] was computed under; the
-    /// bit-flip stage consults it before reusing the accounting, so mixing
-    /// stage encodings cannot silently mislabel a two's-complement summary
-    /// as the profile's sign-magnitude ratio.
-    pub encoding: Encoding,
     /// The bitplane-packed weight groups, packed (once) by the compress
     /// stage; the bit-flip stage reuses them to build the accelerator
     /// analysis instead of re-grouping or re-packing the tensor.
     pub planes: BitplaneTensor,
+    /// The extracted (unflipped) weight groups, kept only for a job with a
+    /// Bit-Flip target: the bit-flip stage flips them in place instead of
+    /// extracting the tensor a second time.
+    pub groups: Option<Groups>,
 }
 
 impl PipelineStage for CompressStage {
@@ -121,21 +103,23 @@ impl PipelineStage for CompressStage {
 
     fn run(&self, job: LayerJob) -> Result<CompressedLayer> {
         // The single group-extraction and bitplane-packing pass of the
-        // chain: statistics and BCS accounting both run word-parallel off
-        // `planes`, and the planes travel downstream.  The payload never
-        // materialises: the BCS sizes count stored columns off the planes.
+        // chain: statistics and BCS accounting both read the counts reduced
+        // while packing, and the planes travel downstream.  The payload
+        // never materialises: the BCS sizes count stored columns.
+        let groups = extract_groups(&job.weights, job.group_size)?;
         let PackedAnalysis {
             planes,
             stats: sparsity,
             bcs,
-        } = PackedAnalysis::of(&job.weights, job.group_size, self.encoding)?;
+        } = PackedAnalysis::from_groups(&groups, self.encoding);
         let compression = CompressionSummary::from_sizes(&bcs, job.group_size.len());
+        let groups = (job.zero_column_target != 0).then_some(groups);
         Ok(CompressedLayer {
             job,
             sparsity,
             compression,
-            encoding: self.encoding,
             planes,
+            groups,
         })
     }
 }
@@ -189,56 +173,35 @@ impl PipelineStage for BitFlipStage {
             mut job,
             sparsity,
             compression,
-            encoding: compression_encoding,
             planes,
+            groups,
         } = input;
         let act = job.layer.expected_activation_sparsity();
         let (bitflip, analysis) = if job.zero_column_target == 0 {
-            // Unflipped path: everything the analysis needs — statistics,
-            // planes, BCS accounting — was already computed by the compress
-            // stage, so nothing is re-derived here.  Reuse is keyed on the
-            // encoding *that summary* was computed under, not this stage's.
-            let bcs_ratio = sm_bcs_ratio(
-                compression_encoding,
-                &compression,
-                &planes,
-                job.weights.data().len(),
-                job.group_size,
-            );
-            let analysis = LayerAnalysis::from_shared_parts(
-                job.weights.clone(),
-                act,
-                &sparsity,
-                &planes,
-                bcs_ratio,
-            );
+            // Unflipped path: everything the analysis needs — statistics
+            // and the planes with their counts — was already computed by
+            // the compress stage, so nothing is re-derived here.
+            let analysis =
+                LayerAnalysis::from_shared_parts(job.weights.clone(), act, &sparsity, &planes);
             (None, analysis)
         } else {
-            // One pass in the group layout: the flipped groups are packed
-            // as they are (under this stage's own encoding), and the tensor
-            // is reassembled only for the job's weight handle.
-            let mut groups = extract_groups(&job.weights, job.group_size)?;
+            // One pass in the group layout: the compress stage's groups are
+            // flipped in place and packed as they are (under this stage's
+            // own encoding), and the tensor is reassembled only for the
+            // job's weight handle.
+            let mut groups = match groups {
+                Some(groups) => groups,
+                None => extract_groups(&job.weights, job.group_size)?,
+            };
             let stats = flip_groups(&mut groups, job.zero_column_target, self.encoding)?;
             let packed = PackedAnalysis::from_groups(&groups, self.encoding);
             let flipped = reassemble_tensor(&job.weights, &groups)?;
             let compression_after =
                 CompressionSummary::from_sizes(&packed.bcs, job.group_size.len());
-            let bcs_ratio = sm_bcs_ratio(
-                self.encoding,
-                &compression_after,
-                &packed.planes,
-                flipped.data().len(),
-                job.group_size,
-            );
             let handle = WeightHandle::new(flipped);
             job.weights = handle.clone();
-            let analysis = LayerAnalysis::from_shared_parts(
-                handle,
-                act,
-                &packed.stats,
-                &packed.planes,
-                bcs_ratio,
-            );
+            let analysis =
+                LayerAnalysis::from_shared_parts(handle, act, &packed.stats, &packed.planes);
             (
                 Some(BitFlipSummary {
                     zero_column_target: job.zero_column_target,
@@ -305,18 +268,38 @@ impl MapStage {
         self
     }
 
-    /// The mapping decision for one layer given its sparsity profile — the
-    /// searched policy is sparsity-adaptive, so the profile steers the
-    /// winner.
+    /// The mapping decision for one analysed layer.  The heuristic reads only
+    /// the loop nest; the searched policy is sparsity-adaptive and keys its
+    /// search on [`LayerAnalysis::keyed_profile`], so a heuristic run
+    /// resolves none of the analysis' lazy passes.
     ///
     /// # Errors
     ///
     /// [`crate::BitwaveError::Mapping`] for an empty SU set or degenerate
     /// layer, [`crate::BitwaveError::Dse`] when the search itself fails.
-    pub fn decide_with_profile(
+    pub fn decide_for(
         &self,
         layer: &bitwave_dnn::layer::LayerSpec,
-        profile: &bitwave_accel::LayerSparsityProfile,
+        analysis: &LayerAnalysis,
+    ) -> Result<MappingDecision> {
+        self.decide_with(layer, || analysis.keyed_profile(&self.accelerator))
+    }
+
+    /// The mapping decision for one layer without weights.  The heuristic
+    /// needs only the loop nest; the searched policy falls back to a dense
+    /// (sparsity-free) profile, so weight-free mapping sweeps stay possible.
+    ///
+    /// # Errors
+    ///
+    /// See [`MapStage::decide_for`].
+    pub fn decide(&self, layer: &bitwave_dnn::layer::LayerSpec) -> Result<MappingDecision> {
+        self.decide_with(layer, || bitwave_accel::LayerSparsityProfile::dense(8))
+    }
+
+    fn decide_with(
+        &self,
+        layer: &bitwave_dnn::layer::LayerSpec,
+        profile: impl FnOnce() -> bitwave_accel::LayerSparsityProfile,
     ) -> Result<MappingDecision> {
         match self.policy {
             MappingPolicy::Heuristic => {
@@ -326,24 +309,11 @@ impl MapStage {
                 let result = DseEngine::new(self.memory, self.energy).search_layer(
                     &self.accelerator,
                     layer,
-                    profile,
+                    &profile(),
                 )?;
                 Ok(result.winner.to_decision(&layer.name))
             }
         }
-    }
-
-    /// The mapping decision for one layer without weights.  The heuristic
-    /// needs only the loop nest; the searched policy falls back to a dense
-    /// (sparsity-free) profile, so weight-free mapping sweeps stay possible.
-    ///
-    /// # Errors
-    ///
-    /// See [`MapStage::decide_with_profile`].
-    pub fn decide(&self, layer: &bitwave_dnn::layer::LayerSpec) -> Result<MappingDecision> {
-        // The heuristic ignores the profile, so one delegation covers both
-        // policies.
-        self.decide_with_profile(layer, &bitwave_accel::LayerSparsityProfile::dense(8))
     }
 }
 
@@ -374,10 +344,7 @@ impl PipelineStage for MapStage {
     }
 
     fn run(&self, input: FlippedLayer) -> Result<MappedLayer> {
-        let decision = self.decide_with_profile(
-            &input.job.layer,
-            input.analysis.profile_for(&self.accelerator),
-        )?;
+        let decision = self.decide_for(&input.job.layer, &input.analysis)?;
         Ok(MappedLayer {
             job: input.job,
             sparsity: input.sparsity,
@@ -414,15 +381,15 @@ impl SimulateStage {
     /// Evaluates a prepared layer under a mapping decision **by reference** —
     /// neither stage reads the weight tensor, so multi-accelerator sweeps can
     /// share one prepared layer set without cloning tensors.  The profile is
-    /// picked per accelerator: only value-sparsity machines (SCNN) trigger
-    /// the analysis' lazy ZRE/CSR passes.
+    /// picked per accelerator ([`LayerAnalysis::profile_for`]): only the
+    /// machines that read a lazy pass trigger it.
     pub fn evaluate(&self, input: &FlippedLayer, decision: &MappingDecision) -> LayerReport {
         let job = &input.job;
         let result = evaluate_layer_with_mapping(
             &self.accelerator,
             &job.layer,
             decision,
-            input.analysis.profile_for(&self.accelerator),
+            &input.analysis.profile_for(&self.accelerator),
             &self.memory,
             &self.energy,
         );

@@ -147,8 +147,9 @@ impl BcsCodec {
         )
     }
 
-    /// Size accounting of the BCS compression, straight from plane popcounts:
-    /// no [`BcsGroup`] payload is ever materialised.  This is what the
+    /// Size accounting of the BCS compression, straight from the column
+    /// counts reduced while packing: no [`BcsGroup`] payload is ever
+    /// materialised.  This is what the
     /// pipeline's compression summaries use — they only need bit counts and
     /// ratios, not the compressed stream itself.
     ///
@@ -168,7 +169,7 @@ impl BcsCodec {
         BcsSizes {
             original_len,
             group_size: g,
-            payload_bits: planes.total_nonzero_columns(self.encoding) as usize * g,
+            payload_bits: planes.counts().nonzero_columns(self.encoding) as usize * g,
             index_bits: planes.num_groups() * WORD_BITS,
         }
     }

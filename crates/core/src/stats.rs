@@ -73,8 +73,8 @@ impl LayerSparsityStats {
     }
 
     /// Analyses `num_weights` weights from their **bitplane-packed**
-    /// representation: every density is a plane popcount and every column
-    /// statistic a window mask, with no per-element bit walking.  `planes`
+    /// representation: every statistic is read off the [`PlaneCounts`]
+    /// reduced while packing, with no further walk over the planes.  `planes`
     /// must be packed from the extracted groups of those weights
     /// ([`crate::group::Groups::to_bitplanes`]); the padding a group
     /// extraction appends is all-zero and therefore invisible to every count.
@@ -82,47 +82,42 @@ impl LayerSparsityStats {
     /// The result is bit-identical to the scalar analysis: all counts are
     /// exact integers, and the final divisions are performed in the same
     /// order on the same values.
+    ///
+    /// [`PlaneCounts`]: bitwave_tensor::bitplane::PlaneCounts
     pub fn from_planes(num_weights: usize, planes: &BitplaneTensor) -> Self {
-        let zeros = num_weights - planes.nonzero_elements() as usize;
+        let counts = planes.counts();
+        let zeros = num_weights - counts.nonzero_elements as usize;
         let value_sparsity = if num_weights == 0 {
             0.0
         } else {
             zeros as f64 / num_weights as f64
         };
-        // Mirrors `1.0 - sm::bit_density_*`: identical integer counts,
-        // identical operation order.
-        let bit_density = |ones: u64| {
+        // Mirrors `1.0 - sm::bit_density_*` and `column_sparsity_of_groups`:
+        // identical integer counts, identical operation order.
+        let bit_sparsity = |encoding: Encoding| {
             if num_weights == 0 {
-                0.0
+                1.0
             } else {
-                ones as f64 / (num_weights as f64 * 8.0)
+                1.0 - counts.ones(encoding) as f64 / (num_weights as f64 * 8.0)
             }
         };
-        let bit_sparsity_twos_complement =
-            1.0 - bit_density(planes.count_ones(Encoding::TwosComplement));
-        let bit_sparsity_sign_magnitude =
-            1.0 - bit_density(planes.count_ones(Encoding::SignMagnitude));
-
-        // Mirrors `column_sparsity_of_groups`.
         let column_sparsity = |encoding: Encoding| {
             let total_columns = planes.num_groups() * WORD_BITS;
             if total_columns == 0 {
                 0.0
             } else {
-                let nonzero = planes.total_nonzero_columns(encoding) as usize;
+                let nonzero = counts.nonzero_columns(encoding) as usize;
                 1.0 - nonzero as f64 / total_columns as f64
             }
         };
-        let column_sparsity_twos_complement = column_sparsity(Encoding::TwosComplement);
-        let column_sparsity_sign_magnitude = column_sparsity(Encoding::SignMagnitude);
 
         Self {
             num_weights,
             value_sparsity,
-            bit_sparsity_twos_complement,
-            bit_sparsity_sign_magnitude,
-            column_sparsity_twos_complement,
-            column_sparsity_sign_magnitude,
+            bit_sparsity_twos_complement: bit_sparsity(Encoding::TwosComplement),
+            bit_sparsity_sign_magnitude: bit_sparsity(Encoding::SignMagnitude),
+            column_sparsity_twos_complement: column_sparsity(Encoding::TwosComplement),
+            column_sparsity_sign_magnitude: column_sparsity(Encoding::SignMagnitude),
             group_size: planes.group_size(),
         }
     }
@@ -267,26 +262,6 @@ where
     }
 }
 
-/// Average number of *non-zero* bit columns per group — the quantity that
-/// directly sets BitWave's compute cycle count per group (each non-zero
-/// column costs one BCE cycle).
-pub fn mean_nonzero_columns<'a, I>(groups: I, encoding: Encoding) -> f64
-where
-    I: Iterator<Item = &'a [i8]>,
-{
-    let mut count = 0usize;
-    let mut total = 0u64;
-    for group in groups {
-        count += 1;
-        total += u64::from(nonzero_column_count(group, encoding));
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total as f64 / count as f64
-    }
-}
-
 /// Aggregated sparsity statistics over a whole network (weighted by element
 /// count), the per-network bars of Fig. 1.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -351,7 +326,6 @@ impl SparsitySummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::group_slice;
     use bitwave_tensor::prelude::*;
     use bitwave_tensor::quant::QuantParams;
 
@@ -430,15 +404,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_nonzero_columns_consistent_with_sparsity() {
-        let data: Vec<i8> = (0..64).map(|i| (i % 5) as i8).collect();
-        let groups = group_slice(&data, GroupSize::G8);
-        let sparsity = column_sparsity_of_groups(groups.iter(), Encoding::SignMagnitude);
-        let mean_nz = mean_nonzero_columns(groups.iter(), Encoding::SignMagnitude);
-        assert!((mean_nz / 8.0 + sparsity - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn aggregation_weights_by_layer_size() {
         let small = LayerSparsityStats::analyze(&tensor_from(vec![0i8; 8]), GroupSize::G8).unwrap();
         let large =
@@ -467,11 +432,7 @@ mod tests {
     fn empty_group_iterator_yields_zero() {
         let empty: Vec<&[i8]> = vec![];
         assert_eq!(
-            column_sparsity_of_groups(empty.clone().into_iter(), Encoding::SignMagnitude),
-            0.0
-        );
-        assert_eq!(
-            mean_nonzero_columns(empty.into_iter(), Encoding::SignMagnitude),
+            column_sparsity_of_groups(empty.into_iter(), Encoding::SignMagnitude),
             0.0
         );
     }

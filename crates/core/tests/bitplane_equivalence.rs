@@ -3,7 +3,8 @@
 //! Every word-parallel kernel introduced by the bitplane refactor is checked
 //! against a scalar executable specification (`compress_groups_scalar`,
 //! `from_tensor_and_groups_scalar`, and the test-only naive Bit-Flip search
-//! `oracle::flip_group_scalar`).  This suite drives both sides with arbitrary i8
+//! `oracle::flip_group_scalar`); the counts reduced while packing are also
+//! held to per-group `group_mask` popcounts at every group size 1–64.  This suite drives both sides with arbitrary i8
 //! slices — both encodings, all three hardware group sizes, lengths on
 //! either side of the 64-element word boundary — and demands *exact*
 //! equality, including bitwise f64 equality for every derived ratio, since
@@ -123,7 +124,107 @@ fn lengths_around_the_word_boundary_agree() {
     }
 }
 
+/// Holds the counts reduced while packing (and everything read off them) to
+/// the scalar oracles on one weight tensor × group size.
+fn assert_fused_reduction_equal(tensor: &QuantTensor, g: usize) {
+    let group_size = GroupSize::from_len(g);
+    let groups = extract_groups(tensor, group_size).unwrap();
+    let planes = groups.to_bitplanes();
+    let counts = planes.counts();
+    let data = tensor.data();
+    let n = data.len();
+
+    let scalar = LayerSparsityStats::from_tensor_and_groups_scalar(tensor, &groups);
+    assert_eq!(LayerSparsityStats::from_planes(n, &planes), scalar, "g={g}");
+    let nonzero = data.iter().filter(|&&v| v != 0).count() as u64;
+    assert_eq!(counts.nonzero_elements, nonzero, "g={g}");
+
+    let mut group_columns = Vec::new();
+    for (i, group) in groups.iter().enumerate() {
+        let mask = group
+            .iter()
+            .fold(0u8, |m, &v| m | Encoding::SignMagnitude.encode(v));
+        assert_eq!(planes.group_mask(Encoding::SignMagnitude, i), mask, "g={g}");
+        group_columns.push(mask.count_ones());
+    }
+    assert_eq!(counts.group_columns, group_columns, "g={g}");
+
+    for encoding in ENCODINGS {
+        let ones: u64 = data
+            .iter()
+            .map(|&v| u64::from(encoding.encode(v).count_ones()))
+            .sum();
+        assert_eq!(counts.ones(encoding), ones, "g={g} {encoding:?}");
+        let codec = BcsCodec::new(group_size, encoding);
+        let oracle = codec.compress_groups_scalar(groups.iter(), n);
+        let sizes = codec.measure_packed(&planes, n);
+        assert_eq!(
+            sizes.payload_bits, oracle.payload_bits,
+            "g={g} {encoding:?}"
+        );
+        assert_eq!(sizes.index_bits, oracle.index_bits, "g={g} {encoding:?}");
+        let columns: u64 = (0..groups.num_groups())
+            .map(|i| u64::from(planes.group_mask(encoding, i).count_ones()))
+            .sum();
+        assert_eq!(
+            counts.nonzero_columns(encoding),
+            columns,
+            "g={g} {encoding:?}"
+        );
+    }
+}
+
+#[test]
+fn fused_reduction_agrees_at_every_group_size() {
+    // Conv C = 20 (ragged for most G) with -128 lanes and kernel 1 all
+    // zero (whole zero groups).
+    let values: Vec<i8> = (0..4 * 20 * 3 * 3)
+        .map(|i| match (i / 180, i % 11) {
+            (1, _) | (_, 1 | 2) => 0,
+            (_, 0) => -128,
+            _ => (i as i8).wrapping_mul(29),
+        })
+        .collect();
+    let conv =
+        QuantTensor::new(Shape::conv_weight(4, 20, 3, 3), values, QuantParams::unit()).unwrap();
+    for g in 1..=64 {
+        assert_fused_reduction_equal(&conv, g);
+    }
+}
+
 proptest! {
+    #[test]
+    fn fused_reduction_agrees_on_linear_and_conv_shapes(
+        conv in any::<bool>(),
+        k in 1usize..=5,
+        c in 1usize..=70,
+        g in prop_oneof![1usize..=64, Just(3), Just(24), Just(48)],
+        pool in proptest::collection::vec(
+            prop_oneof![4 => -128i8..=127, 2 => Just(0i8), 1 => Just(i8::MIN)],
+            1..=64,
+        ),
+        zero_kernels in any::<u64>(),
+    ) {
+        let shape = if conv {
+            Shape::conv_weight(k, c, 3, 3)
+        } else {
+            Shape::d2(k, c)
+        };
+        let per_kernel = shape.num_elements() / k;
+        // Every kernel whose bit is set is all zero: whole zero groups.
+        let values: Vec<i8> = (0..shape.num_elements())
+            .map(|i| {
+                if (zero_kernels >> ((i / per_kernel) % 64)) & 1 == 1 {
+                    0
+                } else {
+                    pool[i % pool.len()]
+                }
+            })
+            .collect();
+        let tensor = QuantTensor::new(shape, values, QuantParams::unit()).unwrap();
+        assert_fused_reduction_equal(&tensor, g);
+    }
+
     #[test]
     fn stats_and_bcs_agree_on_arbitrary_slices(
         values in proptest::collection::vec(-128i8..=127, 1..200),

@@ -379,7 +379,6 @@ impl EventLoop {
                             Response::error(413, "request body too large")
                         }
                         HttpError::BadRequest(msg) => Response::error(400, &msg),
-                        _ => Response::error(400, "malformed request"),
                     };
                     conn.read_buf.clear();
                     self.queue_response(conn, response, true);

@@ -10,15 +10,11 @@
 //! *requests* are still rejected, and there are no trailers and no
 //! `Expect: 100-continue`.
 //!
-//! Two parsers share one set of framing rules:
-//!
-//! * [`parse_request`] — the **incremental** parser the event loop feeds
-//!   from a per-connection read buffer.  It is stateless: each call rescans
-//!   the buffer and either returns a complete request plus the byte count
-//!   it consumed, or [`ParseStatus::Partial`] meaning "read more".
-//! * [`read_request`] — the **blocking** parser retained for the keep-alive
-//!   [`crate::client`] and as the equivalence oracle for the incremental
-//!   parser's proptest.
+//! [`parse_request`] is the **incremental** parser the event loop feeds
+//! from a per-connection read buffer.  It is stateless: each call rescans
+//! the buffer and either returns a complete request plus the byte count it
+//! consumed, or [`ParseStatus::Partial`] meaning "read more".  The serve
+//! tests hold it to a blocking line-by-line reader as its oracle.
 //!
 //! Close semantics follow RFC 7230 §6.3: HTTP/1.1 defaults to keep-alive
 //! unless a `Connection` header lists `close`; HTTP/1.0 defaults to close
@@ -27,7 +23,7 @@
 //! `Content-Length` headers are rejected outright (the classic
 //! request-smuggling desync shape); identical duplicates are tolerated.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers) in bytes.
@@ -148,13 +144,9 @@ impl Request {
     }
 }
 
-/// Errors produced while reading a request.
+/// Errors produced while parsing a request.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The peer closed the connection before sending a request line.
-    ConnectionClosed,
-    /// An I/O error on the socket.
-    Io(io::Error),
     /// The request was malformed; the message is safe to echo to the peer.
     BadRequest(String),
     /// The declared body exceeds [`MAX_BODY_BYTES`].
@@ -164,8 +156,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::ConnectionClosed => write!(f, "connection closed"),
-            HttpError::Io(e) => write!(f, "socket error: {e}"),
             HttpError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             HttpError::PayloadTooLarge => write!(f, "request body too large"),
         }
@@ -173,12 +163,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// Parses `METHOD target HTTP/1.x` into its parts.
 fn parse_request_line(line: &str) -> Result<(String, String, Version), HttpError> {
@@ -207,8 +191,7 @@ fn parse_request_line(line: &str) -> Result<(String, String, Version), HttpError
     Ok((method, target, version))
 }
 
-/// Assembles the final [`Request`] once framing is settled — shared by both
-/// parsers so target splitting cannot drift.
+/// Assembles the final [`Request`] once framing is settled.
 fn build_request(
     method: String,
     target: String,
@@ -248,63 +231,6 @@ fn framed_body_length(headers: &[(String, String)]) -> Result<usize, HttpError> 
     Ok(content_length)
 }
 
-/// Reads one head line, charging its bytes against `budget`.  The read is
-/// bounded *while it happens* (`Read::take`), so a malicious endless line
-/// with no newline cannot buffer unbounded memory — it errors as soon as the
-/// budget is exhausted.  Returns an empty string on EOF.
-fn read_head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let mut limited = Read::take(Read::by_ref(reader), (*budget as u64) + 1);
-    let n = limited.read_line(&mut line)?;
-    if n > *budget {
-        return Err(HttpError::BadRequest("request head too large".to_string()));
-    }
-    *budget -= n;
-    Ok(line)
-}
-
-/// Reads one request from a buffered stream, blocking until it is complete.
-///
-/// # Errors
-///
-/// [`HttpError::ConnectionClosed`] on clean EOF before the request line,
-/// [`HttpError::BadRequest`]/[`HttpError::PayloadTooLarge`] on malformed
-/// input, [`HttpError::Io`] on socket failure.
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let mut head_budget = MAX_HEAD_BYTES;
-    let line = read_head_line(reader, &mut head_budget)?;
-    if line.is_empty() {
-        return Err(HttpError::ConnectionClosed);
-    }
-    let (method, target, version) = parse_request_line(&line)?;
-
-    let mut headers = Vec::new();
-    loop {
-        let header_line = read_head_line(reader, &mut head_budget)?;
-        if header_line.is_empty() {
-            return Err(HttpError::BadRequest(
-                "connection closed mid-headers".to_string(),
-            ));
-        }
-        let trimmed = header_line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        let Some(header) = parse_header(trimmed) else {
-            return Err(HttpError::BadRequest(format!(
-                "malformed header `{trimmed}`"
-            )));
-        };
-        headers.push(header);
-    }
-
-    let content_length = framed_body_length(&headers)?;
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-
-    Ok(build_request(method, target, version, headers, body))
-}
-
 /// What [`parse_request`] found in the buffer.
 #[derive(Debug)]
 pub enum ParseStatus {
@@ -324,8 +250,7 @@ pub enum ParseStatus {
 /// Rescans `buf` from the start on every call: returns
 /// [`ParseStatus::Partial`] until a full head (terminated by a blank line)
 /// and its declared body have arrived, then the parsed request plus the
-/// byte count to drain.  Framing rules are identical to [`read_request`]
-/// (pinned by a proptest).
+/// byte count to drain.
 ///
 /// # Errors
 ///
@@ -334,8 +259,7 @@ pub enum ParseStatus {
 /// declared body.
 pub fn parse_request(buf: &[u8]) -> Result<ParseStatus, HttpError> {
     // Locate the end of the head: the first empty line.  Lines end at `\n`
-    // with an optional `\r` before it, matching the blocking parser's
-    // `read_line` + trim behaviour.
+    // with an optional `\r` before it.
     let mut lines: Vec<&[u8]> = Vec::new();
     let mut cursor = 0;
     let mut head_end = None;
@@ -535,10 +459,9 @@ pub fn chunk_frame(payload: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufReader, Cursor};
 
     fn roundtrip(raw: &str) -> Result<Request, HttpError> {
-        read_request(&mut BufReader::new(Cursor::new(raw.as_bytes().to_vec())))
+        parse_complete(raw).map(|(request, _)| request)
     }
 
     fn parse_complete(raw: &str) -> Result<(Request, usize), HttpError> {
@@ -559,9 +482,7 @@ mod tests {
         assert_eq!(req.header("host"), Some("x"));
         assert_eq!(req.body, b"{}");
         assert!(!req.wants_close());
-        let (incr, consumed) = parse_complete(raw).unwrap();
-        assert_eq!(consumed, raw.len());
-        assert_eq!(incr.body, b"{}");
+        assert_eq!(parse_complete(raw).unwrap().1, raw.len());
     }
 
     #[test]
@@ -602,18 +523,12 @@ mod tests {
         // request-smuggling desync; the old parser silently took the first.
         let raw = "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\n{}123";
         assert!(matches!(roundtrip(raw), Err(HttpError::BadRequest(_))));
-        assert!(matches!(
-            parse_request(raw.as_bytes()),
-            Err(HttpError::BadRequest(_))
-        ));
         // A comma-joined conflicting pair is equally rejected.
         let raw = "POST / HTTP/1.1\r\nContent-Length: 2, 5\r\n\r\n{}123";
         assert!(matches!(roundtrip(raw), Err(HttpError::BadRequest(_))));
         // Identical duplicates are tolerated (RFC 7230 §3.3.2).
         let raw = "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}";
         assert_eq!(roundtrip(raw).unwrap().body, b"{}");
-        let (req, _) = parse_complete(raw).unwrap();
-        assert_eq!(req.body, b"{}");
     }
 
     #[test]
@@ -630,7 +545,6 @@ mod tests {
             roundtrip("GET / HTTP/1.1\r\nbroken header\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
-        assert!(matches!(roundtrip(""), Err(HttpError::ConnectionClosed)));
         // Chunked framing is unsupported and must be rejected outright —
         // reading it as an empty body would desync the keep-alive stream.
         assert!(matches!(
@@ -645,20 +559,12 @@ mod tests {
         // head budget — not buffer until the peer stops sending.
         let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         assert!(matches!(roundtrip(&raw), Err(HttpError::BadRequest(_))));
-        assert!(matches!(
-            parse_request(raw.as_bytes()),
-            Err(HttpError::BadRequest(_))
-        ));
         // Same for a single endless header line.
         let raw = format!(
             "GET / HTTP/1.1\r\nx-junk: {}\r\n\r\n",
             "b".repeat(MAX_HEAD_BYTES)
         );
         assert!(matches!(roundtrip(&raw), Err(HttpError::BadRequest(_))));
-        assert!(matches!(
-            parse_request(raw.as_bytes()),
-            Err(HttpError::BadRequest(_))
-        ));
         // And an unterminated head must error once past the budget even
         // with no newline at all in the buffer.
         let endless = vec![b'a'; MAX_HEAD_BYTES + 1];
@@ -675,10 +581,6 @@ mod tests {
             MAX_BODY_BYTES + 1
         );
         assert!(matches!(roundtrip(&raw), Err(HttpError::PayloadTooLarge)));
-        assert!(matches!(
-            parse_request(raw.as_bytes()),
-            Err(HttpError::PayloadTooLarge)
-        ));
     }
 
     #[test]

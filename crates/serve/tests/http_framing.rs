@@ -1,17 +1,73 @@
 //! Wire-level HTTP framing regression tests: pipelining, split writes,
 //! header variants, HTTP/1.0 close semantics, duplicate Content-Length
 //! rejection, and a property check that the incremental parser agrees with
-//! the blocking reader on every well-formed request.
+//! a blocking line-by-line reader (the oracle below) on every well-formed
+//! request.
 
 mod common;
 
-use bitwave_serve::http::{parse_request, read_request, ParseStatus};
+use bitwave_serve::http::{
+    content_length_of, find_header, parse_header, parse_request, HttpError, ParseStatus, Request,
+    Version, MAX_BODY_BYTES,
+};
 use bitwave_serve::server::{start, ServeConfig};
 use common::read_response;
 use proptest::prelude::*;
-use std::io::{BufReader, Cursor, Write};
+use std::io::{BufRead, BufReader, Cursor, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// The oracle of [`parse_request`]: reads one request line by line from a
+/// buffered stream (`read_line` + trim), then exactly `Content-Length`
+/// body bytes.
+fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
+    let bad = |msg: &str| HttpError::BadRequest(msg.to_string());
+    let mut line = String::new();
+    reader.read_line(&mut line).map_err(|_| bad("read"))?;
+    let mut parts = line.split_whitespace();
+    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
+    else {
+        return Err(bad("request line"));
+    };
+    let version = match version {
+        "HTTP/1.0" => Version::Http10,
+        v if v.starts_with("HTTP/1.") => Version::Http11,
+        _ => return Err(bad("version")),
+    };
+    let mut headers = Vec::new();
+    loop {
+        let mut header_line = String::new();
+        reader
+            .read_line(&mut header_line)
+            .map_err(|_| bad("read"))?;
+        let trimmed = header_line.trim_end_matches(['\r', '\n']);
+        if trimmed.is_empty() {
+            break;
+        }
+        headers.push(parse_header(trimmed).ok_or_else(|| bad("header"))?);
+    }
+    if find_header(&headers, "transfer-encoding").is_some() {
+        return Err(bad("transfer-encoding"));
+    }
+    let content_length = content_length_of(&headers)?;
+    if content_length > MAX_BODY_BYTES {
+        return Err(HttpError::PayloadTooLarge);
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).map_err(|_| bad("body"))?;
+    let (path, query) = match target.split_once('?') {
+        Some((p, q)) => (p.to_string(), Some(q.to_string())),
+        None => (target.to_string(), None),
+    };
+    Ok(Request {
+        method: method.to_ascii_uppercase(),
+        path,
+        query,
+        version,
+        headers,
+        body,
+    })
+}
 
 fn test_config() -> ServeConfig {
     ServeConfig {

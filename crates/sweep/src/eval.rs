@@ -98,7 +98,7 @@ fn portfolio_model(
                 layer.expected_activation_sparsity(),
                 ctx.group_size,
             )?;
-            Ok(*analysis.core_profile())
+            Ok(analysis.core_profile())
         })
         .collect::<Result<Vec<_>, BitwaveError>>()
         .map_err(|e| format!("profiling {name}: {e}"))?;

@@ -43,10 +43,11 @@
 //! ops).
 //!
 //! In the pipeline, packing happens **once per layer** inside the compress
-//! stage ([`Groups`]`::to_bitplanes` in `bitwave-core`); the resulting
-//! [`BitplaneTensor`] is then shared by statistics, BCS size accounting and
-//! the accelerator sparsity profile, exactly as the extracted groups are
-//! shared today.
+//! stage ([`Groups`]`::to_bitplanes` in `bitwave-core`).  The same pass
+//! reduces every count the statistics, the BCS size accounting and the
+//! accelerator sparsity profile read ([`PlaneCounts`]) while each plane word
+//! is still in registers, with the lane fold at a compile-time width for
+//! group sizes dividing 64; none of them walks the planes again.
 //!
 //! [`Groups`]: ../../bitwave_core/group/struct.Groups.html
 
@@ -139,36 +140,104 @@ fn window(plane: &[u64], start: usize, width: usize) -> u64 {
     bits
 }
 
-/// Mask selecting the least-significant bit of every `segment`-bit lane of a
-/// `u64`.  `segment` must divide 64 (i.e. be a power of two ≤ 64).
-#[inline]
-fn segment_lsb_mask(segment: usize) -> u64 {
-    match segment {
-        1 => u64::MAX,
-        2 => 0x5555_5555_5555_5555,
-        4 => 0x1111_1111_1111_1111,
-        8 => 0x0101_0101_0101_0101,
-        16 => 0x0001_0001_0001_0001,
-        32 => 0x0000_0001_0000_0001,
-        64 => 1,
-        _ => unreachable!("segment width must divide 64"),
+/// Mask of one `g`-bit lane (`g` = 64: the whole word).
+const fn lane_mask(g: usize) -> u64 {
+    if g >= WORD_LEN {
+        u64::MAX
+    } else {
+        (1 << g) - 1
     }
 }
 
-/// OR-folds each aligned `segment`-bit lane of `word` into its lane LSB: the
+/// OR-folds each aligned `G`-bit lane of `word` into its lane LSB: the
 /// result has the lane LSB set iff the lane held any `1` bit.  Exact for
-/// every lane because the shift subset-sums cover `1..segment` and never
-/// reach `segment`, so no bit crosses a lane boundary into a *lower* lane's
-/// LSB position.
+/// every lane because the shift subset-sums cover `1..G` and never reach
+/// `G`, so no bit crosses a lane boundary into a *lower* lane's LSB
+/// position.  `G` must divide 64; the fold unrolls at compile time.
 #[inline]
-fn nonzero_segments(word: u64, segment: usize) -> u64 {
+fn nonzero_segments<const G: usize>(word: u64) -> u64 {
     let mut x = word;
-    let mut shift = segment / 2;
+    let mut shift = G / 2;
     while shift > 0 {
         x |= x >> shift;
         shift /= 2;
     }
-    x & segment_lsb_mask(segment)
+    // `u64::MAX / lane_mask(G)` has exactly the lane LSBs set.
+    x & (u64::MAX / lane_mask(G))
+}
+
+/// Every count the per-layer analyses read off a [`BitplaneTensor`],
+/// reduced in the same pass that packs the planes (see
+/// [`BitplaneTensor::counts`]).  All counts are exact integers; the zero
+/// tail bits contribute nothing to any of them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct PlaneCounts {
+    /// Number of non-zero elements (an element is zero iff every
+    /// two's-complement bit is zero, which holds iff its sign-magnitude
+    /// encoding is zero too).
+    pub nonzero_elements: u64,
+    /// Set bits, indexed by [`slot`].
+    ones: [u64; 2],
+    /// Non-zero bit columns over all group windows, indexed by [`slot`].
+    nonzero_columns: [u64; 2],
+    /// Non-zero sign-magnitude bit columns of each group window (0..=8), in
+    /// group order — the per-group cycle costs of the BCE array.
+    pub group_columns: Vec<u32>,
+}
+
+/// Index of `encoding` in [`PlaneCounts`]' per-encoding arrays.
+fn slot(encoding: Encoding) -> usize {
+    match encoding {
+        Encoding::TwosComplement => 0,
+        Encoding::SignMagnitude => 1,
+    }
+}
+
+impl PlaneCounts {
+    /// Set bits over all elements under `encoding`.
+    pub fn ones(&self, encoding: Encoding) -> u64 {
+        self.ones[slot(encoding)]
+    }
+
+    /// Non-zero bit columns over all group windows under `encoding` — the
+    /// quantity BCS payload sizing and column-sparsity statistics need.
+    pub fn nonzero_columns(&self, encoding: Encoding) -> u64 {
+        self.nonzero_columns[slot(encoding)]
+    }
+
+    /// Adds one plane word of 64 elements.  For `G` ≠ 0 (a lane width
+    /// dividing 64, at least 4) it also adds the column counts: the eight
+    /// sign-magnitude indicator words are summed with one `u64` addition
+    /// each, so every `G`-bit lane accumulates its group's count (≤ 8,
+    /// never carrying into a neighbour).  `G` = 0 leaves the columns to
+    /// [`BitplaneTensor::count_window_columns`].
+    #[inline]
+    fn add_word<const G: usize>(
+        &mut self,
+        tc: &[u64; WORD_BITS],
+        sm: &[u64; WORD_BITS],
+        num_groups: usize,
+    ) {
+        let mut any = 0u64;
+        let mut lanes = 0u64;
+        for (&t, &s) in tc.iter().zip(sm) {
+            any |= t;
+            self.ones[0] += u64::from(t.count_ones());
+            self.ones[1] += u64::from(s.count_ones());
+            if G != 0 {
+                let indicators = nonzero_segments::<G>(s);
+                self.nonzero_columns[0] += u64::from(nonzero_segments::<G>(t).count_ones());
+                self.nonzero_columns[1] += u64::from(indicators.count_ones());
+                lanes += indicators;
+            }
+        }
+        self.nonzero_elements += u64::from(any.count_ones());
+        if let Some(per_word) = WORD_LEN.checked_div(G) {
+            let take = per_word.min(num_groups - self.group_columns.len());
+            self.group_columns
+                .extend((0..take).map(|i| ((lanes >> (i * G)) & lane_mask(G)) as u32));
+        }
+    }
 }
 
 /// Bitplanes of a single weight group (≤ 64 elements): one `u64` per bit
@@ -260,28 +329,24 @@ impl GroupPlanes {
         }
         mask
     }
-
-    /// Number of elements whose bit `bit` is set (the column population).
-    #[inline]
-    pub fn population(&self, bit: usize) -> u32 {
-        self.planes[bit].count_ones()
-    }
 }
 
 /// A whole tensor's worth of bitplanes under **both** encodings, packed once
 /// and shared by every analysis kernel (see the module docs for the layout
-/// and the tail-masking invariant).
+/// and the tail-masking invariant), together with the [`PlaneCounts`]
+/// reduced while packing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitplaneTensor {
     len: usize,
     group_size: usize,
     tc: [Vec<u64>; WORD_BITS],
     sm: [Vec<u64>; WORD_BITS],
+    counts: PlaneCounts,
 }
 
 impl BitplaneTensor {
     /// Packs `data` into bitplanes with group windows of `group_size`
-    /// elements.
+    /// elements, reducing the [`PlaneCounts`] in the same pass.
     ///
     /// `data` is normally the padded backing store of an extracted `Groups`
     /// (every group zero-padded to `group_size`), so that group `i` occupies
@@ -296,9 +361,31 @@ impl BitplaneTensor {
             (1..=WORD_LEN).contains(&group_size),
             "bitplane group windows hold at most 64 weights (got {group_size})"
         );
+        // Lane widths dividing 64 count columns word-parallel at a
+        // compile-time width; the rest count them per group window.
+        match group_size {
+            4 => Self::pack::<4>(data, group_size),
+            8 => Self::pack::<8>(data, group_size),
+            16 => Self::pack::<16>(data, group_size),
+            32 => Self::pack::<32>(data, group_size),
+            64 => Self::pack::<64>(data, group_size),
+            _ => {
+                let mut planes = Self::pack::<0>(data, group_size);
+                planes.count_window_columns();
+                planes
+            }
+        }
+    }
+
+    fn pack<const G: usize>(data: &[i8], group_size: usize) -> Self {
         let words = data.len().div_ceil(WORD_LEN);
+        let num_groups = data.len().div_ceil(group_size);
         let mut tc: [Vec<u64>; WORD_BITS] = std::array::from_fn(|_| vec![0u64; words]);
         let mut sm: [Vec<u64>; WORD_BITS] = std::array::from_fn(|_| vec![0u64; words]);
+        let mut counts = PlaneCounts {
+            group_columns: Vec::with_capacity(num_groups),
+            ..PlaneCounts::default()
+        };
         let mut tc_bytes = [0u8; WORD_LEN];
         for (word, chunk) in data.chunks(WORD_LEN).enumerate() {
             if chunk.len() < WORD_LEN {
@@ -310,9 +397,11 @@ impl BitplaneTensor {
                 *slot = value as u8;
             }
             // Only the two's-complement bytes are transposed; the
-            // sign-magnitude planes are derived from them word-parallel.
+            // sign-magnitude planes are derived from them word-parallel,
+            // and both are counted while still in registers.
             let tc_word = transpose_block(&tc_bytes);
             let sm_word = sm_planes_from_tc(&tc_word);
+            counts.add_word::<G>(&tc_word, &sm_word, num_groups);
             for b in 0..WORD_BITS {
                 tc[b][word] = tc_word[b];
                 sm[b][word] = sm_word[b];
@@ -323,7 +412,30 @@ impl BitplaneTensor {
             group_size,
             tc,
             sm,
+            counts,
         }
+    }
+
+    /// Column counts for group windows that do not tile a plane word: one
+    /// window mask per group and encoding.
+    fn count_window_columns(&mut self) {
+        for group in 0..self.num_groups() {
+            let tc = self
+                .group_mask(Encoding::TwosComplement, group)
+                .count_ones();
+            let sm = self.group_mask(Encoding::SignMagnitude, group).count_ones();
+            self.counts.nonzero_columns[0] += u64::from(tc);
+            self.counts.nonzero_columns[1] += u64::from(sm);
+            self.counts.group_columns.push(sm);
+        }
+    }
+
+    /// The counts reduced while packing: non-zero elements, set bits and
+    /// non-zero columns per encoding, and the per-group sign-magnitude
+    /// column counts.
+    #[inline]
+    pub fn counts(&self) -> &PlaneCounts {
+        &self.counts
     }
 
     /// Number of packed elements.
@@ -350,12 +462,6 @@ impl BitplaneTensor {
         self.len.div_ceil(self.group_size)
     }
 
-    /// Number of 64-bit words per plane.
-    #[inline]
-    pub fn num_words(&self) -> usize {
-        self.len.div_ceil(WORD_LEN)
-    }
-
     #[inline]
     fn encoded(&self, encoding: Encoding) -> &[Vec<u64>; WORD_BITS] {
         match encoding {
@@ -369,31 +475,6 @@ impl BitplaneTensor {
     #[inline]
     pub fn plane(&self, encoding: Encoding, bit: usize) -> &[u64] {
         &self.encoded(encoding)[bit]
-    }
-
-    /// Total number of `1` bits across all eight planes — the tensor's
-    /// set-bit count under `encoding`, at one popcount per plane word.
-    pub fn count_ones(&self, encoding: Encoding) -> u64 {
-        self.encoded(encoding)
-            .iter()
-            .flat_map(|plane| plane.iter())
-            .map(|&word| u64::from(word.count_ones()))
-            .sum()
-    }
-
-    /// Number of non-zero elements (an element is zero iff every
-    /// two's-complement bit is zero, which holds iff its sign-magnitude
-    /// encoding is zero too).
-    pub fn nonzero_elements(&self) -> u64 {
-        let mut total = 0u64;
-        for word in 0..self.num_words() {
-            let mut any = 0u64;
-            for plane in &self.tc {
-                any |= plane[word];
-            }
-            total += u64::from(any.count_ones());
-        }
-        total
     }
 
     /// Number of elements in group window `group` (only the final window can
@@ -443,69 +524,6 @@ impl BitplaneTensor {
             words[b] = window(plane, start, width);
         }
         GroupPlanes::from_words(words, width)
-    }
-
-    /// Total number of non-zero bit columns over all group windows — the
-    /// quantity BCS payload sizing and column-sparsity statistics need.
-    ///
-    /// For group sizes dividing 64 this runs entirely on whole plane words
-    /// (OR-fold each word's lanes into indicators, popcount); otherwise it
-    /// falls back to per-group masks.
-    pub fn total_nonzero_columns(&self, encoding: Encoding) -> u64 {
-        let g = self.group_size;
-        if WORD_LEN % g == 0 {
-            let mut total = 0u64;
-            for plane in self.encoded(encoding) {
-                for &word in plane {
-                    if word != 0 {
-                        total += u64::from(nonzero_segments(word, g).count_ones());
-                    }
-                }
-            }
-            total
-        } else {
-            (0..self.num_groups())
-                .map(|i| u64::from(self.group_mask(encoding, i).count_ones()))
-                .sum()
-        }
-    }
-
-    /// Per-group non-zero column counts (0..=8 each), in group order —
-    /// the per-group cycle costs of the BCE array.
-    ///
-    /// For group sizes ≥ 4 that divide 64, the eight per-plane indicator
-    /// words of each plane word are summed with a single `u64` addition per
-    /// plane: every `g`-bit lane accumulates its group's count (≤ 8, so
-    /// lanes of ≥ 4 bits never carry into a neighbour).
-    pub fn group_nonzero_column_counts(&self, encoding: Encoding) -> Vec<u32> {
-        let g = self.group_size;
-        let n = self.num_groups();
-        let mut counts = Vec::with_capacity(n);
-        if WORD_LEN % g == 0 && g >= 4 {
-            let planes = self.encoded(encoding);
-            let lane = if g == WORD_LEN {
-                u64::MAX
-            } else {
-                (1u64 << g) - 1
-            };
-            for word in 0..self.num_words() {
-                let mut acc = 0u64;
-                for plane in planes {
-                    acc += nonzero_segments(plane[word], g);
-                }
-                for segment in 0..WORD_LEN / g {
-                    if counts.len() == n {
-                        break;
-                    }
-                    counts.push(((acc >> (segment * g)) & lane) as u32);
-                }
-            }
-        } else {
-            for i in 0..n {
-                counts.push(self.group_mask(encoding, i).count_ones());
-            }
-        }
-        counts
     }
 }
 
@@ -581,13 +599,13 @@ mod tests {
     fn tail_bits_beyond_len_are_zero() {
         let data = vec![-1i8; 70]; // all bits set in TC; 70 % 64 = 6
         let planes = BitplaneTensor::from_slice(&data, 8);
-        assert_eq!(planes.num_words(), 2);
+        assert_eq!(planes.plane(Encoding::TwosComplement, 0).len(), 2);
         for b in 0..WORD_BITS {
             let tail = planes.plane(Encoding::TwosComplement, b)[1];
             assert_eq!(tail, (1u64 << 6) - 1, "bit {b} tail must be masked");
         }
-        assert_eq!(planes.count_ones(Encoding::TwosComplement), 70 * 8);
-        assert_eq!(planes.nonzero_elements(), 70);
+        assert_eq!(planes.counts().ones(Encoding::TwosComplement), 70 * 8);
+        assert_eq!(planes.counts().nonzero_elements, 70);
     }
 
     #[test]
@@ -672,16 +690,18 @@ mod tests {
                     total_nonzero += u64::from(mask.count_ones());
                     counts.push(mask.count_ones());
                 }
-                prop_assert_eq!(planes.total_nonzero_columns(enc), total_nonzero);
-                prop_assert_eq!(planes.group_nonzero_column_counts(enc), counts);
+                prop_assert_eq!(planes.counts().nonzero_columns(enc), total_nonzero);
+                if enc == Encoding::SignMagnitude {
+                    prop_assert_eq!(&planes.counts().group_columns, &counts);
+                }
                 let scalar_ones: u64 = data
                     .iter()
                     .map(|&v| u64::from(enc.encode(v).count_ones()))
                     .sum();
-                prop_assert_eq!(planes.count_ones(enc), scalar_ones);
+                prop_assert_eq!(planes.counts().ones(enc), scalar_ones);
             }
             let nonzero = data.iter().filter(|&&v| v != 0).count() as u64;
-            prop_assert_eq!(planes.nonzero_elements(), nonzero);
+            prop_assert_eq!(planes.counts().nonzero_elements, nonzero);
         }
 
         #[test]
