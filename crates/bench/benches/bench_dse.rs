@@ -193,7 +193,10 @@ fn bench(c: &mut Criterion) {
             memo_era_cold_search_ms: MEMO_ERA_COLD_SEARCH_MS,
             memo_era_hit_ms: MEMO_ERA_HIT_MS,
             available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            space_reuse_total: bitwave::dse::space_reuse_total(),
+            space_reuse_total: {
+                let stats = bitwave::dse::space_cache_stats();
+                stats.hits() + stats.coalesced()
+            },
         },
     );
 

@@ -5,9 +5,10 @@
 //!
 //! Before the criterion loops, the target **guards** the bitplane kernels
 //! against regressions: it re-measures the machine-portable kernel ratios
-//! (kernel min-time over a fixed scalar calibration kernel's min-time) and
-//! fails if any ratio is more than 10 % above the committed
-//! `BENCH_sparsity.json` baseline.  The guard is skipped — with a notice —
+//! (kernel min-time over a fixed scalar calibration kernel's min-time, the
+//! median of `RATIO_ROUNDS` rounds, as the baseline is) and fails if any
+//! ratio is more than 10 % above the committed `BENCH_sparsity.json`
+//! baseline.  The guard is skipped — with a notice —
 //! when no baseline file has been committed yet.
 
 use bitwave_bench::{measure_sparsity_kernel_ratios, print_header, workspace_file};

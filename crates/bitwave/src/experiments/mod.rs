@@ -2,16 +2,10 @@
 //!
 //! Every driver takes an [`crate::context::ExperimentContext`] and returns a
 //! vector of serialisable rows; the benchmark harness prints them as the
-//! tables/series the paper reports, and `EXPERIMENTS.md` records the
-//! paper-vs-measured comparison.
+//! tables/series the paper reports.  README.md maps each paper result to
+//! its driver.
 
 pub mod bitflip;
 pub mod evaluation;
 pub mod hardware;
 pub mod sparsity;
-
-/// Renders a slice of serialisable rows as a pretty-printed JSON array —
-/// the common output format of the benchmark harness.
-pub fn rows_to_json<T: serde::Serialize>(rows: &[T]) -> String {
-    serde_json::to_string_pretty(rows).expect("experiment rows serialise")
-}

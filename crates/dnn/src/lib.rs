@@ -14,8 +14,7 @@
 //! * [`models`] — the four networks with layer-exact shapes and the Fig. 12
 //!   workload summary (GFLOPs, parameter count, model type).
 //! * [`weights`] — synthetic Int8 weights per layer, calibrated so that the
-//!   sparsity statistics match the ranges the paper reports (see DESIGN.md
-//!   §2 for the substitution rationale).
+//!   sparsity statistics match the ranges the paper reports.
 //! * [`infer`] — exact Int8 reference kernels (conv2d, depthwise conv,
 //!   linear) used as the golden model for the cycle-level simulator.
 //! * [`proxy`] — the task-quality proxy (accuracy / F1 / PESQ) that maps

@@ -16,7 +16,8 @@
 //!   weight, including the sensitive layers, by a full quantisation step)
 //!   degrades quality faster than SM+Bit-Flip.
 //!
-//! Absolute dataset numbers are out of scope (see DESIGN.md §2).
+//! Absolute dataset numbers are out of scope: the reproduction runs on
+//! synthetic weights (README.md), with no datasets or trained checkpoints.
 
 use crate::models::{NetworkSpec, TaskKind};
 use crate::weights::NetworkWeights;

@@ -81,7 +81,7 @@ pub use factored::{
     factor_network, factored_repriced_total, FactoredNetworkSearch, SearchedTotals,
 };
 pub use search::{DseEngine, LayerSearchResult, NetworkSearch, SearchedLayer, DSE_SCHEMA_VERSION};
-pub use space::{space_reuse_total, Candidate, SearchSpace};
+pub use space::{space_cache_stats, Candidate, SearchSpace};
 
 /// Convenience re-exports.
 pub mod prelude {

@@ -16,16 +16,19 @@
 //! * both tiling orders and every configured tile-size factor for each
 //!   spatial shape.  Dominated tilings are evaluated and rejected by the
 //!   Pareto prune rather than skipped a priori.
+//!
+//! The walk depends only on the space, the SU menu, the lane budget and
+//! depthwise-ness, so [`SearchSpace::enumerate_shared`] memoises it in a
+//! process-wide, single-flight `bitwave_store::MemoryTier` LRU.
 
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_core::digest::Digest;
 use bitwave_dataflow::activity::{TemporalMapping, TilingOrder};
 use bitwave_dataflow::su::{SpatialUnrolling, SuSet};
 use bitwave_dnn::layer::LayerSpec;
+use bitwave_store::{FillOrigin, MemoryTier, MemoryTierConfig, StoreStats};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Placeholder `SpatialUnrolling::name` of generated candidates; the
 /// human-readable shape lives in [`Candidate::label`].
@@ -89,18 +92,15 @@ struct SpaceKey {
     depthwise: bool,
 }
 
-/// Process-wide cache of enumerated candidate spaces.  Bounded: distinct
-/// keys beyond the cap fall back to uncached enumeration rather than
-/// evicting (sweeps cycle through a small menu of SU families).
-static SPACE_CACHE: OnceLock<Mutex<HashMap<String, Arc<Vec<Candidate>>>>> = OnceLock::new();
-static SPACE_HITS: AtomicU64 = AtomicU64::new(0);
-const SPACE_CACHE_CAP: usize = 512;
+/// Process-wide LRU of enumerated candidate spaces, keyed by the
+/// [`SpaceKey`] digest (sweeps cycle through a small menu of SU families).
+static SPACES: LazyLock<MemoryTier<Vec<Candidate>>> =
+    LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(512)));
 
-/// Number of times an enumerated mapping space was served from the
-/// process-wide cache instead of being re-walked (the
-/// `bitwave_sweep_space_reuse_total` metric).
-pub fn space_reuse_total() -> u64 {
-    SPACE_HITS.load(Ordering::Relaxed)
+/// The space cache's counters; its hits plus coalesced lookups are the
+/// `bitwave_sweep_space_reuse_total` metric.
+pub fn space_cache_stats() -> &'static StoreStats {
+    SPACES.stats()
 }
 
 /// Power-of-two values `1, 2, 4, … ≤ cap`.
@@ -239,8 +239,8 @@ impl SearchSpace {
     /// [`SearchSpace::enumerate`] behind the process-wide space cache: the
     /// `Cu × OXu × Ku` factorization walk runs once per distinct
     /// `(space, SU menu, lane budget, depthwise)` key and every later caller
-    /// shares the same `Arc`.  Falls back to an uncached walk if the key
-    /// fails to digest or the cache is full.
+    /// shares the same `Arc` until the key ages out of the 512-entry LRU.
+    /// Falls back to an uncached walk if the key fails to digest.
     pub fn enumerate_shared(
         &self,
         accel: &AcceleratorSpec,
@@ -255,23 +255,18 @@ impl SearchSpace {
         let Ok(digest) = Digest::of_value(&key) else {
             return Arc::new(self.enumerate(accel, layer));
         };
-        let hex = digest.to_hex();
-        let cache = SPACE_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(hit) = cache.lock().ok().and_then(|g| g.get(&hex).cloned()) {
-            SPACE_HITS.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Enumerate outside the lock; a racing duplicate walk is harmless
-        // (both produce the identical deterministic Vec) and rarer than the
-        // contention a held-lock walk would cause.
-        let computed = Arc::new(self.enumerate(accel, layer));
-        if let Ok(mut guard) = cache.lock() {
-            if guard.len() < SPACE_CACHE_CAP || guard.contains_key(&hex) {
-                // Return the canonical Arc so racing enumerators converge.
-                return Arc::clone(guard.entry(hex).or_insert_with(|| Arc::clone(&computed)));
-            }
-        }
-        computed
+        // Single-flight: racing callers of a cold key share one walk; a
+        // caller whose filler panicked walks uncached.
+        SPACES
+            .get_or_fill(
+                digest,
+                || Ok::<_, String>((self.enumerate(accel, layer), 0, FillOrigin::Computed)),
+                |e| e,
+            )
+            .map_or_else(
+                |_| Arc::new(self.enumerate(accel, layer)),
+                |(space, _)| space,
+            )
     }
 }
 
@@ -346,12 +341,33 @@ mod tests {
         // Warm the process-wide cache, then two differently shaped (but both
         // non-depthwise) layers must share one Arc'd enumeration.
         let _warm = space.enumerate_shared(&accel, &net.layers[0]);
-        let before = space_reuse_total();
+        let reuse = || space_cache_stats().hits() + space_cache_stats().coalesced();
+        let before = reuse();
         let a = space.enumerate_shared(&accel, &net.layers[0]);
         let b = space.enumerate_shared(&accel, &net.layers[3]);
         assert!(Arc::ptr_eq(&a, &b));
-        assert!(space_reuse_total() >= before + 2);
+        assert!(reuse() >= before + 2);
         assert_eq!(*a, space.enumerate(&accel, &net.layers[0]));
+    }
+
+    #[test]
+    fn a_full_space_cache_still_caches_new_keys() {
+        let net = resnet18();
+        let accel = bitwave();
+        // Each lane budget is its own key; the tiny budgets walk quickly.
+        let space_with = |budget: usize| SearchSpace {
+            max_parallelism: Some(budget),
+            include_su_set: false,
+            tile_factors: vec![],
+            ..SearchSpace::default()
+        };
+        for budget in 1000..1600 {
+            space_with(budget).enumerate_shared(&accel, &net.layers[0]);
+        }
+        let fresh = space_with(7);
+        let first = fresh.enumerate_shared(&accel, &net.layers[0]);
+        let second = fresh.enumerate_shared(&accel, &net.layers[0]);
+        assert!(Arc::ptr_eq(&first, &second), "a fresh key must be a hit");
     }
 
     #[test]

@@ -23,9 +23,6 @@
 //! `Content-Length` headers are rejected outright (the classic
 //! request-smuggling desync shape); identical duplicates are tolerated.
 
-use std::io::{self, Write};
-use std::net::TcpStream;
-
 /// Upper bound on the request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -406,16 +403,6 @@ impl Response {
         let mut message = head.into_bytes();
         message.extend_from_slice(&self.body);
         message
-    }
-
-    /// Writes the response; `close` controls the `Connection` header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket write errors.
-    pub fn write_to(&self, stream: &mut TcpStream, close: bool) -> io::Result<()> {
-        stream.write_all(&self.serialize(close))?;
-        stream.flush()
     }
 
     /// The wire form of a `Transfer-Encoding: chunked` response **head**

@@ -6,14 +6,18 @@
 //! [`bitwave_tensor::copy_metrics`] — the observable half of the zero-copy
 //! invariant `bench_serve` gates on.
 //!
-//! Store metrics are labelled per-op families from the `bitwave-store`
-//! substrate — `bitwave_store_{hits,disk_hits,misses,coalesced,evictions,
-//! quarantined}_total{op="…"}` counters plus
-//! `bitwave_store_{mem,disk}_{entries,bytes}{op="…"}` gauges for the
-//! `evaluate`, `search` and `weights` ops.
+//! Each series is one `(name, help, kind, value)` row of a table, rendered
+//! in table order.  Scalar rows come first; the per-op store families from
+//! the `bitwave-store` substrate —
+//! `bitwave_store_{hits,disk_hits,misses,coalesced,evictions,quarantined,
+//! disk_write_errors}_total{op="…"}` counters plus
+//! `bitwave_store_{mem,disk}_{entries,bytes}{op="…"}` gauges — then render
+//! one sample each for the `evaluate`, `search` and `weights` ops.
 //!
 //! Amortized-evaluation counters expose the sweep's reuse machinery:
-//! `bitwave_sweep_{profile_reuse,space_reuse,factored_repriced}_total`.
+//! `bitwave_sweep_{profile_reuse,space_reuse}_total` read the hits plus
+//! coalesced lookups of the portfolio and mapping-space `MemoryTier`s, and
+//! `bitwave_sweep_factored_repriced_total` counts factored re-pricings.
 
 use crate::cache::{CacheOp, ReportCache};
 use crate::store::ModelStore;
@@ -77,6 +81,34 @@ struct OpSample<'a> {
     disk_bytes: u64,
 }
 
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+
+/// A per-op store family's `(name, help, kind, value)` row.
+type Family = (
+    &'static str,
+    &'static str,
+    &'static str,
+    fn(&OpSample) -> u64,
+);
+
+/// The per-op store families in exposition order; each renders one sample
+/// per op.
+#[rustfmt::skip]
+const FAMILIES: [Family; 11] = [
+    ("bitwave_store_hits_total", "Memory-tier hits per store op.", COUNTER, |s| s.stats.hits()),
+    ("bitwave_store_disk_hits_total", "Disk-tier hits (verified, promoted to memory) per store op.", COUNTER, |s| s.stats.disk_hits()),
+    ("bitwave_store_misses_total", "Full misses (computations) per store op.", COUNTER, |s| s.stats.misses()),
+    ("bitwave_store_coalesced_total", "Calls coalesced onto an in-flight computation per store op.", COUNTER, |s| s.stats.coalesced()),
+    ("bitwave_store_evictions_total", "Memory-tier LRU evictions per store op.", COUNTER, |s| s.stats.evictions()),
+    ("bitwave_store_quarantined_total", "Disk entries quarantined (corrupt/truncated/version-mismatched) per store op.", COUNTER, |s| s.stats.quarantined()),
+    ("bitwave_store_disk_write_errors_total", "Failed best-effort disk writes per store op (persistence silently degraded).", COUNTER, |s| s.stats.disk_write_errors()),
+    ("bitwave_store_mem_entries", "Ready memory-tier entries per store op.", GAUGE, |s| s.mem_entries),
+    ("bitwave_store_mem_bytes", "Accounted memory-tier bytes per store op.", GAUGE, |s| s.mem_bytes),
+    ("bitwave_store_disk_entries", "Disk-tier entries per store op.", GAUGE, |s| s.disk_entries),
+    ("bitwave_store_disk_bytes", "Disk-tier bytes (headers included) per store op.", GAUGE, |s| s.disk_bytes),
+];
+
 impl ServiceMetrics {
     /// Increments a counter by one.
     pub fn bump(counter: &AtomicU64) {
@@ -85,150 +117,58 @@ impl ServiceMetrics {
 
     /// Renders all counters (service, store, tensor) as Prometheus text.
     pub fn render(&self, cache: &ReportCache, store: &ModelStore) -> String {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        // The amortized-evaluation caches count a reuse on every hit and
+        // every lookup coalesced onto an in-flight fill.
+        let reuse = |stats: &StoreStats| stats.hits() + stats.coalesced();
+        // Every scalar series as a `(name, help, kind, value)` row, in
+        // exposition order.
+        #[rustfmt::skip]
+        let scalars = [
+            ("bitwave_serve_http_requests_total", "HTTP requests parsed.", COUNTER, load(&self.http_requests)),
+            ("bitwave_serve_http_errors_total", "Non-2xx responses.", COUNTER, load(&self.http_errors)),
+            ("bitwave_serve_evaluations_total", "Cold pipeline evaluations executed.", COUNTER, load(&self.evaluations)),
+            ("bitwave_memory_bound_layers_total", "Layers judged memory-bound by the DRAM-tier roofline in cold evaluations.", COUNTER, load(&self.memory_bound_layers)),
+            ("bitwave_serve_queue_rejections_total", "Connections rejected because the job queue was full.", COUNTER, load(&self.queue_rejections)),
+            ("bitwave_serve_report_replays_total", "Reports replayed from GET /v1/reports/{digest}.", COUNTER, load(&self.report_replays)),
+            ("bitwave_serve_searches_total", "Cold dataflow design-space searches executed.", COUNTER, load(&self.searches)),
+            ("bitwave_serve_sheds_total", "Compute requests shed with 503 at the max-inflight cap.", COUNTER, load(&self.sheds)),
+            ("bitwave_serve_rate_limited_total", "Requests answered 429 by the per-client rate limiter.", COUNTER, load(&self.rate_limited)),
+            ("bitwave_serve_batch_dispatches_total", "Jobs dispatched to the compute queue.", COUNTER, load(&self.batch_dispatches)),
+            ("bitwave_serve_batch_coalesced_total", "Requests that rode an in-flight identical dispatch.", COUNTER, load(&self.batch_coalesced)),
+            ("bitwave_serve_batch_requests_total", "Requests answered through dispatch fan-outs.", COUNTER, load(&self.batch_requests)),
+            ("bitwave_serve_idle_closed_total", "Keep-alive connections closed by the idle deadline.", COUNTER, load(&self.idle_closed)),
+            ("bitwave_serve_request_timeout_408_total", "Partial requests answered 408 at the read deadline.", COUNTER, load(&self.request_timeout_408)),
+            ("bitwave_serve_stalled_writer_dropped_total", "Connections dropped for not draining a response by the write deadline.", COUNTER, load(&self.stalled_writer_dropped)),
+            ("bitwave_serve_weight_generations_total", "Synthetic weight-set generations (model-store misses).", COUNTER, store.generations()),
+            ("bitwave_tensor_deep_copies_total", "Process-wide QuantTensor deep copies (the zero-copy invariant).", COUNTER, bitwave_tensor::copy_metrics::deep_copies()),
+            ("bitwave_sweep_profile_reuse_total", "Sweep portfolio models served from the shared profile cache.", COUNTER, reuse(bitwave_sweep::portfolio_cache_stats())),
+            ("bitwave_sweep_space_reuse_total", "DSE mapping-space enumerations served from the shared space cache.", COUNTER, reuse(bitwave::dse::space_cache_stats())),
+            ("bitwave_sweep_factored_repriced_total", "Factored layer searches re-priced instead of fully re-searched.", COUNTER, bitwave::dse::factored_repriced_total()),
+            ("bitwave_serve_connections_open", "Currently open client connections.", GAUGE, load(&self.connections_open)),
+            ("bitwave_serve_inflight_depth", "Distinct digests dispatched or gathering.", GAUGE, load(&self.inflight_depth)),
+        ];
         let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, value: u64| {
+        for (name, help, kind, value) in scalars {
             out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
             ));
+        }
+
+        let tiered = |op: CacheOp| {
+            let tier = cache.store(op);
+            OpSample {
+                op: op.as_str(),
+                stats: tier.stats(),
+                mem_entries: tier.mem_entries() as u64,
+                mem_bytes: tier.mem_bytes(),
+                disk_entries: tier.disk_entries(),
+                disk_bytes: tier.disk_bytes(),
+            }
         };
-        counter(
-            "bitwave_serve_http_requests_total",
-            "HTTP requests parsed.",
-            self.http_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_http_errors_total",
-            "Non-2xx responses.",
-            self.http_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_evaluations_total",
-            "Cold pipeline evaluations executed.",
-            self.evaluations.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_memory_bound_layers_total",
-            "Layers judged memory-bound by the DRAM-tier roofline in cold evaluations.",
-            self.memory_bound_layers.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_queue_rejections_total",
-            "Connections rejected because the job queue was full.",
-            self.queue_rejections.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_report_replays_total",
-            "Reports replayed from GET /v1/reports/{digest}.",
-            self.report_replays.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_searches_total",
-            "Cold dataflow design-space searches executed.",
-            self.searches.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_sheds_total",
-            "Compute requests shed with 503 at the max-inflight cap.",
-            self.sheds.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_rate_limited_total",
-            "Requests answered 429 by the per-client rate limiter.",
-            self.rate_limited.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_batch_dispatches_total",
-            "Jobs dispatched to the compute queue.",
-            self.batch_dispatches.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_batch_coalesced_total",
-            "Requests that rode an in-flight identical dispatch.",
-            self.batch_coalesced.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_batch_requests_total",
-            "Requests answered through dispatch fan-outs.",
-            self.batch_requests.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_idle_closed_total",
-            "Keep-alive connections closed by the idle deadline.",
-            self.idle_closed.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_request_timeout_408_total",
-            "Partial requests answered 408 at the read deadline.",
-            self.request_timeout_408.load(Ordering::Relaxed),
-        );
-        counter(
-            "bitwave_serve_stalled_writer_dropped_total",
-            "Connections dropped for not draining a response by the write deadline.",
-            self.stalled_writer_dropped.load(Ordering::Relaxed),
-        );
-
-        counter(
-            "bitwave_serve_weight_generations_total",
-            "Synthetic weight-set generations (model-store misses).",
-            store.generations(),
-        );
-        counter(
-            "bitwave_tensor_deep_copies_total",
-            "Process-wide QuantTensor deep copies (the zero-copy invariant).",
-            bitwave_tensor::copy_metrics::deep_copies(),
-        );
-
-        // Amortized-evaluation counters: how much work the sweep's shared
-        // workload analyses, the enumeration-space cache and the factored
-        // re-pricing path are saving process-wide.
-        counter(
-            "bitwave_sweep_profile_reuse_total",
-            "Sweep portfolio models served from the shared profile cache.",
-            bitwave_sweep::profile_reuse_total(),
-        );
-        counter(
-            "bitwave_sweep_space_reuse_total",
-            "DSE mapping-space enumerations served from the shared space cache.",
-            bitwave::dse::space_reuse_total(),
-        );
-        counter(
-            "bitwave_sweep_factored_repriced_total",
-            "Factored layer searches re-priced instead of fully re-searched.",
-            bitwave::dse::factored_repriced_total(),
-        );
-        out.push_str(&format!(
-            "# HELP bitwave_serve_connections_open Currently open client connections.\n\
-             # TYPE bitwave_serve_connections_open gauge\n\
-             bitwave_serve_connections_open {}\n",
-            self.connections_open.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "# HELP bitwave_serve_inflight_depth Distinct digests dispatched or gathering.\n\
-             # TYPE bitwave_serve_inflight_depth gauge\n\
-             bitwave_serve_inflight_depth {}\n",
-            self.inflight_depth.load(Ordering::Relaxed)
-        ));
-
-        // Per-op, per-tier store families.
-        let evaluate_store = cache.store(CacheOp::Evaluate);
-        let search_store = cache.store(CacheOp::Search);
         let samples = [
-            OpSample {
-                op: CacheOp::Evaluate.as_str(),
-                stats: evaluate_store.stats(),
-                mem_entries: evaluate_store.mem_entries() as u64,
-                mem_bytes: evaluate_store.mem_bytes(),
-                disk_entries: evaluate_store.disk_entries(),
-                disk_bytes: evaluate_store.disk_bytes(),
-            },
-            OpSample {
-                op: CacheOp::Search.as_str(),
-                stats: search_store.stats(),
-                mem_entries: search_store.mem_entries() as u64,
-                mem_bytes: search_store.mem_bytes(),
-                disk_entries: search_store.disk_entries(),
-                disk_bytes: search_store.disk_bytes(),
-            },
+            tiered(CacheOp::Evaluate),
+            tiered(CacheOp::Search),
             OpSample {
                 op: "weights",
                 stats: store.stats(),
@@ -238,82 +178,16 @@ impl ServiceMetrics {
                 disk_bytes: 0,
             },
         ];
-        let mut family = |name: &str, help: &str, kind: &str, values: &dyn Fn(&OpSample) -> u64| {
+        for (name, help, kind, value) in FAMILIES {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
             for sample in &samples {
                 out.push_str(&format!(
                     "{name}{{op=\"{}\"}} {}\n",
                     sample.op,
-                    values(sample)
+                    value(sample)
                 ));
             }
-        };
-        family(
-            "bitwave_store_hits_total",
-            "Memory-tier hits per store op.",
-            "counter",
-            &|s| s.stats.hits(),
-        );
-        family(
-            "bitwave_store_disk_hits_total",
-            "Disk-tier hits (verified, promoted to memory) per store op.",
-            "counter",
-            &|s| s.stats.disk_hits(),
-        );
-        family(
-            "bitwave_store_misses_total",
-            "Full misses (computations) per store op.",
-            "counter",
-            &|s| s.stats.misses(),
-        );
-        family(
-            "bitwave_store_coalesced_total",
-            "Calls coalesced onto an in-flight computation per store op.",
-            "counter",
-            &|s| s.stats.coalesced(),
-        );
-        family(
-            "bitwave_store_evictions_total",
-            "Memory-tier LRU evictions per store op.",
-            "counter",
-            &|s| s.stats.evictions(),
-        );
-        family(
-            "bitwave_store_quarantined_total",
-            "Disk entries quarantined (corrupt/truncated/version-mismatched) per store op.",
-            "counter",
-            &|s| s.stats.quarantined(),
-        );
-        family(
-            "bitwave_store_disk_write_errors_total",
-            "Failed best-effort disk writes per store op (persistence silently degraded).",
-            "counter",
-            &|s| s.stats.disk_write_errors(),
-        );
-        family(
-            "bitwave_store_mem_entries",
-            "Ready memory-tier entries per store op.",
-            "gauge",
-            &|s| s.mem_entries,
-        );
-        family(
-            "bitwave_store_mem_bytes",
-            "Accounted memory-tier bytes per store op.",
-            "gauge",
-            &|s| s.mem_bytes,
-        );
-        family(
-            "bitwave_store_disk_entries",
-            "Disk-tier entries per store op.",
-            "gauge",
-            &|s| s.disk_entries,
-        );
-        family(
-            "bitwave_store_disk_bytes",
-            "Disk-tier bytes (headers included) per store op.",
-            "gauge",
-            &|s| s.disk_bytes,
-        );
+        }
         out
     }
 }
@@ -381,5 +255,58 @@ mod tests {
         assert!(text.contains("# TYPE bitwave_serve_inflight_depth gauge"));
         assert!(text.contains("# TYPE bitwave_store_mem_bytes gauge"));
         assert!(text.contains("# TYPE bitwave_store_hits_total counter"));
+    }
+
+    #[test]
+    fn families_keep_their_names_types_and_order() {
+        let text = ServiceMetrics::default().render(&ReportCache::new(1), &ModelStore::new(1));
+        let families: Vec<&str> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .collect();
+        let expected = [
+            "bitwave_serve_http_requests_total counter",
+            "bitwave_serve_http_errors_total counter",
+            "bitwave_serve_evaluations_total counter",
+            "bitwave_memory_bound_layers_total counter",
+            "bitwave_serve_queue_rejections_total counter",
+            "bitwave_serve_report_replays_total counter",
+            "bitwave_serve_searches_total counter",
+            "bitwave_serve_sheds_total counter",
+            "bitwave_serve_rate_limited_total counter",
+            "bitwave_serve_batch_dispatches_total counter",
+            "bitwave_serve_batch_coalesced_total counter",
+            "bitwave_serve_batch_requests_total counter",
+            "bitwave_serve_idle_closed_total counter",
+            "bitwave_serve_request_timeout_408_total counter",
+            "bitwave_serve_stalled_writer_dropped_total counter",
+            "bitwave_serve_weight_generations_total counter",
+            "bitwave_tensor_deep_copies_total counter",
+            "bitwave_sweep_profile_reuse_total counter",
+            "bitwave_sweep_space_reuse_total counter",
+            "bitwave_sweep_factored_repriced_total counter",
+            "bitwave_serve_connections_open gauge",
+            "bitwave_serve_inflight_depth gauge",
+            "bitwave_store_hits_total counter",
+            "bitwave_store_disk_hits_total counter",
+            "bitwave_store_misses_total counter",
+            "bitwave_store_coalesced_total counter",
+            "bitwave_store_evictions_total counter",
+            "bitwave_store_quarantined_total counter",
+            "bitwave_store_disk_write_errors_total counter",
+            "bitwave_store_mem_entries gauge",
+            "bitwave_store_mem_bytes gauge",
+            "bitwave_store_disk_entries gauge",
+            "bitwave_store_disk_bytes gauge",
+        ];
+        assert_eq!(families, expected);
+        // Each family's HELP line directly precedes its TYPE line.
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if let Some(family) = line.strip_prefix("# TYPE ") {
+                let name = family.split(' ').next().unwrap();
+                assert!(lines[i - 1].starts_with(&format!("# HELP {name} ")));
+            }
+        }
     }
 }

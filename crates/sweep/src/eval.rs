@@ -2,12 +2,14 @@
 //! portfolio, through the per-layer design-space search's factored unit
 //! and the Eq. 1–5 cost stack.
 //!
-//! Two amortization layers make the sweep cheap:
+//! Two amortization layers make the sweep cheap, each memoised in a
+//! process-wide, single-flight `bitwave_store::MemoryTier` LRU keyed by a
+//! [`Digest`] of what it depends on:
 //!
 //! * **Portfolio sharing** — sparsity profiles and synthetic weights depend
 //!   only on `(model, seed, sample_cap)`, so [`build_portfolio`] serves
-//!   each model from a process-wide `Arc` store: every candidate, worker
-//!   thread and serve request prices the same profiled portfolio.  The
+//!   each model from one shared `Arc`: every candidate, worker thread and
+//!   serve request prices the same profiled portfolio.  The
 //!   profiles are **core-only** ([`bitwave_accel::LayerAnalysis::core_profile`]):
 //!   every sweep point is a BCS BitWave spec, so the ZRE/CSR value-codec
 //!   passes never run and their ratios hold the `1.0` placeholder.
@@ -36,10 +38,9 @@ use bitwave_core::digest::Digest;
 use bitwave_dataflow::MemoryHierarchy;
 use bitwave_dnn::models::{by_name, NetworkSpec};
 use bitwave_dse::{factor_network, DseError, FactoredNetworkSearch};
+use bitwave_store::{FillOrigin, MemoryTier, MemoryTierConfig, StoreStats};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// The pre-computed, hardware-independent inputs of one portfolio model:
 /// the network shape and its per-layer sparsity profiles.  Profiles depend
@@ -56,33 +57,18 @@ pub struct PortfolioModel {
     pub profiles: Vec<LayerSparsityProfile>,
 }
 
-/// Process-wide portfolio store keyed by `(model, seed, sample_cap)`.
-/// Bounded: on overflow the whole map is dropped (entries are rebuildable
-/// and real sweeps cycle through a handful of models).
-static PORTFOLIO_STORE: OnceLock<Mutex<HashMap<String, Arc<PortfolioModel>>>> = OnceLock::new();
-static PROFILE_REUSE: AtomicU64 = AtomicU64::new(0);
-const PORTFOLIO_CACHE_CAP: usize = 32;
+/// Process-wide LRU of profiled portfolio models, keyed by the digest of
+/// `(model, seed, sample_cap)`; real sweeps cycle through a handful.
+static PORTFOLIOS: LazyLock<MemoryTier<PortfolioModel>> =
+    LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(32)));
 
-/// Number of portfolio models served from the process-wide profile store
-/// instead of being re-generated and re-profiled (the
-/// `bitwave_sweep_profile_reuse_total` metric).
-pub fn profile_reuse_total() -> u64 {
-    PROFILE_REUSE.load(Ordering::Relaxed)
+/// The portfolio cache's counters; its hits plus coalesced lookups are the
+/// `bitwave_sweep_profile_reuse_total` metric.
+pub fn portfolio_cache_stats() -> &'static StoreStats {
+    PORTFOLIOS.stats()
 }
 
-fn portfolio_model(
-    name: &str,
-    seed: u64,
-    sample_cap: usize,
-) -> Result<Arc<PortfolioModel>, String> {
-    let key = format!("{name}|{seed}|{sample_cap}");
-    let store = PORTFOLIO_STORE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(hit) = store.lock().ok().and_then(|g| g.get(&key).cloned()) {
-        PROFILE_REUSE.fetch_add(1, Ordering::Relaxed);
-        return Ok(hit);
-    }
-    // Build outside the lock; a racing duplicate build produces identical
-    // content and the first insert wins.
+fn profile_model(name: &str, seed: u64, sample_cap: usize) -> Result<PortfolioModel, String> {
     let ctx = ExperimentContext::default()
         .with_seed(seed)
         .with_sample_cap(sample_cap);
@@ -102,20 +88,14 @@ fn portfolio_model(
         })
         .collect::<Result<Vec<_>, BitwaveError>>()
         .map_err(|e| format!("profiling {name}: {e}"))?;
-    let model = Arc::new(PortfolioModel { network, profiles });
-    if let Ok(mut guard) = store.lock() {
-        if guard.len() >= PORTFOLIO_CACHE_CAP {
-            guard.clear();
-        }
-        return Ok(Arc::clone(guard.entry(key).or_insert(model)));
-    }
-    Ok(model)
+    Ok(PortfolioModel { network, profiles })
 }
 
 /// Builds the portfolio, sharing each model's profiles through the
 /// process-wide store — weight generation and profiling run once per
 /// `(model, seed, sample_cap)` no matter how many candidates, worker
-/// threads or serve requests price against it.
+/// threads or serve requests price against it (racing callers of a cold
+/// model wait for one build).
 ///
 /// # Errors
 ///
@@ -124,7 +104,16 @@ pub fn build_portfolio(config: &SweepConfig) -> Result<Vec<Arc<PortfolioModel>>,
     config
         .portfolio
         .iter()
-        .map(|name| portfolio_model(name, config.seed, config.sample_cap))
+        .map(|name| {
+            let key = format!("{name}|{}|{}", config.seed, config.sample_cap);
+            let fill = || {
+                profile_model(name, config.seed, config.sample_cap)
+                    .map(|model| (model, 0, FillOrigin::Computed))
+            };
+            PORTFOLIOS
+                .get_or_fill(Digest::of_bytes(key.as_bytes()), fill, |e| e)
+                .map(|(model, _)| model)
+        })
         .collect()
 }
 
@@ -134,77 +123,42 @@ struct GroupEntry {
     models: Vec<Result<FactoredNetworkSearch, DseError>>,
 }
 
-struct GroupState {
-    map: HashMap<String, Arc<OnceLock<Arc<GroupEntry>>>>,
-    order: VecDeque<String>,
-}
-
-/// FIFO-bounded, single-flight cache of factored compute groups.  A sweep
-/// visits its `(lanes, menu, bandwidth, bit-class)` sub-grids in
-/// enumeration order, so a small window holds every live group.
+/// Bounded, single-flight LRU of factored compute groups.  A sweep visits
+/// its `(lanes, menu, bandwidth, bit-class)` sub-grids in enumeration
+/// order, so a small window holds every live group.
 pub struct EvalEngine {
-    groups: Mutex<GroupState>,
+    groups: MemoryTier<GroupEntry>,
 }
-
-const GROUP_CACHE_CAP: usize = 8;
 
 impl EvalEngine {
-    fn new() -> Self {
-        Self {
-            groups: Mutex::new(GroupState {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-            }),
-        }
-    }
-
     /// Drops every cached group — benches use this to measure cold
     /// factoring without a fresh process.
     pub fn clear(&self) {
-        let mut state = self
-            .groups
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.map.clear();
-        state.order.clear();
+        self.groups.clear();
     }
 
     /// Cached groups currently held.
     pub fn groups_held(&self) -> usize {
-        self.groups.lock().map(|state| state.map.len()).unwrap_or(0)
+        self.groups.len()
     }
 
-    fn group(&self, key: String, build: impl FnOnce() -> GroupEntry) -> Arc<GroupEntry> {
-        let slot = {
-            let mut state = self
-                .groups
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            match state.map.get(&key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    if state.order.len() >= GROUP_CACHE_CAP {
-                        if let Some(evicted) = state.order.pop_front() {
-                            state.map.remove(&evicted);
-                        }
-                    }
-                    let slot = Arc::new(OnceLock::new());
-                    state.map.insert(key.clone(), Arc::clone(&slot));
-                    state.order.push_back(key);
-                    slot
-                }
-            }
-        };
-        // Single-flight: concurrent worker threads hitting one cold group
-        // block here while the first caller factors it.
-        Arc::clone(slot.get_or_init(|| Arc::new(build())))
+    fn group(&self, key: Digest, build: impl Fn() -> GroupEntry) -> Arc<GroupEntry> {
+        // Concurrent worker threads hitting one cold group wait while the
+        // first caller factors it; a waiter whose filler panicked factors
+        // uncached.
+        let fill = || Ok::<_, String>((build(), 0, FillOrigin::Computed));
+        self.groups
+            .get_or_fill(key, fill, |e| e)
+            .map_or_else(|_| Arc::new(build()), |(entry, _)| entry)
     }
 }
 
 /// The process-wide [`EvalEngine`].
 pub fn global_eval_engine() -> &'static EvalEngine {
-    static ENGINE: OnceLock<EvalEngine> = OnceLock::new();
-    ENGINE.get_or_init(EvalEngine::new)
+    static ENGINE: LazyLock<EvalEngine> = LazyLock::new(|| EvalEngine {
+        groups: MemoryTier::new(MemoryTierConfig::entries(8)),
+    });
+    &ENGINE
 }
 
 /// One model's outcome on one candidate (searched mappings).
@@ -310,21 +264,21 @@ fn group_key(
     point: &CandidatePoint,
     config: &SweepConfig,
     spec: &bitwave_accel::AcceleratorSpec,
-) -> String {
-    let space_hex = Digest::of_value(&config.space)
-        .map(|d| d.to_hex())
-        .unwrap_or_else(|_| format!("{:?}", config.space));
-    format!(
-        "{}|{:?}|{}|{}|{}|{}|{}",
-        point.lanes,
-        point.menu,
-        point.sram_bandwidth_bits,
-        bits_per_mac_class(spec),
-        config.seed,
-        config.sample_cap,
-        space_hex,
-    ) + "|"
-        + &config.portfolio.join(",")
+) -> Digest {
+    Digest::of_bytes(
+        format!(
+            "{}|{:?}|{}|{}|{}|{}|{:?}|{}",
+            point.lanes,
+            point.menu,
+            point.sram_bandwidth_bits,
+            bits_per_mac_class(spec),
+            config.seed,
+            config.sample_cap,
+            config.space,
+            config.portfolio.join(","),
+        )
+        .as_bytes(),
+    )
 }
 
 /// Evaluates one candidate against the portfolio: the portfolio's compute
@@ -388,10 +342,11 @@ mod tests {
     fn portfolio_models_are_shared_across_builds() {
         let config = SweepConfig::tiny();
         let first = build_portfolio(&config).unwrap();
-        let before = profile_reuse_total();
+        let reuse = || portfolio_cache_stats().hits() + portfolio_cache_stats().coalesced();
+        let before = reuse();
         let second = build_portfolio(&config).unwrap();
         assert!(Arc::ptr_eq(&first[0], &second[0]));
-        assert!(profile_reuse_total() > before);
+        assert!(reuse() > before);
         // A different seed is a different portfolio entry.
         let mut other = config.clone();
         other.seed += 1;

@@ -45,8 +45,8 @@ pub mod space;
 
 pub use config::{MenuKind, SweepConfig, SWEEP_SCHEMA_VERSION};
 pub use eval::{
-    build_portfolio, evaluate_point_factored, global_eval_engine, profile_reuse_total, EvalEngine,
-    ModelOutcome, PointResult,
+    build_portfolio, evaluate_point_factored, global_eval_engine, portfolio_cache_stats,
+    EvalEngine, ModelOutcome, PointResult,
 };
 pub use ledger::{PointClaim, SweepLedger};
 pub use menu::{menu_rows, MenuRow};

@@ -23,8 +23,7 @@
 //!   screening run on word-parallel `count_ones`/mask ops.
 //! * [`synth`] — synthetic weight/activation generators whose distributions
 //!   are calibrated so that the *sparsity statistics* of the generated
-//!   tensors match the ranges the paper reports (see `DESIGN.md` §2 for the
-//!   substitution rationale).
+//!   tensors match the ranges the paper reports.
 //! * [`metrics`] — RMS error, SQNR and cosine similarity used by the accuracy
 //!   proxy in `bitwave-dnn`.
 //! * [`handle::WeightHandle`] — `Arc`-backed shared weight handles, the

@@ -2,7 +2,7 @@
 //!
 //! The Bit-Flip optimisation (Section III-D) trades weight perturbation
 //! against accuracy; our reproduction replaces dataset accuracy with a proxy
-//! built on these metrics (see `DESIGN.md` §2).
+//! built on these metrics.
 
 use crate::tensor::FloatTensor;
 

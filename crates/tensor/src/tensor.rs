@@ -56,11 +56,6 @@ impl FloatTensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
@@ -168,11 +163,6 @@ impl QuantTensor {
     /// Mutable view of the Int8 data.
     pub fn data_mut(&mut self) -> &mut [i8] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_data(self) -> Vec<i8> {
-        self.data
     }
 
     /// Element access by multi-dimensional index.

@@ -1,7 +1,6 @@
 //! Integration tests asserting that every experiment driver reproduces the
 //! qualitative shape of its figure (who wins, in which direction, with
-//! roughly which factor).  EXPERIMENTS.md records the quantitative
-//! paper-vs-measured comparison.
+//! roughly which factor).  README.md maps each paper result to its driver.
 
 use bitwave::context::ExperimentContext;
 use bitwave::dnn::models::bert_base;
