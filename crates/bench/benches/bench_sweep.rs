@@ -364,7 +364,8 @@ fn bench(c: &mut Criterion) {
     global_eval_engine().clear();
     let root = temp_root("cold");
     let t1 = Instant::now();
-    let stats = run_sharded(&config, &root, SCALING_WORKERS).expect("sharded sweep");
+    let stats = run_sharded(&config, &root, SCALING_WORKERS, EvalOptions::default())
+        .expect("sharded sweep");
     let sharded_secs = t1.elapsed().as_secs_f64();
     let evaluated: usize = stats.iter().map(|s| s.evaluated).sum();
     assert_eq!(
@@ -382,7 +383,7 @@ fn bench(c: &mut Criterion) {
     );
 
     // Gate 2: a warm re-sweep over the populated root re-evaluates nothing.
-    let warm = run_worker(&config, &root).expect("warm re-sweep");
+    let warm = run_worker(&config, &root, EvalOptions::default()).expect("warm re-sweep");
     println!(
         "warm re-sweep: evaluated {} reused {} (gate: evaluated == 0)",
         warm.evaluated, warm.reused
@@ -474,9 +475,18 @@ fn bench(c: &mut Criterion) {
     });
 
     let warm_root = temp_root("warm");
-    run_worker(&config, &warm_root).expect("populate warm root");
+    run_worker(&config, &warm_root, EvalOptions::default()).expect("populate warm root");
     c.bench_function("sweep/warm_resweep_small", |b| {
-        b.iter(|| black_box(run_worker(black_box(&config), black_box(&warm_root)).expect("warm")))
+        b.iter(|| {
+            black_box(
+                run_worker(
+                    black_box(&config),
+                    black_box(&warm_root),
+                    EvalOptions::default(),
+                )
+                .expect("warm"),
+            )
+        })
     });
     let _ = std::fs::remove_dir_all(&warm_root);
 }

@@ -1,17 +1,15 @@
-//! Cross-request batching: jobs, the compute queue, and the dispatcher
-//! bookkeeping that generalises the cache's single-flight from
-//! *identical-digest* to *identical-weights*.
+//! The compute queue and the dispatcher that keeps one job per in-flight
+//! digest.
 //!
 //! The event loop owns a [`Dispatcher`].  Each admitted compute request
-//! either becomes a [`Job`] pushed onto the [`JobQueue`] (worker threads pop
-//! and run them through the report cache), attaches as a **rider** to an
-//! in-flight digest, or **gathers** behind the batch currently executing for
-//! its `(model, seed, sample_cap)` weight set — when that batch completes,
-//! every gathered digest dispatches as one follow-up job sharing the
-//! already-generated `Arc<NetworkWeights>`.  Completions fan back out to
-//! every waiter: the trigger gets the store outcome (`miss`/`disk`/…),
-//! riders get `coalesced`, and all of them carry the dispatch's total
-//! request count in the `X-Bitwave-Batch` header.
+//! either rides the job already in flight for its digest, or dispatches a
+//! [`Job`] of its own onto the [`JobQueue`] (worker threads pop and run
+//! them through the report cache).  Distinct digests over one `(model, seed,
+//! sample_cap)` weight set need no grouping here: [`crate::store::ModelStore`]
+//! generates each weight set once and hands every concurrent job the same
+//! `Arc`.  A completion fans back out to every waiter: the trigger gets the
+//! store outcome (`miss`/`disk`/…), riders get `coalesced`, and all of them
+//! carry the dispatch's request count in the `X-Bitwave-Batch` header.
 //!
 //! All dispatcher state is single-threaded (loop-owned, no locks); only
 //! [`JobQueue`] and [`Completions`] cross threads.
@@ -22,16 +20,6 @@ use bitwave::digest::Digest;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// Requests over one generated weight set batch together: the canonical
-/// model name plus the seed and sample cap that parameterise generation —
-/// exactly the [`crate::store::ModelStore`] key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct BatchKey {
-    model: String,
-    seed: u64,
-    sample_cap: usize,
-}
 
 /// The computation behind one digest.
 #[derive(Debug)]
@@ -50,55 +38,23 @@ impl JobKind {
             JobKind::Search(_) => CacheOp::Search,
         }
     }
-
-    /// The weight-set identity this computation batches under.
-    pub(crate) fn batch_key(&self) -> BatchKey {
-        let (model, knobs) = match self {
-            JobKind::Evaluate(r) => (&r.key.model, &r.key.knobs),
-            JobKind::Search(s) => (&s.key.model, &s.key.knobs),
-        };
-        BatchKey {
-            model: model.clone(),
-            seed: knobs.seed,
-            sample_cap: knobs.sample_cap,
-        }
-    }
 }
 
-/// One digest's computation inside a job.
+/// A unit of worker work: one digest's computation.
 #[derive(Debug)]
-pub(crate) struct JobEntry {
+pub(crate) struct Job {
     /// The cache address of the result.
     pub digest: Digest,
     /// What to compute.
     pub kind: JobKind,
 }
 
-/// A unit of worker work: one or more distinct digests sharing a weight
-/// set, executed back to back on one worker so the `Arc<NetworkWeights>`
-/// stays hot.
-#[derive(Debug)]
-pub(crate) struct Job {
-    /// Dispatch id, matching completions back to dispatcher state.
-    pub id: u64,
-    /// The digests to compute.
-    pub entries: Vec<JobEntry>,
-}
-
-/// One computed digest of a finished job.
-pub(crate) struct EntryDone {
-    /// The cache address.
+/// A finished job, published by a worker.
+pub(crate) struct JobDone {
+    /// The cache address of the originating [`Job`].
     pub digest: Digest,
     /// The cache body and store outcome, or the computation's error.
     pub result: Result<(Arc<String>, CacheOutcome), String>,
-}
-
-/// A finished job, published by a worker.
-pub(crate) struct JobDone {
-    /// The dispatch id of the originating [`Job`].
-    pub id: u64,
-    /// One result per job entry.
-    pub results: Vec<EntryDone>,
 }
 
 /// MPMC queue of pending jobs.  Unbounded: admission control caps the
@@ -188,9 +144,6 @@ impl Completions {
 pub(crate) enum Placement {
     /// A new job must be pushed onto the queue.
     Dispatch(Job),
-    /// The digest joined the gathering pool of an executing batch; it
-    /// dispatches automatically when that batch completes.
-    Gathered,
     /// The digest was already in flight; the waiter rides along.
     Rider,
     /// Admission control refused: `max_inflight` digests are in flight.
@@ -212,244 +165,60 @@ pub(crate) struct Served<W> {
     pub result: Result<(Arc<String>, CacheOutcome), String>,
 }
 
-/// Everything a completion unwinds: responses to write and, when a batch
-/// had gathered followers, the follow-up job to push.
-pub(crate) struct FanOut<W> {
-    /// One entry per waiting request, triggers and riders alike.
-    pub served: Vec<Served<W>>,
-    /// The gathered follow-up dispatch for the same batch key, if any.
-    pub follow_up: Option<Job>,
-}
-
-/// Where a digest currently lives.
-enum Route {
-    /// Inside dispatched job `id`.
-    Job(u64),
-    /// In the gathering pool for `key`.
-    Gathering(BatchKey),
-}
-
-/// Waiters for one digest of a job: the trigger first, riders after.
-struct DigestWaiters<W> {
-    digest_raw: u128,
-    op: CacheOp,
-    waiters: Vec<W>,
-}
-
-struct JobState<W> {
-    batch: Option<BatchKey>,
-    entries: Vec<DigestWaiters<W>>,
-}
-
-/// Loop-owned batching/admission bookkeeping, generic over the waiter type
+/// Loop-owned admission and rider bookkeeping, generic over the waiter type
 /// so it unit-tests without sockets.
 pub(crate) struct Dispatcher<W> {
-    batching: bool,
     max_inflight: usize,
-    next_job: u64,
-    /// Distinct digests admitted and not yet fanned out (dispatched or
-    /// gathering).  Riders are free: they never consume a slot.
-    inflight: usize,
-    jobs: HashMap<u64, JobState<W>>,
-    /// Digest → current location; batched mode only (unbatched mode treats
-    /// every request as its own dispatch, reproducing the old
-    /// slot-per-request cost model).
-    routes: HashMap<u128, Route>,
-    executing: HashMap<BatchKey, u64>,
-    gathering: HashMap<BatchKey, Vec<(JobEntry, Vec<W>)>>,
+    /// In-flight digest → its op and waiters (the trigger first, riders
+    /// after).  Riders are free: only distinct digests consume a slot.
+    inflight: HashMap<u128, (CacheOp, Vec<W>)>,
 }
 
 impl<W> Dispatcher<W> {
-    pub(crate) fn new(batching: bool, max_inflight: usize) -> Self {
+    pub(crate) fn new(max_inflight: usize) -> Self {
         Self {
-            batching,
             max_inflight: max_inflight.max(1),
-            next_job: 0,
-            inflight: 0,
-            jobs: HashMap::new(),
-            routes: HashMap::new(),
-            executing: HashMap::new(),
-            gathering: HashMap::new(),
+            inflight: HashMap::new(),
         }
     }
 
-    /// Distinct digests currently admitted (the `inflight_depth` gauge).
+    /// Distinct digests currently in flight (the `inflight_depth` gauge).
     pub(crate) fn inflight(&self) -> usize {
-        self.inflight
-    }
-
-    fn new_job(&mut self, batch: Option<BatchKey>, entry: JobEntry, waiter: W) -> Job {
-        let id = self.next_job;
-        self.next_job += 1;
-        let digest_raw = entry.digest.raw();
-        let op = entry.kind.op();
-        self.jobs.insert(
-            id,
-            JobState {
-                batch: batch.clone(),
-                entries: vec![DigestWaiters {
-                    digest_raw,
-                    op,
-                    waiters: vec![waiter],
-                }],
-            },
-        );
-        if let Some(key) = batch {
-            self.executing.insert(key, id);
-            self.routes.insert(digest_raw, Route::Job(id));
-        }
-        Job {
-            id,
-            entries: vec![entry],
-        }
+        self.inflight.len()
     }
 
     /// Places one cache-missing request.  `digest` must not be resolvable
     /// from the cache (the caller probes first).
     pub(crate) fn submit(&mut self, digest: Digest, kind: JobKind, waiter: W) -> Placement {
-        let raw = digest.raw();
-        if self.batching {
-            // Rider: the digest is already in flight somewhere.
-            if let Some(route) = self.routes.get(&raw) {
-                match route {
-                    Route::Job(id) => {
-                        if let Some(job) = self.jobs.get_mut(id) {
-                            if let Some(dw) = job.entries.iter_mut().find(|dw| dw.digest_raw == raw)
-                            {
-                                dw.waiters.push(waiter);
-                                return Placement::Rider;
-                            }
-                        }
-                    }
-                    Route::Gathering(key) => {
-                        let key = key.clone();
-                        if let Some(pool) = self.gathering.get_mut(&key) {
-                            if let Some((_, waiters)) =
-                                pool.iter_mut().find(|(e, _)| e.digest.raw() == raw)
-                            {
-                                waiters.push(waiter);
-                                return Placement::Rider;
-                            }
-                        }
-                    }
-                }
-                // A stale route is a bookkeeping bug; fall through to a
-                // fresh dispatch rather than dropping the request.
-            }
-            if self.inflight >= self.max_inflight {
-                return Placement::Shed;
-            }
-            self.inflight += 1;
-            let key = kind.batch_key();
-            if self.executing.contains_key(&key) {
-                // The weight set is busy: gather and dispatch as one job
-                // when the executing batch completes.
-                self.routes.insert(raw, Route::Gathering(key.clone()));
-                self.gathering
-                    .entry(key)
-                    .or_default()
-                    .push((JobEntry { digest, kind }, vec![waiter]));
-                return Placement::Gathered;
-            }
-            let job = self.new_job(Some(key), JobEntry { digest, kind }, waiter);
-            Placement::Dispatch(job)
-        } else {
-            // Unbatched: every request is its own dispatch and its own
-            // inflight slot — identical in-flight requests pay full price
-            // (the store's single-flight still dedups the compute, but a
-            // worker blocks on it).
-            if self.inflight >= self.max_inflight {
-                return Placement::Shed;
-            }
-            self.inflight += 1;
-            let job = self.new_job(None, JobEntry { digest, kind }, waiter);
-            Placement::Dispatch(job)
+        if let Some((_, waiters)) = self.inflight.get_mut(&digest.raw()) {
+            waiters.push(waiter);
+            return Placement::Rider;
         }
+        if self.inflight.len() >= self.max_inflight {
+            return Placement::Shed;
+        }
+        self.inflight
+            .insert(digest.raw(), (kind.op(), vec![waiter]));
+        Placement::Dispatch(Job { digest, kind })
     }
 
-    /// Unwinds one completed job: responses for every waiter plus the
-    /// follow-up dispatch when followers gathered behind its batch key.
-    pub(crate) fn complete(&mut self, done: JobDone) -> FanOut<W> {
-        let Some(job) = self.jobs.remove(&done.id) else {
-            // Unknown id (already torn down); nothing waits on it.
-            return FanOut {
-                served: Vec::new(),
-                follow_up: None,
-            };
+    /// Unwinds one completed job into a response for every waiter.
+    pub(crate) fn complete(&mut self, done: JobDone) -> Vec<Served<W>> {
+        let Some((op, waiters)) = self.inflight.remove(&done.digest.raw()) else {
+            return Vec::new(); // nothing waits on an unknown digest
         };
-        self.inflight = self.inflight.saturating_sub(job.entries.len());
-        let batch_size: usize = job.entries.iter().map(|dw| dw.waiters.len()).sum();
-        let mut results: HashMap<u128, &EntryDone> = HashMap::new();
-        for entry in &done.results {
-            results.insert(entry.digest.raw(), entry);
-        }
-        let mut served = Vec::new();
-        for dw in job.entries {
-            self.routes.remove(&dw.digest_raw);
-            let result = results.get(&dw.digest_raw);
-            for (i, waiter) in dw.waiters.into_iter().enumerate() {
-                let result = match result {
-                    Some(entry) => entry.result.clone(),
-                    None => Err("dispatch produced no result for digest".to_string()),
-                };
-                served.push(Served {
-                    waiter,
-                    op: dw.op,
-                    batch_size,
-                    rider: i > 0,
-                    result,
-                });
-            }
-        }
-
-        // Promote the gathered followers of this batch key into one job.
-        let mut follow_up = None;
-        if let Some(key) = job.batch {
-            self.executing.remove(&key);
-            if let Some(pool) = self.gathering.remove(&key) {
-                if !pool.is_empty() {
-                    let id = self.next_job;
-                    self.next_job += 1;
-                    let mut entries = Vec::with_capacity(pool.len());
-                    let mut states = Vec::with_capacity(pool.len());
-                    for (entry, waiters) in pool {
-                        let raw = entry.digest.raw();
-                        self.routes.insert(raw, Route::Job(id));
-                        states.push(DigestWaiters {
-                            digest_raw: raw,
-                            op: entry.kind.op(),
-                            waiters,
-                        });
-                        entries.push(entry);
-                    }
-                    self.jobs.insert(
-                        id,
-                        JobState {
-                            batch: Some(key.clone()),
-                            entries: states,
-                        },
-                    );
-                    self.executing.insert(key, id);
-                    follow_up = Some(Job { id, entries });
-                }
-            }
-        }
-        FanOut { served, follow_up }
-    }
-
-    /// Drops every waiter (connection teardown at shutdown); in-flight jobs
-    /// finish in workers but nobody consumes their results.
-    pub(crate) fn clear_waiters(&mut self) {
-        for job in self.jobs.values_mut() {
-            for dw in &mut job.entries {
-                dw.waiters.clear();
-            }
-        }
-        for pool in self.gathering.values_mut() {
-            for (_, waiters) in pool.iter_mut() {
-                waiters.clear();
-            }
-        }
+        let batch_size = waiters.len();
+        waiters
+            .into_iter()
+            .enumerate()
+            .map(|(i, waiter)| Served {
+                waiter,
+                op,
+                batch_size,
+                rider: i > 0,
+                result: done.result.clone(),
+            })
+            .collect()
     }
 }
 
@@ -470,67 +239,53 @@ mod tests {
         (digest, JobKind::Evaluate(Box::new(normalized)))
     }
 
-    fn done(id: u64, digests: &[Digest]) -> JobDone {
+    fn done(digest: Digest) -> JobDone {
         JobDone {
-            id,
-            results: digests
-                .iter()
-                .map(|&digest| EntryDone {
-                    digest,
-                    result: Ok((Arc::new("body".to_string()), CacheOutcome::Miss)),
-                })
-                .collect(),
+            digest,
+            result: Ok((Arc::new("body".to_string()), CacheOutcome::Miss)),
         }
     }
 
     #[test]
     fn identical_digests_ride_one_dispatch_and_fan_out() {
-        let mut d: Dispatcher<&'static str> = Dispatcher::new(true, 8);
+        let mut d: Dispatcher<&'static str> = Dispatcher::new(8);
         let (digest, k1) = kind("bitwave", 1);
         let (_, k2) = kind("bitwave", 1);
         let Placement::Dispatch(job) = d.submit(digest, k1, "trigger") else {
             panic!("first submit dispatches");
         };
-        assert_eq!(job.entries.len(), 1);
+        assert_eq!(job.digest, digest);
         assert!(matches!(d.submit(digest, k2, "rider"), Placement::Rider));
         assert_eq!(d.inflight(), 1, "riders are free");
-        let fan = d.complete(done(job.id, &[digest]));
-        assert!(fan.follow_up.is_none());
-        assert_eq!(fan.served.len(), 2);
-        assert_eq!(fan.served[0].waiter, "trigger");
-        assert!(!fan.served[0].rider);
-        assert!(fan.served[1].rider);
-        assert!(fan.served.iter().all(|s| s.batch_size == 2));
+        let served = d.complete(done(job.digest));
+        assert_eq!(served.len(), 2);
+        assert_eq!(served[0].waiter, "trigger");
+        assert!(!served[0].rider);
+        assert!(served[1].rider);
+        assert!(served.iter().all(|s| s.batch_size == 2));
         assert_eq!(d.inflight(), 0);
     }
 
     #[test]
-    fn same_weight_set_gathers_behind_the_executing_batch() {
-        let mut d: Dispatcher<u32> = Dispatcher::new(true, 8);
+    fn distinct_digest_over_an_executing_weight_set_dispatches_at_once() {
+        let mut d: Dispatcher<u32> = Dispatcher::new(8);
         let (d1, k1) = kind("bitwave", 1);
         let (d2, k2) = kind("stripes", 1); // same (model, seed, cap), new digest
-        let (d3, k3) = kind("bitlet", 1);
-        let Placement::Dispatch(job) = d.submit(d1, k1, 10) else {
-            panic!("dispatch");
+        assert!(matches!(d.submit(d1, k1, 10), Placement::Dispatch(_)));
+        let Placement::Dispatch(job) = d.submit(d2, k2, 20) else {
+            panic!("a distinct digest dispatches at once, whatever its weight set");
         };
-        assert!(matches!(d.submit(d2, k2, 20), Placement::Gathered));
-        assert!(matches!(d.submit(d3, k3, 30), Placement::Gathered));
-        assert_eq!(d.inflight(), 3);
-        let fan = d.complete(done(job.id, &[d1]));
-        assert_eq!(fan.served.len(), 1);
-        let follow = fan.follow_up.expect("gathered follow-up job");
-        assert_eq!(follow.entries.len(), 2, "both followers share one job");
+        assert_eq!(job.digest, d2);
         assert_eq!(d.inflight(), 2);
-        let fan = d.complete(done(follow.id, &[d2, d3]));
-        assert_eq!(fan.served.len(), 2);
-        assert!(fan.served.iter().all(|s| s.batch_size == 2));
-        assert!(fan.follow_up.is_none());
-        assert_eq!(d.inflight(), 0);
+        let served = d.complete(done(d2));
+        assert_eq!(served.len(), 1);
+        assert_eq!(served[0].batch_size, 1);
+        assert_eq!(d.inflight(), 1);
     }
 
     #[test]
     fn different_seeds_dispatch_concurrently() {
-        let mut d: Dispatcher<u32> = Dispatcher::new(true, 8);
+        let mut d: Dispatcher<u32> = Dispatcher::new(8);
         let (d1, k1) = kind("bitwave", 1);
         let (d2, k2) = kind("bitwave", 2); // different weight set
         assert!(matches!(d.submit(d1, k1, 1), Placement::Dispatch(_)));
@@ -540,7 +295,7 @@ mod tests {
 
     #[test]
     fn max_inflight_sheds_new_digests_but_not_riders() {
-        let mut d: Dispatcher<u32> = Dispatcher::new(true, 2);
+        let mut d: Dispatcher<u32> = Dispatcher::new(2);
         let (d1, k1) = kind("bitwave", 1);
         let (d2, k2) = kind("bitwave", 2);
         let (d3, k3) = kind("bitwave", 3);
@@ -551,45 +306,6 @@ mod tests {
         assert!(
             matches!(d.submit(d1, k1b, 4), Placement::Rider),
             "riders must be admitted even at the inflight cap"
-        );
-    }
-
-    #[test]
-    fn unbatched_mode_charges_every_request_a_slot() {
-        let mut d: Dispatcher<u32> = Dispatcher::new(false, 2);
-        let (d1, k1) = kind("bitwave", 1);
-        let (_, k1b) = kind("bitwave", 1);
-        let (_, k1c) = kind("bitwave", 1);
-        let Placement::Dispatch(first) = d.submit(d1, k1, 1) else {
-            panic!("dispatch");
-        };
-        let Placement::Dispatch(second) = d.submit(d1, k1b, 2) else {
-            panic!("identical request must pay its own slot unbatched");
-        };
-        assert!(matches!(d.submit(d1, k1c, 3), Placement::Shed));
-        let fan = d.complete(done(first.id, &[d1]));
-        assert_eq!(fan.served.len(), 1);
-        assert_eq!(fan.served[0].batch_size, 1);
-        let fan = d.complete(done(second.id, &[d1]));
-        assert_eq!(fan.served[0].waiter, 2);
-        assert_eq!(d.inflight(), 0);
-    }
-
-    #[test]
-    fn search_and_evaluate_share_a_weight_batch() {
-        let mut d: Dispatcher<u32> = Dispatcher::new(true, 8);
-        let (d1, k1) = kind("bitwave", 1);
-        let body = r#"{"model":"resnet18","seed":1,"sample_cap":500}"#;
-        let search = EvaluateRequest::from_json(body.as_bytes())
-            .unwrap()
-            .normalize_search()
-            .unwrap();
-        let sd = search.key.digest().unwrap();
-        let sk = JobKind::Search(Box::new(search));
-        assert!(matches!(d.submit(d1, k1, 1), Placement::Dispatch(_)));
-        assert!(
-            matches!(d.submit(sd, sk, 2), Placement::Gathered),
-            "a search over the same (model, seed, cap) gathers behind the evaluate"
         );
     }
 }

@@ -13,22 +13,21 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] \
                      [--queue-capacity N] [--cache-capacity N] [--store-capacity N] \
-                     [--store-root DIR] [--max-inflight N] [--rate-limit N] \
-                     [--no-batching]\n\
+                     [--store-root DIR] [--max-inflight N] [--rate-limit N]\n\
                      \n\
                      Serves the BitWave evaluation API (see crates/serve).  \
                      --addr defaults to 127.0.0.1:0 (ephemeral port; the bound \
                      address is printed on the first stdout line).  --store-root \
                      (or the BITWAVE_STORE_ROOT environment variable) enables the \
-                     persistent tiered cache: evaluate/search responses and DSE \
-                     layer searches survive restarts under DIR and replay \
-                     byte-identically with X-Bitwave-Cache: disk.  \
+                     persistent tiered cache: evaluate/search responses and \
+                     completed design sweeps survive restarts under DIR and \
+                     replay byte-identically (evaluate/search replays answer \
+                     X-Bitwave-Cache: disk).  \
                      --queue-capacity caps open connections (overflow → 503), \
                      --max-inflight caps dispatched computations (excess → 503 + \
-                     Retry-After), --rate-limit sets a per-client token-bucket \
-                     budget in compute requests/second (over-budget → 429 + \
-                     Retry-After; off by default), and --no-batching disables \
-                     cross-request batching of compatible in-flight requests.";
+                     Retry-After), and --rate-limit sets a per-client \
+                     token-bucket budget in compute requests/second (over-budget \
+                     → 429 + Retry-After; off by default).";
 
 fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();
@@ -43,11 +42,6 @@ fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
         let flag = args[i].as_str();
         if flag == "--help" || flag == "-h" {
             return Err(USAGE.to_string());
-        }
-        if flag == "--no-batching" {
-            config.batching = false;
-            i += 1;
-            continue;
         }
         let value = args
             .get(i + 1)
@@ -99,11 +93,12 @@ fn main() -> ExitCode {
     println!("listening on http://{}", handle.local_addr());
     println!(
         "workers: {workers}   store: {}   endpoints: POST /v1/evaluate, POST /v1/search, \
-         GET /v1/reports/{{digest}}, GET /v1/models, GET /v1/accelerators, GET /healthz, \
+         POST /v1/design, GET /v1/reports/{{digest}}, GET /v1/models, GET /v1/accelerators, GET /healthz, \
          GET /metrics",
         store_root.as_deref().unwrap_or("memory-only")
     );
-    // Serve until killed; the acceptor/worker threads do all the work.
+    // Serve until killed; the event-loop and compute-worker threads do all
+    // the work.
     loop {
         std::thread::park();
     }

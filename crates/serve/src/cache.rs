@@ -99,20 +99,6 @@ impl ReportCache {
         self.search.clear_memory();
     }
 
-    /// Replays a cached body by digest without counting a hit or miss — the
-    /// `GET /v1/reports/{digest}` path.  Consults the memory tier, then the
-    /// disk tier, of the evaluate op first and the search op second (the
-    /// digest's op discriminator keeps the namespaces disjoint, so at most
-    /// one can match).  The returned outcome says which tier answered
-    /// (`Hit` = memory, `Disk` = promoted from disk).  A pending digest
-    /// blocks until its computation finishes (and returns `None` if it
-    /// failed).
-    pub fn replay(&self, digest: Digest) -> Option<(Arc<String>, CacheOutcome)> {
-        self.evaluate
-            .get(digest)
-            .or_else(|| self.search.get(digest))
-    }
-
     /// Non-blocking counted lookup — the event-loop fast path.  Answers from
     /// the memory tier (counting a hit) or the disk tier (counting a disk
     /// hit and promoting); returns `None` on a miss **or** while the digest
@@ -121,9 +107,13 @@ impl ReportCache {
         self.store(op).probe(digest)
     }
 
-    /// Non-blocking, uncounted [`ReportCache::replay`]: consults both ops'
-    /// tiers but reports a pending digest as absent instead of waiting for
-    /// its computation — `GET /v1/reports/{digest}` inside the event loop.
+    /// Replays a cached body by digest without counting a hit or miss — the
+    /// `GET /v1/reports/{digest}` path.  Consults the memory tier, then the
+    /// disk tier, of the evaluate op first and the search op second (the
+    /// digest's op discriminator keeps the namespaces disjoint, so at most
+    /// one can match).  The returned outcome says which tier answered
+    /// (`Hit` = memory, `Disk` = promoted from disk).  A pending digest
+    /// reads as absent instead of waiting for its computation.
     pub fn try_replay(&self, digest: Digest) -> Option<(Arc<String>, CacheOutcome)> {
         self.evaluate
             .try_get(digest)
@@ -187,10 +177,12 @@ mod tests {
         assert_eq!(cache.stats(CacheOp::Evaluate).misses(), 1);
         assert_eq!(cache.len(), 1);
         assert_eq!(
-            cache.replay(digest("d1")).map(|(body, _)| body.to_string()),
+            cache
+                .try_replay(digest("d1"))
+                .map(|(body, _)| body.to_string()),
             Some("body-1".to_string())
         );
-        assert!(cache.replay(digest("absent")).is_none());
+        assert!(cache.try_replay(digest("absent")).is_none());
     }
 
     #[test]
@@ -210,11 +202,15 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::Miss);
         // Replay finds both ops' bodies.
         assert_eq!(
-            cache.replay(digest("s")).map(|(body, _)| body.to_string()),
+            cache
+                .try_replay(digest("s"))
+                .map(|(body, _)| body.to_string()),
             Some("SE".to_string())
         );
         assert_eq!(
-            cache.replay(digest("e")).map(|(body, _)| body.to_string()),
+            cache
+                .try_replay(digest("e"))
+                .map(|(body, _)| body.to_string()),
             Some("EV".to_string())
         );
     }
@@ -287,7 +283,7 @@ mod tests {
         assert_eq!(*warm, cold_body, "disk hits replay byte-identical JSON");
         // Replay (GET /v1/reports/{digest}) also reaches the disk tier.
         cache.clear_memory();
-        let (body, outcome) = cache.replay(digest("r")).expect("disk replay");
+        let (body, outcome) = cache.try_replay(digest("r")).expect("disk replay");
         assert_eq!(*body, cold_body);
         assert_eq!(outcome, CacheOutcome::Disk, "replay must report its tier");
         let _ = std::fs::remove_dir_all(&root);

@@ -143,7 +143,7 @@ impl EventLoop {
         poller.register(wake_reader.raw_fd(), WAKER_TOKEN, Interest::READ)?;
         listener.set_nonblocking(true)?;
         poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
-        let dispatcher = Dispatcher::new(state.config.batching, state.config.max_inflight);
+        let dispatcher = Dispatcher::new(state.config.max_inflight);
         let limiter = state.config.rate_limit.map(RateLimiter::new);
         let max_conns = state.config.queue_capacity.max(1);
         let deadlines = Deadlines {
@@ -199,12 +199,12 @@ impl EventLoop {
             }
             self.sweep_deadlines();
         }
-        // Immediate teardown: connections reset, waiters dropped (workers
-        // finish their current job into an unread mailbox).
+        // Immediate teardown: connections reset, waiters dropped with the
+        // dispatcher (workers finish their current job into an unread
+        // mailbox).
         for (_, conn) in self.conns.drain() {
             self.poller.deregister(conn.stream.as_raw_fd());
         }
-        self.dispatcher.clear_waiters();
         self.state
             .metrics
             .connections_open
@@ -481,7 +481,7 @@ impl EventLoop {
                 self.state.jobs.push(job);
                 conn.processing = true;
             }
-            Placement::Gathered | Placement::Rider => conn.processing = true,
+            Placement::Rider => conn.processing = true,
             Placement::Shed => {
                 ServiceMetrics::bump(&self.state.metrics.sheds);
                 let response =
@@ -590,20 +590,15 @@ impl EventLoop {
         }
     }
 
-    /// Fans completed jobs back out to their waiting connections and pushes
-    /// gathered follow-up dispatches.
+    /// Fans completed jobs back out to their waiting connections.
     fn drain_completions(&mut self) {
         for done in self.state.completions.drain() {
-            let fan = self.dispatcher.complete(done);
-            if let Some(job) = fan.follow_up {
-                ServiceMetrics::bump(&self.state.metrics.batch_dispatches);
-                self.state.jobs.push(job);
-            }
+            let fan_out = self.dispatcher.complete(done);
             self.state
                 .metrics
                 .batch_requests
-                .fetch_add(fan.served.len() as u64, Ordering::Relaxed);
-            for served in fan.served {
+                .fetch_add(fan_out.len() as u64, Ordering::Relaxed);
+            for served in fan_out {
                 if served.rider {
                     // Riders shared the dispatch without touching the store;
                     // count them so per-op hits+misses+coalesced keeps

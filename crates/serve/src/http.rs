@@ -627,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn serialize_matches_write_to_framing() {
+    fn serialize_frames_status_headers_and_body() {
         let r = Response::json(200, "{\"ok\":true}").with_header("x-bitwave-batch", "3");
         let wire = String::from_utf8(r.serialize(false)).unwrap();
         assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"));

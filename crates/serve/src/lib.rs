@@ -21,8 +21,8 @@
 //!                      ├─ rate limit (token bucket per peer IP) → 429
 //!                      ├─ max-inflight cap → 503 + Retry-After
 //!                      ▼
-//!            Dispatcher (cross-request batching)
-//!     identical digest → rider (free)   same (model,seed,cap) → gathered
+//!            Dispatcher (one job per in-flight digest)
+//!     identical digest → rider (free)   new digest → its own job
 //!                      │ job queue
 //!        ┌─────────────┼─────────────┐
 //!   worker 0      worker 1 …    worker N-1      (pipeline compute only)

@@ -47,8 +47,8 @@ pub struct ServiceMetrics {
     pub sheds: AtomicU64,
     /// Requests answered 429 by the per-client token-bucket rate limiter.
     pub rate_limited: AtomicU64,
-    /// Jobs pushed to the compute queue (initial dispatches + gathered
-    /// follow-ups).
+    /// Jobs pushed to the compute queue (one per distinct in-flight
+    /// digest).
     pub batch_dispatches: AtomicU64,
     /// Requests that rode an in-flight identical dispatch instead of paying
     /// for their own (the cross-request batching win).
@@ -65,8 +65,7 @@ pub struct ServiceMetrics {
     pub stalled_writer_dropped: AtomicU64,
     /// Currently open client connections (event-loop gauge).
     pub connections_open: AtomicU64,
-    /// Distinct digests currently dispatched or gathering (event-loop
-    /// gauge).
+    /// Distinct digests currently in flight (event-loop gauge).
     pub inflight_depth: AtomicU64,
 }
 
@@ -146,7 +145,7 @@ impl ServiceMetrics {
             ("bitwave_sweep_space_reuse_total", "DSE mapping-space enumerations served from the shared space cache.", COUNTER, reuse(bitwave::dse::space_cache_stats())),
             ("bitwave_sweep_factored_repriced_total", "Factored layer searches re-priced instead of fully re-searched.", COUNTER, bitwave::dse::factored_repriced_total()),
             ("bitwave_serve_connections_open", "Currently open client connections.", GAUGE, load(&self.connections_open)),
-            ("bitwave_serve_inflight_depth", "Distinct digests dispatched or gathering.", GAUGE, load(&self.inflight_depth)),
+            ("bitwave_serve_inflight_depth", "Distinct digests in flight.", GAUGE, load(&self.inflight_depth)),
         ];
         let mut out = String::with_capacity(4096);
         for (name, help, kind, value) in scalars {

@@ -12,22 +12,20 @@
 //! per-client token-bucket rate limit (`429` + `Retry-After`) and a
 //! `max_inflight` cap on dispatched computations (`503` + `Retry-After`).
 //!
-//! Cache-missing evaluate/search requests become batch jobs (the private `batch` module) on a
-//! queue drained by `workers` compute threads.  In-flight identical digests
-//! coalesce (riders), and distinct requests over one `(model, seed,
-//! sample_cap)` weight set gather behind the executing batch and dispatch
-//! together, sharing the [`ModelStore`]'s `Arc`-backed tensors — the
+//! A cache-missing evaluate/search request either rides the job already in
+//! flight for its digest or dispatches a job of its own (the private `batch`
+//! module) onto a queue drained by `workers` compute threads; the
 //! `X-Bitwave-Batch` response header carries each dispatch's fan-out size.
+//! Jobs over one `(model, seed, sample_cap)` weight set share the
+//! [`ModelStore`]'s single generation of its `Arc`-backed tensors.
 //! Results land in the single-flight [`ReportCache`] keyed by request
 //! digest — a tiered `bitwave-store`, so configuring
 //! [`ServeConfig::store_root`] makes cached responses survive restarts and
 //! replay byte-identically from disk.
 
-use crate::api::{
-    list_accelerators, list_models, EvaluateRequest, NormalizedRequest, NormalizedSearch,
-};
-use crate::batch::{Completions, EntryDone, JobDone, JobEntry, JobKind, JobQueue};
-use crate::cache::{CacheOp, ReportCache};
+use crate::api::{list_accelerators, list_models, NormalizedRequest, NormalizedSearch};
+use crate::batch::{Completions, Job, JobDone, JobKind, JobQueue};
+use crate::cache::ReportCache;
 use crate::error::ServeError;
 use crate::event_loop::EventLoop;
 use crate::http::{Request, Response};
@@ -60,20 +58,15 @@ pub struct ServeConfig {
     /// responses persist under `<root>/{evaluate,search}/<digest>` and
     /// replay byte-identically across restarts.
     pub store_root: Option<String>,
-    /// Maximum distinct cache-missing computations dispatched or gathering
-    /// at once; further compute requests shed with `503` + `Retry-After`.
-    /// Riders on an in-flight identical request are always admitted.
+    /// Maximum distinct cache-missing computations in flight at once;
+    /// further compute requests shed with `503` + `Retry-After`.  Riders on
+    /// an in-flight identical request are always admitted.
     pub max_inflight: usize,
     /// Per-client (peer IP) request budget in compute requests per second,
     /// enforced as a token bucket with a one-second burst; `None` (default)
     /// disables rate limiting.  Over-budget requests answer `429` with
     /// `Retry-After`.
     pub rate_limit: Option<u32>,
-    /// Cross-request batching: identical in-flight digests coalesce, and
-    /// distinct requests over one `(model, seed, sample_cap)` weight set
-    /// dispatch as one job.  `false` reproduces the slot-per-request cost
-    /// model (the `bench_serve` unbatched baseline).
-    pub batching: bool,
     /// Idle keep-alive connections close after this long (counted in
     /// `bitwave_serve_idle_closed_total`).
     pub keep_alive_idle: std::time::Duration,
@@ -97,7 +90,6 @@ impl Default for ServeConfig {
             store_root: None,
             max_inflight: 64,
             rate_limit: None,
-            batching: true,
             keep_alive_idle: crate::event_loop::KEEP_ALIVE_IDLE,
             read_timeout: crate::event_loop::READ_TIMEOUT,
             write_timeout: crate::event_loop::WRITE_TIMEOUT,
@@ -230,39 +222,22 @@ pub fn start(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     })
 }
 
-/// A compute worker: pops jobs, runs every entry through the single-flight
-/// cache (a multi-entry job keeps its shared weight set hot in the
-/// [`ModelStore`] across entries), publishes the completion and wakes the
-/// loop.
+/// A compute worker: pops jobs, runs each through the single-flight cache,
+/// publishes the completion and wakes the loop.
 fn worker_main(state: &ServiceState) {
-    while let Some(job) = state.jobs.pop(&state.shutdown) {
-        let results: Vec<EntryDone> = job
-            .entries
-            .iter()
-            .map(|entry| run_entry(state, entry))
-            .collect();
-        state.completions.push(JobDone {
-            id: job.id,
-            results,
-        });
+    while let Some(Job { digest, kind }) = state.jobs.pop(&state.shutdown) {
+        let result = state
+            .cache
+            .get_or_compute(kind.op(), digest, || match &kind {
+                JobKind::Evaluate(normalized) => compute_evaluate(state, normalized, &digest),
+                JobKind::Search(normalized) => compute_search(state, normalized, &digest),
+            });
+        state.completions.push(JobDone { digest, result });
         state.waker.wake();
     }
 }
 
-/// Computes (or replays) one job entry through the report cache.
-fn run_entry(state: &ServiceState, entry: &JobEntry) -> EntryDone {
-    let digest = entry.digest;
-    let result = state
-        .cache
-        .get_or_compute(entry.kind.op(), digest, || match &entry.kind {
-            JobKind::Evaluate(normalized) => compute_evaluate(state, normalized, &digest),
-            JobKind::Search(normalized) => compute_search(state, normalized, &digest),
-        });
-    EntryDone { digest, result }
-}
-
-/// The cold evaluate computation (shared by workers and the blocking
-/// [`route`] path).
+/// The cold evaluate computation.
 fn compute_evaluate(
     state: &ServiceState,
     normalized: &NormalizedRequest,
@@ -288,8 +263,7 @@ fn compute_evaluate(
         .map_err(|e| e.to_string())
 }
 
-/// The cold search computation (shared by workers and the blocking
-/// [`route`] path).
+/// The cold search computation.
 fn compute_search(
     state: &ServiceState,
     normalized: &NormalizedSearch,
@@ -309,11 +283,11 @@ fn compute_search(
         .map_err(|e| e.to_string())
 }
 
-/// Dispatches one request to its endpoint handler, synchronously — the
-/// event loop uses this for cheap endpoints and tests use it directly; the
-/// evaluate/search arms block on the cache (in-process callers), whereas
-/// the event loop routes those two through the dispatcher instead.
-pub fn route(request: &Request, state: &ServiceState) -> Response {
+/// Answers the endpoints the event loop does not intercept: the cheap
+/// `GET`s inline, a wrong method with `405` and an unknown path with `404`.
+/// The loop itself handles `POST /v1/evaluate`, `POST /v1/search`,
+/// `POST /v1/design` and `GET /v1/reports/{digest}`.
+pub(crate) fn route(request: &Request, state: &ServiceState) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => Response::json(200, r#"{"status":"ok"}"#),
         ("GET", "/metrics") => {
@@ -321,13 +295,6 @@ pub fn route(request: &Request, state: &ServiceState) -> Response {
         }
         ("GET", "/v1/models") => json_or_500(&list_models()),
         ("GET", "/v1/accelerators") => json_or_500(&list_accelerators()),
-        ("POST", "/v1/evaluate") => evaluate(request, state),
-        ("POST", "/v1/search") => search(request, state),
-        // Over the network the event loop intercepts this arm to stream
-        // partial fronts; the synchronous path can only replay a completed
-        // sweep from the store.
-        ("POST", "/v1/design") => design_replay(request, state),
-        ("GET", path) if path.starts_with("/v1/reports/") => replay_report(path, state),
         (
             _,
             "/healthz" | "/metrics" | "/v1/models" | "/v1/accelerators" | "/v1/evaluate"
@@ -341,102 +308,6 @@ fn json_or_500<T: serde::Serialize>(value: &T) -> Response {
     match serde_json::to_string(value) {
         Ok(body) => Response::json(200, body),
         Err(e) => Response::error(500, &format!("serialization failed: {e}")),
-    }
-}
-
-/// `POST /v1/evaluate`: normalise → digest → single-flight cache → pipeline.
-fn evaluate(request: &Request, state: &ServiceState) -> Response {
-    let normalized = match EvaluateRequest::from_json(&request.body).and_then(|r| r.normalize()) {
-        Ok(normalized) => normalized,
-        Err(e) => return error_response(&e),
-    };
-    let digest = match normalized.key.digest() {
-        Ok(digest) => digest,
-        Err(e) => return error_response(&e),
-    };
-    let hex = digest.to_hex();
-    let computed = state.cache.get_or_compute(CacheOp::Evaluate, digest, || {
-        compute_evaluate(state, &normalized, &digest)
-    });
-    match computed {
-        Ok((body, outcome)) => Response::json(200, body.as_bytes().to_vec())
-            .with_header("x-bitwave-cache", outcome.as_str())
-            .with_header("x-bitwave-digest", hex),
-        Err(message) => error_response(&ServeError::Internal(message)),
-    }
-}
-
-/// `POST /v1/search`: normalise → digest → single-flight cache → per-layer
-/// dataflow design-space exploration.  Responses live in the same
-/// content-addressed cache as evaluations (the key's `op` discriminator keeps
-/// the namespaces apart), so a repeated search replays byte-identical JSON
-/// with `X-Bitwave-Cache: hit`.
-fn search(request: &Request, state: &ServiceState) -> Response {
-    let normalized =
-        match EvaluateRequest::from_json(&request.body).and_then(|r| r.normalize_search()) {
-            Ok(normalized) => normalized,
-            Err(e) => return error_response(&e),
-        };
-    let digest = match normalized.key.digest() {
-        Ok(digest) => digest,
-        Err(e) => return error_response(&e),
-    };
-    let hex = digest.to_hex();
-    let computed = state.cache.get_or_compute(CacheOp::Search, digest, || {
-        compute_search(state, &normalized, &digest)
-    });
-    match computed {
-        Ok((body, outcome)) => Response::json(200, body.as_bytes().to_vec())
-            .with_header("x-bitwave-cache", outcome.as_str())
-            .with_header("x-bitwave-digest", hex),
-        Err(message) => error_response(&ServeError::Internal(message)),
-    }
-}
-
-/// The synchronous `POST /v1/design` arm: replays a **completed** sweep's
-/// final [`bitwave_sweep::FrontReport`] from the design store.  Streaming a
-/// live sweep needs a network connection (the event loop intercepts the
-/// route before this arm and answers with chunked NDJSON instead).
-fn design_replay(request: &Request, state: &ServiceState) -> Response {
-    let config = match crate::design::parse_design(&request.body) {
-        Ok(config) => config,
-        Err(e) => return error_response(&e),
-    };
-    let sweep = config.digest().to_hex();
-    match state.design.replay(&sweep) {
-        Some(line) => Response::json(200, line.as_bytes().to_vec())
-            .with_header("x-bitwave-sweep", sweep)
-            .with_header("x-bitwave-cache", "hit"),
-        None => error_response(&ServeError::NotFound(format!(
-            "sweep `{sweep}` has no completed report; POST over HTTP to stream it"
-        ))),
-    }
-}
-
-/// `GET /v1/reports/{digest}`: replay a cached report without recomputation.
-/// Consults the memory tier first and then — when a store root is
-/// configured — the disk tier, so reports written before a restart stay
-/// addressable by digest.
-fn replay_report(path: &str, state: &ServiceState) -> Response {
-    let raw = path.trim_start_matches("/v1/reports/");
-    let Some(parsed) = bitwave::digest::Digest::parse(raw) else {
-        return error_response(&ServeError::BadRequest(format!(
-            "`{raw}` is not a 32-hex-char digest"
-        )));
-    };
-    // Digest parsing canonicalises case; lookups accept any spelling.
-    let hex = parsed.to_hex();
-    let hex = hex.as_str();
-    match state.cache.replay(parsed) {
-        Some((body, outcome)) => {
-            ServiceMetrics::bump(&state.metrics.report_replays);
-            Response::json(200, body.as_bytes().to_vec())
-                .with_header("x-bitwave-cache", outcome.as_str())
-                .with_header("x-bitwave-digest", hex.to_string())
-        }
-        None => error_response(&ServeError::NotFound(format!(
-            "no cached report for digest `{hex}`"
-        ))),
     }
 }
 

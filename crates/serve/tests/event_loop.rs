@@ -1,5 +1,5 @@
 //! Event-loop behaviour tests: admission control under overload, fast
-//! shutdown, per-client rate limiting, and cross-request batching fan-out.
+//! shutdown, per-client rate limiting, and in-flight dispatch fan-out.
 
 mod common;
 
@@ -343,10 +343,11 @@ fn stalled_writers_are_dropped_at_the_write_deadline_and_counted() {
 }
 
 /// Distinct requests sharing one `(model, seed, sample_cap)` weight set
-/// gather behind the executing batch and dispatch as a single follow-up
-/// job instead of racing for workers.
+/// each dispatch their own job, even with a single worker busy on the
+/// first: each answers `miss`, and the weight store's single flight
+/// generates the shared weights once.
 #[test]
-fn same_weight_set_requests_gather_into_one_follow_up_job() {
+fn same_weight_set_requests_each_dispatch_and_share_one_generation() {
     let handle = start(ServeConfig {
         workers: 1,
         ..ServeConfig::default()
@@ -355,30 +356,7 @@ fn same_weight_set_requests_gather_into_one_follow_up_job() {
     let addr = handle.local_addr();
     let state = Arc::clone(handle.state());
 
-    // First request for the weight set dispatches immediately and holds the
-    // single worker; two different accelerators over the same weights must
-    // gather and then ship as one job.
-    let first = std::thread::spawn(move || {
-        let mut client = Client::new(addr);
-        client
-            .post_json(
-                "/v1/evaluate",
-                r#"{"model":"resnet18","seed":3,"sample_cap":60000,"accelerator":"bitwave"}"#,
-            )
-            .unwrap()
-    });
-    // Send the followers as soon as the first job is dispatched: from then
-    // until it completes, its weight set counts as executing and same-set
-    // requests gather behind it.
-    let waited = Instant::now();
-    while state.metrics.batch_dispatches.load(Ordering::Relaxed) == 0 {
-        assert!(
-            waited.elapsed() < Duration::from_secs(10),
-            "the first request was never dispatched"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let followers: Vec<_> = ["stripes", "bitlet"]
+    let requests: Vec<_> = ["bitwave", "stripes", "bitlet"]
         .into_iter()
         .map(|accelerator| {
             let body = format!(
@@ -390,28 +368,26 @@ fn same_weight_set_requests_gather_into_one_follow_up_job() {
             })
         })
         .collect();
-    let first = first.join().unwrap();
-    let followers: Vec<_> = followers.into_iter().map(|t| t.join().unwrap()).collect();
-    assert_eq!(first.status, 200);
-    assert!(followers.iter().all(|r| r.status == 200));
-    assert!(
-        followers
-            .iter()
-            .all(|r| r.header("x-bitwave-cache") == Some("miss")),
-        "distinct digests each compute, but inside a shared dispatch"
-    );
-    let batch_sizes: Vec<_> = followers
-        .iter()
-        .map(|r| r.header("x-bitwave-batch").map(str::to_string))
-        .collect();
-    assert!(
-        batch_sizes.iter().all(|s| s.as_deref() == Some("2")),
-        "both followers must share one follow-up dispatch, got {batch_sizes:?}"
-    );
+    let responses: Vec<_> = requests.into_iter().map(|t| t.join().unwrap()).collect();
+    assert!(responses.iter().all(|r| r.status == 200));
+    for response in &responses {
+        assert_eq!(
+            response.header("x-bitwave-cache"),
+            Some("miss"),
+            "distinct digests each compute"
+        );
+        assert_eq!(
+            response.header("x-bitwave-batch"),
+            Some("1"),
+            "each digest is its own dispatch"
+        );
+    }
+    assert_eq!(state.metrics.evaluations.load(Ordering::Relaxed), 3);
+    assert_eq!(state.metrics.batch_dispatches.load(Ordering::Relaxed), 3);
     assert_eq!(
         state.store.generations(),
         1,
-        "one weight set serves the whole gathered batch"
+        "one weight set serves every accelerator"
     );
     handle.shutdown();
 }

@@ -252,30 +252,10 @@ impl<V: Send + Sync + 'static> MemoryTier<V> {
         &self.shards[(key.raw() % self.shards.len() as u128) as usize]
     }
 
-    /// Replays a ready entry without counting a hit or miss (the serve
-    /// tier's `GET /v1/reports/{digest}` path).  A pending key blocks until
-    /// its computation finishes (`None` if it failed).
-    pub fn peek(&self, key: Digest) -> Option<Arc<V>> {
-        let pending = {
-            let mut shard = Self::lock(self.shard_for(key));
-            match shard.map.get(&key.raw()) {
-                Some(Slot::Ready { value, .. }) => {
-                    let value = Arc::clone(value);
-                    shard.touch(key.raw());
-                    return Some(value);
-                }
-                Some(Slot::Pending(p)) => Arc::clone(p),
-                None => return None,
-            }
-        };
-        Self::wait(&pending).ok()
-    }
-
-    /// Non-blocking variant of [`peek`](Self::peek): never waits on an
-    /// in-flight computation, reporting it as [`TryPeek::Pending`] instead.
-    /// A ready entry is touched in the LRU, exactly like `peek`.  Uncounted
-    /// — callers that want hit accounting layer it on top (see
-    /// `TieredStore::probe`).
+    /// Looks `key` up without computing and without waiting: a ready entry
+    /// is touched in the LRU and returned, an in-flight computation reports
+    /// [`TryPeek::Pending`].  Uncounted — callers that want hit accounting
+    /// layer it on top (see `TieredStore::probe`).
     pub fn try_peek(&self, key: Digest) -> TryPeek<V> {
         let mut shard = Self::lock(self.shard_for(key));
         match shard.map.get(&key.raw()) {
@@ -492,6 +472,14 @@ mod tests {
         Ok((body.to_string(), body.len() as u64, FillOrigin::Computed))
     }
 
+    /// The ready value under `key`, if any.
+    fn ready(tier: &MemoryTier<String>, key: Digest) -> Option<Arc<String>> {
+        match tier.try_peek(key) {
+            TryPeek::Ready(value) => Some(value),
+            TryPeek::Pending | TryPeek::Absent => None,
+        }
+    }
+
     #[test]
     fn miss_then_hit_shares_the_arc_and_accounts_bytes() {
         let tier = tier(4);
@@ -509,10 +497,10 @@ mod tests {
         assert_eq!(tier.stats().hits(), 1);
         assert_eq!(tier.stats().misses(), 1);
         assert_eq!(
-            tier.peek(key("d1")).as_deref().map(String::as_str),
+            ready(&tier, key("d1")).as_deref().map(String::as_str),
             Some("body-1")
         );
-        assert!(tier.peek(key("absent")).is_none());
+        assert!(ready(&tier, key("absent")).is_none());
     }
 
     #[test]
@@ -525,9 +513,9 @@ mod tests {
             .unwrap();
         tier.get_or_fill(key("c"), || computed("C"), |e| e).unwrap();
         assert_eq!(tier.stats().evictions(), 1);
-        assert!(tier.peek(key("b")).is_none(), "b must have been evicted");
-        assert!(tier.peek(key("a")).is_some());
-        assert!(tier.peek(key("c")).is_some());
+        assert!(ready(&tier, key("b")).is_none(), "b must have been evicted");
+        assert!(ready(&tier, key("a")).is_some());
+        assert!(ready(&tier, key("c")).is_some());
         assert_eq!(tier.len(), 2);
         assert_eq!(tier.bytes(), 2);
     }
@@ -547,7 +535,7 @@ mod tests {
             .unwrap();
         assert!(tier.bytes() <= 10, "byte cap must hold: {}", tier.bytes());
         assert_eq!(tier.stats().evictions(), 1);
-        assert!(tier.peek(key("a")).is_none(), "LRU victim is the oldest");
+        assert!(ready(&tier, key("a")).is_none(), "LRU victim is the oldest");
     }
 
     #[test]
@@ -570,8 +558,8 @@ mod tests {
         // A newer entry displaces it.
         tier.get_or_fill(key("next"), || computed("x"), |e| e)
             .unwrap();
-        assert!(tier.peek(key("big")).is_none());
-        assert!(tier.peek(key("next")).is_some());
+        assert!(ready(&tier, key("big")).is_none());
+        assert!(ready(&tier, key("next")).is_some());
     }
 
     #[test]

@@ -208,24 +208,11 @@ impl<C: StoreCodec> TieredStore<C> {
     }
 
     /// Replays `key` without computing: memory first, then the disk tier
-    /// (promoting a verified entry into memory).  Uncounted in hit/miss
-    /// stats, mirroring the serve tier's replay endpoint semantics; the
-    /// returned [`StoreOutcome`] says which tier answered (`Hit` or
-    /// `Disk`).
-    pub fn get(&self, key: Digest) -> Option<(Arc<C::Value>, StoreOutcome)> {
-        if let Some(value) = self.memory.peek(key) {
-            return Some((value, StoreOutcome::Hit));
-        }
-        let (value, bytes) = self.disk_read(key)?;
-        let value = Arc::new(value);
-        self.memory.insert(key, Arc::clone(&value), bytes);
-        Some((value, StoreOutcome::Disk))
-    }
-
-    /// Non-blocking replay: like [`get`](Self::get) but never waits on an
+    /// (promoting a verified entry into memory).  Never waits on an
     /// in-flight computation — a pending key reports `None` and the caller
     /// decides how to wait (the serve tier's event loop must not block).
-    /// Uncounted, mirroring `get`.
+    /// Uncounted in hit/miss stats; the returned [`StoreOutcome`] says
+    /// which tier answered (`Hit` or `Disk`).
     pub fn try_get(&self, key: Digest) -> Option<(Arc<C::Value>, StoreOutcome)> {
         match self.memory.try_peek(key) {
             TryPeek::Ready(value) => Some((value, StoreOutcome::Hit)),
@@ -359,16 +346,16 @@ mod tests {
         let root = temp_root("replay");
         let config = StoreConfig::default().with_root(&root);
         let store = TieredStore::<StringCodec>::new("op", &config).unwrap();
-        assert!(store.get(key("absent")).is_none());
+        assert!(store.try_get(key("absent")).is_none());
         store
             .get_or_compute(key("y"), || Ok::<_, String>("yy".to_string()), |e| e)
             .unwrap();
         store.clear_memory();
-        let (replayed, outcome) = store.get(key("y")).expect("disk replay");
+        let (replayed, outcome) = store.try_get(key("y")).expect("disk replay");
         assert_eq!(*replayed, "yy");
         assert_eq!(outcome, StoreOutcome::Disk);
         assert_eq!(store.mem_entries(), 1, "replay promotes into memory");
-        let (_, outcome) = store.get(key("y")).expect("memory replay");
+        let (_, outcome) = store.try_get(key("y")).expect("memory replay");
         assert_eq!(
             outcome,
             StoreOutcome::Hit,

@@ -17,7 +17,7 @@
 //! stdout (or `--out FILE`), and `--menus FILE` exports the
 //! instruction-memory menu of every front member.
 
-use bitwave_sweep::run::{run_with_progress_opts, run_worker_with, EvalOptions, FrontReport};
+use bitwave_sweep::run::{run_with_progress_opts, run_worker, EvalOptions, FrontReport};
 use bitwave_sweep::{MenuRow, SweepConfig};
 use serde::Serialize;
 use std::io::Write;
@@ -144,8 +144,8 @@ fn run(cli: Cli) -> Result<(), String> {
     let sweep = cli.config.digest().to_hex();
     if cli.worker {
         let root = cli.store_root.as_deref().expect("checked in parse_args");
-        let stats = run_worker_with(&cli.config, root, cli.eval)
-            .map_err(|e| format!("worker failed: {e}"))?;
+        let stats =
+            run_worker(&cli.config, root, cli.eval).map_err(|e| format!("worker failed: {e}"))?;
         println!(
             "worker done: sweep {sweep} evaluated {} reused {} stolen {} of {total}",
             stats.evaluated, stats.reused, stats.stolen
@@ -159,7 +159,7 @@ fn run(cli: Cli) -> Result<(), String> {
             let config = cli.config.clone();
             let root = cli.store_root.clone().expect("checked in parse_args");
             let eval = cli.eval;
-            std::thread::spawn(move || run_worker_with(&config, &root, eval))
+            std::thread::spawn(move || run_worker(&config, &root, eval))
         })
         .collect();
     let watch = cli.watch;

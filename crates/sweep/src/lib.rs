@@ -51,8 +51,7 @@ pub use eval::{
 pub use ledger::{PointClaim, SweepLedger};
 pub use menu::{menu_rows, MenuRow};
 pub use run::{
-    assemble_report, run_sharded, run_sharded_with, run_with_progress, run_with_progress_opts,
-    run_worker, run_worker_with, EvalOptions, FrontPoint, FrontReport, PartialFront, WorkerStats,
-    OBJECTIVES,
+    assemble_report, run_sharded, run_with_progress, run_with_progress_opts, run_worker,
+    EvalOptions, FrontPoint, FrontReport, PartialFront, WorkerStats, OBJECTIVES,
 };
 pub use space::{enumerate, CandidatePoint};

@@ -283,44 +283,18 @@ fn flush_batch(
 /// # Errors
 ///
 /// Propagates ledger I/O and portfolio construction failures.
-pub fn run_worker(config: &SweepConfig, root: &Path) -> io::Result<WorkerStats> {
-    run_worker_with(config, root, EvalOptions::default())
-}
-
-/// [`run_worker`] with explicit [`EvalOptions`].
-///
-/// # Errors
-///
-/// Propagates ledger I/O and portfolio construction failures.
-pub fn run_worker_with(
-    config: &SweepConfig,
-    root: &Path,
-    opts: EvalOptions,
-) -> io::Result<WorkerStats> {
+pub fn run_worker(config: &SweepConfig, root: &Path, opts: EvalOptions) -> io::Result<WorkerStats> {
     let ledger = SweepLedger::open(config, Some(root))?;
     run_loop(config, &ledger, opts, |_| {})
 }
 
-/// Runs `workers` in-process worker threads over one shared root and
-/// returns their per-worker stats (index order).
+/// Runs `workers` in-process worker threads over one shared root, each
+/// with `opts`, and returns their per-worker stats (index order).
 ///
 /// # Errors
 ///
 /// Propagates the first worker failure.
 pub fn run_sharded(
-    config: &SweepConfig,
-    root: &Path,
-    workers: usize,
-) -> io::Result<Vec<WorkerStats>> {
-    run_sharded_with(config, root, workers, EvalOptions::default())
-}
-
-/// [`run_sharded`] with explicit [`EvalOptions`] applied to every worker.
-///
-/// # Errors
-///
-/// Propagates the first worker failure.
-pub fn run_sharded_with(
     config: &SweepConfig,
     root: &Path,
     workers: usize,
@@ -330,7 +304,7 @@ pub fn run_sharded_with(
         .map(|_| {
             let config = config.clone();
             let root = PathBuf::from(root);
-            std::thread::spawn(move || run_worker_with(&config, &root, opts))
+            std::thread::spawn(move || run_worker(&config, &root, opts))
         })
         .collect();
     handles

@@ -6,7 +6,7 @@
 mod oracle;
 
 use bitwave_sweep::ledger::SweepLedger;
-use bitwave_sweep::run::{assemble_report, run_sharded, run_with_progress};
+use bitwave_sweep::run::{assemble_report, run_sharded, run_with_progress, EvalOptions};
 use bitwave_sweep::SweepConfig;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -114,7 +114,7 @@ proptest! {
         let sequential = report_json(&config, None);
 
         let root = temp_root(&format!("shard-{seed}-{workers}"));
-        let stats = run_sharded(&config, &root, workers).expect("sharded sweep runs");
+        let stats = run_sharded(&config, &root, workers, EvalOptions::default()).expect("sharded sweep runs");
         let total_evaluated: usize = stats.iter().map(|s| s.evaluated).sum();
         prop_assert!(
             total_evaluated >= config.total_points(),
