@@ -39,7 +39,7 @@ pub mod spec;
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use model::{
     bits_per_mac_class, evaluate_layer_with_mapping, LayerTraffic, PricedTraffic,
-    RepricedLayerCost, SuCost,
+    RepricedLayerCost, SuCost, SuShape,
 };
 pub use sparsity::{LayerAnalysis, LayerSparsityProfile};
 pub use spec::{AcceleratorKind, AcceleratorSpec, BitwaveOptimizations};

@@ -292,18 +292,94 @@ impl SuCost {
     /// before it.  A part with a NaN field covers nothing and is covered by
     /// nothing (every comparison with NaN fails).
     pub fn covers(&self, utilization: f64, other: &SuCost, other_utilization: f64) -> bool {
-        let fields = |c: &SuCost| {
-            [
-                c.compute_side_cycles,
-                c.compute_pj,
-                c.sram_read_pj,
-                c.register_pj,
-            ]
-        };
-        let (mine, theirs) = (fields(self), fields(other));
+        let (mine, theirs) = (self.covered_fields(), other.covered_fields());
         utilization >= other_utilization
-            && mine.iter().all(|v| v.is_finite())
+            && self.can_cover()
             && mine.iter().zip(&theirs).all(|(a, b)| a <= b)
+    }
+
+    /// Whether every field [`Self::covers`] compares is finite: only such a
+    /// part covers anything.
+    pub fn can_cover(&self) -> bool {
+        self.covered_fields().iter().all(|v| v.is_finite())
+    }
+
+    fn covered_fields(&self) -> [f64; 4] {
+        [
+            self.compute_side_cycles,
+            self.compute_pj,
+            self.sram_read_pj,
+            self.register_pj,
+        ]
+    }
+
+    /// The bit patterns of every field, in declaration order: two parts
+    /// with equal bits price every traffic identically, NaN fields
+    /// included.
+    pub fn to_bits(&self) -> [u64; 6] {
+        [
+            self.effective_macs,
+            self.compute_cycles,
+            self.compute_side_cycles,
+            self.compute_pj,
+            self.register_pj,
+            self.sram_read_pj,
+        ]
+        .map(f64::to_bits)
+    }
+}
+
+/// What [`SuCost::of`] reads from one spatial unrolling of a layer, beyond
+/// the layer itself, when its lanes are the SU's parallelism times its
+/// utilisation (as the design-space search prices every SU part): that
+/// utilisation, the parallelism, and the spatial reuse of input and weight
+/// SRAM reads ([`SpatialUnrolling::input_reuse`] and
+/// [`SpatialUnrolling::weight_reuse`], which [`ActivityCounts::of`]
+/// divides by).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SuShape {
+    utilization: f64,
+    parallelism: usize,
+    input_reuse: u64,
+    weight_reuse: u64,
+}
+
+impl SuShape {
+    /// The shape of `su` at `utilization` (its utilisation on the layer).
+    pub fn of(su: &SpatialUnrolling, utilization: f64) -> Self {
+        Self {
+            utilization,
+            parallelism: su.parallelism(),
+            input_reuse: su.input_reuse(),
+            weight_reuse: su.weight_reuse(),
+        }
+    }
+
+    /// Whether this shape is at least as well utilised, as parallel and as
+    /// reusing on both SRAM reads as `other`.  Then, for one layer, its
+    /// [`SuCost`] is no worse than `other`'s on every field
+    /// [`SuCost::covers`] compares, under every accelerator spec, every
+    /// non-negative energy table and every profile whose statistics are
+    /// non-negative with value sparsities at most 1 (every profile built
+    /// from weights):
+    ///
+    /// * the compute cycles are `macs × bits ÷ max(lanes, 1)` with lanes
+    ///   `parallelism × utilisation`, the SRAM reads `macs ÷ reuse` scaled
+    ///   by non-negative factors and the register cycles
+    ///   `reads ÷ parallelism`, each non-increasing in these four values
+    ///   under IEEE rounding, and the compute-side cycles and SRAM-read
+    ///   energy are sums and maxima of them;
+    /// * the compute and register energies are the same expression for
+    ///   every SU of the layer.
+    ///
+    /// So this shape's part [covers](SuCost::covers) `other`'s whenever its
+    /// own fields are finite ([`SuCost::can_cover`]), and a covering prune
+    /// can drop `other` before pricing it.
+    pub fn covers(&self, other: &SuShape) -> bool {
+        self.utilization >= other.utilization
+            && self.parallelism >= other.parallelism
+            && self.input_reuse >= other.input_reuse
+            && self.weight_reuse >= other.weight_reuse
     }
 }
 

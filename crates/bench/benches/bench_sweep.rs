@@ -26,9 +26,9 @@
 //!    sweep, same core-count guard, same byte-identity fallback.
 
 use bitwave_accel::{bits_per_mac_class, EnergyModel};
-use bitwave_bench::{oracle, print_header, write_bench_json};
+use bitwave_bench::{oracle, print_header, write_bench_json, HostFacts};
 use bitwave_dataflow::MemoryHierarchy;
-use bitwave_dse::{factor_network, FactoredNetworkSearch};
+use bitwave_dse::{clear_shape_cache, factor_network, FactoredNetworkSearch};
 use bitwave_sweep::{
     build_portfolio, evaluate_point_factored, global_eval_engine, run_sharded,
     run_with_progress_opts, run_worker, EvalOptions, FrontReport, SweepConfig, SweepLedger,
@@ -94,6 +94,9 @@ struct SweepBenchReport {
     /// SU parts the factoring of every compute group enumerates, over the
     /// whole portfolio.
     su_parts_enumerated: usize,
+    /// Of those, the parts the profile-free shape stage keeps — the ones
+    /// priced with `SuCost::of`.
+    su_parts_shape_kept: usize,
     /// Of those, the parts no earlier part of their layer covers — the
     /// ones each point's pricing composes.
     su_parts_kept: usize,
@@ -102,6 +105,7 @@ struct SweepBenchReport {
     best_edp: f64,
     best_label: String,
     edp_gain_over_table1: f64,
+    host: HostFacts,
 }
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -178,10 +182,11 @@ fn bench(c: &mut Criterion) {
     let reference = serde_json::to_string(&sequential_report).expect("report");
 
     // Below the `PointResult` assembly: factoring one compute group of the
-    // portfolio (what a group-cache miss pays) and pricing one point
-    // against an already factored group (what every other point pays).
-    // Neither touches the compute-group cache, so the gates below still
-    // see the cache states they set up themselves.
+    // portfolio (what a group-cache miss pays; cold: the layer shapes are
+    // pruned again too, warm shapes: what a new seed pays) and pricing one
+    // point against an already factored group (what every other point
+    // pays).  None touches the compute-group cache, so the gates below
+    // still see the cache states they set up themselves.
     let point = &bitwave_sweep::enumerate(&config)[0];
     let spec = point.spec();
     let energy = EnergyModel::finfet_16nm();
@@ -200,6 +205,12 @@ fn bench(c: &mut Criterion) {
             .collect()
     };
     c.bench_function("sweep/factor_group_cold_small", |b| {
+        b.iter(|| {
+            clear_shape_cache();
+            black_box(factor_group())
+        })
+    });
+    c.bench_function("sweep/factor_group_warm_shapes_small", |b| {
         b.iter(|| black_box(factor_group()))
     });
     let group = factor_group();
@@ -211,11 +222,12 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The SU parts one `small` sweep factors and the share that survives
-    // the covering prune: every compute group (points that differ only in
-    // SRAM sizes or DRAM bandwidth share one) over the whole portfolio.
+    // The SU parts one `small` sweep factors and the shares that survive
+    // the shape stage and the covering prune: every compute group (points
+    // that differ only in SRAM sizes or DRAM bandwidth share one) over the
+    // whole portfolio.
     let mut groups_seen = Vec::new();
-    let (mut su_parts_enumerated, mut su_parts_kept) = (0, 0);
+    let (mut su_parts_enumerated, mut su_parts_shape_kept, mut su_parts_kept) = (0, 0, 0);
     for point in bitwave_sweep::enumerate(&config) {
         let spec = point.spec();
         let group = (
@@ -232,12 +244,13 @@ fn bench(c: &mut Criterion) {
             let factored = factor_network(&spec, &m.network, &m.profiles, &energy, &config.space)
                 .expect("the small portfolio factors");
             su_parts_enumerated += factored.su_parts_enumerated();
+            su_parts_shape_kept += factored.su_parts_shape_kept();
             su_parts_kept += factored.su_parts_kept();
         }
     }
     println!(
         "SU parts per small sweep ({} compute groups): {su_parts_enumerated} enumerated, \
-         {su_parts_kept} kept",
+         {su_parts_shape_kept} past the shape stage, {su_parts_kept} kept",
         groups_seen.len()
     );
 
@@ -291,11 +304,14 @@ fn bench(c: &mut Criterion) {
         "the oracle sweep must be deterministic"
     );
 
-    // Gate 3: sequential factored path, cold compute-group cache (cleared
-    // before every repetition).  The floor is unconditional — the
+    // Gate 3: sequential factored path, cold compute-group and shape caches
+    // (cleared before every repetition).  The floor is unconditional — the
     // amortization is algorithmic, not a parallelism artifact.
-    let (amortized_secs, amortized_json) =
-        timed_best(|| global_eval_engine().clear(), || sweep(&config, 1));
+    let cold = || {
+        global_eval_engine().clear();
+        clear_shape_cache();
+    };
+    let (amortized_secs, amortized_json) = timed_best(cold, || sweep(&config, 1));
     assert_eq!(
         amortized_json, reference,
         "factored evaluation must reproduce the full report byte for byte"
@@ -323,12 +339,10 @@ fn bench(c: &mut Criterion) {
     let scaling_gate_enforced = cores >= IN_PROCESS_THREADS;
 
     // Gate 4b: the shipped throughput configuration — factored + threads —
-    // against the sequential oracle sweep, compute-group cache cold again
-    // before every repetition.
-    let (throughput_secs, throughput_json) = timed_best(
-        || global_eval_engine().clear(),
-        || sweep(&config, IN_PROCESS_THREADS),
-    );
+    // against the sequential oracle sweep, compute-group and shape caches
+    // cold again before every repetition.
+    let (throughput_secs, throughput_json) =
+        timed_best(cold, || sweep(&config, IN_PROCESS_THREADS));
     assert_eq!(
         throughput_json, reference,
         "factored + parallel evaluation must reproduce the report byte for byte"
@@ -359,9 +373,9 @@ fn bench(c: &mut Criterion) {
     }
 
     // Gate 5: multi-process sharded cold run over a shared store root
-    // (compute-group cache cold again, like the sequential factored run it
-    // is compared against).
-    global_eval_engine().clear();
+    // (compute-group and shape caches cold again, like the sequential
+    // factored run it is compared against).
+    cold();
     let root = temp_root("cold");
     let t1 = Instant::now();
     let stats = run_sharded(&config, &root, SCALING_WORKERS, EvalOptions::default())
@@ -443,12 +457,14 @@ fn bench(c: &mut Criterion) {
             warm_reevaluated: warm.evaluated,
             warm_reused: warm.reused,
             su_parts_enumerated,
+            su_parts_shape_kept,
             su_parts_kept,
             baseline_label,
             baseline_edp,
             best_edp,
             best_label,
             edp_gain_over_table1: baseline_edp / best_edp,
+            host: HostFacts::of_this_host(),
         },
     );
     let _ = std::fs::remove_dir_all(&root);

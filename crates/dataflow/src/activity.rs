@@ -78,13 +78,10 @@ impl ActivityCounts {
     pub fn of(layer: &LayerSpec, su: &SpatialUnrolling) -> Self {
         let dims = &layer.dims;
         let macs = dims.macs();
-        // Spatial reuse on chip.
-        let weight_reuse = (su.ox * su.oy).max(1) as u64;
-        let input_reuse = su.k.max(1) as u64;
         Self {
             macs,
-            sram_read_input: macs / input_reuse,
-            sram_read_weight: macs / weight_reuse,
+            sram_read_input: macs / su.input_reuse(),
+            sram_read_weight: macs / su.weight_reuse(),
             sram_write_output: dims.output_count(),
             // Output-stationary accumulation: one register read + write per
             // MAC.

@@ -73,6 +73,18 @@ impl SpatialUnrolling {
         self.c * self.k * self.ox * self.oy * self.fx * self.fy * self.g
     }
 
+    /// How many unrolled lanes share one input-activation SRAM read: the
+    /// unrolled output channels (`Ku`).
+    pub fn input_reuse(&self) -> u64 {
+        self.k.max(1) as u64
+    }
+
+    /// How many unrolled lanes share one weight SRAM read: the unrolled
+    /// output positions (`OXu·OYu`).
+    pub fn weight_reuse(&self) -> u64 {
+        (self.ox * self.oy).max(1) as u64
+    }
+
     /// Weight bandwidth demand in operand elements per cycle
     /// (`Cu·Ku·FXu·FYu` distinct weights are consumed each cycle; the
     /// depthwise SU consumes `Gu` weights).

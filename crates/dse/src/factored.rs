@@ -23,25 +23,45 @@
 //!   compute, SRAM-read and register energy, and utilisation — because
 //!   total cycles, energy and EDP are monotone in those fields under IEEE
 //!   rounding, so a covered part can never hold the first min-EDP row
-//!   under any memory/DRAM point (about 6 % of the parts of the `small`
-//!   sweep survive).  The winners are summed in layer order, as
-//!   [`crate::NetworkSearch`] aggregates them, so the totals are
+//!   under any memory/DRAM point.  The winners are summed in layer order,
+//!   as [`crate::NetworkSearch`] aggregates them, so the totals are
 //!   **bit-identical** to the `searched_*` totals of
 //!   [`crate::DseEngine::search_network`] over the same inputs.
+//!
+//! The covering prune runs in two stages:
+//!
+//! 1. a **shape stage** that reads no profile drops every SU whose
+//!    [`SuShape`] (utilisation, parallelism, input and weight reuse) an
+//!    earlier surviving SU's covers.  Its survivors depend only on the
+//!    mapping space, depthwise-ness and the layer's loop dimensions, so
+//!    they are cached in a process-wide, single-flight
+//!    `bitwave_store::MemoryTier` LRU and every later seed, network and
+//!    compute group with that layer shape reuses them;
+//! 2. the **part stage** prices the survivors with [`SuCost::of`] and drops
+//!    those an earlier survivor covers.
+//!
+//! A part the shape stage drops is covered by a finite survivor, so the
+//! kept list is exactly what the part stage alone keeps over every part; a
+//! layer whose survivors price a non-finite field falls back to its full
+//! list.  Of the 40 824 SU parts the 6 compute groups of a `small` sweep
+//! enumerate, 8 489 pass the shape stage and 2 625 (about 6 %) are kept.
 
 use crate::cost::{EvaluatedMapping, MappingCost};
 use crate::error::{DseError, Result};
 use crate::search::min_edp;
-use crate::space::{Candidate, SearchSpace};
+use crate::space::{Candidate, SearchSpace, SpaceDigest};
 use bitwave_accel::spec::AcceleratorSpec;
-use bitwave_accel::{EnergyModel, LayerSparsityProfile, LayerTraffic, PricedTraffic, SuCost};
+use bitwave_accel::{
+    EnergyModel, LayerSparsityProfile, LayerTraffic, PricedTraffic, SuCost, SuShape,
+};
 use bitwave_dataflow::activity::TemporalMapping;
 use bitwave_dataflow::mapping::select_spatial_unrolling;
-use bitwave_dataflow::MemoryHierarchy;
+use bitwave_dataflow::{MemoryHierarchy, SpatialUnrolling};
 use bitwave_dnn::layer::LayerSpec;
 use bitwave_dnn::models::NetworkSpec;
+use bitwave_store::{FillOrigin, MemoryTier, MemoryTierConfig, StoreStats};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 static REPRICED: AtomicU64 = AtomicU64::new(0);
 
@@ -85,11 +105,24 @@ impl FactoredLayer {
         candidates: &[Candidate],
         tilings: usize,
     ) -> Self {
-        let sus = candidates
-            .chunks(tilings)
-            .map(|block| {
-                let su = &block[0].su;
-                let utilization = su.utilization_for(layer);
+        let sus = candidates.chunks(tilings).map(|block| {
+            let su = &block[0].su;
+            (su, su.utilization_for(layer))
+        });
+        Self::of_sus(accel, layer, profile, energy, sus)
+    }
+
+    /// Factors `layer` over the given spatial unrollings, each at its
+    /// utilisation on the layer.
+    fn of_sus<'a>(
+        accel: &AcceleratorSpec,
+        layer: &LayerSpec,
+        profile: &LayerSparsityProfile,
+        energy: &EnergyModel,
+        sus: impl Iterator<Item = (&'a SpatialUnrolling, f64)>,
+    ) -> Self {
+        let sus = sus
+            .map(|(su, utilization)| {
                 let lanes = su.parallelism() as f64 * utilization;
                 let cost = SuCost::of(accel, layer, su, lanes, profile, energy);
                 (cost, utilization)
@@ -184,6 +217,8 @@ pub struct FactoredNetworkSearch {
     tilings: Vec<TemporalMapping>,
     /// SU parts enumerated over all layers, before covered ones were dropped.
     su_parts_enumerated: usize,
+    /// SU parts priced with [`SuCost::of`] over all layers.
+    su_parts_shape_kept: usize,
 }
 
 impl FactoredNetworkSearch {
@@ -228,17 +263,87 @@ impl FactoredNetworkSearch {
         self.su_parts_enumerated
     }
 
+    /// SU parts the shape stage kept, summed over the layers: those priced
+    /// with [`SuCost::of`] (every part of a layer that fell back to its
+    /// full list).
+    pub fn su_parts_shape_kept(&self) -> usize {
+        self.su_parts_shape_kept
+    }
+
     /// SU parts [`Self::price`] composes, summed over the layers: those no
     /// earlier part of their layer covers.
     pub fn su_parts_kept(&self) -> usize {
         self.layers.iter().map(|layer| layer.sus.len()).sum()
     }
+
+    /// The kept SU parts of each layer, in layer order, each with its
+    /// utilisation, in enumeration order.
+    pub fn kept_parts(&self) -> impl Iterator<Item = &[(SuCost, f64)]> {
+        self.layers.iter().map(|layer| layer.sus.as_slice())
+    }
+}
+
+/// Process-wide LRU of shape-stage survivors, keyed by the space digest,
+/// depthwise-ness and the layer's loop dimensions: every `(block index,
+/// utilisation)` of the layer's mapping space that no earlier survivor's
+/// [`SuShape`] covers.
+static SHAPES: LazyLock<MemoryTier<Vec<(usize, f64)>>> =
+    LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(1024)));
+
+/// The shape-survivor cache's counters (for tests and benches).
+pub fn shape_cache_stats() -> &'static StoreStats {
+    SHAPES.stats()
+}
+
+/// Drops every cached shape-survivor list — benches use this to measure
+/// cold factoring without a fresh process.
+pub fn clear_shape_cache() {
+    SHAPES.clear();
+}
+
+/// Stage 1 of the covering prune: the `(block index, utilisation)` of every
+/// spatial unrolling of `candidates` (blocks of `tilings`) whose
+/// [`SuShape`] on `layer` no earlier survivor's covers.  It reads no
+/// profile, so it is cached per `(space, depthwise, loop dims)` for every
+/// later network, seed and compute group with that layer shape.
+fn shape_survivors(
+    space: Option<SpaceDigest>,
+    candidates: &[Candidate],
+    tilings: usize,
+    layer: &LayerSpec,
+) -> Arc<Vec<(usize, f64)>> {
+    let walk = || {
+        let mut kept: Vec<(usize, f64, SuShape)> = Vec::new();
+        for (index, block) in candidates.chunks(tilings).enumerate() {
+            let utilization = block[0].su.utilization_for(layer);
+            let shape = SuShape::of(&block[0].su, utilization);
+            if !kept.iter().any(|(_, _, by)| by.covers(&shape)) {
+                kept.push((index, utilization, shape));
+            }
+        }
+        kept.into_iter()
+            .map(|(index, utilization, _)| (index, utilization))
+            .collect()
+    };
+    let Some(space) = space else {
+        return Arc::new(walk());
+    };
+    let d = &layer.dims;
+    let dims = [d.b, d.k, d.c, d.oy, d.ox, d.fy, d.fx].map(|v| v as u64);
+    SHAPES
+        .get_or_fill(
+            space.with(layer.kind.is_depthwise(), &dims),
+            || Ok::<_, String>((walk(), 0, FillOrigin::Computed)),
+            |e| e,
+        )
+        .map_or_else(|_| Arc::new(walk()), |(survivors, _)| survivors)
 }
 
 /// Factors a whole network for `accel`: per layer, one [`SuCost`] per
 /// spatial unrolling of the mapping space, less those an earlier part of
-/// the layer [covers](SuCost::covers).  The expensive half of a sweep
-/// point's evaluation — reusable across every point that shares this
+/// the layer [covers](SuCost::covers).  Only the SUs that pass the cached
+/// shape stage are priced (see the module docs).  The expensive half of a
+/// sweep point's evaluation — reusable across every point that shares this
 /// accelerator's compute-side configuration.
 ///
 /// # Errors
@@ -262,24 +367,35 @@ pub fn factor_network(
     }
     let tilings = space.tilings();
     // The mapping space depends on the layer only through its
-    // depthwise-ness: one lookup each for plain and depthwise layers.
+    // depthwise-ness: one lookup each for plain and depthwise layers, under
+    // one digest of the space key.
+    let digest = space.digest(accel);
     let mut spaces: [Option<Arc<Vec<Candidate>>>; 2] = [None, None];
     let mut layers = Vec::with_capacity(network.layers.len());
-    let mut su_parts_enumerated = 0;
+    let (mut su_parts_enumerated, mut su_parts_shape_kept) = (0, 0);
     for (layer, profile) in network.layers.iter().zip(profiles) {
         // Same error order as the engine: the heuristic SU pick
         // (which validates the layer dims) comes first.
         select_spatial_unrolling(layer, &accel.su_set)?;
         let candidates = spaces[usize::from(layer.kind.is_depthwise())]
-            .get_or_insert_with(|| space.enumerate_shared(accel, layer));
+            .get_or_insert_with(|| space.enumerate_keyed(digest, accel, layer));
         if candidates.is_empty() {
             return Err(DseError::EmptySpace {
                 layer: layer.name.clone(),
             });
         }
-        let mut factored =
-            FactoredLayer::of(accel, layer, profile, energy, candidates, tilings.len());
-        su_parts_enumerated += factored.sus.len();
+        su_parts_enumerated += candidates.len() / tilings.len();
+        let survivors = shape_survivors(digest, candidates, tilings.len(), layer);
+        let sus = survivors
+            .iter()
+            .map(|&(index, utilization)| (&candidates[index * tilings.len()].su, utilization));
+        let mut factored = FactoredLayer::of_sus(accel, layer, profile, energy, sus);
+        // A dropped part is covered by the survivor whose shape covers it
+        // only if that survivor's fields are finite; otherwise price all.
+        if !factored.sus.iter().all(|(su, _)| su.can_cover()) {
+            factored = FactoredLayer::of(accel, layer, profile, energy, candidates, tilings.len());
+        }
+        su_parts_shape_kept += factored.sus.len();
         factored.drop_covered();
         layers.push(factored);
     }
@@ -287,6 +403,7 @@ pub fn factor_network(
         layers,
         tilings,
         su_parts_enumerated,
+        su_parts_shape_kept,
     })
 }
 
@@ -420,7 +537,8 @@ mod tests {
             .sum();
         assert_eq!(factored.su_parts_enumerated(), enumerated);
         assert!(factored.su_parts_kept() >= net.layers.len());
-        assert!(factored.su_parts_kept() < enumerated);
+        assert!(factored.su_parts_kept() <= factored.su_parts_shape_kept());
+        assert!(factored.su_parts_shape_kept() < enumerated);
     }
 
     #[test]

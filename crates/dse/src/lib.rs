@@ -24,7 +24,8 @@
 //!   composed per candidate.  The engine prices one layer at a time; the
 //!   hardware sweep factors whole networks once per accelerator compute
 //!   configuration ([`factor_network`], which drops the SU parts an
-//!   earlier part covers) and prices them per `(SRAM sizes, DRAM axes)`
+//!   earlier part covers, in a profile-free stage cached per layer shape
+//!   and a priced stage) and prices them per `(SRAM sizes, DRAM axes)`
 //!   point into the searched winner totals only.
 //! * [`search`] — the engine: minimum-EDP winner selection, a generalised
 //!   cycles/energy/EDP/utilisation Pareto front (`bitwave_core::pareto`),
@@ -78,7 +79,8 @@ pub mod space;
 pub use cost::{EvaluatedMapping, MappingCost};
 pub use error::{DseError, Result};
 pub use factored::{
-    factor_network, factored_repriced_total, FactoredNetworkSearch, SearchedTotals,
+    clear_shape_cache, factor_network, factored_repriced_total, shape_cache_stats,
+    FactoredNetworkSearch, SearchedTotals,
 };
 pub use search::{DseEngine, LayerSearchResult, NetworkSearch, SearchedLayer, DSE_SCHEMA_VERSION};
 pub use space::{space_cache_stats, Candidate, SearchSpace};

@@ -19,7 +19,12 @@
 //!
 //! The walk depends only on the space, the SU menu, the lane budget and
 //! depthwise-ness, so [`SearchSpace::enumerate_shared`] memoises it in a
-//! process-wide, single-flight `bitwave_store::MemoryTier` LRU.
+//! process-wide, single-flight `bitwave_store::MemoryTier` LRU.  The digest
+//! of that key also keys the factored search's cached shape stage (see
+//! [`crate::factored`]), which adds the layer's loop dimensions: of the
+//! 40 824 SU parts a `small` sweep enumerates, 8 489 survive it.
+//! [`crate::factor_network`] serialises the key once per network and
+//! derives each per-layer key from its fixed-width fields.
 
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_core::digest::Digest;
@@ -80,20 +85,41 @@ pub struct Candidate {
     pub temporal: TemporalMapping,
 }
 
-/// Everything [`SearchSpace::enumerate`] depends on.  The layer enters only
-/// through its depthwise-ness (the walk is over the *lane budget*, not the
-/// layer's extents), so every non-depthwise layer of every model shares one
-/// cached enumeration per `(space, SU menu, budget)`.
+/// Everything [`SearchSpace::enumerate`] depends on besides the layer.  The
+/// layer enters only through its depthwise-ness (the walk is over the *lane
+/// budget*, not the layer's extents), so every non-depthwise layer of every
+/// model shares one cached enumeration per `(space, SU menu, budget)`.
 #[derive(Serialize)]
 struct SpaceKey {
     space: SearchSpace,
     su_set: SuSet,
     budget: usize,
-    depthwise: bool,
+}
+
+/// The digest of a [`SpaceKey`]: what every process-wide cache of this
+/// space's enumerations and their per-layer-shape prunes is keyed by.
+/// Computed once per network by [`crate::factor_network`], since it
+/// serialises the whole key.
+#[derive(Clone, Copy)]
+pub(crate) struct SpaceDigest(Digest);
+
+impl SpaceDigest {
+    /// The cache key of `fixed` (little-endian fixed-width fields) under
+    /// this space and `depthwise`.
+    pub(crate) fn with(self, depthwise: bool, fixed: &[u64]) -> Digest {
+        let mut bytes = Vec::with_capacity(17 + 8 * fixed.len());
+        bytes.extend_from_slice(&self.0.raw().to_le_bytes());
+        bytes.push(u8::from(depthwise));
+        for field in fixed {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        Digest::of_bytes(&bytes)
+    }
 }
 
 /// Process-wide LRU of enumerated candidate spaces, keyed by the
-/// [`SpaceKey`] digest (sweeps cycle through a small menu of SU families).
+/// [`SpaceKey`] digest and depthwise-ness (sweeps cycle through a small
+/// menu of SU families).
 static SPACES: LazyLock<MemoryTier<Vec<Candidate>>> =
     LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(512)));
 
@@ -246,27 +272,41 @@ impl SearchSpace {
         accel: &AcceleratorSpec,
         layer: &LayerSpec,
     ) -> Arc<Vec<Candidate>> {
+        self.enumerate_keyed(self.digest(accel), accel, layer)
+    }
+
+    /// The digest of this space's key on `accel`, `None` if it fails to
+    /// serialise.
+    pub(crate) fn digest(&self, accel: &AcceleratorSpec) -> Option<SpaceDigest> {
         let key = SpaceKey {
             space: self.clone(),
             su_set: accel.su_set.clone(),
             budget: self.budget(accel),
-            depthwise: layer.kind.is_depthwise(),
         };
-        let Ok(digest) = Digest::of_value(&key) else {
-            return Arc::new(self.enumerate(accel, layer));
+        Digest::of_value(&key).ok().map(SpaceDigest)
+    }
+
+    /// [`Self::enumerate_shared`] under an already computed
+    /// [`Self::digest`] (`None`: walk uncached).
+    pub(crate) fn enumerate_keyed(
+        &self,
+        digest: Option<SpaceDigest>,
+        accel: &AcceleratorSpec,
+        layer: &LayerSpec,
+    ) -> Arc<Vec<Candidate>> {
+        let walk = || self.enumerate(accel, layer);
+        let Some(digest) = digest else {
+            return Arc::new(walk());
         };
         // Single-flight: racing callers of a cold key share one walk; a
         // caller whose filler panicked walks uncached.
         SPACES
             .get_or_fill(
-                digest,
-                || Ok::<_, String>((self.enumerate(accel, layer), 0, FillOrigin::Computed)),
+                digest.with(layer.kind.is_depthwise(), &[]),
+                || Ok::<_, String>((walk(), 0, FillOrigin::Computed)),
                 |e| e,
             )
-            .map_or_else(
-                |_| Arc::new(self.enumerate(accel, layer)),
-                |(space, _)| space,
-            )
+            .map_or_else(|_| Arc::new(walk()), |(space, _)| space)
     }
 }
 
