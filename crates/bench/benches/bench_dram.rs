@@ -17,7 +17,7 @@ use bitwave::pipeline::{FlippedLayer, Pipeline};
 use bitwave_accel::model::evaluate_layer_with_mapping;
 use bitwave_accel::spec::{AcceleratorSpec, BitwaveOptimizations};
 use bitwave_accel::{EnergyModel, LayerSparsityProfile};
-use bitwave_bench::{print_header, write_bench_json};
+use bitwave_bench::{print_header, write_bench_json, HostFacts};
 use bitwave_core::group::GroupSize;
 use bitwave_dataflow::mapping::select_spatial_unrolling;
 use bitwave_dataflow::{DramFetches, DramSpec, MemoryHierarchy};
@@ -39,6 +39,7 @@ const SRAM_AXIS_KB: [usize; 5] = [32, 64, 128, 256, 512];
 /// `BENCH_dse.json`/`BENCH_sweep.json` convention.
 #[derive(Serialize)]
 struct DramBenchReport {
+    host: HostFacts,
     sample_cap: usize,
     throttled_bandwidth_bits: usize,
     blind_sram_kb: usize,
@@ -232,6 +233,7 @@ fn bench(c: &mut Criterion) {
     write_bench_json(
         "BENCH_dram.json",
         &DramBenchReport {
+            host: HostFacts::of_this_host(),
             sample_cap: SAMPLE_CAP,
             throttled_bandwidth_bits: THROTTLED_BANDWIDTH_BITS,
             blind_sram_kb: blind_kb,

@@ -18,7 +18,7 @@
 //!    shedding, performs exactly 6 evaluations from 1 weight generation,
 //!    and answers the other 90 requests as riders or cache hits.
 
-use bitwave_bench::{print_header, write_bench_json};
+use bitwave_bench::{print_header, write_bench_json, HostFacts};
 use bitwave_serve::client::Client;
 use bitwave_serve::server::{start, ServeConfig, ServerHandle};
 use bitwave_tensor::copy_metrics::CopyCounter;
@@ -35,6 +35,8 @@ use std::time::{Duration, Instant};
 /// gate just asserted.
 #[derive(Debug, Serialize)]
 struct ServeBenchReport {
+    /// The host the numbers were measured on.
+    host: HostFacts,
     /// Wall time of the very first (cold) `/v1/evaluate`, milliseconds.
     cold_evaluate_ms: f64,
     /// Cold-path throughput (8 never-seen digests), requests/second.
@@ -384,6 +386,7 @@ fn bench(c: &mut Criterion) {
     write_bench_json(
         "BENCH_serve.json",
         &ServeBenchReport {
+            host: HostFacts::of_this_host(),
             cold_evaluate_ms,
             cold_rps,
             hit_rps,

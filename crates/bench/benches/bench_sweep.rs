@@ -22,8 +22,11 @@
 //!    they degrade to the byte-identity half and print a skip notice —
 //!    `scaling_gate_enforced`/`throughput_gate_enforced` record which
 //!    halves actually ran;
-//! 5. multi-process sharding: same ≥ 2.5× gate for a 4-worker sharded
-//!    sweep, same core-count guard, same byte-identity fallback.
+//! 5. sharded workers: same ≥ 2.5× gate for a 4-worker sharded sweep
+//!    ([`bitwave_sweep::run_sharded`]: worker threads of this process that
+//!    coordinate through claim files under one store root and share every
+//!    process-wide cache), same core-count guard, same byte-identity
+//!    fallback.
 
 use bitwave_accel::{bits_per_mac_class, EnergyModel};
 use bitwave_bench::{oracle, print_header, write_bench_json, HostFacts};
@@ -372,9 +375,10 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Gate 5: multi-process sharded cold run over a shared store root
-    // (compute-group and shape caches cold again, like the sequential
-    // factored run it is compared against).
+    // Gate 5: sharded cold run, 4 in-process worker threads over a shared
+    // store root (compute-group and shape caches cold again, like the
+    // sequential factored run it is compared against; the workers share
+    // them as they fill).
     cold();
     let root = temp_root("cold");
     let t1 = Instant::now();
@@ -405,9 +409,9 @@ fn bench(c: &mut Criterion) {
     assert_eq!(warm.evaluated, 0, "warm re-sweep must replay every point");
     assert_eq!(warm.reused, config.total_points());
 
-    // Multi-process scaling, enforced only where there are cores to scale
-    // onto.  The sharded run uses the default (factored) path, so it is
-    // compared against the sequential factored time.
+    // Sharded scaling, enforced only where there are cores to scale onto.
+    // The sharded run uses the default (factored) path, so it is compared
+    // against the sequential factored time.
     let scaling = amortized_secs / sharded_secs.max(f64::MIN_POSITIVE);
     println!(
         "sequential factored: {amortized_secs:.2}s   {SCALING_WORKERS}-worker sharded: \
@@ -420,7 +424,7 @@ fn bench(c: &mut Criterion) {
         );
     } else {
         println!(
-            "SKIP: multi-process scaling gate needs >= {SCALING_WORKERS} cores (have {cores}); \
+            "SKIP: sharded-worker scaling gate needs >= {SCALING_WORKERS} cores (have {cores}); \
              enforcing the overhead ceiling instead"
         );
         assert!(

@@ -307,7 +307,7 @@ pub fn clear_shape_cache() {
 /// profile, so it is cached per `(space, depthwise, loop dims)` for every
 /// later network, seed and compute group with that layer shape.
 fn shape_survivors(
-    space: Option<SpaceDigest>,
+    space: SpaceDigest,
     candidates: &[Candidate],
     tilings: usize,
     layer: &LayerSpec,
@@ -324,9 +324,6 @@ fn shape_survivors(
         kept.into_iter()
             .map(|(index, utilization, _)| (index, utilization))
             .collect()
-    };
-    let Some(space) = space else {
-        return Arc::new(walk());
     };
     let d = &layer.dims;
     let dims = [d.b, d.k, d.c, d.oy, d.ox, d.fy, d.fx].map(|v| v as u64);

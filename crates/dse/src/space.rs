@@ -23,8 +23,8 @@
 //! of that key also keys the factored search's cached shape stage (see
 //! [`crate::factored`]), which adds the layer's loop dimensions: of the
 //! 40 824 SU parts a `small` sweep enumerates, 8 489 survive it.
-//! [`crate::factor_network`] serialises the key once per network and
-//! derives each per-layer key from its fixed-width fields.
+//! The key is hashed from its fixed-width fields, once per
+//! [`crate::factor_network`] call, which derives each per-layer key from it.
 
 use bitwave_accel::spec::AcceleratorSpec;
 use bitwave_core::digest::Digest;
@@ -85,21 +85,13 @@ pub struct Candidate {
     pub temporal: TemporalMapping,
 }
 
-/// Everything [`SearchSpace::enumerate`] depends on besides the layer.  The
-/// layer enters only through its depthwise-ness (the walk is over the *lane
-/// budget*, not the layer's extents), so every non-depthwise layer of every
-/// model shares one cached enumeration per `(space, SU menu, budget)`.
-#[derive(Serialize)]
-struct SpaceKey {
-    space: SearchSpace,
-    su_set: SuSet,
-    budget: usize,
-}
-
-/// The digest of a [`SpaceKey`]: what every process-wide cache of this
-/// space's enumerations and their per-layer-shape prunes is keyed by.
-/// Computed once per network by [`crate::factor_network`], since it
-/// serialises the whole key.
+/// The digest of everything [`SearchSpace::enumerate`] depends on besides
+/// the layer — the space, the SU menu and the lane budget — and what every
+/// process-wide cache of this space's enumerations and their
+/// per-layer-shape prunes is keyed by.  The layer enters only through its
+/// depthwise-ness (the walk is over the *lane budget*, not the layer's
+/// extents), so every non-depthwise layer of every model shares one cached
+/// enumeration per key.
 #[derive(Clone, Copy)]
 pub(crate) struct SpaceDigest(Digest);
 
@@ -117,9 +109,20 @@ impl SpaceDigest {
     }
 }
 
+/// Appends `value` to a key as 8 little-endian bytes.
+fn push_word(key: &mut Vec<u8>, value: u64) {
+    key.extend_from_slice(&value.to_le_bytes());
+}
+
+/// Appends `text` to a key, length first.
+fn push_text(key: &mut Vec<u8>, text: &str) {
+    push_word(key, text.len() as u64);
+    key.extend_from_slice(text.as_bytes());
+}
+
 /// Process-wide LRU of enumerated candidate spaces, keyed by the
-/// [`SpaceKey`] digest and depthwise-ness (sweeps cycle through a small
-/// menu of SU families).
+/// [`SpaceDigest`] and depthwise-ness (sweeps cycle through a small menu of
+/// SU families).
 static SPACES: LazyLock<MemoryTier<Vec<Candidate>>> =
     LazyLock::new(|| MemoryTier::new(MemoryTierConfig::entries(512)));
 
@@ -266,7 +269,6 @@ impl SearchSpace {
     /// `Cu × OXu × Ku` factorization walk runs once per distinct
     /// `(space, SU menu, lane budget, depthwise)` key and every later caller
     /// shares the same `Arc` until the key ages out of the 512-entry LRU.
-    /// Falls back to an uncached walk if the key fails to digest.
     pub fn enumerate_shared(
         &self,
         accel: &AcceleratorSpec,
@@ -275,29 +277,60 @@ impl SearchSpace {
         self.enumerate_keyed(self.digest(accel), accel, layer)
     }
 
-    /// The digest of this space's key on `accel`, `None` if it fails to
-    /// serialise.
-    pub(crate) fn digest(&self, accel: &AcceleratorSpec) -> Option<SpaceDigest> {
-        let key = SpaceKey {
-            space: self.clone(),
-            su_set: accel.su_set.clone(),
-            budget: self.budget(accel),
-        };
-        Digest::of_value(&key).ok().map(SpaceDigest)
+    /// The digest of this space's key on `accel`: every field of the space
+    /// and of the SU menu, then the lane budget, as little-endian words
+    /// (strings and lists length first).  The destructures are exhaustive,
+    /// so a field added to either type cannot be left out of the key.
+    pub(crate) fn digest(&self, accel: &AcceleratorSpec) -> SpaceDigest {
+        let SearchSpace {
+            min_fill,
+            tile_factors,
+            include_su_set,
+            max_front,
+            max_parallelism,
+        } = self;
+        let SuSet { name, options } = &accel.su_set;
+        let mut key = Vec::with_capacity(128 + 72 * options.len());
+        push_word(&mut key, min_fill.to_bits());
+        push_word(&mut key, tile_factors.len() as u64);
+        for &factor in tile_factors {
+            push_word(&mut key, factor as u64);
+        }
+        push_word(&mut key, u64::from(*include_su_set));
+        push_word(&mut key, *max_front as u64);
+        push_word(&mut key, u64::from(max_parallelism.is_some()));
+        push_word(&mut key, max_parallelism.unwrap_or(0) as u64);
+        push_text(&mut key, name);
+        push_word(&mut key, options.len() as u64);
+        for su in options {
+            let SpatialUnrolling {
+                name,
+                c,
+                k,
+                ox,
+                oy,
+                fx,
+                fy,
+                g,
+            } = su;
+            push_text(&mut key, name);
+            for extent in [c, k, ox, oy, fx, fy, g] {
+                push_word(&mut key, *extent as u64);
+            }
+        }
+        push_word(&mut key, self.budget(accel) as u64);
+        SpaceDigest(Digest::of_bytes(&key))
     }
 
     /// [`Self::enumerate_shared`] under an already computed
-    /// [`Self::digest`] (`None`: walk uncached).
+    /// [`Self::digest`].
     pub(crate) fn enumerate_keyed(
         &self,
-        digest: Option<SpaceDigest>,
+        digest: SpaceDigest,
         accel: &AcceleratorSpec,
         layer: &LayerSpec,
     ) -> Arc<Vec<Candidate>> {
         let walk = || self.enumerate(accel, layer);
-        let Some(digest) = digest else {
-            return Arc::new(walk());
-        };
         // Single-flight: racing callers of a cold key share one walk; a
         // caller whose filler panicked walks uncached.
         SPACES

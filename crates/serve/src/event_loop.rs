@@ -20,6 +20,15 @@
 //! rejected client's socket), the per-client token bucket answers `429` with
 //! `Retry-After`, and the dispatcher's `max_inflight` cap sheds compute
 //! requests with `503` before they queue.
+//!
+//! A compute request (`POST /v1/evaluate`, `/v1/search`) needs its report
+//! digest before the cache can answer it.  The loop first looks the exact
+//! body bytes up in the service's body memo ([`crate::memo`]); a body it
+//! resolved before goes straight to the rate limiter and the cache probe.
+//! Any other body is parsed, normalised and digested, and recorded once it
+//! normalises.  A cached report is shared with the cache up to the
+//! connection's write buffer, where its bytes are copied once, right after
+//! the response head.
 
 use crate::admission::RateLimiter;
 use crate::batch::{Dispatcher, JobKind, Placement};
@@ -33,6 +42,7 @@ use crate::metrics::ServiceMetrics;
 use crate::poller::{Event, Interest, Poller, WakeReader};
 use crate::server::{error_response, route, ServiceState};
 use crate::EvaluateRequest;
+use bitwave::digest::Digest;
 use std::collections::HashMap;
 use std::io;
 use std::net::{IpAddr, TcpListener, TcpStream};
@@ -243,9 +253,10 @@ impl EventLoop {
     fn reject_overflow(&self, stream: TcpStream) {
         ServiceMetrics::bump(&self.state.metrics.queue_rejections);
         let _ = stream.set_nonblocking(true);
-        let bytes = error_response(&ServeError::Overloaded)
+        let mut bytes = Vec::new();
+        error_response(&ServeError::Overloaded)
             .with_header("retry-after", "1")
-            .serialize(true);
+            .write_to(true, &mut bytes);
         let mut stream = stream;
         let _ = io::Write::write(&mut stream, &bytes);
     }
@@ -422,9 +433,7 @@ impl EventLoop {
         match self.state.cache.try_replay(parsed) {
             Some((body, outcome)) => {
                 ServiceMetrics::bump(&self.state.metrics.report_replays);
-                Response::json(200, body.as_bytes().to_vec())
-                    .with_header("x-bitwave-cache", outcome.as_str())
-                    .with_header("x-bitwave-digest", hex)
+                report_response(body, outcome, hex)
             }
             None => error_response(&ServeError::NotFound(format!(
                 "no cached report for digest `{hex}`"
@@ -432,8 +441,18 @@ impl EventLoop {
         }
     }
 
-    /// The compute path: normalise → rate-limit → cache probe → dispatch.
+    /// The compute path: body → digest → rate-limit → cache probe →
+    /// dispatch.  A body the memo recorded skips parsing, normalising and
+    /// digesting; one the memo does not know, or whose report is in neither
+    /// cache tier, takes the full path, and the memo records it once it
+    /// normalises.
     fn handle_compute(&mut self, conn: &mut Conn, request: &Request, close: bool, op: CacheOp) {
+        let remembered = self.state.memo.lookup(op, &request.body);
+        if let Some(digest) = remembered {
+            if !self.admit(conn, close) || self.answer_cached(conn, op, digest, close) {
+                return;
+            }
+        }
         let normalized = EvaluateRequest::from_json(&request.body).and_then(|r| match op {
             CacheOp::Evaluate => r.normalize().and_then(|n| {
                 let digest = n.key.digest()?;
@@ -451,25 +470,13 @@ impl EventLoop {
                 return;
             }
         };
-        if let Some(limiter) = &mut self.limiter {
-            let now = Instant::now();
-            if !limiter.allow(conn.peer, now) {
-                let retry = limiter.retry_after_secs(conn.peer, now);
-                ServiceMetrics::bump(&self.state.metrics.rate_limited);
-                let response = error_response(&ServeError::RateLimited)
-                    .with_header("retry-after", retry.to_string());
-                self.queue_response(conn, response, close);
+        if remembered.is_none() {
+            self.state.memo.remember(op, &request.body, digest);
+            if !self.admit(conn, close) || self.answer_cached(conn, op, digest, close) {
                 return;
             }
         }
         let hex = digest.to_hex();
-        if let Some((body, outcome)) = self.state.cache.probe(op, digest) {
-            let response = Response::json(200, body.as_bytes().to_vec())
-                .with_header("x-bitwave-cache", outcome.as_str())
-                .with_header("x-bitwave-digest", hex);
-            self.queue_response(conn, response, close);
-            return;
-        }
         let waiter = ConnWaiter {
             token: conn.token,
             hex,
@@ -495,6 +502,33 @@ impl EventLoop {
             .store(self.dispatcher.inflight() as u64, Ordering::Relaxed);
     }
 
+    /// Spends one of the peer's rate-limit tokens; without one, queues
+    /// `429` + `Retry-After` and returns false.
+    fn admit(&mut self, conn: &mut Conn, close: bool) -> bool {
+        let Some(limiter) = &mut self.limiter else {
+            return true;
+        };
+        let now = Instant::now();
+        if limiter.allow(conn.peer, now) {
+            return true;
+        }
+        let retry = limiter.retry_after_secs(conn.peer, now);
+        ServiceMetrics::bump(&self.state.metrics.rate_limited);
+        let response =
+            error_response(&ServeError::RateLimited).with_header("retry-after", retry.to_string());
+        self.queue_response(conn, response, close);
+        false
+    }
+
+    /// Queues the cached report for `digest` if either tier holds it.
+    fn answer_cached(&self, conn: &mut Conn, op: CacheOp, digest: Digest, close: bool) -> bool {
+        let Some((body, outcome)) = self.state.cache.probe(op, digest) else {
+            return false;
+        };
+        self.queue_response(conn, report_response(body, outcome, digest.to_hex()), close);
+        true
+    }
+
     /// `POST /v1/design`: a completed sweep replays from the store as one
     /// final NDJSON line; otherwise the connection subscribes to the (new
     /// or already-running) sweep's stream of partial-front frames.  Either
@@ -509,11 +543,10 @@ impl EventLoop {
             }
         };
         let sweep = config.digest().to_hex();
-        let mut head = Response::json(200, Vec::new()).with_header("x-bitwave-sweep", &*sweep);
+        let mut head = Response::json(200, String::new()).with_header("x-bitwave-sweep", &*sweep);
         head.content_type = "application/x-ndjson";
         if let Some(line) = self.state.design.replay(&sweep) {
-            conn.write_buf
-                .extend_from_slice(&head.serialize_chunked_head(true));
+            head.write_chunked_head(true, &mut conn.write_buf);
             conn.write_buf
                 .extend_from_slice(&chunk_frame(format!("{line}\n").as_bytes()));
             conn.write_buf.extend_from_slice(LAST_CHUNK);
@@ -521,8 +554,7 @@ impl EventLoop {
             return;
         }
         DesignHub::ensure_running(&self.state, config, sweep.clone());
-        conn.write_buf
-            .extend_from_slice(&head.serialize_chunked_head(true));
+        head.write_chunked_head(true, &mut conn.write_buf);
         // `processing` pauses request parsing and suspends the idle/read
         // deadlines for the lifetime of the stream; the write deadline
         // still drops a subscriber that stops draining frames.
@@ -584,7 +616,7 @@ impl EventLoop {
         if response.status >= 300 {
             ServiceMetrics::bump(&self.state.metrics.http_errors);
         }
-        conn.write_buf.extend_from_slice(&response.serialize(close));
+        response.write_to(close, &mut conn.write_buf);
         if close {
             conn.pending_close = true;
         }
@@ -614,9 +646,7 @@ impl EventLoop {
                         } else {
                             outcome
                         };
-                        Response::json(200, body.as_bytes().to_vec())
-                            .with_header("x-bitwave-cache", outcome.as_str())
-                            .with_header("x-bitwave-digest", hex)
+                        report_response(body, outcome, hex)
                             .with_header("x-bitwave-batch", served.batch_size.to_string())
                     }
                     Err(message) => error_response(&ServeError::Internal(message)),
@@ -715,5 +745,168 @@ impl EventLoop {
             let keep = self.flush(&mut conn);
             self.settle(conn, keep);
         }
+    }
+}
+
+/// A `200` report answer: the cached body, shared with the cache, tagged
+/// with how the cache answered and the report digest.
+fn report_response(body: Arc<String>, outcome: CacheOutcome, hex: String) -> Response {
+    Response::json(200, body)
+        .with_header("x-bitwave-cache", outcome.as_str())
+        .with_header("x-bitwave-digest", hex)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::cache::CacheOp;
+    use crate::client::{Client, ClientResponse};
+    use crate::server::{start, ServeConfig, ServerHandle};
+    use bitwave::digest::Digest;
+
+    const BODY: &str = r#"{"model":"resnet18","sample_cap":400}"#;
+
+    fn server(rate_limit: Option<u32>) -> ServerHandle {
+        start(ServeConfig {
+            workers: 2,
+            rate_limit,
+            ..ServeConfig::default()
+        })
+        .unwrap()
+    }
+
+    fn post(client: &mut Client, path: &str, body: &str) -> ClientResponse {
+        client.post_json(path, body).unwrap()
+    }
+
+    fn digest_of(response: &ClientResponse) -> Digest {
+        Digest::parse(response.header("x-bitwave-digest").unwrap()).unwrap()
+    }
+
+    #[test]
+    fn a_repeated_body_is_answered_from_the_memo_like_the_full_path() {
+        let handle = server(None);
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        let cold = post(&mut client, "/v1/evaluate", BODY);
+        assert_eq!(cold.header("x-bitwave-cache"), Some("miss"));
+        assert_eq!((memo.len(), memo.hits()), (1, 0));
+        // The same key in other bytes takes the full path to a cache hit.
+        let respaced = post(
+            &mut client,
+            "/v1/evaluate",
+            r#"{ "sample_cap": 400, "model": "ResNet18" }"#,
+        );
+        assert_eq!(respaced.header("x-bitwave-cache"), Some("hit"));
+        assert_eq!((memo.len(), memo.hits()), (2, 0));
+        // The original bytes again: a memo hit, answered byte for byte like
+        // the full path's hit.
+        let memoised = post(&mut client, "/v1/evaluate", BODY);
+        assert_eq!(memo.hits(), 1);
+        assert_eq!(memoised.status, 200);
+        assert_eq!(memoised.headers, respaced.headers);
+        assert_eq!(memoised.body, respaced.body);
+        assert_eq!(memoised.body, cold.body);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_memoised_body_whose_report_was_evicted_is_computed_again() {
+        let handle = start(ServeConfig {
+            workers: 2,
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        let cold = post(&mut client, "/v1/evaluate", BODY);
+        // A second report evicts the first from the one-entry cache.
+        let other = r#"{"model":"resnet18","sample_cap":400,"seed":2}"#;
+        assert_eq!(post(&mut client, "/v1/evaluate", other).status, 200);
+        let again = post(&mut client, "/v1/evaluate", BODY);
+        assert_eq!(memo.hits(), 1);
+        assert_eq!(again.header("x-bitwave-cache"), Some("miss"));
+        assert_eq!(digest_of(&again), digest_of(&cold));
+        assert_eq!(again.body, cold.body);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn an_invalid_body_is_answered_400_every_time_and_never_recorded() {
+        let handle = server(None);
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        for body in [
+            r#"{"model":"no-such-net"}"#,
+            r#"{"model":"#,
+            r#"{"model":"resnet18","seed":-1}"#,
+        ] {
+            let first = post(&mut client, "/v1/evaluate", body);
+            let second = post(&mut client, "/v1/evaluate", body);
+            assert_eq!(first.status, 400, "{body}");
+            assert_eq!(second.headers, first.headers);
+            assert_eq!(second.body, first.body);
+        }
+        assert_eq!((memo.len(), memo.hits()), (0, 0));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn one_body_under_evaluate_and_search_never_aliases() {
+        let handle = server(None);
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        let evaluate = post(&mut client, "/v1/evaluate", BODY);
+        let search = post(&mut client, "/v1/search", BODY);
+        assert_eq!(search.header("x-bitwave-cache"), Some("miss"));
+        assert_ne!(digest_of(&search), digest_of(&evaluate));
+        assert_eq!((memo.len(), memo.hits()), (2, 0));
+        let replayed = [
+            post(&mut client, "/v1/evaluate", BODY),
+            post(&mut client, "/v1/search", BODY),
+        ];
+        assert_eq!(memo.hits(), 2);
+        assert_eq!(replayed[0].body, evaluate.body);
+        assert_eq!(replayed[1].body, search.body);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn memoised_bodies_still_spend_rate_limit_tokens() {
+        let handle = server(Some(2));
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        assert_eq!(post(&mut client, "/v1/evaluate", BODY).status, 200);
+        assert_eq!(post(&mut client, "/v1/evaluate", BODY).status, 200);
+        let limited = post(&mut client, "/v1/evaluate", BODY);
+        assert_eq!(memo.hits(), 2, "both repeats came from the memo");
+        assert_eq!(limited.status, 429);
+        assert!(limited.header("retry-after").is_some());
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_planted_collision_is_a_miss_not_another_report() {
+        let handle = server(None);
+        let memo = &handle.state().memo;
+        let mut client = Client::new(handle.local_addr());
+        let other_body = r#"{"model":"resnet18","sample_cap":400,"seed":2}"#;
+        let cold = post(&mut client, "/v1/evaluate", BODY);
+        let other = post(&mut client, "/v1/evaluate", other_body);
+        // The key of BODY holds other bytes, then the same bytes under the
+        // other op, each with the other report's digest: both are misses.
+        let key = (CacheOp::Evaluate, BODY.as_bytes());
+        for planted in [
+            (CacheOp::Evaluate, other_body.as_bytes()),
+            (CacheOp::Search, BODY.as_bytes()),
+        ] {
+            memo.plant(key, planted, digest_of(&other));
+            let replayed = post(&mut client, "/v1/evaluate", BODY);
+            assert_eq!(memo.hits(), 0);
+            assert_eq!(replayed.header("x-bitwave-cache"), Some("hit"));
+            assert_eq!(digest_of(&replayed), digest_of(&cold));
+            assert_eq!(replayed.body, cold.body);
+        }
+        handle.shutdown();
     }
 }

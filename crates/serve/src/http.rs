@@ -6,7 +6,7 @@
 //! and persistent connections.  Only what the service and its clients need
 //! is implemented — chunked transfer encoding exists on the **response**
 //! side only (the streaming `/v1/design` endpoint, via
-//! [`Response::serialize_chunked_head`] + [`chunk_frame`]); chunked
+//! [`Response::write_chunked_head`] + [`chunk_frame`]); chunked
 //! *requests* are still rejected, and there are no trailers and no
 //! `Expect: 100-continue`.
 //!
@@ -22,6 +22,10 @@
 //! combined `keep-alive, close` token list.  Conflicting duplicate
 //! `Content-Length` headers are rejected outright (the classic
 //! request-smuggling desync shape); identical duplicates are tolerated.
+
+use std::fmt;
+use std::io::Write;
+use std::sync::Arc;
 
 /// Upper bound on the request head (request line + headers) in bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -322,13 +326,14 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra `(name, value)` headers.
     pub headers: Vec<(String, String)>,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body.  Shared, so a cached report reaches the wire straight
+    /// from the cache's copy.
+    pub body: Arc<String>,
 }
 
 impl Response {
     /// A JSON response with the given status.
-    pub fn json(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub fn json(status: u16, body: impl Into<Arc<String>>) -> Self {
         Self {
             status,
             content_type: "application/json",
@@ -338,7 +343,7 @@ impl Response {
     }
 
     /// A plain-text response with the given status.
-    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
+    pub fn text(status: u16, body: impl Into<Arc<String>>) -> Self {
         Self {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -379,54 +384,55 @@ impl Response {
         }
     }
 
-    /// The full wire form (status line, headers, body) as one byte vector —
-    /// what the event loop appends to a connection's write buffer.  `close`
-    /// controls the `Connection` header.
-    pub fn serialize(&self, close: bool) -> Vec<u8> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-            self.status,
-            self.reason(),
-            self.content_type,
-            self.body.len(),
-            if close { "close" } else { "keep-alive" },
+    /// Appends the full wire form (status line, headers, body) to `out` —
+    /// how the event loop queues a response on a connection's write buffer.
+    /// `close` controls the `Connection` header.
+    pub fn write_to(&self, close: bool, out: &mut Vec<u8>) {
+        out.reserve(HEAD_RESERVE + self.body.len());
+        self.write_head(
+            format_args!("content-length: {}", self.body.len()),
+            close,
+            out,
         );
-        for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
         // One buffer for head + body: a split write interacts with Nagle's
         // algorithm + delayed ACK to add ~40 ms per response.
-        let mut message = head.into_bytes();
-        message.extend_from_slice(&self.body);
-        message
+        out.extend_from_slice(self.body.as_bytes());
     }
 
-    /// The wire form of a `Transfer-Encoding: chunked` response **head**
-    /// (status line + headers, no body) — what a streaming endpoint writes
-    /// before its first [`chunk_frame`].  `self.body` is ignored; the
-    /// stream must be finished with [`LAST_CHUNK`].
-    pub fn serialize_chunked_head(&self, close: bool) -> Vec<u8> {
-        let mut head = format!(
-            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n",
+    /// Appends the wire form of a `Transfer-Encoding: chunked` response
+    /// **head** (status line + headers, no body) to `out` — what a
+    /// streaming endpoint writes before its first [`chunk_frame`].
+    /// `self.body` is ignored; the stream must be finished with
+    /// [`LAST_CHUNK`].
+    pub fn write_chunked_head(&self, close: bool, out: &mut Vec<u8>) {
+        self.write_head(format_args!("transfer-encoding: chunked"), close, out);
+    }
+
+    /// Status line, fixed headers with `framing` third, extra headers and
+    /// the blank line.
+    fn write_head(&self, framing: fmt::Arguments<'_>, close: bool, out: &mut Vec<u8>) {
+        write!(
+            out,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n{framing}\r\nconnection: {}\r\n",
             self.status,
             self.reason(),
             self.content_type,
             if close { "close" } else { "keep-alive" },
-        );
+        )
+        .expect("writing to a Vec cannot fail");
         for (name, value) in &self.headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
-        head.push_str("\r\n");
-        head.into_bytes()
+        out.extend_from_slice(b"\r\n");
     }
 }
+
+/// Head bytes reserved ahead of a response body: the status line, the
+/// fixed headers and the service's `x-bitwave-*` headers fit.
+const HEAD_RESERVE: usize = 256;
 
 /// The terminating frame of a chunked response body.
 pub const LAST_CHUNK: &[u8] = b"0\r\n\r\n";
@@ -604,12 +610,12 @@ mod tests {
 
     #[test]
     fn response_formats_status_line_and_headers() {
-        let r = Response::json(200, "{}").with_header("x-test", "1");
+        let r = Response::json(200, "{}".to_string()).with_header("x-test", "1");
         assert_eq!(r.reason(), "OK");
         assert_eq!(Response::error(404, "nope").reason(), "Not Found");
         assert_eq!(r.headers.len(), 1);
         let err = Response::error(400, "bad \"quote\"");
-        let body = String::from_utf8(err.body).unwrap();
+        let body = err.body.as_str();
         assert!(
             body.contains("\\\"quote\\\""),
             "quotes must be escaped: {body}"
@@ -628,20 +634,29 @@ mod tests {
 
     #[test]
     fn serialize_frames_status_headers_and_body() {
-        let r = Response::json(200, "{\"ok\":true}").with_header("x-bitwave-batch", "3");
-        let wire = String::from_utf8(r.serialize(false)).unwrap();
-        assert!(wire.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(wire.contains("connection: keep-alive\r\n"));
-        assert!(wire.contains("x-bitwave-batch: 3\r\n"));
-        assert!(wire.ends_with("\r\n\r\n{\"ok\":true}"));
-        let closed = String::from_utf8(r.serialize(true)).unwrap();
+        let r =
+            Response::json(200, "{\"ok\":true}".to_string()).with_header("x-bitwave-batch", "3");
+        // Appended after what the buffer already holds, head then body.
+        let mut wire = b"earlier response".to_vec();
+        r.write_to(false, &mut wire);
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "earlier responseHTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+             content-length: 11\r\nconnection: keep-alive\r\nx-bitwave-batch: 3\r\n\r\n\
+             {\"ok\":true}"
+        );
+        let mut closed = Vec::new();
+        r.write_to(true, &mut closed);
+        let closed = String::from_utf8(closed).unwrap();
         assert!(closed.contains("connection: close\r\n"));
     }
 
     #[test]
     fn chunked_head_replaces_content_length_framing() {
-        let r = Response::json(200, "ignored").with_header("x-bitwave-sweep", "abc");
-        let head = String::from_utf8(r.serialize_chunked_head(true)).unwrap();
+        let r = Response::json(200, "ignored".to_string()).with_header("x-bitwave-sweep", "abc");
+        let mut head = Vec::new();
+        r.write_chunked_head(true, &mut head);
+        let head = String::from_utf8(head).unwrap();
         assert!(head.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(head.contains("transfer-encoding: chunked\r\n"));
         assert!(head.contains("connection: close\r\n"));

@@ -61,7 +61,9 @@
 //! of the same request performs one evaluation and zero extra tensor
 //! copies.  The `X-Bitwave-Cache` response header reports `hit` (memory),
 //! `disk` (replayed from the disk tier, e.g. after a restart), `miss` or
-//! `coalesced`.
+//! `coalesced`.  The event loop remembers which digest each valid body
+//! resolved to (a bounded LRU keyed by op and exact body bytes), so a
+//! byte-identical repeat skips parsing, normalising and digesting.
 //!
 //! ## Quickstart
 //!
@@ -98,6 +100,7 @@ pub mod design;
 pub mod error;
 mod event_loop;
 pub mod http;
+mod memo;
 pub mod metrics;
 pub mod poller;
 pub mod server;

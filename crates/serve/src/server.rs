@@ -108,6 +108,8 @@ pub struct ServiceState {
     pub store: ModelStore,
     /// Service counters.
     pub metrics: ServiceMetrics,
+    /// Request body → report digest, for the event loop's compute path.
+    pub(crate) memo: crate::memo::BodyMemo,
     pub(crate) shutdown: AtomicBool,
     pub(crate) jobs: JobQueue,
     pub(crate) completions: Completions,
@@ -190,6 +192,7 @@ pub fn start(config: ServeConfig) -> Result<ServerHandle, ServeError> {
         design,
         store: ModelStore::new(config.store_capacity),
         metrics: ServiceMetrics::default(),
+        memo: crate::memo::BodyMemo::new(),
         shutdown: AtomicBool::new(false),
         jobs: JobQueue::default(),
         completions: Completions::default(),
@@ -289,7 +292,7 @@ fn compute_search(
 /// `POST /v1/design` and `GET /v1/reports/{digest}`.
 pub(crate) fn route(request: &Request, state: &ServiceState) -> Response {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Response::json(200, r#"{"status":"ok"}"#),
+        ("GET", "/healthz") => Response::json(200, r#"{"status":"ok"}"#.to_string()),
         ("GET", "/metrics") => {
             Response::text(200, state.metrics.render(&state.cache, &state.store))
         }
