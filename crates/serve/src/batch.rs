@@ -1,15 +1,19 @@
 //! The compute queue and the dispatcher that keeps one job per in-flight
 //! digest.
 //!
-//! The event loop owns a [`Dispatcher`].  Each admitted compute request
-//! either rides the job already in flight for its digest, or dispatches a
-//! [`Job`] of its own onto the [`JobQueue`] (worker threads pop and run
-//! them through the report cache).  Distinct digests over one `(model, seed,
-//! sample_cap)` weight set need no grouping here: [`crate::store::ModelStore`]
-//! generates each weight set once and hands every concurrent job the same
-//! `Arc`.  A completion fans back out to every waiter: the trigger gets the
+//! The event loop owns a [`Dispatcher`].  Each admitted compute request —
+//! an evaluation, a search or a design sweep — either rides the job already
+//! in flight for its digest, or dispatches a [`Job`] of its own onto the
+//! [`JobQueue`] (worker threads pop and run them through the report cache).
+//! Distinct digests over one `(model, seed, sample_cap)` weight set need no
+//! grouping here: [`crate::store::ModelStore`] generates each weight set
+//! once and hands every concurrent job the same `Arc`.  A completion fans back out to every waiter: the trigger gets the
 //! store outcome (`miss`/`disk`/…), riders get `coalesced`, and all of them
 //! carry the dispatch's request count in the `X-Bitwave-Batch` header.
+//!
+//! A design sweep also posts each partial front into [`Completions`] while
+//! it runs; the loop writes it to the waiters the dispatcher holds for the
+//! sweep's digest at that moment.
 //!
 //! All dispatcher state is single-threaded (loop-owned, no locks); only
 //! [`JobQueue`] and [`Completions`] cross threads.
@@ -17,6 +21,7 @@
 use crate::api::{NormalizedRequest, NormalizedSearch};
 use crate::cache::{CacheOp, CacheOutcome};
 use bitwave::digest::Digest;
+use bitwave_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -28,6 +33,8 @@ pub(crate) enum JobKind {
     Evaluate(Box<NormalizedRequest>),
     /// A `POST /v1/search` miss.
     Search(Box<NormalizedSearch>),
+    /// A `POST /v1/design` miss: the whole sweep.
+    Design(Box<SweepConfig>),
 }
 
 impl JobKind {
@@ -36,6 +43,7 @@ impl JobKind {
         match self {
             JobKind::Evaluate(_) => CacheOp::Evaluate,
             JobKind::Search(_) => CacheOp::Search,
+            JobKind::Design(_) => CacheOp::Design,
         }
     }
 }
@@ -107,10 +115,25 @@ impl JobQueue {
     }
 }
 
+/// One message from a worker to the event loop.
+pub(crate) enum Completion {
+    /// A partial-front NDJSON line (newline not included) of the design
+    /// sweep running for `digest`.
+    Frame {
+        /// The cache address of the running sweep.
+        digest: Digest,
+        /// Serialized [`bitwave_sweep::PartialFront`].
+        line: String,
+    },
+    /// A finished job.
+    Done(JobDone),
+}
+
 /// Completion mailbox: workers push, the event loop drains after a wake.
+/// One lock keeps a sweep's frames ahead of its completion.
 #[derive(Default)]
 pub(crate) struct Completions {
-    done: Mutex<Vec<JobDone>>,
+    mail: Mutex<Vec<Completion>>,
 }
 
 impl std::fmt::Debug for Completions {
@@ -120,19 +143,20 @@ impl std::fmt::Debug for Completions {
 }
 
 impl Completions {
-    /// Publishes a finished job (callers wake the loop separately).
-    pub(crate) fn push(&self, done: JobDone) {
-        self.done
+    /// Publishes a frame or a finished job (callers wake the loop
+    /// separately).
+    pub(crate) fn push(&self, completion: Completion) {
+        self.mail
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(done);
+            .push(completion);
     }
 
-    /// Takes everything published so far.
-    pub(crate) fn drain(&self) -> Vec<JobDone> {
+    /// Takes everything published so far, in publication order.
+    pub(crate) fn drain(&self) -> Vec<Completion> {
         std::mem::take(
             &mut *self
-                .done
+                .mail
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         )
@@ -169,9 +193,10 @@ pub(crate) struct Served<W> {
 /// so it unit-tests without sockets.
 pub(crate) struct Dispatcher<W> {
     max_inflight: usize,
-    /// In-flight digest → its op and waiters (the trigger first, riders
-    /// after).  Riders are free: only distinct digests consume a slot.
-    inflight: HashMap<u128, (CacheOp, Vec<W>)>,
+    /// In-flight digest → its op and waiters, each flagged `true` when it
+    /// rode along (the trigger first, riders after).  Riders are free: only
+    /// distinct digests consume a slot.
+    inflight: HashMap<u128, (CacheOp, Vec<(W, bool)>)>,
 }
 
 impl<W> Dispatcher<W> {
@@ -191,15 +216,31 @@ impl<W> Dispatcher<W> {
     /// from the cache (the caller probes first).
     pub(crate) fn submit(&mut self, digest: Digest, kind: JobKind, waiter: W) -> Placement {
         if let Some((_, waiters)) = self.inflight.get_mut(&digest.raw()) {
-            waiters.push(waiter);
+            waiters.push((waiter, true));
             return Placement::Rider;
         }
         if self.inflight.len() >= self.max_inflight {
             return Placement::Shed;
         }
         self.inflight
-            .insert(digest.raw(), (kind.op(), vec![waiter]));
+            .insert(digest.raw(), (kind.op(), vec![(waiter, false)]));
         Placement::Dispatch(Job { digest, kind })
+    }
+
+    /// The waiters currently attached to `digest` (none once it completed).
+    pub(crate) fn waiters(&self, digest: Digest) -> impl Iterator<Item = &W> {
+        self.inflight
+            .get(&digest.raw())
+            .into_iter()
+            .flat_map(|(_, waiters)| waiters.iter().map(|(waiter, _)| waiter))
+    }
+
+    /// Detaches the waiters of `digest` that `keep` rejects; the job stays
+    /// in flight even when none is left.
+    pub(crate) fn retain(&mut self, digest: Digest, mut keep: impl FnMut(&W) -> bool) {
+        if let Some((_, waiters)) = self.inflight.get_mut(&digest.raw()) {
+            waiters.retain(|(waiter, _)| keep(waiter));
+        }
     }
 
     /// Unwinds one completed job into a response for every waiter.
@@ -210,12 +251,11 @@ impl<W> Dispatcher<W> {
         let batch_size = waiters.len();
         waiters
             .into_iter()
-            .enumerate()
-            .map(|(i, waiter)| Served {
+            .map(|(waiter, rider)| Served {
                 waiter,
                 op,
                 batch_size,
-                rider: i > 0,
+                rider,
                 result: done.result.clone(),
             })
             .collect()
@@ -237,6 +277,15 @@ mod tests {
             .unwrap();
         let digest = normalized.key.digest().unwrap();
         (digest, JobKind::Evaluate(Box::new(normalized)))
+    }
+
+    fn design(seed: u64) -> (Digest, JobKind) {
+        let config = SweepConfig {
+            seed,
+            ..SweepConfig::tiny()
+        };
+        let digest = Digest::of_bytes(format!("design:{}", config.digest().to_hex()).as_bytes());
+        (digest, JobKind::Design(Box::new(config)))
     }
 
     fn done(digest: Digest) -> JobDone {
@@ -307,5 +356,65 @@ mod tests {
             matches!(d.submit(d1, k1b, 4), Placement::Rider),
             "riders must be admitted even at the inflight cap"
         );
+    }
+
+    #[test]
+    fn identical_design_digests_share_one_dispatch() {
+        let mut d: Dispatcher<u32> = Dispatcher::new(8);
+        let (digest, k1) = design(1);
+        let (same, k2) = design(1);
+        assert_eq!(digest, same);
+        let Placement::Dispatch(job) = d.submit(digest, k1, 1) else {
+            panic!("the first design request dispatches");
+        };
+        assert_eq!(job.kind.op(), CacheOp::Design);
+        assert!(matches!(d.submit(digest, k2, 2), Placement::Rider));
+        assert_eq!(d.inflight(), 1);
+        assert_eq!(d.waiters(digest).copied().collect::<Vec<_>>(), [1, 2]);
+        let served = d.complete(done(digest));
+        assert_eq!(served.len(), 2);
+        assert!(served.iter().all(|s| s.op == CacheOp::Design));
+        assert_eq!(
+            served.iter().map(|s| s.rider).collect::<Vec<_>>(),
+            [false, true]
+        );
+        assert_eq!(d.waiters(digest).count(), 0, "no waiters after completion");
+    }
+
+    #[test]
+    fn a_distinct_design_digest_is_shed_at_max_inflight() {
+        let mut d: Dispatcher<u32> = Dispatcher::new(2);
+        let (e1, k1) = kind("bitwave", 1);
+        let (s1, k2) = design(1);
+        let (s2, k3) = design(2);
+        let (_, k2b) = design(1);
+        assert!(matches!(d.submit(e1, k1, 1), Placement::Dispatch(_)));
+        assert!(matches!(d.submit(s1, k2, 2), Placement::Dispatch(_)));
+        assert!(matches!(d.submit(s2, k3, 3), Placement::Shed));
+        assert!(matches!(d.submit(s1, k2b, 4), Placement::Rider));
+        assert_eq!(d.inflight(), 2);
+    }
+
+    #[test]
+    fn retained_waiters_keep_their_rider_flags() {
+        let mut d: Dispatcher<u32> = Dispatcher::new(2);
+        let (digest, k1) = design(1);
+        let (_, k2) = design(1);
+        let (_, k3) = design(1);
+        assert!(matches!(d.submit(digest, k1, 1), Placement::Dispatch(_)));
+        assert!(matches!(d.submit(digest, k2, 2), Placement::Rider));
+        assert!(matches!(d.submit(digest, k3, 3), Placement::Rider));
+        // The trigger's connection died mid-stream.
+        d.retain(digest, |&w| w != 1);
+        assert_eq!(d.inflight(), 1, "the job stays in flight");
+        let served = d.complete(done(digest));
+        assert_eq!(
+            served
+                .iter()
+                .map(|s| (s.waiter, s.rider))
+                .collect::<Vec<_>>(),
+            [(2, true), (3, true)]
+        );
+        assert!(served.iter().all(|s| s.batch_size == 2));
     }
 }

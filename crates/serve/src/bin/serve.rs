@@ -23,11 +23,14 @@ const USAGE: &str = "usage: serve [--addr HOST:PORT] [--workers N] \
                      completed design sweeps survive restarts under DIR and \
                      replay byte-identically (evaluate/search replays answer \
                      X-Bitwave-Cache: disk).  \
+                     --workers sets the compute threads, which run evaluations, \
+                     searches and design sweeps alike.  \
                      --queue-capacity caps open connections (overflow → 503), \
                      --max-inflight caps dispatched computations (excess → 503 + \
                      Retry-After), and --rate-limit sets a per-client \
-                     token-bucket budget in compute requests/second (over-budget \
-                     → 429 + Retry-After; off by default).";
+                     token-bucket budget in compute requests/second, design \
+                     requests included (over-budget → 429 + Retry-After; off by \
+                     default).";
 
 fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut config = ServeConfig::default();

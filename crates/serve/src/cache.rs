@@ -1,6 +1,6 @@
-//! Content-addressed report cache: a thin wrapper over two
-//! [`bitwave_store::TieredStore`] op namespaces (`evaluate`, `search`),
-//! storing **serialized** response bodies under request digests.
+//! Content-addressed report cache: a thin wrapper over three
+//! [`bitwave_store::TieredStore`] op namespaces (`evaluate`, `search`,
+//! `design`), storing **serialized** response bodies under request digests.
 //!
 //! The store substrate supplies everything the old hand-rolled cache
 //! implemented itself: sharded LRU with byte accounting, single-flight
@@ -19,22 +19,29 @@ use std::sync::Arc;
 /// `coalesced`, the `X-Bitwave-Cache` values).
 pub use bitwave_store::StoreOutcome as CacheOutcome;
 
-/// The two cached operations; each gets its own op namespace in the store
-/// (and on disk: `<root>/evaluate/<digest>`, `<root>/search/<digest>`).
+/// The cached operations; each gets its own op namespace in the store (and
+/// on disk: `<root>/evaluate/<digest>`, `<root>/search/<digest>`,
+/// `<root>/design/<digest>`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOp {
     /// `POST /v1/evaluate` responses.
     Evaluate,
     /// `POST /v1/search` responses.
     Search,
+    /// Final `POST /v1/design` reports (one NDJSON line each).
+    Design,
 }
 
 impl CacheOp {
+    /// Every op, in store order.
+    const ALL: [CacheOp; 3] = [CacheOp::Evaluate, CacheOp::Search, CacheOp::Design];
+
     /// The op namespace string (directory name and metrics label).
     pub fn as_str(self) -> &'static str {
         match self {
             CacheOp::Evaluate => "evaluate",
             CacheOp::Search => "search",
+            CacheOp::Design => crate::design::DESIGN_OP,
         }
     }
 }
@@ -43,38 +50,35 @@ impl CacheOp {
 /// report cache.
 #[derive(Debug)]
 pub struct ReportCache {
-    evaluate: TieredStore<StringCodec>,
-    search: TieredStore<StringCodec>,
+    /// One store per op, indexed in [`CacheOp::ALL`] order.
+    stores: [TieredStore<StringCodec>; 3],
 }
 
 impl ReportCache {
     /// Creates a memory-only cache bounding each op to `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         Self {
-            evaluate: TieredStore::memory_only(CacheOp::Evaluate.as_str(), capacity),
-            search: TieredStore::memory_only(CacheOp::Search.as_str(), capacity),
+            stores: CacheOp::ALL.map(|op| TieredStore::memory_only(op.as_str(), capacity)),
         }
     }
 
     /// Creates a cache from a full [`StoreConfig`]; with a root configured,
-    /// both ops persist under it and replay across restarts.
+    /// every op persists under it and replays across restarts.
     ///
     /// # Errors
     ///
     /// Propagates disk-tier directory creation/scan failures.
     pub fn with_config(config: &StoreConfig) -> io::Result<Self> {
+        let [evaluate, search, design] =
+            CacheOp::ALL.map(|op| TieredStore::new(op.as_str(), config));
         Ok(Self {
-            evaluate: TieredStore::new(CacheOp::Evaluate.as_str(), config)?,
-            search: TieredStore::new(CacheOp::Search.as_str(), config)?,
+            stores: [evaluate?, search?, design?],
         })
     }
 
     /// The tiered store behind one op (metrics and gauges).
     pub fn store(&self, op: CacheOp) -> &TieredStore<StringCodec> {
-        match op {
-            CacheOp::Evaluate => &self.evaluate,
-            CacheOp::Search => &self.search,
-        }
+        &self.stores[op as usize]
     }
 
     /// One op's counters.
@@ -82,9 +86,9 @@ impl ReportCache {
         self.store(op).stats()
     }
 
-    /// Ready memory-tier entries across both ops.
+    /// Ready memory-tier entries across every op.
     pub fn len(&self) -> usize {
-        self.evaluate.mem_entries() + self.search.mem_entries()
+        self.stores.iter().map(TieredStore::mem_entries).sum()
     }
 
     /// True when no ready entry is cached in memory.
@@ -92,11 +96,10 @@ impl ReportCache {
         self.len() == 0
     }
 
-    /// Drops both ops' memory tiers (disk tiers untouched) — the next
+    /// Drops every op's memory tier (disk tiers untouched) — the next
     /// lookups behave exactly like a restarted process.
     pub fn clear_memory(&self) {
-        self.evaluate.clear_memory();
-        self.search.clear_memory();
+        self.stores.iter().for_each(TieredStore::clear_memory);
     }
 
     /// Non-blocking counted lookup — the event-loop fast path.  Answers from
@@ -111,13 +114,14 @@ impl ReportCache {
     /// `GET /v1/reports/{digest}` path.  Consults the memory tier, then the
     /// disk tier, of the evaluate op first and the search op second (the
     /// digest's op discriminator keeps the namespaces disjoint, so at most
-    /// one can match).  The returned outcome says which tier answered
-    /// (`Hit` = memory, `Disk` = promoted from disk).  A pending digest
-    /// reads as absent instead of waiting for its computation.
+    /// one can match; design reports are addressed by sweep, not here).
+    /// The returned outcome says which tier answered (`Hit` = memory,
+    /// `Disk` = promoted from disk).  A pending digest reads as absent
+    /// instead of waiting for its computation.
     pub fn try_replay(&self, digest: Digest) -> Option<(Arc<String>, CacheOutcome)> {
-        self.evaluate
+        self.store(CacheOp::Evaluate)
             .try_get(digest)
-            .or_else(|| self.search.try_get(digest))
+            .or_else(|| self.store(CacheOp::Search).try_get(digest))
     }
 
     /// Looks `digest` up in `op`'s store; on a full miss, runs `compute`

@@ -1,35 +1,31 @@
 //! `POST /v1/design`: the streaming hardware design-sweep endpoint.
 //!
-//! A design request resolves to a [`SweepConfig`] whose digest identifies
-//! the sweep.  The first subscriber spawns one background `serve-design`
-//! thread that works the sweep (through the server's store root, so CLI
-//! workers on the same root cooperate); every subscribed connection
-//! receives partial Pareto-front frames as chunked NDJSON lines while
-//! results land, then the final [`bitwave_sweep::FrontReport`] as the last
-//! line.  The final report is persisted in the `design` store op, so a
-//! repeated request replays it byte-identically without re-running the
-//! sweep.
-//!
-//! The hub decouples the sweep thread from the event loop: the thread
-//! pushes `DesignEvent`s and wakes the loop's poller; the loop drains
-//! them on its own thread and fans frames out to subscriber write buffers
-//! using the ordinary connection write machinery (write deadlines and the
-//! stalled-writer counter apply to slow stream readers unchanged).
+//! A design request resolves ([`parse_design`]) to a [`SweepConfig`] whose
+//! digest identifies the sweep.  From there it takes the same path as an
+//! evaluation: the rate limiter, a probe of the report cache's
+//! [`DESIGN_OP`] store (a completed sweep replays its final report as one
+//! NDJSON line, byte-identically, without re-running), then the
+//! dispatcher, which rides the sweep already in flight for the digest,
+//! queues a new one, or sheds it at `max_inflight`.  A `workers` thread
+//! runs the sweep through the server's store root (so CLI workers on the
+//! same root cooperate) and posts every partial Pareto front to the event
+//! loop, which writes it as a chunked NDJSON line to each connection then
+//! waiting on the sweep.  The final [`bitwave_sweep::FrontReport`] is
+//! persisted in the `design` store op under
+//! `Digest::of_bytes("design:{sweep digest hex}")` and ends every waiter's
+//! stream.
 
 use crate::api::MAX_SAMPLE_CAP;
 use crate::error::ServeError;
-use crate::server::ServiceState;
-use bitwave::digest::Digest;
-use bitwave_store::{StoreConfig, StringCodec, TieredStore};
-use bitwave_sweep::{run_with_progress, SweepConfig};
+use bitwave_sweep::SweepConfig;
 use serde::{Deserialize, Value};
-use std::collections::{HashSet, VecDeque};
-use std::io;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Store op namespace holding final design reports.
 pub const DESIGN_OP: &str = "design";
+
+/// The largest sweep a request may name: the points of the `full` preset
+/// ([`SweepConfig::full`]).
+pub const MAX_DESIGN_POINTS: usize = 10_800;
 
 /// The JSON body of `POST /v1/design`; every field is optional.
 #[derive(Debug, Deserialize)]
@@ -55,8 +51,8 @@ struct DesignRequest {
 ///
 /// [`ServeError::BadRequest`] for malformed JSON, an unknown preset, a
 /// `sample_cap` (from the request or its `config`) outside
-/// `1..=`[`MAX_SAMPLE_CAP`], an empty space, or an unknown portfolio model
-/// name.
+/// `1..=`[`MAX_SAMPLE_CAP`], an empty space, a space of more than
+/// [`MAX_DESIGN_POINTS`] points, or an unknown portfolio model name.
 pub fn parse_design(body: &[u8]) -> Result<SweepConfig, ServeError> {
     let text = std::str::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("request body is not UTF-8".to_string()))?;
@@ -98,10 +94,16 @@ pub fn parse_design(body: &[u8]) -> Result<SweepConfig, ServeError> {
             config.sample_cap
         )));
     }
-    if config.total_points() == 0 {
+    let points = config.total_points();
+    if points == 0 {
         return Err(ServeError::BadRequest(
             "the sweep space is empty".to_string(),
         ));
+    }
+    if points > MAX_DESIGN_POINTS {
+        return Err(ServeError::BadRequest(format!(
+            "the sweep space has {points} points, more than the {MAX_DESIGN_POINTS} allowed"
+        )));
     }
     for name in &config.portfolio {
         bitwave_dnn::models::by_name(name).map_err(|e| ServeError::BadRequest(e.to_string()))?;
@@ -109,161 +111,8 @@ pub fn parse_design(body: &[u8]) -> Result<SweepConfig, ServeError> {
     Ok(config)
 }
 
-/// One event from a design sweep thread to the event loop.
-#[derive(Debug)]
-pub(crate) enum DesignEvent {
-    /// A partial-front frame (one NDJSON line, newline not included).
-    Frame {
-        /// Sweep digest hex the frame belongs to.
-        sweep: String,
-        /// Serialized [`bitwave_sweep::PartialFront`].
-        line: String,
-    },
-    /// The sweep finished; `line` is the final report (or an
-    /// `{"error": …}` object when the sweep failed).
-    Final {
-        /// Sweep digest hex.
-        sweep: String,
-        /// Serialized [`bitwave_sweep::FrontReport`] or error object.
-        line: String,
-    },
-}
-
-/// Shared design-sweep state: the persisted final reports, the set of
-/// sweeps with a running thread, and the frame queue to the event loop.
-#[derive(Debug)]
-pub(crate) struct DesignHub {
-    store: TieredStore<StringCodec>,
-    active: Mutex<HashSet<String>>,
-    events: Mutex<VecDeque<DesignEvent>>,
-    root: Option<PathBuf>,
-}
-
-impl DesignHub {
-    /// Opens the hub; with a rooted `store_config` final reports persist
-    /// and sweeps share the root's `sweep`/`sweep-claims` ledger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store directory creation/scan failures.
-    pub(crate) fn new(store_config: &StoreConfig, root: Option<&str>) -> io::Result<Self> {
-        Ok(Self {
-            store: TieredStore::new(DESIGN_OP, store_config)?,
-            active: Mutex::new(HashSet::new()),
-            events: Mutex::new(VecDeque::new()),
-            root: root.map(PathBuf::from),
-        })
-    }
-
-    fn lock_active(&self) -> MutexGuard<'_, HashSet<String>> {
-        self.active
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn lock_events(&self) -> MutexGuard<'_, VecDeque<DesignEvent>> {
-        self.events
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The store key of one sweep's final report.
-    fn key(sweep: &str) -> Digest {
-        Digest::of_bytes(format!("design:{sweep}").as_bytes())
-    }
-
-    /// A persisted final report line, when the sweep already completed —
-    /// byte-identical replay, no recomputation.
-    pub(crate) fn replay(&self, sweep: &str) -> Option<Arc<String>> {
-        self.store.try_get(Self::key(sweep)).map(|(line, _)| line)
-    }
-
-    /// Drains the pending event queue (event-loop side).
-    pub(crate) fn drain_events(&self) -> Vec<DesignEvent> {
-        self.lock_events().drain(..).collect()
-    }
-
-    fn push_event(&self, state: &ServiceState, event: DesignEvent) {
-        self.lock_events().push_back(event);
-        state.waker.wake();
-    }
-
-    /// Ensures a sweep thread is running for `config`; no-op when one
-    /// already is.  The thread streams frames through the hub and persists
-    /// the final report.
-    pub(crate) fn ensure_running(state: &Arc<ServiceState>, config: SweepConfig, sweep: String) {
-        {
-            let mut active = state.design.lock_active();
-            if !active.insert(sweep.clone()) {
-                return;
-            }
-        }
-        let thread_state = Arc::clone(state);
-        let thread_sweep = sweep.clone();
-        let spawned = std::thread::Builder::new()
-            .name("serve-design".to_string())
-            .spawn(move || Self::run_sweep(&thread_state, &config, &thread_sweep));
-        if let Err(e) = spawned {
-            // Nothing will ever finish this sweep; releasing the active
-            // slot and failing the stream keeps subscribers from wedging.
-            state.design.lock_active().remove(&sweep);
-            state.design.push_event(
-                state,
-                DesignEvent::Final {
-                    sweep,
-                    line: error_line(&format!("spawning sweep thread: {e}")),
-                },
-            );
-        }
-    }
-
-    fn run_sweep(state: &Arc<ServiceState>, config: &SweepConfig, sweep: &str) {
-        let root = state.design.root.clone();
-        let progress_state = Arc::clone(state);
-        let result = run_with_progress(config, root.as_deref(), |frame| {
-            if let Ok(line) = serde_json::to_string(frame) {
-                progress_state.design.push_event(
-                    &progress_state,
-                    DesignEvent::Frame {
-                        sweep: sweep.to_string(),
-                        line,
-                    },
-                );
-            }
-        });
-        let line = match result {
-            Ok((report, _)) => match serde_json::to_string(&report) {
-                Ok(line) => {
-                    // Persist before announcing: a request racing the
-                    // final frame either replays from the store or
-                    // attaches to a warm re-run; it never hangs.
-                    let stored = state.design.store.get_or_compute(
-                        Self::key(sweep),
-                        || Ok::<_, String>(line),
-                        |e| e,
-                    );
-                    match stored {
-                        Ok((line, _)) => line.as_ref().clone(),
-                        Err(message) => error_line(&message),
-                    }
-                }
-                Err(e) => error_line(&format!("rendering final report: {e}")),
-            },
-            Err(e) => error_line(&format!("sweep failed: {e}")),
-        };
-        state.design.lock_active().remove(sweep);
-        state.design.push_event(
-            state,
-            DesignEvent::Final {
-                sweep: sweep.to_string(),
-                line,
-            },
-        );
-    }
-}
-
 /// An `{"error": …}` NDJSON line with proper escaping.
-fn error_line(message: &str) -> String {
+pub(crate) fn error_line(message: &str) -> String {
     serde_json::to_string(&Value::Object(vec![(
         "error".to_string(),
         Value::String(message.to_string()),
@@ -310,5 +159,52 @@ mod tests {
     fn error_lines_escape_quotes() {
         let line = error_line("bad \"quote\"");
         assert!(line.contains("\\\"quote\\\""), "{line}");
+    }
+
+    /// A `config` body over the tiny preset with its axes replaced.
+    fn config_body(edit: impl FnOnce(&mut SweepConfig)) -> String {
+        let mut config = SweepConfig::tiny();
+        edit(&mut config);
+        format!(
+            r#"{{"config":{}}}"#,
+            serde_json::to_string(&config).unwrap()
+        )
+    }
+
+    #[test]
+    fn the_point_cap_is_the_full_preset() {
+        assert_eq!(MAX_DESIGN_POINTS, SweepConfig::full().total_points());
+        let full = parse_design(br#"{"space":"full"}"#).unwrap();
+        assert_eq!(full.total_points(), MAX_DESIGN_POINTS);
+    }
+
+    #[test]
+    fn parse_rejects_spaces_over_the_point_cap() {
+        // 7 × 1 543 = 10 801 points: one over the cap.
+        let over = config_body(|c| {
+            c.lanes = vec![1024; 7];
+            c.sync_lanes = vec![8; 1543];
+            c.weight_sram_kb.truncate(1);
+            c.activation_sram_kb.truncate(1);
+            c.dram_bandwidth_bits.truncate(1);
+            c.sram_bandwidth_bits.truncate(1);
+            c.menus.truncate(1);
+        });
+        let err = parse_design(over.as_bytes()).unwrap_err().to_string();
+        assert!(err.contains("10801 points"), "{err}");
+        // Six axes of 1 700 entries multiply past `usize::MAX` in a body of
+        // a few tens of KB.
+        let overflowing = config_body(|c| {
+            c.lanes = vec![1; 1700];
+            c.sync_lanes = vec![1; 1700];
+            c.weight_sram_kb = vec![1; 1700];
+            c.activation_sram_kb = vec![1; 1700];
+            c.dram_bandwidth_bits = vec![1; 1700];
+            c.sram_bandwidth_bits = vec![1; 1700];
+        });
+        let err = parse_design(overflowing.as_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains(&format!("{} points", usize::MAX)), "{err}");
     }
 }

@@ -21,19 +21,26 @@
 //! `Retry-After`, and the dispatcher's `max_inflight` cap sheds compute
 //! requests with `503` before they queue.
 //!
-//! A compute request (`POST /v1/evaluate`, `/v1/search`) needs its report
-//! digest before the cache can answer it.  The loop first looks the exact
-//! body bytes up in the service's body memo ([`crate::memo`]); a body it
-//! resolved before goes straight to the rate limiter and the cache probe.
-//! Any other body is parsed, normalised and digested, and recorded once it
-//! normalises.  A cached report is shared with the cache up to the
-//! connection's write buffer, where its bytes are copied once, right after
-//! the response head.
+//! A compute request (`POST /v1/evaluate`, `/v1/search`, `/v1/design`)
+//! needs its report digest before the cache can answer it.  For evaluate
+//! and search the loop first looks the exact body bytes up in the service's
+//! body memo ([`crate::memo`]); a body it resolved before goes straight to
+//! the rate limiter and the cache probe.  Any other body is parsed,
+//! normalised and digested, and recorded once it normalises.  A cached
+//! report is shared with the cache up to the connection's write buffer,
+//! where its bytes are copied once, right after the response head.
+//!
+//! A design request is parsed every time (its digest hashes the whole sweep
+//! config), then takes the same limiter → probe → dispatch path.  Its
+//! response is a chunked NDJSON stream: while the sweep runs on a worker,
+//! each partial front the worker posts is written to the connections then
+//! waiting on the sweep's digest, and the completion writes the final line
+//! and closes every stream.
 
 use crate::admission::RateLimiter;
-use crate::batch::{Dispatcher, JobKind, Placement};
+use crate::batch::{Completion, Dispatcher, JobDone, JobKind, Placement};
 use crate::cache::{CacheOp, CacheOutcome};
-use crate::design::{DesignEvent, DesignHub};
+use crate::design::{error_line, parse_design};
 use crate::error::ServeError;
 use crate::http::{
     chunk_frame, parse_request, HttpError, ParseStatus, Request, Response, LAST_CHUNK,
@@ -82,7 +89,6 @@ const FIRST_CONN_TOKEN: usize = 2;
 #[derive(Debug)]
 pub(crate) struct ConnWaiter {
     token: usize,
-    hex: String,
     close: bool,
 }
 
@@ -138,9 +144,6 @@ pub(crate) struct EventLoop {
     limiter: Option<RateLimiter>,
     max_conns: usize,
     deadlines: Deadlines,
-    /// Design-stream subscribers: sweep digest hex → connection tokens
-    /// receiving that sweep's chunked NDJSON frames.
-    design_subs: HashMap<String, Vec<usize>>,
 }
 
 impl EventLoop {
@@ -172,7 +175,6 @@ impl EventLoop {
             limiter,
             max_conns,
             deadlines,
-            design_subs: HashMap::new(),
         })
     }
 
@@ -190,7 +192,6 @@ impl EventLoop {
                     WAKER_TOKEN => {
                         self.wake_reader.drain();
                         self.drain_completions();
-                        self.drain_design_events();
                     }
                     LISTENER_TOKEN => self.accept_ready(),
                     token => {
@@ -441,8 +442,8 @@ impl EventLoop {
         }
     }
 
-    /// The compute path: body → digest → rate-limit → cache probe →
-    /// dispatch.  A body the memo recorded skips parsing, normalising and
+    /// The evaluate/search path (`op` is one of the two): body → digest →
+    /// rate-limit → cache probe → dispatch.  A body the memo recorded skips parsing, normalising and
     /// digesting; one the memo does not know, or whose report is in neither
     /// cache tier, takes the full path, and the memo records it once it
     /// normalises.
@@ -453,15 +454,14 @@ impl EventLoop {
                 return;
             }
         }
-        let normalized = EvaluateRequest::from_json(&request.body).and_then(|r| match op {
-            CacheOp::Evaluate => r.normalize().and_then(|n| {
-                let digest = n.key.digest()?;
-                Ok((digest, JobKind::Evaluate(Box::new(n))))
-            }),
-            CacheOp::Search => r.normalize_search().and_then(|n| {
-                let digest = n.key.digest()?;
-                Ok((digest, JobKind::Search(Box::new(n))))
-            }),
+        let normalized = EvaluateRequest::from_json(&request.body).and_then(|r| {
+            if op == CacheOp::Evaluate {
+                let n = r.normalize()?;
+                Ok((n.key.digest()?, JobKind::Evaluate(Box::new(n))))
+            } else {
+                let n = r.normalize_search()?;
+                Ok((n.key.digest()?, JobKind::Search(Box::new(n))))
+            }
         });
         let (digest, kind) = match normalized {
             Ok(pair) => pair,
@@ -476,10 +476,16 @@ impl EventLoop {
                 return;
             }
         }
-        let hex = digest.to_hex();
+        self.dispatch(conn, digest, kind, close);
+    }
+
+    /// Hands a cache-missing request to the dispatcher: it rides the job in
+    /// flight for `digest`, dispatches a job of its own, or is shed with
+    /// `503` + `Retry-After`.  Returns whether the connection now waits on
+    /// a job (`processing`).
+    fn dispatch(&mut self, conn: &mut Conn, digest: Digest, kind: JobKind, close: bool) -> bool {
         let waiter = ConnWaiter {
             token: conn.token,
-            hex,
             close,
         };
         match self.dispatcher.submit(digest, kind, waiter) {
@@ -500,6 +506,7 @@ impl EventLoop {
             .metrics
             .inflight_depth
             .store(self.dispatcher.inflight() as u64, Ordering::Relaxed);
+        conn.processing
     }
 
     /// Spends one of the peer's rate-limit tokens; without one, queues
@@ -529,87 +536,38 @@ impl EventLoop {
         true
     }
 
-    /// `POST /v1/design`: a completed sweep replays from the store as one
-    /// final NDJSON line; otherwise the connection subscribes to the (new
-    /// or already-running) sweep's stream of partial-front frames.  Either
-    /// way the response is chunked, `connection: close`, and tagged with
-    /// the sweep digest.
+    /// `POST /v1/design`: after the rate limiter, a completed sweep replays
+    /// from the store as one final NDJSON line; otherwise the connection
+    /// waits on the sweep's job (new or already running) and receives its
+    /// partial-front frames as they land.  Either way the response is
+    /// chunked, `connection: close`, and tagged with the sweep digest.  A
+    /// shed sweep answers a plain `503` instead.
     fn handle_design(&mut self, conn: &mut Conn, request: &Request) {
-        let config = match crate::design::parse_design(&request.body) {
+        let config = match parse_design(&request.body) {
             Ok(config) => config,
             Err(e) => {
                 self.queue_response(conn, error_response(&e), true);
                 return;
             }
         };
-        let sweep = config.digest().to_hex();
-        let mut head = Response::json(200, String::new()).with_header("x-bitwave-sweep", &*sweep);
-        head.content_type = "application/x-ndjson";
-        if let Some(line) = self.state.design.replay(&sweep) {
-            head.write_chunked_head(true, &mut conn.write_buf);
-            conn.write_buf
-                .extend_from_slice(&chunk_frame(format!("{line}\n").as_bytes()));
-            conn.write_buf.extend_from_slice(LAST_CHUNK);
-            conn.pending_close = true;
+        if !self.admit(conn, true) {
             return;
         }
-        DesignHub::ensure_running(&self.state, config, sweep.clone());
-        head.write_chunked_head(true, &mut conn.write_buf);
+        let sweep = config.digest().to_hex();
+        let digest = Digest::of_bytes(format!("design:{sweep}").as_bytes());
+        let mut head = Response::json(200, String::new()).with_header("x-bitwave-sweep", sweep);
+        head.content_type = "application/x-ndjson";
+        if let Some((line, _)) = self.state.cache.probe(CacheOp::Design, digest) {
+            head.write_chunked_head(true, &mut conn.write_buf);
+            end_stream(conn, &line);
+            return;
+        }
         // `processing` pauses request parsing and suspends the idle/read
         // deadlines for the lifetime of the stream; the write deadline
-        // still drops a subscriber that stops draining frames.
-        conn.processing = true;
-        self.design_subs.entry(sweep).or_default().push(conn.token);
-    }
-
-    /// Fans queued design-sweep events out to their subscriber streams.
-    fn drain_design_events(&mut self) {
-        for event in self.state.design.drain_events() {
-            match event {
-                DesignEvent::Frame { sweep, line } => {
-                    let Some(tokens) = self.design_subs.get(&sweep).cloned() else {
-                        continue; // no subscribers (all died); sweep persists anyway
-                    };
-                    let frame = chunk_frame(format!("{line}\n").as_bytes());
-                    let alive: Vec<usize> = tokens
-                        .into_iter()
-                        .filter(|&token| self.push_stream_bytes(token, &frame, false))
-                        .collect();
-                    if alive.is_empty() {
-                        self.design_subs.remove(&sweep);
-                    } else {
-                        self.design_subs.insert(sweep, alive);
-                    }
-                }
-                DesignEvent::Final { sweep, line } => {
-                    let Some(tokens) = self.design_subs.remove(&sweep) else {
-                        continue;
-                    };
-                    let mut bytes = chunk_frame(format!("{line}\n").as_bytes());
-                    bytes.extend_from_slice(LAST_CHUNK);
-                    for token in tokens {
-                        self.push_stream_bytes(token, &bytes, true);
-                    }
-                }
-            }
+        // still drops a waiter that stops draining frames.
+        if self.dispatch(conn, digest, JobKind::Design(Box::new(config)), true) {
+            head.write_chunked_head(true, &mut conn.write_buf);
         }
-    }
-
-    /// Appends stream bytes to one subscriber and flushes; `finalize` ends
-    /// the stream (the connection closes once the buffer drains).  Returns
-    /// whether the connection is still alive and subscribed.
-    fn push_stream_bytes(&mut self, token: usize, bytes: &[u8], finalize: bool) -> bool {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return false;
-        };
-        conn.write_buf.extend_from_slice(bytes);
-        if finalize {
-            conn.processing = false;
-            conn.pending_close = true;
-        }
-        let keep = self.flush(&mut conn);
-        self.settle(conn, keep);
-        keep && !finalize
     }
 
     fn queue_response(&self, conn: &mut Conn, response: Response, close: bool) {
@@ -622,48 +580,90 @@ impl EventLoop {
         }
     }
 
-    /// Fans completed jobs back out to their waiting connections.
+    /// Streams posted frames and fans completed jobs back out to their
+    /// waiting connections.
     fn drain_completions(&mut self) {
-        for done in self.state.completions.drain() {
-            let fan_out = self.dispatcher.complete(done);
-            self.state
-                .metrics
-                .batch_requests
-                .fetch_add(fan_out.len() as u64, Ordering::Relaxed);
-            for served in fan_out {
-                if served.rider {
-                    // Riders shared the dispatch without touching the store;
-                    // count them so per-op hits+misses+coalesced keeps
-                    // matching request totals.
-                    ServiceMetrics::bump(&self.state.metrics.batch_coalesced);
-                    self.state.cache.stats(served.op).note_coalesced();
-                }
-                let ConnWaiter { token, hex, close } = served.waiter;
-                let response = match served.result {
-                    Ok((body, outcome)) => {
-                        let outcome = if served.rider {
-                            CacheOutcome::Coalesced
-                        } else {
-                            outcome
-                        };
-                        report_response(body, outcome, hex)
-                            .with_header("x-bitwave-batch", served.batch_size.to_string())
-                    }
-                    Err(message) => error_response(&ServeError::Internal(message)),
-                };
-                let Some(mut conn) = self.conns.remove(&token) else {
-                    continue; // connection died while computing
-                };
-                conn.processing = false;
-                self.queue_response(&mut conn, response, close);
-                let keep = self.advance(&mut conn) && self.flush(&mut conn);
-                self.settle(conn, keep);
+        for completion in self.state.completions.drain() {
+            match completion {
+                Completion::Frame { digest, line } => self.stream_frame(digest, &line),
+                Completion::Done(done) => self.complete(done),
             }
-            self.state
-                .metrics
-                .inflight_depth
-                .store(self.dispatcher.inflight() as u64, Ordering::Relaxed);
         }
+    }
+
+    /// Writes one partial-front frame to every connection waiting on the
+    /// sweep, and detaches those whose connection is gone.
+    fn stream_frame(&mut self, digest: Digest, line: &str) {
+        let frame = chunk_frame(format!("{line}\n").as_bytes());
+        let tokens: Vec<usize> = self.dispatcher.waiters(digest).map(|w| w.token).collect();
+        let dead: Vec<usize> = tokens
+            .into_iter()
+            .filter(|&token| !self.push_stream_bytes(token, &frame))
+            .collect();
+        if !dead.is_empty() {
+            self.dispatcher
+                .retain(digest, |waiter| !dead.contains(&waiter.token));
+        }
+    }
+
+    /// Appends stream bytes to one connection and flushes; returns whether
+    /// the connection is still alive.
+    fn push_stream_bytes(&mut self, token: usize, bytes: &[u8]) -> bool {
+        let Some(mut conn) = self.conns.remove(&token) else {
+            return false;
+        };
+        conn.write_buf.extend_from_slice(bytes);
+        let keep = self.flush(&mut conn);
+        self.settle(conn, keep);
+        keep
+    }
+
+    /// Fans one completed job back out to its waiting connections.
+    fn complete(&mut self, done: JobDone) {
+        let hex = done.digest.to_hex();
+        let fan_out = self.dispatcher.complete(done);
+        self.state
+            .metrics
+            .batch_requests
+            .fetch_add(fan_out.len() as u64, Ordering::Relaxed);
+        for served in fan_out {
+            if served.rider {
+                // Riders shared the dispatch without touching the store;
+                // count them so per-op hits+misses+coalesced keeps matching
+                // request totals.
+                ServiceMetrics::bump(&self.state.metrics.batch_coalesced);
+                self.state.cache.stats(served.op).note_coalesced();
+            }
+            let Some(mut conn) = self.conns.remove(&served.waiter.token) else {
+                continue; // connection died while computing
+            };
+            conn.processing = false;
+            match (served.op, served.result) {
+                (CacheOp::Design, Ok((line, _))) => end_stream(&mut conn, &line),
+                (CacheOp::Design, Err(message)) => end_stream(&mut conn, &error_line(&message)),
+                (_, Ok((body, outcome))) => {
+                    let outcome = if served.rider {
+                        CacheOutcome::Coalesced
+                    } else {
+                        outcome
+                    };
+                    let response = report_response(body, outcome, hex.clone())
+                        .with_header("x-bitwave-batch", served.batch_size.to_string());
+                    self.queue_response(&mut conn, response, served.waiter.close);
+                }
+                (_, Err(message)) => self.queue_response(
+                    &mut conn,
+                    error_response(&ServeError::Internal(message)),
+                    served.waiter.close,
+                ),
+            }
+            let keep = self.advance(&mut conn) && self.flush(&mut conn);
+            self.settle(conn, keep);
+        }
+        self.state
+            .metrics
+            .inflight_depth
+            .store(self.dispatcher.inflight() as u64, Ordering::Relaxed);
     }
 
     /// Writes as much of the response buffer as the socket takes; false =
@@ -746,6 +746,15 @@ impl EventLoop {
             self.settle(conn, keep);
         }
     }
+}
+
+/// Ends a design stream with its final NDJSON line; the connection closes
+/// once the buffer drains.
+fn end_stream(conn: &mut Conn, line: &str) {
+    conn.write_buf
+        .extend_from_slice(&chunk_frame(format!("{line}\n").as_bytes()));
+    conn.write_buf.extend_from_slice(LAST_CHUNK);
+    conn.pending_close = true;
 }
 
 /// A `200` report answer: the cached body, shared with the cache, tagged

@@ -21,20 +21,25 @@
 //!                      ├─ rate limit (token bucket per peer IP) → 429
 //!                      ├─ max-inflight cap → 503 + Retry-After
 //!                      ▼
-//!            Dispatcher (one job per in-flight digest)
+//!            Dispatcher (one job per in-flight digest:
+//!                        evaluate · search · design sweep)
 //!     identical digest → rider (free)   new digest → its own job
 //!                      │ job queue
 //!        ┌─────────────┼─────────────┐
-//!   worker 0      worker 1 …    worker N-1      (pipeline compute only)
+//!   worker 0      worker 1 …    worker N-1      (the only compute threads)
 //!        │             │             │
 //!        ▼             ▼             ▼
 //!   ReportCache (single-flight LRU) ─ miss ─▶ ModelStore (Arc weights)
-//!        │                                        │ zero tensor deep copies
-//!        │                                        ▼
-//!        │                         Pipeline::run (layer-parallel)
-//!        └─▶ completion ─▶ loop fans out to every waiter:
-//!            {digest, key, report} + X-Bitwave-Cache + X-Bitwave-Batch
+//!        │                                   Pipeline::run / DSE search /
+//!        │                                   bitwave-sweep run
+//!        └─▶ completion mailbox ─▶ loop fans out to every waiter:
+//!            {digest, key, report} + X-Bitwave-Cache + X-Bitwave-Batch,
+//!            or a sweep's partial-front frames, then its final report
 //! ```
+//!
+//! The service starts `1 + workers` threads of its own: a design sweep is
+//! one more job kind on the same queue, admitted, coalesced and shed like
+//! an evaluation.
 //!
 //! ## Endpoints
 //!
@@ -42,7 +47,7 @@
 //! |----------|----------|
 //! | `POST /v1/evaluate` | run (or replay) one model × accelerator evaluation; body: `{"model", "accelerator?", "bitflip?", "seed?", "sample_cap?", "group_size?", "mapping?"}` |
 //! | `POST /v1/search` | run (or replay) the per-layer dataflow design-space search (`bitwave-dse`): winning mappings, Pareto fronts, heuristic-vs-searched EDP; same body minus `mapping` |
-//! | `POST /v1/design` | launch (or attach to) a `bitwave-sweep` hardware design sweep; streams partial Pareto fronts as chunked NDJSON lines, final [`bitwave_sweep::FrontReport`] last; completed sweeps replay byte-identically from the store |
+//! | `POST /v1/design` | run (or ride) a `bitwave-sweep` hardware design sweep on the worker pool; streams partial Pareto fronts as chunked NDJSON lines, final [`bitwave_sweep::FrontReport`] last; completed sweeps replay byte-identically from the store |
 //! | `GET /v1/reports/{digest}` | replay a cached report by content digest, no recomputation |
 //! | `GET /v1/models` | the model registry (`bitwave_dnn::models::by_name` names) |
 //! | `GET /v1/accelerators` | the accelerator registry (`AcceleratorSpec::by_name` names) |
@@ -61,9 +66,11 @@
 //! of the same request performs one evaluation and zero extra tensor
 //! copies.  The `X-Bitwave-Cache` response header reports `hit` (memory),
 //! `disk` (replayed from the disk tier, e.g. after a restart), `miss` or
-//! `coalesced`.  The event loop remembers which digest each valid body
-//! resolved to (a bounded LRU keyed by op and exact body bytes), so a
-//! byte-identical repeat skips parsing, normalising and digesting.
+//! `coalesced`.  A design sweep's final report is stored the same way, in
+//! the `design` op, under a digest of its sweep config.  The event loop
+//! remembers which digest each valid evaluate/search body resolved to (a
+//! bounded LRU keyed by op and exact body bytes), so a byte-identical
+//! repeat skips parsing, normalising and digesting.
 //!
 //! ## Quickstart
 //!

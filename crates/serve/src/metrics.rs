@@ -12,7 +12,12 @@
 //! `bitwave_store_{hits,disk_hits,misses,coalesced,evictions,quarantined,
 //! disk_write_errors}_total{op="…"}` counters plus
 //! `bitwave_store_{mem,disk}_{entries,bytes}{op="…"}` gauges — then render
-//! one sample each for the `evaluate`, `search` and `weights` ops.
+//! one sample each for the `evaluate`, `search`, `design` and `weights` ops.
+//!
+//! The dispatch series count design sweeps like evaluations and searches:
+//! `bitwave_serve_batch_{dispatches,coalesced,requests}_total` include
+//! design dispatches, riders and fan-outs, and `bitwave_serve_inflight_depth`
+//! includes running sweeps.
 //!
 //! Amortized-evaluation counters expose the sweep's reuse machinery:
 //! `bitwave_sweep_{profile_reuse,space_reuse}_total` read the hits plus
@@ -36,7 +41,8 @@ pub struct ServiceMetrics {
     /// Layers judged memory-bound by the DRAM-tier roofline, summed over
     /// cold evaluations (always 0 unless requests throttle the tier).
     pub memory_bound_layers: AtomicU64,
-    /// Connections rejected because the job queue was full.
+    /// Connections answered `503` at accept because the open-connection cap
+    /// (`ServeConfig::queue_capacity`) was reached.
     pub queue_rejections: AtomicU64,
     /// Report replays served from `GET /v1/reports/{digest}`.
     pub report_replays: AtomicU64,
@@ -128,7 +134,7 @@ impl ServiceMetrics {
             ("bitwave_serve_http_errors_total", "Non-2xx responses.", COUNTER, load(&self.http_errors)),
             ("bitwave_serve_evaluations_total", "Cold pipeline evaluations executed.", COUNTER, load(&self.evaluations)),
             ("bitwave_memory_bound_layers_total", "Layers judged memory-bound by the DRAM-tier roofline in cold evaluations.", COUNTER, load(&self.memory_bound_layers)),
-            ("bitwave_serve_queue_rejections_total", "Connections rejected because the job queue was full.", COUNTER, load(&self.queue_rejections)),
+            ("bitwave_serve_queue_rejections_total", "Connections answered 503 at accept at the open-connection cap.", COUNTER, load(&self.queue_rejections)),
             ("bitwave_serve_report_replays_total", "Reports replayed from GET /v1/reports/{digest}.", COUNTER, load(&self.report_replays)),
             ("bitwave_serve_searches_total", "Cold dataflow design-space searches executed.", COUNTER, load(&self.searches)),
             ("bitwave_serve_sheds_total", "Compute requests shed with 503 at the max-inflight cap.", COUNTER, load(&self.sheds)),
@@ -168,6 +174,7 @@ impl ServiceMetrics {
         let samples = [
             tiered(CacheOp::Evaluate),
             tiered(CacheOp::Search),
+            tiered(CacheOp::Design),
             OpSample {
                 op: "weights",
                 stats: store.stats(),
@@ -244,6 +251,7 @@ mod tests {
             "bitwave_store_disk_entries{op=\"evaluate\"} 0",
             "bitwave_store_disk_bytes{op=\"search\"} 0",
             "bitwave_store_mem_entries{op=\"weights\"} 0",
+            "bitwave_store_misses_total{op=\"design\"} 0",
         ] {
             assert!(text.contains(family), "missing `{family}` in:\n{text}");
         }

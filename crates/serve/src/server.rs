@@ -1,30 +1,34 @@
 //! The service runtime: poll-driven event loop, compute worker pool and
 //! request routing.
 //!
-//! One `serve-loop` thread owns the listener and every client socket
-//! (non-blocking, registered with [`crate::poller::Poller`] — epoll on
-//! Linux, `poll(2)` elsewhere) and runs the readiness state machine in
-//! the private `event_loop` module: incremental parsing, inline answers for cheap
-//! endpoints and cache hits, and centrally-enforced idle/read/write
-//! deadlines, so thousands of mostly-idle keep-alive connections cost
-//! buffers instead of threads.  Admission control lives on the same thread:
-//! a connection cap (overflow → best-effort non-blocking `503`), an optional
-//! per-client token-bucket rate limit (`429` + `Retry-After`) and a
-//! `max_inflight` cap on dispatched computations (`503` + `Retry-After`).
+//! The service starts `1 + workers` threads of its own (pipeline stages may
+//! still fan out through the vendored rayon shim).  One `serve-loop` thread
+//! owns the listener and every client socket (non-blocking, registered with
+//! [`crate::poller::Poller`] — epoll on Linux, `poll(2)` elsewhere) and runs
+//! the readiness state machine in the private `event_loop` module:
+//! incremental parsing, inline answers for cheap endpoints and cache hits,
+//! and centrally-enforced idle/read/write deadlines, so thousands of
+//! mostly-idle keep-alive connections cost buffers instead of threads.
+//! Admission control lives on the same thread: a connection cap (overflow →
+//! best-effort non-blocking `503`), an optional per-client token-bucket rate
+//! limit (`429` + `Retry-After`) and a `max_inflight` cap on dispatched
+//! computations (`503` + `Retry-After`).
 //!
-//! A cache-missing evaluate/search request either rides the job already in
-//! flight for its digest or dispatches a job of its own (the private `batch`
-//! module) onto a queue drained by `workers` compute threads; the
-//! `X-Bitwave-Batch` response header carries each dispatch's fan-out size.
+//! Every computation — an evaluation, a search or a design sweep — is a job
+//! of the private `batch` module: a cache-missing request rides the job
+//! already in flight for its digest or dispatches one of its own onto a
+//! queue drained by the `workers` compute threads; the `X-Bitwave-Batch`
+//! response header carries each evaluate/search dispatch's fan-out size.
 //! Jobs over one `(model, seed, sample_cap)` weight set share the
-//! [`ModelStore`]'s single generation of its `Arc`-backed tensors.
-//! Results land in the single-flight [`ReportCache`] keyed by request
-//! digest — a tiered `bitwave-store`, so configuring
-//! [`ServeConfig::store_root`] makes cached responses survive restarts and
-//! replay byte-identically from disk.
+//! [`ModelStore`]'s single generation of its `Arc`-backed tensors.  A design
+//! sweep holds its worker until it finishes, posting each partial front to
+//! the loop as it lands.  Results land in the single-flight [`ReportCache`]
+//! keyed by request digest — a tiered `bitwave-store`, so configuring
+//! [`ServeConfig::store_root`] makes cached responses and finished sweeps
+//! survive restarts and replay byte-identically from disk.
 
 use crate::api::{list_accelerators, list_models, NormalizedRequest, NormalizedSearch};
-use crate::batch::{Completions, Job, JobDone, JobKind, JobQueue};
+use crate::batch::{Completion, Completions, Job, JobDone, JobKind, JobQueue};
 use crate::cache::ReportCache;
 use crate::error::ServeError;
 use crate::event_loop::EventLoop;
@@ -34,7 +38,9 @@ use crate::poller::Waker;
 use crate::store::ModelStore;
 use bitwave::digest::Digest;
 use bitwave_store::StoreConfig;
+use bitwave_sweep::{run_with_progress, SweepConfig};
 use std::net::{SocketAddr, TcpListener};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -44,25 +50,32 @@ use std::thread::JoinHandle;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Compute worker threads (pipeline evaluations and searches).
+    /// Compute worker threads.  They run every computation: pipeline
+    /// evaluations, searches and design sweeps (a sweep holds one worker
+    /// until it finishes).  [`ServerHandle::shutdown`] joins them, so it
+    /// waits for a running evaluation or sweep to finish.
     pub workers: usize,
     /// Maximum open client connections (overflow → best-effort `503`).
     pub queue_capacity: usize,
-    /// Report-cache capacity in entries (per op: evaluate and search each
-    /// get this many).
+    /// Report-cache capacity in entries (per op: evaluate, search and
+    /// design each get this many).
     pub cache_capacity: usize,
     /// Weight-store capacity in generated weight sets.
     pub store_capacity: usize,
     /// Root directory of the persistent store; `None` (default) keeps this
     /// service's report cache memory-only.  With a root, evaluate/search
-    /// responses persist under `<root>/{evaluate,search}/<digest>` and
-    /// replay byte-identically across restarts.
+    /// responses and final design reports persist under
+    /// `<root>/{evaluate,search,design}/<digest>` and replay
+    /// byte-identically across restarts, and design sweeps share the root's
+    /// sweep ledger with `bitwave-sweep` workers.
     pub store_root: Option<String>,
-    /// Maximum distinct cache-missing computations in flight at once;
-    /// further compute requests shed with `503` + `Retry-After`.  Riders on
-    /// an in-flight identical request are always admitted.
+    /// Maximum distinct cache-missing computations (evaluations, searches
+    /// and design sweeps) in flight at once; further compute requests shed
+    /// with `503` + `Retry-After`.  Riders on an in-flight identical request
+    /// are always admitted.
     pub max_inflight: usize,
-    /// Per-client (peer IP) request budget in compute requests per second,
+    /// Per-client (peer IP) request budget in compute requests (evaluate,
+    /// search, design) per second,
     /// enforced as a token bucket with a one-second burst; `None` (default)
     /// disables rate limiting.  Over-budget requests answer `429` with
     /// `Retry-After`.
@@ -114,7 +127,6 @@ pub struct ServiceState {
     pub(crate) jobs: JobQueue,
     pub(crate) completions: Completions,
     pub(crate) waker: Waker,
-    pub(crate) design: crate::design::DesignHub,
 }
 
 /// Handle to a running service; dropping it does **not** stop the service —
@@ -180,16 +192,8 @@ pub fn start(config: ServeConfig) -> Result<ServerHandle, ServeError> {
     })?;
     let (waker, wake_reader) =
         Waker::pair().map_err(|e| ServeError::Internal(format!("waker: {e}")))?;
-    let design = crate::design::DesignHub::new(&store_config, config.store_root.as_deref())
-        .map_err(|e| {
-            ServeError::Internal(format!(
-                "design store {}: {e}",
-                config.store_root.as_deref().unwrap_or("<memory>")
-            ))
-        })?;
     let state = Arc::new(ServiceState {
         cache,
-        design,
         store: ModelStore::new(config.store_capacity),
         metrics: ServiceMetrics::default(),
         memo: crate::memo::BodyMemo::new(),
@@ -234,8 +238,11 @@ fn worker_main(state: &ServiceState) {
             .get_or_compute(kind.op(), digest, || match &kind {
                 JobKind::Evaluate(normalized) => compute_evaluate(state, normalized, &digest),
                 JobKind::Search(normalized) => compute_search(state, normalized, &digest),
+                JobKind::Design(config) => compute_design(state, config, digest),
             });
-        state.completions.push(JobDone { digest, result });
+        state
+            .completions
+            .push(Completion::Done(JobDone { digest, result }));
         state.waker.wake();
     }
 }
@@ -284,6 +291,24 @@ fn compute_search(
     normalized
         .envelope(digest, &search)
         .map_err(|e| e.to_string())
+}
+
+/// The cold design sweep, through the store root's sweep ledger: posts each
+/// partial front to the loop and returns the final report line.
+fn compute_design(
+    state: &ServiceState,
+    config: &SweepConfig,
+    digest: Digest,
+) -> Result<String, String> {
+    let root = state.config.store_root.as_deref().map(Path::new);
+    let (report, _) = run_with_progress(config, root, |frame| {
+        if let Ok(line) = serde_json::to_string(frame) {
+            state.completions.push(Completion::Frame { digest, line });
+            state.waker.wake();
+        }
+    })
+    .map_err(|e| format!("sweep failed: {e}"))?;
+    serde_json::to_string(&report).map_err(|e| format!("rendering final report: {e}"))
 }
 
 /// Answers the endpoints the event loop does not intercept: the cheap

@@ -1,13 +1,20 @@
 //! Wire-level tests of the streaming `POST /v1/design` endpoint: chunked
-//! NDJSON framing, ≥ 2 partial fronts before the final report, and
-//! byte-identical replay of a completed sweep from the store.
+//! NDJSON framing, ≥ 2 partial fronts before the final report,
+//! byte-identical replay of a completed sweep from the store, and the
+//! admission path design shares with evaluate and search (riders, the rate
+//! limiter, `max_inflight` shedding).
 
 mod common;
 
+use bitwave::digest::Digest;
+use bitwave_serve::design::parse_design;
 use bitwave_serve::server::{start, ServeConfig, ServerHandle};
+use bitwave_serve::CacheOp;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 
 fn temp_store_root(tag: &str) -> PathBuf {
     let root =
@@ -41,10 +48,22 @@ impl DesignStream {
     }
 }
 
-/// POSTs `body` to `/v1/design` and reads the chunked response to the
-/// terminating zero chunk, de-chunking into NDJSON lines.
-fn post_design(addr: std::net::SocketAddr, body: &str) -> DesignStream {
+/// A design request whose response head has been read.
+struct DesignHead {
+    reader: BufReader<TcpStream>,
+    status: u16,
+    headers: Vec<(String, String)>,
+}
+
+/// POSTs `body` to `/v1/design` and reads the response head.  The server
+/// writes a stream's head once the request is placed, so a `200` head
+/// means the request replayed, dispatched a sweep or rides one.
+fn start_design(addr: std::net::SocketAddr, body: &str) -> DesignHead {
     let stream = TcpStream::connect(addr).expect("connect");
+    // A response that never comes fails the test instead of hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     write!(
@@ -76,6 +95,21 @@ fn post_design(addr: std::net::SocketAddr, body: &str) -> DesignStream {
             headers.push((name.trim().to_lowercase(), value.trim().to_string()));
         }
     }
+    DesignHead {
+        reader,
+        status,
+        headers,
+    }
+}
+
+/// Reads the rest of a design response to the terminating zero chunk,
+/// de-chunking into NDJSON lines.
+fn finish_design(head: DesignHead) -> DesignStream {
+    let DesignHead {
+        mut reader,
+        status,
+        headers,
+    } = head;
     let chunked = headers
         .iter()
         .any(|(n, v)| n == "transfer-encoding" && v == "chunked");
@@ -118,6 +152,17 @@ fn post_design(addr: std::net::SocketAddr, body: &str) -> DesignStream {
         headers,
         lines,
     }
+}
+
+/// POSTs `body` to `/v1/design` and reads the whole response.
+fn post_design(addr: std::net::SocketAddr, body: &str) -> DesignStream {
+    finish_design(start_design(addr, body))
+}
+
+/// The report-cache address of a design body's final report.
+fn design_key(body: &str) -> Digest {
+    let sweep = parse_design(body.as_bytes()).expect("valid body").digest();
+    Digest::of_bytes(format!("design:{}", sweep.to_hex()).as_bytes())
 }
 
 #[test]
@@ -221,6 +266,111 @@ fn design_rejects_bad_bodies_and_methods() {
     let response = common::read_response(&mut reader).expect("response");
     assert_eq!(response.status, 405, "GET on the design endpoint is a 405");
 
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn concurrent_identical_designs_share_one_sweep() {
+    let root = temp_store_root("concurrent");
+    let handle = design_server(&root);
+    let addr = handle.local_addr();
+    let body = r#"{"space":"tiny","sample_cap":400,"seed":5}"#;
+    let streams: Vec<DesignStream> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| scope.spawn(move || post_design(addr, body)))
+            .collect();
+        racers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for stream in &streams {
+        assert_eq!(stream.status, 200);
+        assert!(stream.lines.last().unwrap().contains("\"schema\""));
+    }
+    assert_eq!(streams[0].lines.last(), streams[1].lines.last());
+    let state = handle.state();
+    // Either the second request rode the first one's sweep or, arriving
+    // after it finished, replayed its report: one sweep either way.
+    assert_eq!(state.cache.stats(CacheOp::Design).misses(), 1);
+    assert_eq!(state.metrics.batch_dispatches.load(Ordering::Relaxed), 1);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn design_requests_spend_rate_limit_tokens() {
+    let root = temp_store_root("rate");
+    let handle = start(ServeConfig {
+        workers: 1,
+        rate_limit: Some(1),
+        store_root: Some(root.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    })
+    .expect("design server starts");
+    let addr = handle.local_addr();
+    let body = r#"{"space":"tiny","sample_cap":400}"#;
+    let first = start_design(addr, body);
+    assert_eq!(first.status, 200);
+    let limited = post_design(addr, body);
+    assert_eq!(limited.status, 429);
+    assert!(limited.header("retry-after").is_some());
+    assert_eq!(limited.header("transfer-encoding"), None, "no chunked head");
+    assert_eq!(
+        handle.state().metrics.rate_limited.load(Ordering::Relaxed),
+        1
+    );
+    let first = finish_design(first);
+    assert!(first.lines.last().unwrap().contains("\"schema\""));
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn design_rides_and_sheds_at_max_inflight() {
+    let root = temp_store_root("shed");
+    let handle = start(ServeConfig {
+        workers: 1,
+        max_inflight: 1,
+        store_root: Some(root.to_string_lossy().into_owned()),
+        ..ServeConfig::default()
+    })
+    .expect("design server starts");
+    let addr = handle.local_addr();
+    let body = r#"{"space":"tiny","sample_cap":400}"#;
+    const LINE: &str = r#"{"planted":true}"#;
+    // Hold the sweep's cache entry pending from this side, so the sweep job
+    // stays in flight (its worker waits on this computation) until released.
+    let state = Arc::clone(handle.state());
+    let key = design_key(body);
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = std::thread::spawn(move || {
+        state.cache.get_or_compute(CacheOp::Design, key, || {
+            held_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+            Ok(LINE.to_string())
+        })
+    });
+    held_rx.recv().unwrap();
+
+    let trigger = start_design(addr, body);
+    assert_eq!(trigger.status, 200);
+    let rider = start_design(addr, body);
+    assert_eq!(rider.status, 200, "a rider is admitted at the cap");
+    let shed = post_design(addr, r#"{"space":"tiny","sample_cap":400,"seed":9}"#);
+    assert_eq!(shed.status, 503);
+    assert!(shed.header("retry-after").is_some());
+    assert_eq!(shed.header("transfer-encoding"), None);
+
+    release_tx.send(()).unwrap();
+    holder.join().unwrap().unwrap();
+    for stream in [finish_design(trigger), finish_design(rider)] {
+        assert_eq!(stream.lines, [LINE]);
+    }
+    let metrics = &handle.state().metrics;
+    assert_eq!(metrics.batch_dispatches.load(Ordering::Relaxed), 1);
+    assert_eq!(metrics.batch_coalesced.load(Ordering::Relaxed), 1);
+    assert_eq!(metrics.batch_requests.load(Ordering::Relaxed), 2);
+    assert_eq!(metrics.sheds.load(Ordering::Relaxed), 1);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -190,15 +190,21 @@ impl SweepConfig {
         }
     }
 
-    /// Number of candidate points (the cross product of every axis).
+    /// Number of candidate points (the cross product of every axis),
+    /// saturating at `usize::MAX` instead of overflowing on a
+    /// caller-supplied config.
     pub fn total_points(&self) -> usize {
-        self.lanes.len()
-            * self.sync_lanes.len()
-            * self.weight_sram_kb.len()
-            * self.activation_sram_kb.len()
-            * self.dram_bandwidth_bits.len()
-            * self.sram_bandwidth_bits.len()
-            * self.menus.len()
+        [
+            self.lanes.len(),
+            self.sync_lanes.len(),
+            self.weight_sram_kb.len(),
+            self.activation_sram_kb.len(),
+            self.dram_bandwidth_bits.len(),
+            self.sram_bandwidth_bits.len(),
+            self.menus.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Content digest of everything that determines results — the sweep's
@@ -235,6 +241,19 @@ mod tests {
             (10_000..100_000).contains(&full),
             "full preset must land in the 10^4–10^5 band, got {full}"
         );
+    }
+
+    #[test]
+    fn total_points_saturates() {
+        let mut config = SweepConfig::tiny();
+        config.lanes = vec![1; 1 << 16];
+        config.sync_lanes = vec![1; 1 << 16];
+        config.weight_sram_kb = vec![1; 1 << 16];
+        config.activation_sram_kb = vec![1; 1 << 16];
+        config.dram_bandwidth_bits = vec![1; 2];
+        assert_eq!(config.total_points(), usize::MAX);
+        config.menus.clear();
+        assert_eq!(config.total_points(), 0);
     }
 
     #[test]
